@@ -1,7 +1,7 @@
 #!/usr/bin/env python
 """Quality-versus-cutoff dataset: binomial mixture of 1..10 photons, 1000
 runs per cutoff, interaction time fixed at the optimum for the initial
-mixture. Takes a minute or so; pass --runs to shrink it.
+mixture. All 30000 runs step in lockstep; takes a second or two.
 """
 
 import sys

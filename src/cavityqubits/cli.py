@@ -87,18 +87,20 @@ def validate(config: ExperimentConfig) -> list[Diagnostic]:
         error("experiment", f"unknown experiment {config.experiment!r}")
     try:
         weights = config.initial_weights()
-        total = sum(weights.values())
-        if abs(total - 1.0) > 1e-9:
-            error("distribution", f"weights sum to {total!r}, not 1")
-        if any(p < 0 for p in weights.values()):
-            error("distribution", "negative weights")
-        if config.experiment != "trapping-curves" and any(
-            n < 1 and p > 0 for n, p in weights.items()
-        ):
-            error("distribution", "clone-fidelity tracking needs every branch at n >= 1")
+        # the runs' own ensemble checks, with their tolerance cloning.WEIGHT_TOL
+        protocol.WeightedEnsemble.from_weights(weights)
     except (ValueError, OverflowError) as exc:
         error("distribution", str(exc))
         weights = {}
+    if weights and config.experiment != "trapping-curves":
+        n_min = min(n for n, p in weights.items() if p > 0)
+        if n_min < 1:
+            error("distribution", "clone-fidelity tracking needs every branch at n >= 1")
+        elif config.n_originals > n_min:
+            error(
+                "n_originals",
+                f"{config.n_originals} exceeds the smallest occupied photon number {n_min}",
+            )
     if not config.gamma > 0:
         error("gamma", f"must be positive, got {config.gamma}")
     if config.sigma_rel < 0:
@@ -254,7 +256,8 @@ def _run_quality_cutoff(config: ExperimentConfig) -> Path:
     """Average terminal clone quality per cutoff, over `runs` repetitions.
 
     The interaction time is the optimum for the initial mixture and stays
-    fixed for the whole process. Runs that stop before any transfer have no
+    fixed for the whole process. Every (cutoff, run) stream steps in one
+    lockstep batch. Runs that stop before `n_originals` transfers have no
     clones; they count as quality 0.
     """
     initial = protocol.WeightedEnsemble.from_weights(config.initial_weights())
@@ -262,19 +265,28 @@ def _run_quality_cutoff(config: ExperimentConfig) -> Path:
     if resolved_tau is None:
         resolved_tau = protocol.optimal_tau(initial, config.gamma)
     n_max = config.distribution.max_photon_number()
+    final = protocol.run_fixed_tau_batch(
+        initial,
+        resolved_tau,
+        config.gamma,
+        np.repeat(config.cutoffs, config.runs),
+        config.atom_budget,
+        [split_rng(config.seed, c, r) for c in config.cutoffs for r in range(config.runs)],
+    )
+    ns = initial.photon_numbers.tolist()
+    n_orig = config.n_originals
+    qualities = np.array(
+        [
+            cloning.quality(cloning.atom_fidelity(dict(zip(ns, w)), n_orig), n_orig, m)
+            if m >= n_orig
+            else 0.0
+            for w, m in zip(final.weights.tolist(), final.transferred.tolist())
+        ]
+    ).reshape(len(config.cutoffs), config.runs)
     rows: list[tuple] = []
-    for cutoff in config.cutoffs:
-        run_config = replace(config, cutoff=cutoff, tau=resolved_tau, policy="fixed")
-        qualities = np.empty(config.runs)
-        for run_index in range(config.runs):
-            rng = split_rng(config.seed, cutoff, run_index)
-            trace = protocol.run(run_config, rng)
-            last = trace.events[-1] if trace.events else None
-            qualities[run_index] = (
-                last.quality_after if last is not None and last.quality_after is not None else 0.0
-            )
-        stderr = float(qualities.std(ddof=1) / math.sqrt(config.runs)) if config.runs > 1 else 0.0
-        rows.append((cutoff, float(qualities.mean()), stderr, n_max))
+    for cutoff, q in zip(config.cutoffs, qualities):
+        stderr = float(q.std(ddof=1) / math.sqrt(config.runs)) if config.runs > 1 else 0.0
+        rows.append((cutoff, float(q.mean()), stderr, n_max))
     metadata = config.metadata(__version__)
     metadata.append(("resolved_tau", repr(float(resolved_tau))))
     path = _output_path(config)
@@ -359,7 +371,7 @@ def check_output(path: Path) -> list[str]:
             problems.append("step-0 weights differ from the configured distribution")
         for step, weights in sorted(steps.items()):
             total = sum(weights.values())
-            if abs(total - 1.0) > 1e-9:
+            if abs(total - 1.0) > cloning.WEIGHT_TOL:
                 problems.append(f"step {step}: weights sum to {total!r}")
                 continue
             expected = cloning.atom_fidelity(weights, n_originals)

@@ -13,7 +13,9 @@ from typing import Mapping
 
 from .symstate import binom
 
-WEIGHT_TOL = 1e-9
+# Allowed distance of a weight total from 1, shared by the ensemble, the
+# fidelity bookkeeping and the config validator.
+WEIGHT_TOL = 1e-12
 
 
 def clone_fidelity(n_originals: int, m_clones: int) -> float:

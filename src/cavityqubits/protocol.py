@@ -20,9 +20,8 @@ from typing import Mapping, Union
 import numpy as np
 
 from . import cloning
+from .cloning import WEIGHT_TOL
 from .config import ExperimentConfig
-
-WEIGHT_TOL = 1e-12
 
 GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
@@ -61,20 +60,11 @@ class WeightedEnsemble:
         object.__setattr__(self, "weights", ws)
         if ns.ndim != 1 or ns.shape != ws.shape:
             raise ValueError("photon_numbers and weights must be aligned 1-d arrays")
-        if len(np.unique(ns)) != len(ns):
+        if len(set(ns.tolist())) != len(ns):  # np.unique would import numpy.ma
             raise ValueError("duplicate photon-number branches")
         if np.any(ns < 0):
             raise ValueError("photon numbers must be non-negative")
-        if self.transferred < 0:
-            raise ValueError("transferred count must be non-negative")
-        if np.any(ws < 0):
-            raise ValueError("weights must be non-negative")
-        if abs(ws.sum() - 1.0) > WEIGHT_TOL:
-            raise ValueError(f"weights must sum to 1, got {ws.sum()!r}")
-        if np.any(ws[ns < self.transferred] != 0):
-            raise ValueError(
-                f"branches with n < transferred={self.transferred} must carry zero weight"
-            )
+        _check_weights(ns, ws, self.transferred)
 
     @classmethod
     def from_weights(
@@ -102,6 +92,26 @@ class WeightedEnsemble:
         """True when a single branch survives and it has no photons left."""
         alive = self.weights > 0
         return alive.sum() == 1 and int(self.photon_numbers[alive][0]) == self.transferred
+
+
+def _check_weights(ns: np.ndarray, weights: np.ndarray, transferred) -> None:
+    """The weight rules of `WeightedEnsemble`, for one (K,) row with its
+    transferred count, or for a (B, K) stack with one count per row."""
+    transferred = np.asarray(transferred)
+    if np.any(transferred < 0):
+        raise ValueError("transferred count must be non-negative")
+    if np.any(weights < 0):
+        raise ValueError("weights must be non-negative")
+    sums = weights.sum(axis=-1)
+    off = np.abs(sums - 1.0) > WEIGHT_TOL
+    if np.any(off):
+        raise ValueError(f"weights must sum to 1, got {float(np.ravel(sums)[np.argmax(off)])!r}")
+    dead = np.any((ns < transferred[..., None]) & (weights != 0), axis=-1)
+    if np.any(dead):
+        raise ValueError(
+            f"branches with n < transferred={int(np.ravel(transferred)[np.argmax(dead)])} "
+            "must carry zero weight"
+        )
 
 
 def excite_prob(ens: WeightedEnsemble, gamma: float, tau) -> float | np.ndarray:
@@ -219,14 +229,18 @@ def policy_tau(
 
 def step(
     ens: WeightedEnsemble, policy: TauPolicy, gamma: float, rng: np.random.Generator
-) -> tuple[MeasurementOutcome, WeightedEnsemble, float]:
-    """Pass one atom: pick tau, sample the measured outcome, update."""
+) -> tuple[MeasurementOutcome, WeightedEnsemble, float, float]:
+    """Pass one atom: pick tau, sample the measured outcome, update.
+
+    Returns (outcome, updated ensemble, tau, excitation probability before
+    the pass).
+    """
     if ens.is_vacuum_certain():
         raise ValueError("cannot step a vacuum-certain ensemble")
     tau = policy_tau(policy, ens, gamma, rng)
     p_e = excite_prob(ens, gamma, tau)
     outcome = MeasurementOutcome.EXCITED if rng.random() < p_e else MeasurementOutcome.GROUND
-    return outcome, update_weights(ens, gamma, tau, outcome), tau
+    return outcome, update_weights(ens, gamma, tau, outcome), tau, p_e
 
 
 def optimal_tau(
@@ -342,14 +356,12 @@ def run(config: ExperimentConfig, rng: np.random.Generator) -> ProtocolTrace:
         if len(events) >= config.atom_budget:
             reason = StopReason.ATOM_BUDGET
             break
-        before = ens
-        outcome, ens, tau = step(ens, policy, gamma, rng)
-        p_e = excite_prob(before, gamma, tau)
+        outcome, ens, tau, p_e = step(ens, policy, gamma, rng)
         consecutive_ground = 0 if outcome is MeasurementOutcome.EXCITED else consecutive_ground + 1
         f_atom = cloning.atom_fidelity(ens.as_dict(), config.n_originals)
         q = (
             cloning.quality(f_atom, config.n_originals, ens.transferred)
-            if ens.transferred >= 1
+            if ens.transferred >= config.n_originals
             else None
         )
         events.append(
@@ -368,3 +380,112 @@ def run(config: ExperimentConfig, rng: np.random.Generator) -> ProtocolTrace:
             reason = StopReason.CUTOFF
             break
     return ProtocolTrace(initial=initial, events=events, reason=reason, final=ens)
+
+
+# --- many fixed-tau runs in lockstep ----------------------------------------
+
+# Uniforms drawn per stream at a time. `Generator.random(k)` returns the same
+# values as k scalar draws, so the block size never changes an outcome.
+DRAW_BLOCK = 32
+
+
+@dataclass(frozen=True)
+class BatchFinal:
+    """Terminal states of `run_fixed_tau_batch`, one row per stream; the
+    weight columns are the initial ensemble's branches."""
+
+    weights: np.ndarray  # (B, K)
+    transferred: np.ndarray  # (B,)
+    atoms: np.ndarray  # (B,) atoms passed
+    reasons: tuple[StopReason, ...]
+
+
+def run_fixed_tau_batch(
+    initial: WeightedEnsemble,
+    tau: float,
+    gamma: float,
+    cutoffs,
+    atom_budget: int,
+    rngs: list[np.random.Generator],
+) -> BatchFinal:
+    """`run` under `FixedTau(tau)` for many streams at once, terminal states only.
+
+    Row b is the run that `run` makes from `initial` with cutoff
+    `cutoffs[b]` and generator `rngs[b]`: the same outcomes, stop reason and
+    atom count, and bit-identical final weights. All live rows pass their
+    k-th atom together, as one B x K weight update under an active mask.
+    """
+    FixedTau(tau)  # same tau check as the scalar policy
+    cutoffs = np.asarray(cutoffs, dtype=int)
+    if cutoffs.shape != (len(rngs),):
+        raise ValueError("need one cutoff per generator")
+    ns = initial.photon_numbers
+    # Branch factors depend only on (transferred m, branch n). Each table row
+    # repeats the float expression of excite_prob / update_weights exactly.
+    p_rows, sin_rows, cos_rows = [], [], []
+    for m in range(int(ns.max()) + 1):
+        freq = np.sqrt(np.maximum(ns - m, 0))
+        p_rows.append(np.sin(freq * (gamma * tau)) ** 2)
+        phase = freq * gamma * tau
+        sin_rows.append(np.sin(phase) ** 2)
+        cos_rows.append(np.cos(phase) ** 2)
+    p_table, sin2, cos2 = np.array(p_rows), np.array(sin_rows), np.array(cos_rows)
+
+    n_rows = len(rngs)
+    final_w = np.empty((n_rows, len(ns)))
+    final_m = np.empty(n_rows, dtype=int)
+    atoms = np.empty(n_rows, dtype=int)
+    reasons: list[StopReason | None] = [None] * n_rows
+
+    # state of the live rows, compacted; `rows` maps them back to streams
+    rows = np.arange(n_rows)
+    w = np.tile(initial.weights, (n_rows, 1))
+    m = np.full(n_rows, initial.transferred)
+    streak = np.zeros(n_rows, dtype=int)
+    draws = np.empty((n_rows, DRAW_BLOCK))
+    passed = 0  # every live row has passed this many atoms
+
+    def retire(done: np.ndarray, reason: StopReason) -> None:
+        nonlocal rows, w, m, streak, cutoffs, draws
+        if not done.any():
+            return
+        ids = rows[done]
+        final_w[ids], final_m[ids], atoms[ids] = w[done], m[done], passed
+        for i in ids.tolist():
+            reasons[i] = reason
+        keep = ~done
+        rows, w, m, streak, cutoffs, draws = (
+            a[keep] for a in (rows, w, m, streak, cutoffs, draws)
+        )
+
+    while rows.size:
+        # stop checks in run's order: vacuum-certain, budget, then the step
+        alive = w > 0
+        retire(
+            (alive.sum(axis=1) == 1) & (ns[alive.argmax(axis=1)] == m),
+            StopReason.VACUUM_CERTAIN,
+        )
+        if passed >= atom_budget:
+            retire(np.ones(rows.size, dtype=bool), StopReason.ATOM_BUDGET)
+        if not rows.size:
+            break
+        if passed % DRAW_BLOCK == 0:
+            for i, r in enumerate(rows.tolist()):
+                draws[i] = rngs[r].random(DRAW_BLOCK)
+        # a stack of the vector-column products excite_prob makes, so the
+        # sum runs in the same order and p_e keeps its exact bits
+        p_e = np.matmul(w[:, None, :], p_table[m][:, :, None])[:, 0, 0]
+        excited = draws[:, passed % DRAW_BLOCK] < p_e
+        posterior = w * np.where(excited[:, None], sin2[m], cos2[m])
+        total = posterior.sum(axis=1)
+        if np.any(total <= 0.0):
+            outcome = "excited" if excited[np.argmax(total <= 0.0)] else "ground"
+            raise ValueError(f"cannot condition on zero-probability outcome {outcome}")
+        w = posterior / total[:, None]
+        m = m + excited
+        streak = np.where(excited, 0, streak + 1)
+        passed += 1
+        retire(streak >= cutoffs, StopReason.CUTOFF)
+
+    _check_weights(ns, final_w, final_m)  # every terminal row is a valid ensemble
+    return BatchFinal(final_w, final_m, atoms, tuple(reasons))

@@ -117,6 +117,47 @@ def test_validate_rejects_vacuum_branch():
     assert any(d.field == "distribution" and "n >= 1" in d.message for d in diags)
 
 
+@pytest.mark.parametrize("command", ["fig4", "fig2"])
+def test_n_originals_above_smallest_photon_number_is_a_config_error(command, tmp_path, capsys):
+    # binomial:6 occupies n = 1, which a 2 -> m cloner cannot serve
+    out = tmp_path / "x.csv"
+    argv = [command, "--nmax", "6", "--n-originals", "2", "--seed", "1", "--out", str(out)]
+    with pytest.raises(SystemExit, match="invalid configuration"):
+        main(argv)
+    err = capsys.readouterr().err.strip().splitlines()
+    assert err == ["error: n_originals: 2 exceeds the smallest occupied photon number 1"]
+    assert not out.exists()
+    assert validate(make_config(distribution=DistributionSpec("uniform", n_min=2, n_max=6),
+                                n_originals=2)) == []
+
+
+def test_validate_uses_the_ensemble_weight_tolerance(tmp_path, capsys):
+    # 1 - 1e-11 is within a loose 1e-9 but not the ensemble's own tolerance
+    weights = {1: 0.5, 2: 0.49999999999}
+    diags = validate(make_config(distribution=DistributionSpec("explicit", weights=weights)))
+    assert [(d.level, d.field) for d in diags] == [("error", "distribution")]
+    out = tmp_path / "x.csv"
+    argv = ["fig4", "--dist", "explicit:1=0.5,2=0.49999999999", "--runs", "2", "--seed", "1",
+            "--out", str(out)]
+    with pytest.raises(SystemExit, match="invalid configuration"):
+        main(argv)
+    assert "sum to 1" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_fig4_steps_all_streams_in_one_batch(tmp_path, monkeypatch):
+    from cavityqubits import protocol
+
+    def no_scalar_runs(*args, **kwargs):
+        raise AssertionError("fig4 must not call protocol.run")
+
+    monkeypatch.setattr(protocol, "run", no_scalar_runs)
+    out = tmp_path / "q.csv"
+    assert main(["fig4", "--nmax", "4", "--cutoffs", "1..3", "--runs", "4", "--seed", "3",
+                 "--out", str(out)]) == 0
+    assert check_output(out) == []
+
+
 def test_run_experiment_refuses_invalid_config(tmp_path):
     config = make_config(sigma_rel=-1.0, out=str(tmp_path / "x.csv"))
     with pytest.raises(SystemExit, match="invalid configuration"):

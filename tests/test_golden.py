@@ -1,0 +1,63 @@
+"""Golden-output gate: small fig2/fig4 datasets must keep their exact bytes.
+
+Each case is a `cli.main` argv; its golden CSV sits in `tests/golden/`.
+The only line allowed to differ is the `# out = ...` metadata echo, which
+records wherever the file was written.
+
+To regenerate a golden file on purpose (after a documented output change):
+
+    PYTHONPATH=src python tests/test_golden.py
+"""
+
+from __future__ import annotations
+
+import os
+import sys
+from pathlib import Path
+
+import pytest
+
+from cavityqubits import cli
+
+GOLDEN_DIR = Path(__file__).parent / "golden"
+
+CASES = {
+    "fig4_binomial10.csv": [
+        "fig4", "--nmax", "10", "--cutoffs", "1..30", "--runs", "20", "--seed", "2024",
+    ],
+    # cutoffs above the budget: those runs all end on the atom budget
+    "fig4_budget.csv": [
+        "fig4", "--nmax", "10", "--cutoffs", "1..30", "--runs", "20", "--budget", "12",
+        "--seed", "2025",
+    ],
+    "fig4_uniform_two_originals.csv": [
+        "fig4", "--dist", "uniform:2..6", "--n-originals", "2", "--cutoffs", "1..30",
+        "--runs", "20", "--seed", "2026",
+    ],
+    "fig2.csv": ["fig2", "--nmax", "6", "--tau", "0.825", "--seed", "7"],
+}
+
+
+def _without_out_line(text: str) -> list[str]:
+    return [line for line in text.splitlines() if not line.startswith("# out = ")]
+
+
+def generate(name: str, out: Path) -> None:
+    assert cli.main([*CASES[name], "--out", str(out)]) == 0
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_golden_bytes(name, tmp_path):
+    out = tmp_path / name
+    generate(name, out)
+    assert _without_out_line(out.read_text()) == _without_out_line(
+        (GOLDEN_DIR / name).read_text()
+    )
+
+
+if __name__ == "__main__":
+    GOLDEN_DIR.mkdir(exist_ok=True)
+    os.chdir(GOLDEN_DIR)  # so the `# out` echo holds just the file name
+    for case in sys.argv[1:] or sorted(CASES):
+        generate(case, Path(case))
+        print(GOLDEN_DIR / case)

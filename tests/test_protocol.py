@@ -21,6 +21,7 @@ from cavityqubits.protocol import (
     optimal_tau,
     policy_tau,
     run,
+    run_fixed_tau_batch,
     step,
     trapping_safe_tau,
     update_weights,
@@ -285,7 +286,7 @@ def test_step_half_rabi_always_excites():
     for expected_m in (1, 2, 3):
         tau = policy_tau(HalfRabiTau(3), ens, 1.0)
         assert excite_prob(ens, 1.0, tau) == pytest.approx(1.0, abs=1e-12)
-        outcome, ens, _ = step(ens, HalfRabiTau(3), 1.0, rng)
+        outcome, ens, _, _ = step(ens, HalfRabiTau(3), 1.0, rng)
         assert outcome is EXCITED
         assert ens.transferred == expected_m
     assert ens.is_vacuum_certain()
@@ -302,7 +303,7 @@ def test_step_at_trapping_point_never_excites():
     ens = WeightedEnsemble.from_weights({4: 1.0})
     rng = split_rng(9)
     for _ in range(50):
-        outcome, ens, _ = step(ens, FixedTau(math.pi / 2), 1.0, rng)
+        outcome, ens, _, _ = step(ens, FixedTau(math.pi / 2), 1.0, rng)
         assert outcome is GROUND
     assert ens.transferred == 0
 
@@ -318,7 +319,7 @@ def test_step_seeded_reproducibility():
         for _ in range(20):
             if state.is_vacuum_certain():
                 break
-            outcome, state, tau = step(state, policy, 1.0, rng)
+            outcome, state, tau, _ = step(state, policy, 1.0, rng)
             record.append((outcome, tau, tuple(state.weights)))
         runs.append(record)
     assert runs[0] == runs[1]
@@ -424,8 +425,96 @@ def test_entropy_decreases_along_sampled_runs():
         if ens.is_vacuum_certain():
             ens = WeightedEnsemble.from_weights(binomial_distribution(6))
         before = entropy(ens.weights)
-        _, ens, _ = step(ens, FixedTau(tau), 1.0, rng)
+        _, ens, _, _ = step(ens, FixedTau(tau), 1.0, rng)
         deltas.append(entropy(ens.weights) - before)
     deltas = np.array(deltas)
     stderr = deltas.std(ddof=1) / math.sqrt(len(deltas))
     assert deltas.mean() <= 3 * stderr
+
+
+# --- lockstep fixed-tau batch ------------------------------------------------------
+
+
+def assert_batch_matches_run(weights, tau, cutoffs, atom_budget, seed):
+    """Each batch row equals the scalar `run` on the same stream."""
+    initial = WeightedEnsemble.from_weights(weights)
+    streams = [(c, r) for r, c in enumerate(cutoffs)]
+    final = run_fixed_tau_batch(
+        initial, tau, 1.0, cutoffs, atom_budget, [split_rng(seed, *s) for s in streams]
+    )
+    reasons = set()
+    for row, (cutoff, r) in enumerate(streams):
+        config = make_config(
+            distribution=DistributionSpec("explicit", weights=weights),
+            tau=tau,
+            cutoff=cutoff,
+            atom_budget=atom_budget,
+        )
+        trace = run(config, split_rng(seed, cutoff, r))
+        assert final.atoms[row] == len(trace.events)
+        assert final.transferred[row] == trace.final.transferred
+        assert final.reasons[row] is trace.reason
+        assert np.array_equal(final.weights[row], trace.final.weights)
+        reasons.add(trace.reason)
+    return reasons
+
+
+def test_batch_matches_run_on_cutoff_stops():
+    weights = binomial_distribution(10)
+    tau = optimal_tau(WeightedEnsemble.from_weights(weights), 1.0)
+    # cutoffs up to 40 take most rows past one block of draws
+    reasons = assert_batch_matches_run(weights, tau, [1, 2, 5, 10, 20, 40] * 8, 10_000, 5)
+    assert reasons == {StopReason.CUTOFF}
+
+
+def test_batch_matches_run_on_vacuum_and_cutoff_stops():
+    # a known photon number empties for certain; short cutoffs stop some rows first
+    reasons = assert_batch_matches_run({3: 1.0}, 0.6, [1, 2, 4, 8] * 6, 10_000, 4)
+    assert reasons == {StopReason.CUTOFF, StopReason.VACUUM_CERTAIN}
+
+
+def test_batch_matches_run_on_budget_stops():
+    weights = binomial_distribution(6)
+    reasons = assert_batch_matches_run(weights, 0.825, [3, 50, 50, 50] * 5, 37, 6)
+    assert StopReason.ATOM_BUDGET in reasons
+
+
+def test_batch_single_photon_is_vacuum_certain_after_one_atom():
+    final = run_fixed_tau_batch(
+        WeightedEnsemble.from_weights({1: 1.0}), math.pi / 2, 1.0, [1, 5], 100,
+        [split_rng(0, 1), split_rng(0, 2)],
+    )
+    assert final.reasons == (StopReason.VACUUM_CERTAIN,) * 2
+    assert final.atoms.tolist() == [1, 1]
+    assert final.transferred.tolist() == [1, 1]
+    assert_batch_matches_run({1: 1.0}, math.pi / 2, [1, 5, 9], 100, 7)
+
+
+def test_batch_cutoff_on_the_last_budgeted_atom_is_a_cutoff_stop():
+    # budget 1: a ground result at cutoff 1 stops on the cutoff, any other
+    # row on the budget
+    reasons = assert_batch_matches_run({1: 0.5, 2: 0.5}, 0.4, [1, 2] * 20, 1, 8)
+    assert reasons == {StopReason.CUTOFF, StopReason.ATOM_BUDGET}
+
+
+def test_batch_rejects_bad_inputs():
+    ens = WeightedEnsemble.from_weights({1: 1.0})
+    with pytest.raises(ValueError, match="one cutoff per generator"):
+        run_fixed_tau_batch(ens, 0.5, 1.0, [1, 2], 10, [split_rng(0)])
+    with pytest.raises(ValueError, match="tau must be positive"):
+        run_fixed_tau_batch(ens, 0.0, 1.0, [1], 10, [split_rng(0)])
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.dictionaries(st.integers(1, 6), st.floats(0.01, 1.0), min_size=1, max_size=4),
+    st.floats(0.05, 3.0),
+    st.lists(st.integers(1, 8), min_size=1, max_size=6),
+    st.integers(1, 70),
+    st.integers(0, 2**32 - 1),
+)
+def test_batch_matches_run_property(raw, tau, cutoffs, atom_budget, seed):
+    total = sum(raw.values())
+    weights = {n: p / total for n, p in raw.items()}
+    WeightedEnsemble.from_weights(weights)  # hypothesis only draws valid mixtures
+    assert_batch_matches_run(weights, tau, cutoffs, atom_budget, seed)
