@@ -89,11 +89,12 @@ def validate(config: ExperimentConfig) -> list[Diagnostic]:
         weights = config.initial_weights()
         # the runs' own ensemble checks, with their tolerance cloning.WEIGHT_TOL
         protocol.WeightedEnsemble.from_weights(weights)
-    except (ValueError, OverflowError) as exc:
+    except ValueError as exc:
         error("distribution", str(exc))
         weights = {}
-    if weights and config.experiment != "trapping-curves":
-        n_min = min(n for n, p in weights.items() if p > 0)
+    occupied = [n for n, p in weights.items() if p > 0]
+    if occupied and config.experiment != "trapping-curves":
+        n_min = min(occupied)
         if n_min < 1:
             error("distribution", "clone-fidelity tracking needs every branch at n >= 1")
         elif config.n_originals > n_min:
@@ -107,6 +108,16 @@ def validate(config: ExperimentConfig) -> list[Diagnostic]:
         error("sigma_rel", f"must be non-negative, got {config.sigma_rel}")
     if config.policy not in ("fixed", "optimal-each-step", "half-rabi", "jittered"):
         error("policy", f"unknown policy {config.policy!r}")
+    elif (
+        config.policy == "half-rabi"
+        and config.experiment in ("weights-evolution", "custom")
+        and len(occupied) > 1
+    ):
+        error(
+            "policy",
+            f"half-rabi needs a single known photon number, the distribution has "
+            f"{len(occupied)} occupied branches",
+        )
     if config.tau is not None and not config.tau > 0:
         error("tau", f"must be positive, got {config.tau}")
     if config.cutoff < 1:
@@ -149,6 +160,22 @@ def validate(config: ExperimentConfig) -> list[Diagnostic]:
 
 
 # --- output ---------------------------------------------------------------
+
+
+# column names and field types of each experiment's table
+_TABLES = {
+    "trapping-curves": (
+        ("m_rabi", int), ("sigma_rel", float), ("a_mean_closed", float), ("a_mean_mc", float),
+        ("mc_stderr", float),
+    ),
+    "quality-cutoff": (("cutoff", int), ("mean_quality", float), ("stderr", float), ("n_max", int)),
+}
+# weights-evolution and custom
+_STEP_TABLE = (("step", int), ("n", int), ("p_n", float), ("F_atom", float), ("transferred", int))
+
+
+def _columns(table) -> list[str]:
+    return [name for name, _ in table]
 
 
 def _fmt(value) -> str:
@@ -212,7 +239,7 @@ def _run_weights_evolution(config: ExperimentConfig) -> Path:
     metadata.append(("terminal_reason", trace.reason.value))
     metadata.append(("transferred_total", str(trace.transferred_total)))
     path = _output_path(config)
-    _write_csv(path, metadata, ["step", "n", "p_n", "F_atom", "transferred"], rows)
+    _write_csv(path, metadata, _columns(_STEP_TABLE), rows)
     return path
 
 
@@ -246,7 +273,7 @@ def _run_trapping_curves(config: ExperimentConfig) -> Path:
     _write_csv(
         path,
         config.metadata(__version__),
-        ["m_rabi", "sigma_rel", "a_mean_closed", "a_mean_mc", "mc_stderr"],
+        _columns(_TABLES["trapping-curves"]),
         rows,
     )
     return path
@@ -290,7 +317,7 @@ def _run_quality_cutoff(config: ExperimentConfig) -> Path:
     metadata = config.metadata(__version__)
     metadata.append(("resolved_tau", repr(float(resolved_tau))))
     path = _output_path(config)
-    _write_csv(path, metadata, ["cutoff", "mean_quality", "stderr", "n_max"], rows)
+    _write_csv(path, metadata, _columns(_TABLES["quality-cutoff"]), rows)
     return path
 
 
@@ -321,52 +348,70 @@ def _read_output(path: Path) -> tuple[dict[str, str], list[str], list[list[str]]
             metadata[key.strip()] = value.strip()
         elif raw.strip():
             table.append(raw)
-    reader = csv.reader(table)
-    header = next(reader)
-    return metadata, header, list(reader)
+    rows = list(csv.reader(table))
+    return metadata, (rows[0] if rows else []), rows[1:]
 
 
 def check_output(path: Path) -> list[str]:
     """Recompute whatever is recomputable in an output CSV; returns a list
-    of problems (empty = file is consistent)."""
-    problems: list[str] = []
-    metadata, header, rows = _read_output(path)
-    for required in ("version", "rng", "seed", "experiment", "distribution"):
-        if required not in metadata:
-            problems.append(f"metadata key {required!r} missing")
+    of problems (empty = file is consistent). An unreadable file, a missing
+    table and rows that do not parse are problems too, never exceptions."""
+    try:
+        metadata, header, rows = _read_output(path)
+    except (OSError, UnicodeDecodeError, csv.Error) as exc:
+        return [f"cannot read: {exc}"]
+    if not metadata and not header:
+        return ["empty file"]
+    problems = [
+        f"metadata key {required!r} missing"
+        for required in ("version", "rng", "seed", "experiment", "distribution")
+        if required not in metadata
+    ]
     if problems:
         return problems
     experiment = metadata["experiment"]
-    dist = DistributionSpec.parse(metadata["distribution"])
+    try:
+        dist = DistributionSpec.parse(metadata["distribution"])
+        configured, n_max = dist.resolve(), dist.max_photon_number()
+        n_originals = int(metadata.get("n_originals", "1"))
+    except ValueError as exc:
+        return [f"metadata: {exc}"]
+    table = _TABLES.get(experiment, _STEP_TABLE)
+    if header != _columns(table):
+        return [f"unexpected header {header}" if header else "no header row"]
+    if not rows:
+        return ["no data rows"]
+    parsed: list[tuple[int, list]] = []
+    for i, row in enumerate(rows):
+        if len(row) != len(table):
+            problems.append(f"row {i}: {len(row)} fields, expected {len(table)}")
+            continue
+        try:
+            parsed.append((i, [kind(field) for (_, kind), field in zip(table, row)]))
+        except ValueError as exc:
+            problems.append(f"row {i}: {exc}")
 
     if experiment == "trapping-curves":
-        if header != ["m_rabi", "sigma_rel", "a_mean_closed", "a_mean_mc", "mc_stderr"]:
-            return problems + [f"unexpected header {header}"]
-        for i, row in enumerate(rows):
-            m_rabi, sigma_rel, closed = int(row[0]), float(row[1]), float(row[2])
-            expected = trapping.mean_atoms_rel(m_rabi, sigma_rel)
+        for i, (m_rabi, sigma_rel, closed, _, _) in parsed:
+            try:
+                expected = trapping.mean_atoms_rel(m_rabi, sigma_rel)
+            except (ValueError, ArithmeticError) as exc:
+                problems.append(f"row {i}: cannot recompute a_mean_closed: {exc}")
+                continue
             if not math.isclose(closed, expected, rel_tol=1e-12):
                 problems.append(f"row {i}: a_mean_closed {closed!r} != recomputed {expected!r}")
     elif experiment == "quality-cutoff":
-        if header != ["cutoff", "mean_quality", "stderr", "n_max"]:
-            return problems + [f"unexpected header {header}"]
-        n_max = dist.max_photon_number()
-        for i, row in enumerate(rows):
-            if int(row[3]) != n_max:
-                problems.append(f"row {i}: n_max {row[3]} != distribution maximum {n_max}")
-            if not 0.0 <= float(row[1]) <= 1.5:
-                problems.append(f"row {i}: mean_quality {row[1]} out of range")
+        for i, (_, mean_quality, _, row_n_max) in parsed:
+            if row_n_max != n_max:
+                problems.append(f"row {i}: n_max {row_n_max} != distribution maximum {n_max}")
+            if not 0.0 <= mean_quality <= 1.5:
+                problems.append(f"row {i}: mean_quality {mean_quality!r} out of range")
     else:  # weights-evolution / custom step table
-        if header != ["step", "n", "p_n", "F_atom", "transferred"]:
-            return problems + [f"unexpected header {header}"]
-        n_originals = int(metadata.get("n_originals", "1"))
         steps: dict[int, dict[int, float]] = {}
         f_atoms: dict[int, float] = {}
-        for row in rows:
-            step, n, p = int(row[0]), int(row[1]), float(row[2])
+        for _, (step, n, p, f_atom, _) in parsed:
             steps.setdefault(step, {})[n] = p
-            f_atoms[step] = float(row[3])
-        configured = dist.resolve()
+            f_atoms[step] = f_atom
         if steps.get(0) != configured:
             problems.append("step-0 weights differ from the configured distribution")
         for step, weights in sorted(steps.items()):
@@ -374,7 +419,11 @@ def check_output(path: Path) -> list[str]:
             if abs(total - 1.0) > cloning.WEIGHT_TOL:
                 problems.append(f"step {step}: weights sum to {total!r}")
                 continue
-            expected = cloning.atom_fidelity(weights, n_originals)
+            try:
+                expected = cloning.atom_fidelity(weights, n_originals)
+            except ValueError as exc:
+                problems.append(f"step {step}: cannot recompute F_atom: {exc}")
+                continue
             if not math.isclose(f_atoms[step], expected, rel_tol=1e-12):
                 problems.append(
                     f"step {step}: F_atom {f_atoms[step]!r} != recomputed {expected!r}"

@@ -1,15 +1,15 @@
 """Brute-force state-vector oracle for the cavity + atoms system.
 
 The joint Hilbert space is (three atomic levels)^atoms x (two-mode Fock
-space truncated at n0 + n1 <= n_max). Everything here is dense and exact:
-the interaction Hamiltonian conserves total excitation number, so the
-truncation introduces no error as long as n_max matches the initial photon
-number. Evolution goes through a Hermitian eigendecomposition rather than
-a time stepper.
-
-This module exists to cross-check the closed-form ensemble dynamics in
-`protocol`; nothing in it is performance-critical at desk scale
-(atoms <= 6, photons <= 6).
+space truncated at n0 + n1 <= n_max). Everything here is exact. Each
+atom-cavity interaction conserves the total excitation number
+N = (# excited atoms) + n0 + n1, so the space splits into N sectors that
+never mix and the truncation costs nothing. `evolve` diagonalizes only the
+sector blocks the state occupies, never forming a full propagator, and
+raises ValueError for a Hamiltonian that links a sector to the rest of the
+space. `evolution_operator` is the dense exp(-iHt), kept as the reference.
+Operators are dense over the whole space, so memory grows as dim^2: one
+Hamiltonian at 6 atoms x 6 photons would take 3.3 GB.
 """
 
 from __future__ import annotations
@@ -56,9 +56,9 @@ class CouplingParams:
 class JointSpace:
     """Basis bookkeeping for `atom_count` atoms and a two-mode cavity.
 
-    Basis elements are (levels, n0, n1) with levels a tuple of AtomLevel
-    and n0 + n1 <= n_max; `index()` maps them to flat positions.
-    """
+    `basis[i]` is (levels, n0, n1), levels a tuple of AtomLevel and
+    n0 + n1 <= n_max; `index()` inverts it. As arrays it is (levels[i], n0[i],
+    n1[i]), and `sectors[N]` lists the positions of total excitation N."""
 
     def __init__(self, atom_count: int, n_max: int):
         if atom_count < 0:
@@ -68,34 +68,43 @@ class JointSpace:
         self.atom_count = atom_count
         self.n_max = n_max
         fock = [FockLabel(n0, n1) for n0 in range(n_max + 1) for n1 in range(n_max + 1 - n0)]
-        levels = list(itertools.product(tuple(AtomLevel), repeat=atom_count))
-        self.basis = [(lv, f.n0, f.n1) for lv in levels for f in fock]
+        level_rows = list(itertools.product(tuple(AtomLevel), repeat=atom_count))
+        self.basis = [(lv, f.n0, f.n1) for lv in level_rows for f in fock]
         self._index = {b: i for i, b in enumerate(self.basis)}
         self.dim = len(self.basis)
+        self.levels = np.repeat(np.array(level_rows, dtype=int), len(fock), axis=0)
+        self.n0, self.n1 = np.tile(np.array(fock, dtype=int).T, len(level_rows))
+        # position = level code * len(fock) + Fock position, the level code
+        # reading the atoms' levels as base-3 digits, atom 0 most significant
+        self._level_stride = 3 ** np.arange(atom_count - 1, -1, -1) * len(fock)
+        excitations = self.excitation_numbers()
+        self.sectors = [np.flatnonzero(excitations == n) for n in range(excitations.max() + 1)]
         self._ham_cache: dict[tuple[int, float], np.ndarray] = {}
         self._mode_op_cache: dict[int, np.ndarray] = {}
 
     def index(self, levels, n0: int, n1: int) -> int:
         return self._index[(tuple(AtomLevel(l) for l in levels), n0, n1)]
 
+    def _lowered(self, src: np.ndarray, mode: int) -> np.ndarray:
+        """Positions of elements `src` with one photon fewer in `mode`. In the
+        Fock order (n1 fastest, row n0 holding n_max + 1 - n0 labels) that is
+        1 step back for mode 1 and n_max + 2 - n0 steps back for mode 0."""
+        return src - (self.n_max + 2 - self.n0[src] if mode == 0 else 1)
+
     def excitation_numbers(self) -> np.ndarray:
         """Total excitation N = (# atoms not in ground) + n0 + n1, per basis
         element. The interaction Hamiltonian commutes with this."""
-        return np.array(
-            [sum(l != AtomLevel.GROUND for l in lv) + n0 + n1 for lv, n0, n1 in self.basis]
-        )
+        return np.count_nonzero(self.levels, axis=1) + self.n0 + self.n1
 
     def annihilation_matrix(self, mode: int) -> np.ndarray:
         """Dense matrix of the ladder operator for cavity mode 0 or 1."""
         if mode not in (0, 1):
             raise ValueError(f"mode must be 0 or 1, got {mode}")
         if mode not in self._mode_op_cache:
+            n = (self.n0, self.n1)[mode]
+            src = np.flatnonzero(n > 0)
             op = np.zeros((self.dim, self.dim))
-            for src, (lv, n0, n1) in enumerate(self.basis):
-                if mode == 0 and n0 > 0:
-                    op[self._index[(lv, n0 - 1, n1)], src] = math.sqrt(n0)
-                elif mode == 1 and n1 > 0:
-                    op[self._index[(lv, n0, n1 - 1)], src] = math.sqrt(n1)
+            op[self._lowered(src, mode), src] = np.sqrt(n[src])
             self._mode_op_cache[mode] = op
         return self._mode_op_cache[mode]
 
@@ -105,17 +114,12 @@ class JointSpace:
         key = (atom_index, gamma)
         if key not in self._ham_cache:
             h = np.zeros((self.dim, self.dim))
-            for src, (lv, n0, n1) in enumerate(self.basis):
-                if lv[atom_index] != AtomLevel.GROUND:
-                    continue
-                # a0 |e0><g| and a1 |e1><g| on the addressed atom
-                if n0 > 0:
-                    tgt = lv[:atom_index] + (AtomLevel.EXC0,) + lv[atom_index + 1 :]
-                    h[self._index[(tgt, n0 - 1, n1)], src] = gamma * math.sqrt(n0)
-                if n1 > 0:
-                    tgt = lv[:atom_index] + (AtomLevel.EXC1,) + lv[atom_index + 1 :]
-                    h[self._index[(tgt, n0, n1 - 1)], src] = gamma * math.sqrt(n1)
-            h = h + h.T  # hermitian closure adds the a0^dag |g><e0| terms
+            ground = self.levels[:, atom_index] == AtomLevel.GROUND
+            # a0 |e0><g| and a1 |e1><g| on the addressed atom, plus h.c.
+            for mode, n in enumerate((self.n0, self.n1)):
+                src = np.flatnonzero(ground & (n > 0))
+                tgt = self._lowered(src, mode) + (1 + mode) * self._level_stride[atom_index]
+                h[tgt, src] = h[src, tgt] = gamma * np.sqrt(n[src])
             self._ham_cache[key] = h
         return self._ham_cache[key]
 
@@ -142,12 +146,6 @@ class JointPureState:
 
     def norm(self) -> float:
         return float(np.linalg.norm(self.amplitudes))
-
-    def normalized(self) -> "JointPureState":
-        n = self.norm()
-        if n == 0:
-            raise ValueError("cannot normalize the zero vector")
-        return JointPureState(self.space, self.amplitudes / n)
 
     def overlap(self, other: "JointPureState") -> complex:
         return complex(np.vdot(self.amplitudes, other.amplitudes))
@@ -179,14 +177,10 @@ def qubit_register_state(
     qubit_amplitudes = np.asarray(qubit_amplitudes, dtype=complex)
     if qubit_amplitudes.shape != (2**m,):
         raise ValueError(f"expected {2**m} register amplitudes")
+    bits = (np.arange(2**m)[:, None] >> np.arange(m - 1, -1, -1)) & 1  # atom q: EXC0 + bit q
+    fock = space.index((AtomLevel.GROUND,) * m, n0, n1)  # level code 0
     amps = np.zeros(space.dim, dtype=complex)
-    for idx, a in enumerate(qubit_amplitudes):
-        if a == 0:
-            continue
-        levels = tuple(
-            AtomLevel.EXC1 if (idx >> (m - 1 - q)) & 1 else AtomLevel.EXC0 for q in range(m)
-        )
-        amps[space.index(levels, n0, n1)] = a
+    amps[(AtomLevel.EXC0 + bits) @ space._level_stride + fock] = qubit_amplitudes
     return JointPureState(space, amps)
 
 
@@ -212,11 +206,25 @@ def evolution_operator(hamiltonian: np.ndarray, t: float) -> np.ndarray:
 
 
 def evolve(state: JointPureState, hamiltonian: np.ndarray, t: float) -> JointPureState:
-    if hamiltonian.shape != (state.space.dim, state.space.dim):
-        raise ValueError(
-            f"hamiltonian shape {hamiltonian.shape} does not match space dim {state.space.dim}"
-        )
-    return JointPureState(state.space, evolution_operator(hamiltonian, t) @ state.amplitudes)
+    """exp(-i H t) applied one excitation sector at a time. Every sector the
+    state occupies must be closed under H, with no element linking it to the
+    rest of the space; otherwise ValueError."""
+    space = state.space
+    if hamiltonian.shape != (space.dim, space.dim):
+        raise ValueError(f"hamiltonian shape {hamiltonian.shape} does not match dim {space.dim}")
+    out = np.zeros(space.dim, dtype=complex)
+    for n, idx in enumerate(space.sectors):
+        psi = state.amplitudes[idx]
+        if not psi.any():
+            continue
+        rows = hamiltonian[idx]
+        block = rows[:, idx]
+        inside = np.count_nonzero(block)
+        if np.count_nonzero(rows) != inside or np.count_nonzero(hamiltonian[:, idx]) != inside:
+            raise ValueError(f"hamiltonian couples excitation sector N={n} to other sectors")
+        w, v = np.linalg.eigh(block)
+        out[idx] = v @ (np.exp(-1j * w * t) * (v.conj().T @ psi))
+    return JointPureState(space, out)
 
 
 def measure_atom_energy(
@@ -238,10 +246,9 @@ def measure_atom_energy(
     if (rng is None) == (outcome is None):
         raise ValueError("pass exactly one of rng or outcome")
 
-    ground_mask = np.array([lv[atom_index] == AtomLevel.GROUND for lv, _, _ in space.basis])
-    total = state.norm() ** 2
-    p_ground = float(np.sum(np.abs(state.amplitudes[ground_mask]) ** 2) / total)
-    p_ground = min(max(p_ground, 0.0), 1.0)
+    ground_mask = space.levels[:, atom_index] == AtomLevel.GROUND
+    p_ground = np.sum(np.abs(state.amplitudes[ground_mask]) ** 2) / state.norm() ** 2
+    p_ground = min(max(float(p_ground), 0.0), 1.0)
 
     if outcome is None:
         outcome = (
@@ -262,17 +269,9 @@ def reduced_atom_state(state: JointPureState, atom_index: int) -> np.ndarray:
     space = state.space
     if not 0 <= atom_index < space.atom_count:
         raise IndexError(f"atom_index {atom_index} out of range [0, {space.atom_count})")
-    total = state.norm() ** 2
-    rho = np.zeros((3, 3), dtype=complex)
-    # group basis indices by the state of all other subsystems
-    groups: dict[tuple, np.ndarray] = {}
-    for i, (lv, n0, n1) in enumerate(space.basis):
-        key = (lv[:atom_index] + lv[atom_index + 1 :], n0, n1)
-        vec = groups.setdefault(key, np.zeros(3, dtype=complex))
-        vec[lv[atom_index]] += state.amplitudes[i]
-    for vec in groups.values():
-        rho += np.outer(vec, vec.conj())
-    return rho / total
+    # the atom's level is one base-3 digit of the position: axis 1 here
+    amps = state.amplitudes.reshape(3**atom_index, 3, -1)
+    return np.einsum("ixr,iyr->xy", amps, amps.conj()) / state.norm() ** 2
 
 
 def partially_transferred_state(
@@ -299,8 +298,7 @@ def partially_transferred_state(
     levels = (AtomLevel.GROUND,) * space.atom_count
     state = basis_state(space, levels, zeros, total - zeros)
     for k in range(1, transferred + 1):
-        h = space.hamiltonian(k - 1, params.gamma)
-        amps = (h @ state.amplitudes) / (math.sqrt(total - k + 1) * params.gamma)
-        state = JointPureState(space, amps)
+        amps = space.hamiltonian(k - 1, params.gamma) @ state.amplitudes
+        state = JointPureState(space, amps / (math.sqrt(total - k + 1) * params.gamma))
     assert abs(state.norm() - 1.0) < NORM_TOL, "transfer chain should preserve the norm"
     return state

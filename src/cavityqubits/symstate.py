@@ -20,10 +20,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-# C(62, 31) is the largest central binomial that fits in a signed 64-bit
-# integer; beyond that the "exact integer" contract would silently degrade.
-MAX_EXACT_BINOMIAL = 62
-
 # 2**12 amplitudes is the largest exhaustive vector we allow; everything
 # bigger belongs in dicke mode.
 MAX_EXHAUSTIVE_QUBITS = 12
@@ -35,10 +31,6 @@ def binom(a: int, b: int) -> int:
     """Exact binomial coefficient C(a, b); 0 when b is out of range."""
     if a < 0:
         raise ValueError(f"binom: a must be non-negative, got {a}")
-    if a > MAX_EXACT_BINOMIAL:
-        raise OverflowError(
-            f"binom: a={a} exceeds the exact-in-64-bit bound {MAX_EXACT_BINOMIAL}"
-        )
     if b < 0 or b > a:
         return 0
     return math.comb(a, b)

@@ -145,6 +145,24 @@ def test_validate_uses_the_ensemble_weight_tolerance(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_half_rabi_on_a_photon_number_mixture_is_a_config_error(tmp_path, capsys):
+    out = tmp_path / "x.csv"
+    argv = ["custom", "--policy", "half-rabi", "--nmax", "4", "--seed", "1", "--out", str(out)]
+    with pytest.raises(SystemExit, match="invalid configuration"):
+        main(argv)
+    err = capsys.readouterr().err.strip().splitlines()
+    assert err == [
+        "error: policy: half-rabi needs a single known photon number, "
+        "the distribution has 4 occupied branches"
+    ]
+    assert not out.exists()
+    # a single known photon number runs the deterministic scheme
+    argv = ["custom", "--policy", "half-rabi", "--dist", "explicit:3=1.0", "--seed", "1",
+            "--out", str(out)]
+    assert main(argv) == 0
+    assert read_metadata(out)["terminal_reason"] == "vacuum-certain"
+
+
 def test_fig4_steps_all_streams_in_one_batch(tmp_path, monkeypatch):
     from cavityqubits import protocol
 
@@ -310,3 +328,78 @@ def test_check_command_reports_ok(tmp_path, capsys):
     main(["fig2", "--nmax", "4", "--tau", "0.7", "--seed", "5", "--out", str(out)])
     assert main(["check", str(out)]) == 0
     assert "OK" in capsys.readouterr().out
+
+
+@pytest.fixture
+def fig4_csv(tmp_path):
+    out = tmp_path / "fig4.csv"
+    main(["fig4", "--nmax", "4", "--runs", "3", "--cutoffs", "1..3", "--seed", "1",
+          "--out", str(out)])
+    return out
+
+
+def damaged_files(good: Path):
+    """(name, text, expected problem) of files `check` cannot use."""
+    text = good.read_text()
+    meta = "".join(l + "\n" for l in text.splitlines() if l.startswith("#"))
+    header = "cutoff,mean_quality,stderr,n_max\n"
+    rows = text.splitlines()[-3:]
+    return [
+        ("empty", "", ["empty file"]),
+        ("blank", "\n\n", ["empty file"]),
+        ("metadata-only", meta, ["no header row"]),
+        ("header-only", meta + header, ["no data rows"]),
+        ("non-numeric", meta + header + rows[0].replace(",4", ",four") + "\n",
+         ["row 0: invalid literal for int() with base 10: 'four'"]),
+        ("short-row", meta + header + "1,0.9\n" + rows[1] + "\n",
+         ["row 0: 2 fields, expected 4"]),
+        ("bad-distribution", meta.replace("binomial:4", "binomial:x") + header + rows[0] + "\n",
+         ["metadata: invalid literal for int() with base 10: 'x'"]),
+    ]
+
+
+def test_check_reports_unusable_files_without_traceback(fig4_csv, capsys):
+    for name, text, expected in damaged_files(fig4_csv):
+        path = fig4_csv.with_name(f"{name}.csv")
+        path.write_text(text)
+        assert check_output(path) == expected, name
+        assert main(["check", str(path)]) == 1, name
+        err = capsys.readouterr().err.strip().splitlines()
+        assert err == [f"{path}: {problem}" for problem in expected], name
+
+
+def test_check_reports_missing_file(tmp_path, capsys):
+    missing = tmp_path / "missing.csv"
+    assert main(["check", str(missing)]) == 1
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith(f"{missing}: cannot read: ")
+    assert main(["check", str(tmp_path)]) == 1  # a directory
+    assert len(capsys.readouterr().err.strip().splitlines()) == 1
+
+
+def test_check_reports_rows_it_cannot_recompute(tmp_path):
+    out = tmp_path / "fig3.csv"
+    main(["fig3", "--sigma-rel", "0.1", "--m", "1", "--trials", "100", "--seed", "1",
+          "--out", str(out)])
+    lines = out.read_text().splitlines()
+    lines[-1] = "0," + lines[-1].partition(",")[2]  # m_rabi 0 has no closed form
+    out.write_text("\n".join(lines) + "\n")
+    assert check_output(out) == [
+        "row 0: cannot recompute a_mean_closed: rabi_cycles must be >= 1, got 0"
+    ]
+    out = tmp_path / "fig2.csv"
+    main(["fig2", "--nmax", "4", "--tau", "0.7", "--seed", "5", "--out", str(out)])
+    out.write_text(out.read_text().replace("# n_originals = 1", "# n_originals = 2"))
+    assert check_output(out)[0] == (
+        "step 0: cannot recompute F_atom: cloner cannot shrink: m_clones=1 < n_originals=2"
+    )
+
+
+@pytest.mark.parametrize(
+    "argv", [["fig2"], ["fig4", "--runs", "5", "--cutoffs", "1..5"]], ids=["fig2", "fig4"]
+)
+def test_binomial_64_runs_and_checks(argv, tmp_path):
+    # binomial:64 needs binom(63, k), past the 64-bit integer range
+    out = tmp_path / "x.csv"
+    assert main([*argv, "--nmax", "64", "--seed", "1", "--out", str(out)]) == 0
+    assert main(["check", str(out)]) == 0

@@ -139,6 +139,45 @@ def test_hamiltonian_blocks_by_excitation_number():
     assert np.all(h[different] == 0)
 
 
+def reference_operators(space, gamma):
+    """Mode ladders and per-atom Hamiltonians built one element at a time."""
+    ladders = [np.zeros((space.dim, space.dim)) for _ in range(2)]
+    hams = [np.zeros((space.dim, space.dim)) for _ in range(space.atom_count)]
+    for src, (lv, n0, n1) in enumerate(space.basis):
+        for mode, (level, n, lower) in enumerate(
+            [(E0, n0, (n0 - 1, n1)), (E1, n1, (n0, n1 - 1))]
+        ):
+            if n == 0:
+                continue
+            ladders[mode][space.index(lv, *lower), src] = math.sqrt(n)
+            for k in range(space.atom_count):
+                if lv[k] == G:
+                    tgt = space.index(lv[:k] + (level,) + lv[k + 1 :], *lower)
+                    hams[k][tgt, src] = hams[k][src, tgt] = gamma * math.sqrt(n)
+    return ladders, hams
+
+
+@pytest.mark.parametrize("atoms,n_max", [(0, 3), (1, 4), (2, 3), (3, 2)])
+def test_operators_match_element_by_element_reference(atoms, n_max):
+    space = JointSpace(atoms, n_max)
+    ladders, hams = reference_operators(space, 1.3)
+    for mode in (0, 1):
+        np.testing.assert_array_equal(space.annihilation_matrix(mode), ladders[mode])
+    for k in range(atoms):
+        np.testing.assert_array_equal(space.hamiltonian(k, 1.3), hams[k])
+
+
+def test_basis_arrays_and_sectors():
+    space = JointSpace(2, 3)
+    for i, (lv, n0, n1) in enumerate(space.basis):
+        assert tuple(space.levels[i]) == lv
+        assert (space.n0[i], space.n1[i]) == (n0, n1)
+    excitations = space.excitation_numbers()
+    assert sorted(np.concatenate(space.sectors).tolist()) == list(range(space.dim))
+    for n, idx in enumerate(space.sectors):
+        assert np.all(excitations[idx] == n)
+
+
 def test_hamiltonian_index_out_of_range():
     with pytest.raises(IndexError):
         interaction_hamiltonian(JointSpace(1, 1), 1)
@@ -217,6 +256,49 @@ def test_evolution_operator_unitary():
     space = JointSpace(1, 3)
     u = evolution_operator(interaction_hamiltonian(space, 0), 1.7)
     np.testing.assert_allclose(u @ u.conj().T, np.eye(space.dim), atol=1e-12)
+
+
+def sector_spanning_state(space, seed):
+    """Random state on a few N sectors, every other sector left empty."""
+    rng = np.random.default_rng(seed)
+    keep = np.isin(space.excitation_numbers(), rng.choice(len(space.sectors), 3, replace=False))
+    amps = np.where(keep, rng.normal(size=space.dim) + 1j * rng.normal(size=space.dim), 0.0)
+    return JointPureState(space, amps / np.linalg.norm(amps))
+
+
+@pytest.mark.parametrize("atoms,n_max", [(1, 4), (2, 3), (3, 4)])
+def test_sector_evolve_matches_dense_propagator(atoms, n_max):
+    space = JointSpace(atoms, n_max)
+    for atom in range(atoms):
+        h = interaction_hamiltonian(space, atom, CouplingParams(1.3))
+        for seed, t in [(atom, 0.37), (atom + 10, 2.9)]:
+            for state in (sector_spanning_state(space, seed), random_state(space, seed)):
+                dense = evolution_operator(h, t) @ state.amplitudes
+                got = evolve(state, h, t).amplitudes
+                np.testing.assert_allclose(got, dense, rtol=0, atol=1e-12)
+
+
+def test_evolve_rejects_sector_coupling():
+    space = JointSpace(2, 2)
+    state = random_state(space, 5)
+    with pytest.raises(ValueError, match="couples excitation sector"):
+        evolve(state, np.ones((space.dim, space.dim)), 0.4)
+    # one element, linking N = 1 to N = 2 in one direction only
+    h = interaction_hamiltonian(space, 0).copy()
+    h[space.index((E0, G), 0, 0), space.index((G, G), 1, 1)] = 0.1
+    with pytest.raises(ValueError, match="couples excitation sector"):
+        evolve(state, h, 0.4)
+
+
+def test_evolve_skips_empty_sectors():
+    # coupling N = 0 to N = 1 is allowed while the state lives on N = 2 only
+    space = JointSpace(1, 2)
+    h = interaction_hamiltonian(space, 0).copy()
+    h[space.index((G,), 0, 0), space.index((G,), 1, 0)] = 1.0
+    h[space.index((G,), 1, 0), space.index((G,), 0, 0)] = 1.0
+    start = basis_state(space, (G,), 1, 1)
+    dense = evolution_operator(h, 0.6) @ start.amplitudes
+    np.testing.assert_allclose(evolve(start, h, 0.6).amplitudes, dense, rtol=0, atol=1e-12)
 
 
 def test_evolve_dimension_mismatch():
@@ -308,6 +390,21 @@ def test_reduced_state_is_density_matrix():
         assert np.trace(rho).real == pytest.approx(1.0, abs=1e-12)
         np.testing.assert_allclose(rho, rho.conj().T, atol=1e-14)
         assert np.linalg.eigvalsh(rho).min() > -1e-12
+
+
+@pytest.mark.parametrize("atoms,n_max", [(1, 3), (2, 2), (3, 2)])
+def test_reduced_state_matches_grouping_reference(atoms, n_max):
+    # sum |psi(level, rest)><psi(level', rest)| over the rest, one basis
+    # element at a time
+    space = JointSpace(atoms, n_max)
+    state = random_state(space, atoms)
+    for k in range(atoms):
+        groups = {}
+        for amp, (lv, n0, n1) in zip(state.amplitudes, space.basis):
+            vec = groups.setdefault((lv[:k] + lv[k + 1 :], n0, n1), np.zeros(3, dtype=complex))
+            vec[lv[k]] += amp
+        expected = sum(np.outer(vec, vec.conj()) for vec in groups.values())
+        np.testing.assert_allclose(reduced_atom_state(state, k), expected, rtol=0, atol=1e-14)
 
 
 # --- transferred states ----------------------------------------------------------------

@@ -1,4 +1,5 @@
 import math
+import time
 from dataclasses import replace
 
 import numpy as np
@@ -179,6 +180,62 @@ def test_update_matches_fockspace_branch_simulation():
         post = update_weights(WeightedEnsemble.from_weights(weights), 1.0, tau, outcome)
         for n in weights:
             assert post.as_dict()[n] == pytest.approx(oracle[n], abs=1e-12)
+
+
+def _check_against_oracle(ens, states, atom, atoms, tau):
+    """Pass atom `atom` on the closed form and on the oracle's branch states
+    {n: state}, compare, then recurse into both outcomes. Returns the number
+    of atom passes checked."""
+    if atom == atoms:
+        return 0
+    p_ground = {}
+    for n, state in states.items():
+        h = fockspace.interaction_hamiltonian(state.space, atom)
+        states[n] = fockspace.evolve(state, h, tau)
+        p_ground[n] = fockspace.measure_atom_energy(states[n], atom, outcome=GROUND).probability
+        # branch n alone follows the Rabi law at its remaining photon number
+        rabi = math.sin(math.sqrt(n - ens.transferred) * tau) ** 2
+        assert 1.0 - p_ground[n] == pytest.approx(rabi, abs=1e-12)
+    weights = ens.as_dict()
+    p_excited = sum(weights[n] * (1.0 - p) for n, p in p_ground.items())
+    assert excite_prob(ens, 1.0, tau) == pytest.approx(p_excited, abs=1e-12)
+    checked = 1
+    for outcome in (GROUND, EXCITED):
+        likelihood = {n: p if outcome is GROUND else 1.0 - p for n, p in p_ground.items()}
+        total = sum(weights[n] * q for n, q in likelihood.items())
+        posterior = update_weights(ens, 1.0, tau, outcome)
+        for n, w in posterior.as_dict().items():
+            oracle = weights[n] * likelihood[n] / total if n in likelihood else 0.0
+            assert w == pytest.approx(oracle, abs=1e-12)
+        # a branch the outcome rules out leaves the mixture for good
+        branches = {
+            n: fockspace.measure_atom_energy(states[n], atom, outcome=outcome).post_state
+            for n, q in likelihood.items()
+            if q > 1e-14
+        }
+        checked += _check_against_oracle(posterior, branches, atom + 1, atoms, tau)
+    return checked
+
+
+def test_binomial_six_matches_oracle_on_every_outcome_path():
+    # fig2's config (binomial:6, tau = 0.825, gamma = 1) for three atoms,
+    # down every branch of the outcome tree; each photon-number branch starts
+    # in a random superposition of its two-mode Fock states |j, n - j>
+    started = time.perf_counter()
+    atoms, tau = 3, 0.825
+    rng = np.random.default_rng(6)
+    ground = (fockspace.AtomLevel.GROUND,) * atoms
+    states = {}
+    for n in range(1, 7):
+        space = fockspace.JointSpace(atoms, n)
+        coeffs = rng.normal(size=n + 1) + 1j * rng.normal(size=n + 1)
+        amps = np.zeros(space.dim, dtype=complex)
+        for j, c in enumerate(coeffs / np.linalg.norm(coeffs)):
+            amps[space.index(ground, j, n - j)] = c
+        states[n] = fockspace.JointPureState(space, amps)
+    ens = WeightedEnsemble.from_weights(binomial_distribution(6))
+    assert _check_against_oracle(ens, states, 0, atoms, tau) == 2**atoms - 1
+    assert time.perf_counter() - started < 3.0
 
 
 @settings(max_examples=100, deadline=None)

@@ -38,8 +38,10 @@ def test_binom_values():
 
 
 def test_binom_bounds():
-    with pytest.raises(OverflowError):
-        binom(63, 2)
+    # exact Python integers, past the 64-bit range too
+    assert binom(63, 2) == 1953
+    assert binom(63, 31) == 916312070471295267
+    assert binom(200, 100) == 90548514656103281165404177077484163874504589675413336841320
     with pytest.raises(ValueError):
         binom(-1, 0)
 
