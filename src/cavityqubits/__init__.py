@@ -5,11 +5,9 @@ protocol dynamics, trapping statistics, and cloning-fidelity tracking."""
 __version__ = "0.1.0"
 
 from .cloning import (
-    FidelityReport,
     atom_fidelity,
     binomial_distribution,
     clone_fidelity,
-    fidelity_report,
     quality,
     uniform_distribution,
 )

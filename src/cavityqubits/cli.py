@@ -1,12 +1,9 @@
 """Experiment harness: named reproductions of the three figure datasets.
 
-Subcommands
------------
-fig2 / custom   one seeded protocol run; per-step weight table
-fig3            trapping-escape curves, closed form + Monte Carlo
-fig4            mean clone quality versus ground-measurement cutoff
-validate        check a configuration without running it
-check           re-ingest an output CSV and confirm its closed-form columns
+Each experiment in `config.EXPERIMENTS` is a subcommand (fig2, fig3, fig4,
+custom) with the flags listed there; `validate` checks a configuration
+without running it, and `check` re-ingests an output CSV and confirms its
+closed-form columns.
 
 Outputs are CSV with a `# key = value` metadata block (full config echo,
 seed, package version, RNG identity). No timestamps: identical
@@ -29,38 +26,29 @@ import numpy as np
 
 from . import __version__, cloning, protocol, trapping
 from .config import (
+    EXPERIMENTS,
+    KEYS,
+    NEEDS_PHOTON_NUMBER,
+    NEEDS_TAU,
+    OUTDIR_ENV,
+    POLICIES,
+    QUALITY_TABLE,
+    TRAPPING_TABLE,
     DistributionSpec,
     ExperimentConfig,
     parse_config_file,
     parse_float_list,
-    parse_int_list,
     split_rng,
 )
 
-OUTDIR_ENV = "CAVITYQUBITS_OUTDIR"
-
 DEFAULT_SIGMA_REL_GRID = tuple(parse_float_list("0.01:0.20:0.01"))
 
-# config-file / flag value parsers, keyed by ExperimentConfig field
-_FIELD_PARSERS = {
-    "experiment": str,
-    "distribution": DistributionSpec.parse,
-    "gamma": float,
-    "policy": str,
-    "tau": float,
-    "sigma_rel": float,
-    "cutoff": int,
-    "atom_budget": int,
-    "seed": int,
-    "out": str,
-    "n_originals": int,
-    "sigma_rel_values": lambda s: tuple(parse_float_list(s)),
-    "rabi_cycles_values": lambda s: tuple(parse_int_list(s)),
-    "trap_photon_number": int,
-    "trials": int,
-    "cutoffs": lambda s: tuple(parse_int_list(s)),
-    "runs": int,
-}
+# Most (cutoff, run) streams one fig4 call may step. Each keeps a numpy
+# Generator of about 2 KB; 30000 streams peak near 100 MB.
+MAX_STREAMS = 100_000
+
+# subcommand -> experiment
+COMMANDS = {e.command: name for name, e in EXPERIMENTS.items()}
 
 
 @dataclass(frozen=True)
@@ -83,8 +71,13 @@ def validate(config: ExperimentConfig) -> list[Diagnostic]:
     def warn(field: str, msg: str) -> None:
         diags.append(Diagnostic("warning", field, msg))
 
-    if config.experiment not in ("weights-evolution", "trapping-curves", "quality-cutoff", "custom"):
-        error("experiment", f"unknown experiment {config.experiment!r}")
+    for key, meta in KEYS.items():
+        value = getattr(config, key)
+        if meta["choices"] and value not in meta["choices"]:
+            error(key, f"unknown {key} {value!r}")
+    experiment = EXPERIMENTS.get(config.experiment)
+    table = experiment.table if experiment else None
+    policy = POLICIES.get(config.policy)
     try:
         weights = config.initial_weights()
         # the runs' own ensemble checks, with their tolerance cloning.WEIGHT_TOL
@@ -93,7 +86,7 @@ def validate(config: ExperimentConfig) -> list[Diagnostic]:
         error("distribution", str(exc))
         weights = {}
     occupied = [n for n, p in weights.items() if p > 0]
-    if occupied and config.experiment != "trapping-curves":
+    if occupied and table is not TRAPPING_TABLE:
         n_min = min(occupied)
         if n_min < 1:
             error("distribution", "clone-fidelity tracking needs every branch at n >= 1")
@@ -106,16 +99,16 @@ def validate(config: ExperimentConfig) -> list[Diagnostic]:
         error("gamma", f"must be positive, got {config.gamma}")
     if config.sigma_rel < 0:
         error("sigma_rel", f"must be non-negative, got {config.sigma_rel}")
-    if config.policy not in ("fixed", "optimal-each-step", "half-rabi", "jittered"):
-        error("policy", f"unknown policy {config.policy!r}")
-    elif (
-        config.policy == "half-rabi"
-        and config.experiment in ("weights-evolution", "custom")
-        and len(occupied) > 1
-    ):
+    if experiment and policy and config.policy not in experiment.policies:
         error(
             "policy",
-            f"half-rabi needs a single known photon number, the distribution has "
+            f"{config.experiment} runs only {', '.join(experiment.policies)}, "
+            f"got {config.policy!r}",
+        )
+    elif policy and policy.needs == NEEDS_PHOTON_NUMBER and len(occupied) > 1:
+        error(
+            "policy",
+            f"{config.policy} needs {policy.needs}, the distribution has "
             f"{len(occupied)} occupied branches",
         )
     if config.tau is not None and not config.tau > 0:
@@ -134,19 +127,27 @@ def validate(config: ExperimentConfig) -> list[Diagnostic]:
         error("seed", "a master seed is required for reproducible runs")
     elif config.seed < 0:
         error("seed", f"must be non-negative, got {config.seed}")
-    if config.experiment == "trapping-curves":
+    if table is TRAPPING_TABLE:
         if any(s <= 0 for s in config.sigma_rel_values or ()):
             error("sigma_rel_values", "jitter values must be positive")
         if any(m < 1 for m in config.rabi_cycles_values):
             error("rabi_cycles_values", "Rabi cycle counts must be >= 1")
         if config.trap_photon_number < 1:
             error("trap_photon_number", f"must be >= 1, got {config.trap_photon_number}")
-    if config.experiment == "quality-cutoff" and any(c < 1 for c in config.cutoffs):
-        error("cutoffs", "cutoff values must be >= 1")
+    if table is QUALITY_TABLE:
+        if any(c < 1 for c in config.cutoffs):
+            error("cutoffs", "cutoff values must be >= 1")
+        streams = len(config.cutoffs) * config.runs
+        if streams > MAX_STREAMS:
+            error(
+                "runs",
+                f"{len(config.cutoffs)} cutoffs x {config.runs} runs = {streams} streams "
+                f"exceeds the maximum {MAX_STREAMS}",
+            )
 
     # a fixed tau at or above pi/(gamma sqrt(n_max)) can hit a trapping
     # point of some occupied branch and stall the run
-    if weights and config.tau is not None and config.policy in ("fixed", "jittered"):
+    if weights and config.tau is not None and policy and policy.needs == NEEDS_TAU:
         n_max = max(n for n, p in weights.items() if p > 0)
         if n_max >= 1 and config.gamma > 0:
             bound = protocol.trapping_safe_tau(n_max, config.gamma)
@@ -160,22 +161,6 @@ def validate(config: ExperimentConfig) -> list[Diagnostic]:
 
 
 # --- output ---------------------------------------------------------------
-
-
-# column names and field types of each experiment's table
-_TABLES = {
-    "trapping-curves": (
-        ("m_rabi", int), ("sigma_rel", float), ("a_mean_closed", float), ("a_mean_mc", float),
-        ("mc_stderr", float),
-    ),
-    "quality-cutoff": (("cutoff", int), ("mean_quality", float), ("stderr", float), ("n_max", int)),
-}
-# weights-evolution and custom
-_STEP_TABLE = (("step", int), ("n", int), ("p_n", float), ("F_atom", float), ("transferred", int))
-
-
-def _columns(table) -> list[str]:
-    return [name for name, _ in table]
 
 
 def _fmt(value) -> str:
@@ -194,15 +179,15 @@ def _output_path(config: ExperimentConfig) -> Path:
 
 
 def _write_csv(
-    path: Path,
-    metadata: list[tuple[str, str]],
-    header: list[str],
-    rows: list[tuple],
-) -> None:
+    config: ExperimentConfig, metadata: list[tuple[str, str]], rows: list[tuple]
+) -> Path:
+    """Write the metadata block, the experiment's header and `rows`; returns
+    the path."""
+    path = _output_path(config)
     buf = io.StringIO()
     for key, value in metadata:
         buf.write(f"# {key} = {value}\n")
-    buf.write(",".join(header) + "\n")
+    buf.write(",".join(name for name, _ in EXPERIMENTS[config.experiment].table) + "\n")
     for row in rows:
         buf.write(",".join(_fmt(v) for v in row) + "\n")
     try:
@@ -210,6 +195,7 @@ def _write_csv(
         path.write_text(buf.getvalue())
     except OSError as exc:
         raise SystemExit(f"cannot write {path}: {exc}")
+    return path
 
 
 # --- experiment runners -----------------------------------------------------
@@ -218,12 +204,10 @@ def _write_csv(
 def _run_weights_evolution(config: ExperimentConfig) -> Path:
     rng = split_rng(config.seed)
     initial = config.initial_weights()
-    resolved_tau = config.tau
-    if resolved_tau is None and config.policy in ("fixed", "jittered"):
-        resolved_tau = protocol.optimal_tau(
-            protocol.WeightedEnsemble.from_weights(initial), config.gamma
+    if POLICIES[config.policy].needs == NEEDS_TAU:  # echo the tau the run uses
+        config = replace(
+            config, tau=config.resolved_tau(protocol.WeightedEnsemble.from_weights(initial))
         )
-        config = replace(config, tau=resolved_tau)
     trace = protocol.run(config, rng)
 
     rows: list[tuple] = []
@@ -238,9 +222,7 @@ def _run_weights_evolution(config: ExperimentConfig) -> Path:
     metadata = config.metadata(__version__)
     metadata.append(("terminal_reason", trace.reason.value))
     metadata.append(("transferred_total", str(trace.transferred_total)))
-    path = _output_path(config)
-    _write_csv(path, metadata, _columns(_STEP_TABLE), rows)
-    return path
+    return _write_csv(config, metadata, rows)
 
 
 def _run_trapping_curves(config: ExperimentConfig) -> Path:
@@ -269,14 +251,7 @@ def _run_trapping_curves(config: ExperimentConfig) -> Path:
                 )
             )
             cell += 1
-    path = _output_path(config)
-    _write_csv(
-        path,
-        config.metadata(__version__),
-        _columns(_TABLES["trapping-curves"]),
-        rows,
-    )
-    return path
+    return _write_csv(config, config.metadata(__version__), rows)
 
 
 def _run_quality_cutoff(config: ExperimentConfig) -> Path:
@@ -288,9 +263,7 @@ def _run_quality_cutoff(config: ExperimentConfig) -> Path:
     clones; they count as quality 0.
     """
     initial = protocol.WeightedEnsemble.from_weights(config.initial_weights())
-    resolved_tau = config.tau
-    if resolved_tau is None:
-        resolved_tau = protocol.optimal_tau(initial, config.gamma)
+    resolved_tau = config.resolved_tau(initial)
     n_max = config.distribution.max_photon_number()
     final = protocol.run_fixed_tau_batch(
         initial,
@@ -316,9 +289,7 @@ def _run_quality_cutoff(config: ExperimentConfig) -> Path:
         rows.append((cutoff, float(q.mean()), stderr, n_max))
     metadata = config.metadata(__version__)
     metadata.append(("resolved_tau", repr(float(resolved_tau))))
-    path = _output_path(config)
-    _write_csv(path, metadata, _columns(_TABLES["quality-cutoff"]), rows)
-    return path
+    return _write_csv(config, metadata, rows)
 
 
 def run_experiment(config: ExperimentConfig) -> Path:
@@ -329,9 +300,10 @@ def run_experiment(config: ExperimentConfig) -> Path:
         print(d, file=sys.stderr)
     if errors:
         raise SystemExit(f"invalid configuration ({len(errors)} error(s))")
-    if config.experiment == "trapping-curves":
+    table = EXPERIMENTS[config.experiment].table
+    if table is TRAPPING_TABLE:
         return _run_trapping_curves(config)
-    if config.experiment == "quality-cutoff":
+    if table is QUALITY_TABLE:
         return _run_quality_cutoff(config)
     return _run_weights_evolution(config)
 
@@ -369,15 +341,17 @@ def check_output(path: Path) -> list[str]:
     ]
     if problems:
         return problems
-    experiment = metadata["experiment"]
+    experiment = EXPERIMENTS.get(metadata["experiment"])
+    if experiment is None:
+        return [f"metadata: unknown experiment {metadata['experiment']!r}"]
+    table = experiment.table
     try:
         dist = DistributionSpec.parse(metadata["distribution"])
         configured, n_max = dist.resolve(), dist.max_photon_number()
         n_originals = int(metadata.get("n_originals", "1"))
     except ValueError as exc:
         return [f"metadata: {exc}"]
-    table = _TABLES.get(experiment, _STEP_TABLE)
-    if header != _columns(table):
+    if header != [name for name, _ in table]:
         return [f"unexpected header {header}" if header else "no header row"]
     if not rows:
         return ["no data rows"]
@@ -391,7 +365,7 @@ def check_output(path: Path) -> list[str]:
         except ValueError as exc:
             problems.append(f"row {i}: {exc}")
 
-    if experiment == "trapping-curves":
+    if table is TRAPPING_TABLE:
         for i, (m_rabi, sigma_rel, closed, _, _) in parsed:
             try:
                 expected = trapping.mean_atoms_rel(m_rabi, sigma_rel)
@@ -400,13 +374,13 @@ def check_output(path: Path) -> list[str]:
                 continue
             if not math.isclose(closed, expected, rel_tol=1e-12):
                 problems.append(f"row {i}: a_mean_closed {closed!r} != recomputed {expected!r}")
-    elif experiment == "quality-cutoff":
+    elif table is QUALITY_TABLE:
         for i, (_, mean_quality, _, row_n_max) in parsed:
             if row_n_max != n_max:
                 problems.append(f"row {i}: n_max {row_n_max} != distribution maximum {n_max}")
             if not 0.0 <= mean_quality <= 1.5:
                 problems.append(f"row {i}: mean_quality {mean_quality!r} out of range")
-    else:  # weights-evolution / custom step table
+    else:  # step table
         steps: dict[int, dict[int, float]] = {}
         f_atoms: dict[int, float] = {}
         for _, (step, n, p, f_atom, _) in parsed:
@@ -434,38 +408,30 @@ def check_output(path: Path) -> list[str]:
 # --- argument parsing -------------------------------------------------------
 
 
-def _add_common(sub: argparse.ArgumentParser) -> None:
+def _flag_type(parse):
+    """`parse` for argparse, which then shows the message of its ValueError."""
+
+    def flag_type(text: str):
+        try:
+            return parse(text)
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(str(exc))
+
+    return flag_type
+
+
+def _add_subcommand(subs, command: str, help: str, keys) -> None:
+    sub = subs.add_parser(command, help=help)
     sub.add_argument("--config", help="key = value config file; flags override it")
-    sub.add_argument("--seed", type=int, help="master RNG seed (required to run)")
-    sub.add_argument("--gamma", type=float, help="coupling constant, defines the time unit")
-    sub.add_argument("--out", help=f"output CSV path (default ${OUTDIR_ENV}/<experiment>.csv)")
-    sub.add_argument(
-        "--dist",
-        dest="distribution",
-        type=DistributionSpec.parse,
-        help="binomial:N | uniform:LO..HI | explicit:n=p,...",
-    )
-    sub.add_argument(
-        "--nmax", type=int, help="shorthand for --dist binomial:NMAX"
-    )
-
-
-def _add_protocol_options(sub: argparse.ArgumentParser, with_policy: bool) -> None:
-    sub.add_argument("--tau", type=float, help="fixed interaction time (default: optimal)")
-    sub.add_argument("--cutoff", type=int, help="consecutive ground measurements before stopping")
-    sub.add_argument("--budget", dest="atom_budget", type=int, help="maximum atoms to send")
-    sub.add_argument("--n-originals", dest="n_originals", type=int, help="cloner input count")
-    if with_policy:
+    sub.add_argument("--nmax", type=int, help="shorthand for --dist binomial:NMAX")
+    for key in [*(k for k, meta in KEYS.items() if meta["common"]), *keys]:
+        parse = KEYS[key]["parse"]
         sub.add_argument(
-            "--policy",
-            choices=["fixed", "optimal-each-step", "half-rabi", "jittered"],
-            help="interaction-time policy",
-        )
-        sub.add_argument(
-            "--sigma-rel",
-            dest="sigma_rel",
-            type=float,
-            help="relative jitter for the jittered policy",
+            KEYS[key]["flag"],
+            dest=key,
+            type=parse if isinstance(parse, type) else _flag_type(parse),
+            choices=KEYS[key]["choices"],
+            help=KEYS[key]["help"],
         )
 
 
@@ -476,88 +442,40 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     subs = parser.add_subparsers(dest="command", required=True)
-
-    fig2 = subs.add_parser("fig2", help="single seeded run: weight evolution table")
-    _add_common(fig2)
-    _add_protocol_options(fig2, with_policy=False)
-
-    fig3 = subs.add_parser("fig3", help="trapping escape curves (closed form + Monte Carlo)")
-    _add_common(fig3)
-    fig3.add_argument(
-        "--sigma-rel",
-        dest="sigma_rel_values",
-        type=lambda s: tuple(parse_float_list(s)),
-        help="jitter grid, e.g. 0.01:0.20:0.01",
+    for experiment in EXPERIMENTS.values():
+        _add_subcommand(subs, experiment.command, experiment.help, experiment.keys)
+    # validate takes the flags of the default experiment and may name another
+    default = EXPERIMENTS[ExperimentConfig.experiment]
+    _add_subcommand(
+        subs, "validate", "check a configuration without running", ("experiment", *default.keys)
     )
-    fig3.add_argument(
-        "--m",
-        dest="rabi_cycles_values",
-        type=lambda s: tuple(parse_int_list(s)),
-        help="Rabi-cycle counts, e.g. 1,2,3",
-    )
-    fig3.add_argument(
-        "--n", dest="trap_photon_number", type=int, help="photon number for the Monte Carlo"
-    )
-    fig3.add_argument("--trials", type=int, help="Monte Carlo trials per grid cell")
-
-    fig4 = subs.add_parser("fig4", help="mean clone quality versus cutoff")
-    _add_common(fig4)
-    fig4.add_argument("--tau", type=float, help="fixed interaction time (default: optimal)")
-    fig4.add_argument("--budget", dest="atom_budget", type=int, help="maximum atoms per run")
-    fig4.add_argument(
-        "--cutoffs", type=lambda s: tuple(parse_int_list(s)), help="cutoff grid, e.g. 1..30"
-    )
-    fig4.add_argument("--runs", type=int, help="repetitions per cutoff")
-    fig4.add_argument("--n-originals", dest="n_originals", type=int, help="cloner input count")
-
-    custom = subs.add_parser("custom", help="fully configured single run (fig2-style table)")
-    _add_common(custom)
-    _add_protocol_options(custom, with_policy=True)
-
-    val = subs.add_parser("validate", help="check a configuration without running")
-    val.add_argument(
-        "--experiment",
-        choices=["weights-evolution", "trapping-curves", "quality-cutoff", "custom"],
-        help="experiment the config is meant for",
-    )
-    _add_common(val)
-    _add_protocol_options(val, with_policy=True)
-
     chk = subs.add_parser("check", help="verify closed-form columns of an output CSV")
     chk.add_argument("paths", nargs="+", help="CSV files produced by this tool")
     return parser
 
 
-_COMMAND_EXPERIMENT = {
-    "fig2": "weights-evolution",
-    "fig3": "trapping-curves",
-    "fig4": "quality-cutoff",
-    "custom": "custom",
-}
-
-
 def _config_from_args(args: argparse.Namespace) -> ExperimentConfig:
     values: dict = {}
-    if getattr(args, "config", None):
-        for key, raw in parse_config_file(args.config).items():
-            if key not in _FIELD_PARSERS:
+    if args.config:
+        try:
+            items = parse_config_file(args.config).items()
+        except (OSError, UnicodeDecodeError, ValueError) as exc:
+            raise SystemExit(f"invalid configuration: {exc}")
+        for key, raw in items:
+            if key not in KEYS:
                 raise SystemExit(f"invalid configuration: unknown key {key!r} in {args.config}")
             try:
-                values[key] = _FIELD_PARSERS[key](raw)
+                values[key] = KEYS[key]["parse"](raw)
             except ValueError as exc:
                 raise SystemExit(f"invalid configuration: {key}: {exc}")
-    flag_fields = set(_FIELD_PARSERS) - {"experiment"}
-    for key, value in vars(args).items():
-        if key in flag_fields and value is not None:
-            values[key] = value
-    if getattr(args, "nmax", None) is not None:
-        values["distribution"] = DistributionSpec("binomial", n_max=args.nmax)
-    if args.command == "validate":
-        if getattr(args, "experiment", None) is not None:
-            values["experiment"] = args.experiment
-        values.setdefault("experiment", "custom")
-    else:
-        values["experiment"] = _COMMAND_EXPERIMENT[args.command]
+    values.update((k, v) for k, v in vars(args).items() if k in KEYS and v is not None)
+    if args.nmax is not None:
+        try:
+            values["distribution"] = DistributionSpec("binomial", n_max=args.nmax)
+        except ValueError as exc:
+            raise SystemExit(f"invalid configuration: nmax: {exc}")
+    if args.command in COMMANDS:
+        values["experiment"] = COMMANDS[args.command]
     return ExperimentConfig(**values)
 
 

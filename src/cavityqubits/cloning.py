@@ -8,7 +8,6 @@ average against the optimum for the number of clones actually produced.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Mapping
 
 from .symstate import binom
@@ -65,24 +64,3 @@ def uniform_distribution(n_min: int, n_max: int) -> dict[int, float]:
     count = n_max - n_min + 1
     return {n: 1.0 / count for n in range(n_min, n_max + 1)}
 
-
-@dataclass(frozen=True)
-class FidelityReport:
-    """Snapshot of the clone quality at some point of a run."""
-
-    f_atom: float
-    quality: float
-    m_transferred: int
-    weights: dict[int, float]
-
-
-def fidelity_report(
-    clone_weights: Mapping[int, float], m_transferred: int, n_originals: int = 1
-) -> FidelityReport:
-    f_atom = atom_fidelity(clone_weights, n_originals)
-    return FidelityReport(
-        f_atom=f_atom,
-        quality=quality(f_atom, n_originals, m_transferred),
-        m_transferred=m_transferred,
-        weights=dict(clone_weights),
-    )

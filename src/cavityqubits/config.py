@@ -1,5 +1,9 @@
 """Experiment configuration, seeding, and the key=value config-file format.
 
+`EXPERIMENTS`, `POLICIES` and the `ExperimentConfig` fields (`KEYS`) are
+the one table of experiment names, policy names and config keys that the
+CLI's flags, config-file parsers, name checks and dispatch derive from.
+
 Config files are plain text, one `key = value` per line, `#` comments;
 command-line flags override file values. Every stochastic experiment
 requires an explicit master seed, and derived streams always come from
@@ -10,14 +14,21 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, fields
 from pathlib import Path
-from typing import Mapping
+from typing import Callable, Mapping
 
 import numpy as np
 
-from . import cloning
+from . import cloning, protocol
 
 # Recorded in output metadata so results stay attributable to a generator.
 RNG_DESCRIPTION = "numpy PCG64 via default_rng(SeedSequence([seed, *stream]))"
+
+OUTDIR_ENV = "CAVITYQUBITS_OUTDIR"
+
+# Largest photon number a distribution may hold. Exact binomial weights and
+# fig4's per-transfer branch tables grow with it (0.03 s at 1000, 91 s at
+# 20000 for the binomial weights alone).
+MAX_PHOTON_NUMBER = 1000
 
 
 def split_rng(seed: int, *stream: int) -> np.random.Generator:
@@ -49,6 +60,10 @@ class DistributionSpec:
             raise ValueError(f"distribution {self.kind!r} needs n_max >= 1")
         if self.kind == "explicit" and not self.weights:
             raise ValueError("explicit distribution needs weights")
+        if self.max_photon_number() > MAX_PHOTON_NUMBER:
+            raise ValueError(
+                f"photon number {self.max_photon_number()} exceeds the maximum {MAX_PHOTON_NUMBER}"
+            )
 
     def resolve(self) -> dict[int, float]:
         if self.kind == "binomial":
@@ -81,45 +96,151 @@ class DistributionSpec:
         if kind == "explicit":
             weights = {}
             for item in rest.split(","):
-                n, _, p = item.partition("=")
-                weights[int(n)] = float(p)
+                n_s, _, p = item.partition("=")
+                n = int(n_s)
+                if n in weights:
+                    raise ValueError(f"photon number {n} appears twice in {text.strip()!r}")
+                weights[n] = float(p)
             return cls("explicit", weights=weights)
         raise ValueError(f"cannot parse distribution spec {text!r}")
 
 
-EXPERIMENT_NAMES = ("weights-evolution", "trapping-curves", "quality-cutoff", "custom")
+# --- experiments and policies -----------------------------------------------
+
+# CSV column names and field types of each kind of table
+STEP_TABLE = (("step", int), ("n", int), ("p_n", float), ("F_atom", float), ("transferred", int))
+TRAPPING_TABLE = (
+    ("m_rabi", int), ("sigma_rel", float), ("a_mean_closed", float), ("a_mean_mc", float),
+    ("mc_stderr", float),
+)
+QUALITY_TABLE = (("cutoff", int), ("mean_quality", float), ("stderr", float), ("n_max", int))
+
+# what a policy needs besides the mixture
+NEEDS_TAU = "an interaction time"
+NEEDS_PHOTON_NUMBER = "a single known photon number"
+
+
+@dataclass(frozen=True)
+class Policy:
+    """An interaction-time policy: what it needs besides the mixture, and
+    how it is built from the config and that value."""
+
+    needs: str | None  # NEEDS_TAU, NEEDS_PHOTON_NUMBER or nothing
+    build: Callable[["ExperimentConfig", float | int | None], protocol.TauPolicy]
+
+
+FIXED = "fixed"
+POLICIES = {
+    FIXED: Policy(NEEDS_TAU, lambda config, tau: protocol.FixedTau(tau)),
+    "optimal-each-step": Policy(None, lambda config, _: protocol.OptimalEachStep()),
+    "half-rabi": Policy(NEEDS_PHOTON_NUMBER, lambda config, n: protocol.HalfRabiTau(n)),
+    "jittered": Policy(NEEDS_TAU, lambda c, tau: protocol.JitteredTau(tau, c.sigma_rel * tau)),
+}
+
+
+@dataclass(frozen=True)
+class Experiment:
+    command: str  # CLI subcommand
+    help: str
+    table: tuple[tuple[str, type], ...]  # CSV columns
+    policies: tuple[str, ...]  # the policies it runs
+    keys: tuple[str, ...]  # its subcommand's flags besides the common keys
+
+
+_RUN_KEYS = ("tau", "cutoff", "atom_budget", "n_originals")
+EXPERIMENTS = {
+    "weights-evolution": Experiment(
+        "fig2", "single seeded run: weight evolution table", STEP_TABLE, tuple(POLICIES), _RUN_KEYS
+    ),
+    # fig3 runs no policy, so only the default is accepted
+    "trapping-curves": Experiment(
+        "fig3", "trapping escape curves (closed form + Monte Carlo)", TRAPPING_TABLE, (FIXED,),
+        ("sigma_rel_values", "rabi_cycles_values", "trap_photon_number", "trials"),
+    ),
+    # one fixed tau for every run, so all streams can step in one batch
+    "quality-cutoff": Experiment(
+        "fig4", "mean clone quality versus cutoff", QUALITY_TABLE, (FIXED,),
+        ("tau", "atom_budget", "cutoffs", "runs", "n_originals"),
+    ),
+    "custom": Experiment(
+        "custom", "fully configured single run (fig2-style table)", STEP_TABLE, tuple(POLICIES),
+        (*_RUN_KEYS, "policy", "sigma_rel"),
+    ),
+}
+
+
+def _key(default, parse, flag: str, help: str, choices=None, common: bool = False):
+    """An `ExperimentConfig` field that is a config key, with the parser of
+    its text value, its CLI flag and help, its allowed values, and whether
+    every subcommand takes it."""
+    meta = {"parse": parse, "flag": flag, "help": help, "choices": choices, "common": common}
+    return field(default=default, metadata=meta)
 
 
 @dataclass
 class ExperimentConfig:
     """Everything a run needs; which fields matter depends on the
     experiment (single protocol run, trapping-curve grid, or the
-    quality-versus-cutoff average)."""
+    quality-versus-cutoff average). Fields echo in this order."""
 
-    experiment: str = "custom"
-    distribution: DistributionSpec = field(
-        default_factory=lambda: DistributionSpec("binomial", n_max=6)
+    experiment: str = _key(
+        "custom", str, "--experiment", "experiment the config is meant for", tuple(EXPERIMENTS)
     )
-    gamma: float = 1.0  # defines the time unit; taus are in units of 1/gamma
-    policy: str = "fixed"  # fixed | optimal-each-step | half-rabi | jittered
-    tau: float | None = None  # None -> optimum for the initial mixture
-    sigma_rel: float = 0.0
-    cutoff: int = 20
-    atom_budget: int = 10_000
-    seed: int | None = None
-    out: str | None = None
-    n_originals: int = 1
+    distribution: DistributionSpec = _key(
+        DistributionSpec("binomial", n_max=6), DistributionSpec.parse, "--dist",
+        "binomial:N | uniform:LO..HI | explicit:n=p,...", common=True,
+    )
+    # taus are in units of 1/gamma
+    gamma: float = _key(
+        1.0, float, "--gamma", "coupling constant, defines the time unit", common=True
+    )
+    policy: str = _key(FIXED, str, "--policy", "interaction-time policy", tuple(POLICIES))
+    # None -> optimum for the initial mixture
+    tau: float | None = _key(None, float, "--tau", "fixed interaction time (default: optimal)")
+    sigma_rel: float = _key(0.0, float, "--sigma-rel", "relative jitter of the jittered policy")
+    cutoff: int = _key(20, int, "--cutoff", "consecutive ground measurements before stopping")
+    atom_budget: int = _key(10_000, int, "--budget", "maximum atoms to send per run")
+    seed: int | None = _key(None, int, "--seed", "master RNG seed (required to run)", common=True)
+    out: str | None = _key(
+        None, str, "--out", f"output CSV path (default ${OUTDIR_ENV}/<experiment>.csv)",
+        common=True,
+    )
+    n_originals: int = _key(1, int, "--n-originals", "cloner input count")
     # trapping-curve grid
-    sigma_rel_values: tuple[float, ...] = ()
-    rabi_cycles_values: tuple[int, ...] = (1, 2, 3)
-    trap_photon_number: int = 1
-    trials: int = 10_000
+    sigma_rel_values: tuple[float, ...] = _key(
+        (), lambda s: tuple(parse_float_list(s)), "--sigma-rel", "jitter grid, e.g. 0.01:0.20:0.01"
+    )
+    rabi_cycles_values: tuple[int, ...] = _key(
+        (1, 2, 3), lambda s: tuple(parse_int_list(s)), "--m", "Rabi-cycle counts, e.g. 1,2,3"
+    )
+    trap_photon_number: int = _key(1, int, "--n", "photon number for the Monte Carlo")
+    trials: int = _key(10_000, int, "--trials", "Monte Carlo trials per grid cell")
     # quality-cutoff grid
-    cutoffs: tuple[int, ...] = tuple(range(1, 31))
-    runs: int = 1000
+    cutoffs: tuple[int, ...] = _key(
+        tuple(range(1, 31)), lambda s: tuple(parse_int_list(s)), "--cutoffs",
+        "cutoff grid, e.g. 1..30",
+    )
+    runs: int = _key(1000, int, "--runs", "repetitions per cutoff")
 
     def initial_weights(self) -> dict[int, float]:
         return self.distribution.resolve()
+
+    def resolved_tau(self, initial: protocol.WeightedEnsemble) -> float:
+        """The configured interaction time, or (tau = None) the optimum for
+        the initial mixture."""
+        return self.tau if self.tau is not None else protocol.optimal_tau(initial, self.gamma)
+
+    def tau_policy(self, initial: protocol.WeightedEnsemble) -> protocol.TauPolicy:
+        """The configured policy for a run that starts from `initial`."""
+        policy = POLICIES[self.policy]
+        if policy.needs == NEEDS_TAU:
+            return policy.build(self, self.resolved_tau(initial))
+        if policy.needs == NEEDS_PHOTON_NUMBER:
+            alive = initial.photon_numbers[initial.weights > 0]
+            if len(alive) != 1:
+                raise ValueError(f"{self.policy} needs {policy.needs}")
+            return policy.build(self, int(alive[0]))
+        return policy.build(self, None)
 
     def metadata(self, version: str) -> list[tuple[str, str]]:
         """Config echo for the CSV header block (deterministic order)."""
@@ -134,6 +255,10 @@ class ExperimentConfig:
                 value = repr(value)
             items.append((f.name, str(value)))
         return items
+
+
+# config key -> its parser, flag, help, choices and whether it is common
+KEYS = {f.name: f.metadata for f in fields(ExperimentConfig)}
 
 
 def parse_config_file(path: str | Path) -> dict[str, str]:

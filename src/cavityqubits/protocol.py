@@ -21,7 +21,6 @@ import numpy as np
 
 from . import cloning
 from .cloning import WEIGHT_TOL
-from .config import ExperimentConfig
 
 GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
@@ -43,15 +42,12 @@ class WeightedEnsemble:
 
     `photon_numbers` and `weights` are aligned arrays; weights sum to 1 and
     vanish for branches with fewer photons than qubits already transferred
-    (those branches are impossible). `dicke_payload` optionally carries the
-    within-branch symmetric-state coefficients; the transfer never changes
-    the represented state, so updates pass it through untouched.
+    (those branches are impossible).
     """
 
     photon_numbers: np.ndarray
     weights: np.ndarray
     transferred: int = 0
-    dicke_payload: Mapping[int, np.ndarray] | None = None
 
     def __post_init__(self) -> None:
         ns = np.asarray(self.photon_numbers, dtype=int)
@@ -72,13 +68,12 @@ class WeightedEnsemble:
         mapping: Mapping[int, float],
         transferred: int = 0,
         normalize: bool = False,
-        dicke_payload: Mapping[int, np.ndarray] | None = None,
     ) -> "WeightedEnsemble":
         ns = np.array(sorted(mapping), dtype=int)
         ws = np.array([mapping[n] for n in ns], dtype=float)
         if normalize:
             ws = ws / ws.sum()
-        return cls(ns, ws, transferred, dicke_payload)
+        return cls(ns, ws, transferred)
 
     def as_dict(self) -> dict[int, float]:
         return {int(n): float(w) for n, w in zip(self.photon_numbers, self.weights)}
@@ -149,9 +144,7 @@ def update_weights(
     total = posterior.sum()
     if total <= 0.0:
         raise ValueError(f"cannot condition on zero-probability outcome {outcome.value}")
-    return WeightedEnsemble(
-        ens.photon_numbers, posterior / total, new_transferred, ens.dicke_payload
-    )
+    return WeightedEnsemble(ens.photon_numbers, posterior / total, new_transferred)
 
 
 # --- interaction-time policies -------------------------------------------
@@ -177,9 +170,6 @@ class HalfRabiTau:
 @dataclass(frozen=True)
 class OptimalEachStep:
     """Re-run the excitation-probability maximization before every atom."""
-
-    bounds: tuple[float, float] | None = None
-    grid_points: int = 2000
 
 
 @dataclass(frozen=True)
@@ -214,7 +204,7 @@ def policy_tau(
             raise ValueError("half-Rabi timing undefined once the cavity is empty")
         return math.pi / (2.0 * math.sqrt(remaining) * gamma)
     if isinstance(policy, OptimalEachStep):
-        return optimal_tau(ens, gamma, policy.bounds, policy.grid_points)
+        return optimal_tau(ens, gamma)
     if isinstance(policy, JitteredTau):
         if rng is None:
             raise ValueError("jittered policy needs an rng")
@@ -323,29 +313,17 @@ class ProtocolTrace:
         return self.final.transferred
 
 
-def _policy_from_config(config: ExperimentConfig, ens: WeightedEnsemble, gamma: float) -> TauPolicy:
-    name = config.policy
-    if name == "optimal-each-step":
-        return OptimalEachStep()
-    if name == "half-rabi":
-        alive = ens.photon_numbers[ens.weights > 0]
-        if len(alive) != 1:
-            raise ValueError("half-rabi policy needs a known (single-branch) photon number")
-        return HalfRabiTau(int(alive[0]))
-    tau = config.tau if config.tau is not None else optimal_tau(ens, gamma)
-    if name == "fixed":
-        return FixedTau(tau)
-    if name == "jittered":
-        return JitteredTau(center=tau, sigma=config.sigma_rel * tau)
-    raise ValueError(f"unknown tau policy {name!r}")
-
-
-def run(config: ExperimentConfig, rng: np.random.Generator) -> ProtocolTrace:
+def run(config, rng: np.random.Generator) -> ProtocolTrace:
     """Pass atoms until `cutoff` consecutive ground results, the atom
-    budget runs out, or the mixture is certainly down to the vacuum."""
+    budget runs out, or the mixture is certainly down to the vacuum.
+
+    `config` is read by attribute: `initial_weights()`, `tau_policy(initial)`,
+    `gamma`, `cutoff`, `atom_budget` and `n_originals`, as an
+    `ExperimentConfig` provides them.
+    """
     ens = WeightedEnsemble.from_weights(config.initial_weights())
     gamma = config.gamma
-    policy = _policy_from_config(config, ens, gamma)
+    policy = config.tau_policy(ens)
     events: list[TraceEvent] = []
     initial = ens
     consecutive_ground = 0

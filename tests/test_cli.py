@@ -4,9 +4,10 @@ from pathlib import Path
 import pytest
 
 from cavityqubits import __version__
-from cavityqubits.cli import check_output, main, run_experiment, validate
+from cavityqubits.cli import MAX_STREAMS, check_output, main, run_experiment, validate
 from cavityqubits.cloning import binomial_distribution
 from cavityqubits.config import (
+    MAX_PHOTON_NUMBER,
     DistributionSpec,
     ExperimentConfig,
     parse_config_file,
@@ -163,6 +164,93 @@ def test_half_rabi_on_a_photon_number_mixture_is_a_config_error(tmp_path, capsys
     assert read_metadata(out)["terminal_reason"] == "vacuum-certain"
 
 
+SMALL_RUNS = {
+    "fig4": (["--cutoffs", "1..2", "--runs", "2"], "quality-cutoff"),
+    "fig3": (["--sigma-rel", "0.1", "--m", "1", "--trials", "10"], "trapping-curves"),
+}
+
+
+@pytest.mark.parametrize("policy", ["jittered", "half-rabi", "optimal-each-step"])
+@pytest.mark.parametrize("command", sorted(SMALL_RUNS))
+def test_configured_policy_an_experiment_does_not_run_is_an_error(
+    command, policy, tmp_path, capsys
+):
+    # fig4 steps one fixed tau for every stream; fig3 runs no policy at all
+    small, experiment = SMALL_RUNS[command]
+    conf = tmp_path / "exp.conf"
+    conf.write_text(f"policy = {policy}\nsigma_rel = 0.3\n")
+    out = tmp_path / "x.csv"
+    argv = [command, "--config", str(conf), "--nmax", "4", *small, "--seed", "5", "--out", str(out)]
+    with pytest.raises(SystemExit, match="invalid configuration"):
+        main(argv)
+    assert capsys.readouterr().err.strip().splitlines() == [
+        f"error: policy: {experiment} runs only fixed, got {policy!r}"
+    ]
+    assert not out.exists()
+    conf.write_text("policy = fixed\n")
+    assert main(argv) == 0
+    assert read_metadata(out)["policy"] == "fixed"
+
+
+def test_repeated_photon_number_in_an_explicit_distribution_is_an_error(tmp_path, capsys):
+    text = "explicit:1=0.5,2=0.25,2=0.5"
+    with pytest.raises(SystemExit) as exc:
+        main(["validate", "--dist", text, "--seed", "1"])
+    assert exc.value.code == 2
+    assert f"argument --dist: photon number 2 appears twice in {text!r}" in capsys.readouterr().err
+    conf = tmp_path / "exp.conf"
+    conf.write_text(f"distribution = {text}\nseed = 1\n")
+    with pytest.raises(SystemExit, match="distribution: photon number 2 appears twice"):
+        main(["validate", "--config", str(conf)])
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [
+        f"binomial:{MAX_PHOTON_NUMBER + 1}",
+        f"uniform:1..{MAX_PHOTON_NUMBER + 1}",
+        f"explicit:1=0.5,{MAX_PHOTON_NUMBER + 1}=0.5",
+        "explicit:1=0.5,1000000=0.5",
+    ],
+)
+def test_photon_numbers_above_the_bound_are_rejected(spec, tmp_path, capsys):
+    with pytest.raises(ValueError, match="exceeds the maximum"):
+        DistributionSpec.parse(spec)
+    with pytest.raises(SystemExit) as exc:
+        main(["validate", "--dist", spec, "--seed", "1"])
+    assert exc.value.code == 2
+    assert f"exceeds the maximum {MAX_PHOTON_NUMBER}" in capsys.readouterr().err
+    conf = tmp_path / "exp.conf"
+    conf.write_text(f"distribution = {spec}\nseed = 1\n")
+    with pytest.raises(SystemExit, match="distribution: photon number .* exceeds the maximum"):
+        main(["validate", "--config", str(conf)])
+
+
+def test_nmax_out_of_range_is_a_one_line_error():
+    for nmax in (0, MAX_PHOTON_NUMBER + 1):
+        with pytest.raises(SystemExit, match="invalid configuration: nmax: "):
+            main(["validate", "--nmax", str(nmax), "--seed", "1"])
+    # the bound itself is allowed
+    assert DistributionSpec("binomial", n_max=MAX_PHOTON_NUMBER).max_photon_number() == (
+        MAX_PHOTON_NUMBER
+    )
+
+
+def test_fig4_stream_count_is_bounded():
+    def quality_cutoff(cutoffs, runs):
+        return make_config(experiment="quality-cutoff", tau=None, cutoffs=cutoffs, runs=runs)
+
+    assert validate(quality_cutoff(tuple(range(1, 31)), 1000)) == []  # the script default
+    assert validate(quality_cutoff((1, 2), MAX_STREAMS // 2)) == []
+    diags = validate(quality_cutoff((1, 2), MAX_STREAMS // 2 + 1))
+    assert [str(d) for d in diags] == [
+        f"error: runs: 2 cutoffs x {MAX_STREAMS // 2 + 1} runs = {MAX_STREAMS + 2} streams "
+        f"exceeds the maximum {MAX_STREAMS}"
+    ]
+    # the bound is fig4's only: a single run takes one stream whatever `runs` says
+    assert validate(make_config(runs=MAX_STREAMS + 1)) == []
+
+
 def test_fig4_steps_all_streams_in_one_batch(tmp_path, monkeypatch):
     from cavityqubits import protocol
 
@@ -282,6 +370,12 @@ def test_config_file_unknown_key(tmp_path):
     conf = tmp_path / "exp.conf"
     conf.write_text("nmax = 6\n")
     with pytest.raises(SystemExit, match="unknown key"):
+        main(["fig2", "--config", str(conf), "--seed", "1"])
+    # a file that cannot be read or has no `key = value` line is one line too
+    with pytest.raises(SystemExit, match="invalid configuration: .*No such file"):
+        main(["fig2", "--config", str(tmp_path / "missing.conf"), "--seed", "1"])
+    conf.write_text("tau 0.5\n")
+    with pytest.raises(SystemExit, match="invalid configuration: .*expected 'key = value'"):
         main(["fig2", "--config", str(conf), "--seed", "1"])
 
 

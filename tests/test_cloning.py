@@ -8,7 +8,6 @@ from cavityqubits.cloning import (
     atom_fidelity,
     binomial_distribution,
     clone_fidelity,
-    fidelity_report,
     quality,
     uniform_distribution,
 )
@@ -54,6 +53,7 @@ def test_atom_fidelity_point_mass():
 
 def test_atom_fidelity_two_term_average():
     assert atom_fidelity({1: 0.5, 2: 0.5}) == pytest.approx(11 / 12, abs=1e-15)
+    assert atom_fidelity({2: 0.5, 3: 0.5}) == pytest.approx((5 / 6 + 7 / 9) / 2)
 
 
 def test_atom_fidelity_can_exceed_final_fidelity():
@@ -94,19 +94,13 @@ def test_uniform_distribution():
 def test_quality_values():
     assert quality(clone_fidelity(1, 3), 1, 3) == 1.0
     assert quality(5 / 6, 1, 3) == pytest.approx(15 / 14, abs=1e-15)
+    f_atom = atom_fidelity({2: 0.5, 3: 0.5})
+    assert quality(f_atom, 1, 2) == pytest.approx(f_atom / (5 / 6))
 
 
 def test_quality_undefined_without_transfers():
     with pytest.raises(ValueError):
         quality(0.9, 1, 0)
-
-
-def test_fidelity_report():
-    report = fidelity_report({2: 0.5, 3: 0.5}, m_transferred=2)
-    assert report.f_atom == pytest.approx((5 / 6 + 7 / 9) / 2)
-    assert report.quality == pytest.approx(report.f_atom / (5 / 6))
-    assert report.m_transferred == 2
-    assert report.weights == {2: 0.5, 3: 0.5}
 
 
 def test_atom_fidelity_is_martingale_over_outcomes():

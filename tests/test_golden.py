@@ -1,4 +1,5 @@
-"""Golden-output gate: small fig2/fig4 datasets must keep their exact bytes.
+"""Golden-output gate: small datasets of every subcommand and policy must
+keep their exact bytes.
 
 Each case is a `cli.main` argv; its golden CSV sits in `tests/golden/`.
 The only line allowed to differ is the `# out = ...` metadata echo, which
@@ -35,6 +36,18 @@ CASES = {
         "--runs", "20", "--seed", "2026",
     ],
     "fig2.csv": ["fig2", "--nmax", "6", "--tau", "0.825", "--seed", "7"],
+    "fig3.csv": [
+        "fig3", "--sigma-rel", "0.01:0.20:0.01", "--m", "1,2,3", "--trials", "500", "--seed", "3",
+    ],
+    "custom_optimal_each_step.csv": [
+        "custom", "--nmax", "6", "--policy", "optimal-each-step", "--seed", "8",
+    ],
+    "custom_jittered.csv": [
+        "custom", "--nmax", "6", "--policy", "jittered", "--sigma-rel", "0.05", "--seed", "9",
+    ],
+    "custom_half_rabi.csv": [
+        "custom", "--dist", "explicit:4=1.0", "--policy", "half-rabi", "--seed", "10",
+    ],
 }
 
 

@@ -82,13 +82,6 @@ def test_vacuum_certainty():
     ).is_vacuum_certain()
 
 
-def test_payload_passes_through_updates():
-    payload = {1: np.array([1.0, 0.0]), 2: np.array([0.0, 0.5, math.sqrt(0.75)])}
-    ens = WeightedEnsemble.from_weights({1: 0.5, 2: 0.5}, dicke_payload=payload)
-    post = update_weights(ens, 1.0, 0.7, EXCITED)
-    assert post.dicke_payload is payload
-
-
 # --- excitation probability -----------------------------------------------------
 
 
