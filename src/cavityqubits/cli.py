@@ -47,6 +47,17 @@ DEFAULT_SIGMA_REL_GRID = tuple(parse_float_list("0.01:0.20:0.01"))
 # Generator of about 2 KB; 30000 streams peak near 100 MB.
 MAX_STREAMS = 100_000
 
+# Most weights (streams x photon numbers 0..n_max) one fig4 call may step,
+# about 3x the script default (330000). 2000 streams at binomial:1000 (about
+# 2 million) took 4.5 s and 209 MB.
+MAX_STREAM_WEIGHTS = 1_000_000
+
+# Most atoms one fig3 grid may send, as `trials` x the closed-form mean
+# escape counts of its cells: about 8x the script default (20000 trials x
+# 635 = 1.3e7). Each trial keeps drawing until it escapes, and the mean
+# escape count grows as 1/sigma_rel^2 for small jitter.
+MAX_TRAPPING_ATOMS = 100_000_000
+
 # subcommand -> experiment
 COMMANDS = {e.command: name for name, e in EXPERIMENTS.items()}
 
@@ -59,6 +70,17 @@ class Diagnostic:
 
     def __str__(self) -> str:
         return f"{self.level}: {self.field}: {self.message}"
+
+
+def _trapping_atoms(trials: int, rabi_cycles_values, sigma_rels) -> float:
+    """Atoms the fig3 grid is expected to send: `trials` times the closed-form
+    mean escape count, summed over the (m_rabi, sigma_rel) cells."""
+    try:
+        return trials * math.fsum(
+            trapping.mean_atoms_rel(m, s) for m in rabi_cycles_values for s in sigma_rels
+        )
+    except ZeroDivisionError:  # 1 - exp(-x) rounds to 0 for a tiny jitter
+        return math.inf
 
 
 def validate(config: ExperimentConfig) -> list[Diagnostic]:
@@ -128,21 +150,43 @@ def validate(config: ExperimentConfig) -> list[Diagnostic]:
     elif config.seed < 0:
         error("seed", f"must be non-negative, got {config.seed}")
     if table is TRAPPING_TABLE:
-        if any(s <= 0 for s in config.sigma_rel_values or ()):
-            error("sigma_rel_values", "jitter values must be positive")
-        if any(m < 1 for m in config.rabi_cycles_values):
+        sigma_rels = config.sigma_rel_values or DEFAULT_SIGMA_REL_GRID
+        jitters_ok = all(0 < s < math.inf for s in sigma_rels)  # NaN or inf never escapes
+        cycles_ok = all(m >= 1 for m in config.rabi_cycles_values)
+        if not jitters_ok:
+            error("sigma_rel_values", "jitter values must be positive and finite")
+        if not config.rabi_cycles_values:
+            error("rabi_cycles_values", "needs at least one Rabi cycle count")
+        elif not cycles_ok:
             error("rabi_cycles_values", "Rabi cycle counts must be >= 1")
         if config.trap_photon_number < 1:
             error("trap_photon_number", f"must be >= 1, got {config.trap_photon_number}")
+        if jitters_ok and cycles_ok and config.trials >= 1:
+            atoms = _trapping_atoms(config.trials, config.rabi_cycles_values, sigma_rels)
+            if atoms > MAX_TRAPPING_ATOMS:
+                error(
+                    "trials",
+                    f"{config.trials} trials x the grid's mean escape counts = {atoms:.3g} "
+                    f"atoms exceeds the maximum {MAX_TRAPPING_ATOMS:.3g}",
+                )
     if table is QUALITY_TABLE:
-        if any(c < 1 for c in config.cutoffs):
+        if not config.cutoffs:
+            error("cutoffs", "needs at least one cutoff")
+        elif any(c < 1 for c in config.cutoffs):
             error("cutoffs", "cutoff values must be >= 1")
         streams = len(config.cutoffs) * config.runs
+        branches = config.distribution.max_photon_number() + 1
         if streams > MAX_STREAMS:
             error(
                 "runs",
                 f"{len(config.cutoffs)} cutoffs x {config.runs} runs = {streams} streams "
                 f"exceeds the maximum {MAX_STREAMS}",
+            )
+        elif streams * branches > MAX_STREAM_WEIGHTS:
+            error(
+                "runs",
+                f"{streams} streams x {branches} photon numbers = {streams * branches} "
+                f"weights exceeds the maximum {MAX_STREAM_WEIGHTS}",
             )
 
     # a fixed tau at or above pi/(gamma sqrt(n_max)) can hit a trapping

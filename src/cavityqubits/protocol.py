@@ -15,6 +15,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
+from functools import lru_cache
 from typing import Mapping, Union
 
 import numpy as np
@@ -233,6 +234,27 @@ def step(
     return outcome, update_weights(ens, gamma, tau, outcome), tau, p_e
 
 
+@lru_cache(maxsize=16)
+def _tau_grid(lo: float, hi: float, grid_points: int) -> np.ndarray:
+    """The positive points of `optimal_tau`'s scan grid (read-only)."""
+    grid = np.linspace(lo, hi, grid_points)
+    grid = grid[grid > 0]
+    grid.flags.writeable = False
+    return grid
+
+
+# A row holds one float per grid point: 16 KB at the default 2000 points,
+# so a full cache is about 4 MB.
+@lru_cache(maxsize=256)
+def _grid_row(remaining: int, gamma: float, lo: float, hi: float, grid_points: int) -> np.ndarray:
+    """sin^2 of the Rabi phase of a branch with `remaining` photons at every
+    point of the scan grid (read-only): one row of excite_prob's table,
+    from the same float expression. It does not depend on the weights."""
+    row = np.sin(np.sqrt(remaining) * (gamma * _tau_grid(lo, hi, grid_points))) ** 2
+    row.flags.writeable = False
+    return row
+
+
 def optimal_tau(
     ens: WeightedEnsemble,
     gamma: float,
@@ -243,7 +265,8 @@ def optimal_tau(
 
     Grid scan over the bounds (default (0, pi/gamma]) followed by
     golden-section refinement of the best bracket. Ties break toward the
-    smaller tau.
+    smaller tau. Each value is the one `excite_prob` returns, bit for bit;
+    the grid's sin^2 rows are cached per remaining photon count.
     """
     if bounds is None:
         bounds = (0.0, math.pi / gamma)
@@ -252,26 +275,40 @@ def optimal_tau(
         raise ValueError(f"empty tau bounds {bounds}")
     if grid_points < 2:
         raise ValueError("grid_points must be at least 2")
-    grid = np.linspace(lo, hi, grid_points)
-    grid = grid[grid > 0]
-    values = excite_prob(ens, gamma, grid)
+    grid = _tau_grid(lo, hi, grid_points)
+    remaining = ens.remaining_photons()
+    w = ens.weights
+    # the (K, G) table excite_prob would build for the grid, from cached rows
+    table = np.array([_grid_row(r, gamma, lo, hi, grid_points) for r in remaining.tolist()])
+    values = w @ table
     best = int(np.argmax(values))  # first max = smallest tau on ties
+
+    # excite_prob at one tau: the same (K,) @ (K, 1) product, without the
+    # per-call conversions, so every value keeps its bits
+    freq = np.sqrt(remaining)[:, None]
+    buf = np.empty_like(freq)
+
+    def excite(tau) -> float:
+        np.multiply(freq, gamma * tau, out=buf)
+        np.sin(buf, out=buf)
+        np.square(buf, out=buf)
+        return float((w @ buf)[0])
 
     a = grid[best - 1] if best > 0 else grid[0]
     b = grid[best + 1] if best + 1 < len(grid) else grid[-1]
     c = b - GOLDEN * (b - a)
     d = a + GOLDEN * (b - a)
-    fc = excite_prob(ens, gamma, c)
-    fd = excite_prob(ens, gamma, d)
+    fc = excite(c)
+    fd = excite(d)
     for _ in range(80):
         if fc >= fd:  # keep the left interval on ties
             b, d, fd = d, c, fc
             c = b - GOLDEN * (b - a)
-            fc = excite_prob(ens, gamma, c)
+            fc = excite(c)
         else:
             a, c, fc = c, d, fd
             d = a + GOLDEN * (b - a)
-            fd = excite_prob(ens, gamma, d)
+            fd = excite(d)
     candidates = [(float(grid[best]), float(values[best])), (float(c), float(fc)), (float(d), float(fd))]
     best_value = max(v for _, v in candidates)
     return min(t for t, v in candidates if v >= best_value)

@@ -106,15 +106,22 @@ def monte_carlo_escape(spec: TrapSpec, trials: int, rng: np.random.Generator) ->
     counts = np.zeros(trials, dtype=np.int64)
     active = np.arange(trials)
     sqrt_n_gamma = math.sqrt(spec.photon_number) * spec.gamma
+    # per-round buffers, reused: at fig3's 20000 trials a fresh array is
+    # above glibc's mmap threshold, so every round would map and unmap it
+    uniforms = np.empty(trials)
+    hits = np.empty(trials, dtype=bool)
     atoms = 0
     while active.size:
         atoms += 1
-        taus = rng.normal(spec.tau_center, spec.sigma, size=active.size)
+        n = active.size
+        taus = rng.normal(spec.tau_center, spec.sigma, size=n)
         bad = taus <= 0
         while np.any(bad):
             taus[bad] = rng.normal(spec.tau_center, spec.sigma, size=int(bad.sum()))
             bad = taus <= 0
-        success = rng.random(active.size) < np.sin(sqrt_n_gamma * taus) ** 2
+        p = np.multiply(taus, sqrt_n_gamma, out=taus)
+        np.square(np.sin(p, out=p), out=p)
+        success = np.less(rng.random(n, out=uniforms[:n]), p, out=hits[:n])
         counts[active[success]] = atoms
         active = active[~success]
     mean = float(counts.mean())

@@ -4,7 +4,15 @@ from pathlib import Path
 import pytest
 
 from cavityqubits import __version__
-from cavityqubits.cli import MAX_STREAMS, check_output, main, run_experiment, validate
+from cavityqubits.cli import (
+    MAX_STREAM_WEIGHTS,
+    MAX_STREAMS,
+    MAX_TRAPPING_ATOMS,
+    check_output,
+    main,
+    run_experiment,
+    validate,
+)
 from cavityqubits.cloning import binomial_distribution
 from cavityqubits.config import (
     MAX_PHOTON_NUMBER,
@@ -249,6 +257,94 @@ def test_fig4_stream_count_is_bounded():
     ]
     # the bound is fig4's only: a single run takes one stream whatever `runs` says
     assert validate(make_config(runs=MAX_STREAMS + 1)) == []
+
+
+def test_fig4_weight_count_is_bounded(tmp_path, capsys):
+    def quality_cutoff(n_max, cutoffs, runs):
+        return make_config(experiment="quality-cutoff", tau=None, cutoffs=cutoffs, runs=runs,
+                           distribution=DistributionSpec("binomial", n_max=n_max))
+
+    # the script default (330000 weights), the golden and benchmark cases
+    for n_max, runs in ((10, 1000), (10, 20), (10, 10)):
+        assert validate(quality_cutoff(n_max, tuple(range(1, 31)), runs)) == []
+    limit = MAX_STREAM_WEIGHTS // (MAX_PHOTON_NUMBER + 1)
+    assert validate(quality_cutoff(MAX_PHOTON_NUMBER, (1,), limit)) == []
+    streams = limit + 1
+    weights = streams * (MAX_PHOTON_NUMBER + 1)
+    message = (
+        f"error: runs: {streams} streams x {MAX_PHOTON_NUMBER + 1} photon numbers = {weights} "
+        f"weights exceeds the maximum {MAX_STREAM_WEIGHTS}"
+    )
+    assert [str(d) for d in validate(quality_cutoff(MAX_PHOTON_NUMBER, (1,), streams))] == [message]
+    out = tmp_path / "q.csv"
+    with pytest.raises(SystemExit, match="invalid configuration"):
+        main(["fig4", "--nmax", str(MAX_PHOTON_NUMBER), "--cutoffs", "1", "--runs", str(streams),
+              "--seed", "1", "--out", str(out)])
+    assert capsys.readouterr().err.strip().splitlines() == [message]
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "command, experiment, key, message",
+    [
+        ("fig4", "quality-cutoff", "cutoffs", "needs at least one cutoff"),
+        ("fig3", "trapping-curves", "rabi_cycles_values", "needs at least one Rabi cycle count"),
+    ],
+)
+def test_empty_grid_is_a_config_error(command, experiment, key, message, tmp_path, capsys):
+    # it used to run and write a header-only CSV that check rejects
+    conf = tmp_path / "exp.conf"
+    conf.write_text(f"experiment = {experiment}\nseed = 5\n{key} =\n")
+    out = tmp_path / "x.csv"
+    with pytest.raises(SystemExit, match="invalid configuration"):
+        main([command, "--config", str(conf), "--nmax", "4", "--out", str(out)])
+    assert capsys.readouterr().err.strip().splitlines() == [f"error: {key}: {message}"]
+    assert not out.exists()
+    assert main(["validate", "--config", str(conf)]) == 1
+    assert capsys.readouterr().out.splitlines() == [f"error: {key}: {message}"]
+
+
+@pytest.mark.parametrize(
+    "lines, message",
+    [
+        # about 2.5e8 atoms per trial at m = 1
+        ("sigma_rel_values = 0.00001", "10000 trials x the grid's mean escape counts = 3.45e+12"),
+        ("sigma_rel_values = 0.00001\ntrials = 1", "1 trials x the grid's mean escape counts = "
+         "3.45e+08"),
+        # 1 - exp(-x) rounds to 0: the mean escape count is infinite
+        ("sigma_rel_values = 1e-200\ntrials = 1", "1 trials x the grid's mean escape counts = inf"),
+        # the default grid: 635 atoms per trial summed over its 60 cells
+        ("trials = 160000", "160000 trials x the grid's mean escape counts = 1.02e+08"),
+    ],
+)
+def test_fig3_work_is_bounded(lines, message, tmp_path, capsys):
+    # validate only: these grids would run for hours
+    conf = tmp_path / "exp.conf"
+    conf.write_text(f"experiment = trapping-curves\nseed = 1\n{lines}\n")
+    assert main(["validate", "--config", str(conf)]) == 1
+    assert capsys.readouterr().out.splitlines() == [
+        f"error: trials: {message} atoms exceeds the maximum {MAX_TRAPPING_ATOMS:.3g}"
+    ]
+
+
+def test_fig3_script_grid_is_within_the_work_bound():
+    grid = tuple(parse_float_list("0.01:0.20:0.01"))
+    work = 20_000 * sum(mean_atoms_rel(m, s) for m in (1, 2, 3) for s in grid)
+    assert 1.2e7 < work < MAX_TRAPPING_ATOMS / 5
+    for values in (grid, ()):  # explicit and default jitter grid
+        config = make_config(experiment="trapping-curves", sigma_rel_values=values, trials=20_000)
+        assert validate(config) == []
+
+
+@pytest.mark.parametrize("value", ["nan", "inf"])
+def test_fig3_jitter_must_be_finite(value, tmp_path, capsys):
+    # a NaN or infinite jitter makes every sin^2 NaN, so no trial would escape
+    conf = tmp_path / "exp.conf"
+    conf.write_text(f"experiment = trapping-curves\nseed = 1\nsigma_rel_values = {value}\n")
+    assert main(["validate", "--config", str(conf)]) == 1
+    assert capsys.readouterr().out.splitlines() == [
+        "error: sigma_rel_values: jitter values must be positive and finite"
+    ]
 
 
 def test_fig4_steps_all_streams_in_one_batch(tmp_path, monkeypatch):

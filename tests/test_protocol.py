@@ -320,6 +320,81 @@ def test_optimal_tau_empty_bounds():
         optimal_tau(ens, 1.0, bounds=(2.0, 1.0))
 
 
+def reference_optimal_tau(ens, gamma, bounds=None, grid_points=2000):
+    """optimal_tau as a grid scan and golden section made of plain
+    excite_prob calls: the reference the cached version must match bit for
+    bit."""
+    if bounds is None:
+        bounds = (0.0, math.pi / gamma)
+    lo, hi = bounds
+    grid = np.linspace(lo, hi, grid_points)
+    grid = grid[grid > 0]
+    values = excite_prob(ens, gamma, grid)
+    best = int(np.argmax(values))
+    golden = (math.sqrt(5.0) - 1.0) / 2.0
+    a = grid[best - 1] if best > 0 else grid[0]
+    b = grid[best + 1] if best + 1 < len(grid) else grid[-1]
+    c = b - golden * (b - a)
+    d = a + golden * (b - a)
+    fc = excite_prob(ens, gamma, c)
+    fd = excite_prob(ens, gamma, d)
+    for _ in range(80):
+        if fc >= fd:
+            b, d, fd = d, c, fc
+            c = b - golden * (b - a)
+            fc = excite_prob(ens, gamma, c)
+        else:
+            a, c, fc = c, d, fd
+            d = a + golden * (b - a)
+            fd = excite_prob(ens, gamma, d)
+    candidates = [(float(grid[best]), float(values[best])), (float(c), float(fc)), (float(d), float(fd))]
+    best_value = max(v for _, v in candidates)
+    return min(t for t, v in candidates if v >= best_value)
+
+
+@st.composite
+def wide_ensembles(draw):
+    """1 to 12 branches up to n = 60, some of them dead or empty."""
+    ns = draw(st.lists(st.integers(0, 60), min_size=1, max_size=12, unique=True))
+    transferred = draw(st.integers(0, max(ns)))
+    raw = [
+        draw(st.sampled_from([0.0, 1.0]) | st.floats(1e-6, 1.0)) if n >= transferred else 0.0
+        for n in ns
+    ]
+    if sum(raw) == 0:
+        raw[ns.index(max(ns))] = 1.0
+    return WeightedEnsemble(np.array(ns), np.array(raw) / sum(raw), transferred)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    wide_ensembles(),
+    st.floats(0.05, 5.0),
+    st.none() | st.tuples(st.floats(-2.0, 2.0), st.floats(0.01, 4.0)),
+    st.sampled_from([2000]) | st.integers(2, 3000),
+)
+def test_optimal_tau_equals_the_plain_excite_prob_reference(ens, gamma, bounds, grid_points):
+    if bounds is not None:
+        lo, width = bounds
+        bounds = (lo, max(lo, 0.0) + width)
+    assert optimal_tau(ens, gamma, bounds, grid_points) == reference_optimal_tau(
+        ens, gamma, bounds, grid_points
+    )
+
+
+def test_optimal_each_step_builds_each_grid_row_once(tmp_path):
+    from cavityqubits import cli, protocol
+
+    protocol._grid_row.cache_clear()
+    out = tmp_path / "run.csv"
+    assert cli.main(["custom", "--nmax", "6", "--policy", "optimal-each-step", "--seed", "8",
+                     "--out", str(out)]) == 0
+    info = protocol._grid_row.cache_info()
+    # one row per remaining photon count 0..6, however many atoms re-optimize
+    assert info.misses <= 7
+    assert info.hits > 10 * info.misses
+
+
 def test_trapping_safe_tau_values():
     assert trapping_safe_tau(1, 1.0) == pytest.approx(math.pi)
     assert trapping_safe_tau(4, 1.0) == pytest.approx(math.pi / 2)
