@@ -97,6 +97,8 @@ def validate(config: ExperimentConfig) -> list[Diagnostic]:
         value = getattr(config, key)
         if meta["choices"] and value not in meta["choices"]:
             error(key, f"unknown {key} {value!r}")
+        elif meta["parse"] is float and value is not None and not math.isfinite(value):
+            error(key, f"must be finite, got {value!r}")
     experiment = EXPERIMENTS.get(config.experiment)
     table = experiment.table if experiment else None
     policy = POLICIES.get(config.policy)
@@ -265,7 +267,7 @@ def _run_weights_evolution(config: ExperimentConfig) -> Path:
             )
     metadata = config.metadata(__version__)
     metadata.append(("terminal_reason", trace.reason.value))
-    metadata.append(("transferred_total", str(trace.transferred_total)))
+    metadata.append(("transferred_total", str(trace.final.transferred)))
     return _write_csv(config, metadata, rows)
 
 
@@ -309,9 +311,9 @@ def _run_quality_cutoff(config: ExperimentConfig) -> Path:
     initial = protocol.WeightedEnsemble.from_weights(config.initial_weights())
     resolved_tau = config.resolved_tau(initial)
     n_max = config.distribution.max_photon_number()
-    final = protocol.run_fixed_tau_batch(
+    final = protocol.run_batch(
         initial,
-        resolved_tau,
+        protocol.FixedTau(resolved_tau),
         config.gamma,
         np.repeat(config.cutoffs, config.runs),
         config.atom_budget,
@@ -433,8 +435,8 @@ def check_output(path: Path) -> list[str]:
         if steps.get(0) != configured:
             problems.append("step-0 weights differ from the configured distribution")
         for step, weights in sorted(steps.items()):
-            total = sum(weights.values())
-            if abs(total - 1.0) > cloning.WEIGHT_TOL:
+            total = cloning.ordered_sum(weights.values())
+            if not abs(total - 1.0) <= cloning.WEIGHT_TOL:  # a NaN total fails too
                 problems.append(f"step {step}: weights sum to {total!r}")
                 continue
             try:

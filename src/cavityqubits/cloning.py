@@ -8,7 +8,7 @@ average against the optimum for the number of clones actually produced.
 
 from __future__ import annotations
 
-from typing import Mapping
+from typing import Iterable, Mapping
 
 from .symstate import binom
 
@@ -29,12 +29,24 @@ def clone_fidelity(n_originals: int, m_clones: int) -> float:
     return (n * m + n + m) / (m * (n + 2))
 
 
+def ordered_sum(values: Iterable[float]) -> float:
+    """Float sum accumulated left to right, as `sum()` does up to Python
+    3.11. From 3.12 on `sum()` compensates its rounding, which would change
+    the printed F_atom and quality values."""
+    total = 0.0
+    for value in values:
+        total += value
+    return total
+
+
 def atom_fidelity(clone_weights: Mapping[int, float], n_originals: int = 1) -> float:
     """Average clone fidelity of a mixture over clone counts."""
-    total = sum(clone_weights.values())
-    if abs(total - 1.0) > WEIGHT_TOL:
+    total = ordered_sum(clone_weights.values())
+    if not abs(total - 1.0) <= WEIGHT_TOL:  # a NaN total fails too
         raise ValueError(f"weights must sum to 1, got {total!r}")
-    return sum(p * clone_fidelity(n_originals, m) for m, p in clone_weights.items() if p != 0)
+    return ordered_sum(
+        p * clone_fidelity(n_originals, m) for m, p in clone_weights.items() if p != 0
+    )
 
 
 def quality(f_atom: float, n_originals: int, m_transferred: int) -> float:

@@ -16,7 +16,7 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
-from typing import Mapping, Union
+from typing import Callable, Mapping, Union
 
 import numpy as np
 
@@ -96,10 +96,11 @@ def _check_weights(ns: np.ndarray, weights: np.ndarray, transferred) -> None:
     transferred = np.asarray(transferred)
     if np.any(transferred < 0):
         raise ValueError("transferred count must be non-negative")
-    if np.any(weights < 0):
-        raise ValueError("weights must be non-negative")
+    # written so that a NaN weight or total fails them
+    if not np.all(weights >= 0):
+        raise ValueError("weights must be non-negative numbers")
     sums = weights.sum(axis=-1)
-    off = np.abs(sums - 1.0) > WEIGHT_TOL
+    off = ~(np.abs(sums - 1.0) <= WEIGHT_TOL)
     if np.any(off):
         raise ValueError(f"weights must sum to 1, got {float(np.ravel(sums)[np.argmax(off)])!r}")
     dead = np.any((ns < transferred[..., None]) & (weights != 0), axis=-1)
@@ -110,6 +111,15 @@ def _check_weights(ns: np.ndarray, weights: np.ndarray, transferred) -> None:
         )
 
 
+def _rabi_factors(remaining, gamma: float, tau):
+    """sin^2 of each branch's Rabi phase sqrt(remaining) gamma tau as `excite_prob`
+    weighs it, then `update_weights`' sin^2 and cos^2, which round the phase
+    differently; the outputs keep both bit for bit."""
+    freq = np.sqrt(remaining)
+    phase = freq * gamma * tau
+    return np.sin(freq * (gamma * tau)) ** 2, np.sin(phase) ** 2, np.cos(phase) ** 2
+
+
 def excite_prob(ens: WeightedEnsemble, gamma: float, tau) -> float | np.ndarray:
     """Probability that the next atom leaves the cavity excited.
 
@@ -118,8 +128,8 @@ def excite_prob(ens: WeightedEnsemble, gamma: float, tau) -> float | np.ndarray:
     array, in which case the curve is returned.
     """
     tau_arr = np.asarray(tau, dtype=float)
-    freq = np.sqrt(ens.remaining_photons())
-    probs = ens.weights @ np.sin(np.outer(freq, gamma * tau_arr.ravel())) ** 2
+    factors = _rabi_factors(ens.remaining_photons()[:, None], gamma, tau_arr.ravel())[0]
+    probs = ens.weights @ factors
     if tau_arr.ndim == 0:
         return float(probs[0])
     return probs.reshape(tau_arr.shape)
@@ -134,18 +144,13 @@ def update_weights(
     phase; excited also increments the transferred count, which kills the
     branch that had no photons left (its sin^2 factor is exactly zero).
     """
-    phase = np.sqrt(ens.remaining_photons()) * gamma * tau
-    if outcome is MeasurementOutcome.EXCITED:
-        factors = np.sin(phase) ** 2
-        new_transferred = ens.transferred + 1
-    else:
-        factors = np.cos(phase) ** 2
-        new_transferred = ens.transferred
-    posterior = ens.weights * factors
+    _, sin2, cos2 = _rabi_factors(ens.remaining_photons(), gamma, tau)
+    excited = outcome is MeasurementOutcome.EXCITED
+    posterior = ens.weights * (sin2 if excited else cos2)
     total = posterior.sum()
     if total <= 0.0:
         raise ValueError(f"cannot condition on zero-probability outcome {outcome.value}")
-    return WeightedEnsemble(ens.photon_numbers, posterior / total, new_transferred)
+    return WeightedEnsemble(ens.photon_numbers, posterior / total, ens.transferred + excited)
 
 
 # --- interaction-time policies -------------------------------------------
@@ -250,7 +255,7 @@ def _grid_row(remaining: int, gamma: float, lo: float, hi: float, grid_points: i
     """sin^2 of the Rabi phase of a branch with `remaining` photons at every
     point of the scan grid (read-only): one row of excite_prob's table,
     from the same float expression. It does not depend on the weights."""
-    row = np.sin(np.sqrt(remaining) * (gamma * _tau_grid(lo, hi, grid_points))) ** 2
+    row = _rabi_factors(remaining, gamma, _tau_grid(lo, hi, grid_points))[0]
     row.flags.writeable = False
     return row
 
@@ -345,69 +350,50 @@ class ProtocolTrace:
     reason: StopReason
     final: WeightedEnsemble
 
-    @property
-    def transferred_total(self) -> int:
-        return self.final.transferred
-
 
 def run(config, rng: np.random.Generator) -> ProtocolTrace:
     """Pass atoms until `cutoff` consecutive ground results, the atom
-    budget runs out, or the mixture is certainly down to the vacuum.
+    budget runs out, or the mixture is certainly down to the vacuum: one row
+    of `run_batch`, with a `TraceEvent` per atom from its `observe` callback.
 
     `config` is read by attribute: `initial_weights()`, `tau_policy(initial)`,
     `gamma`, `cutoff`, `atom_budget` and `n_originals`, as an
     `ExperimentConfig` provides them.
     """
-    ens = WeightedEnsemble.from_weights(config.initial_weights())
-    gamma = config.gamma
-    policy = config.tau_policy(ens)
+    initial = WeightedEnsemble.from_weights(config.initial_weights())
+    ns = initial.photon_numbers.tolist()
+    n_orig = config.n_originals
     events: list[TraceEvent] = []
-    initial = ens
-    consecutive_ground = 0
-    while True:
-        if ens.is_vacuum_certain():
-            reason = StopReason.VACUUM_CERTAIN
-            break
-        if len(events) >= config.atom_budget:
-            reason = StopReason.ATOM_BUDGET
-            break
-        outcome, ens, tau, p_e = step(ens, policy, gamma, rng)
-        consecutive_ground = 0 if outcome is MeasurementOutcome.EXCITED else consecutive_ground + 1
-        f_atom = cloning.atom_fidelity(ens.as_dict(), config.n_originals)
-        q = (
-            cloning.quality(f_atom, config.n_originals, ens.transferred)
-            if ens.transferred >= config.n_originals
-            else None
-        )
-        events.append(
-            TraceEvent(
-                atom_index=len(events),
-                tau=float(tau),
-                outcome=outcome,
-                p_excite_before=float(p_e),
-                weights_after=ens.as_dict(),
-                transferred_after=ens.transferred,
-                atom_fidelity_after=float(f_atom),
-                quality_after=q,
-            )
-        )
-        if consecutive_ground >= config.cutoff:
-            reason = StopReason.CUTOFF
-            break
-    return ProtocolTrace(initial=initial, events=events, reason=reason, final=ens)
+
+    def observe(rows, taus, excited, p_e, w, m) -> None:
+        weights, transferred = dict(zip(ns, w[0].tolist())), int(m[0])
+        f_atom = cloning.atom_fidelity(weights, n_orig)
+        q = cloning.quality(f_atom, n_orig, transferred) if transferred >= n_orig else None
+        outcome = MeasurementOutcome.EXCITED if excited[0] else MeasurementOutcome.GROUND
+        events.append(TraceEvent(
+            len(events), float(taus[0]), outcome, float(p_e[0]), weights, transferred, f_atom, q
+        ))
+
+    final = run_batch(
+        initial, config.tau_policy(initial), config.gamma, [config.cutoff], config.atom_budget,
+        [rng], observe,
+    )
+    last = WeightedEnsemble(initial.photon_numbers, final.weights[0], int(final.transferred[0]))
+    return ProtocolTrace(initial=initial, events=events, reason=final.reasons[0], final=last)
 
 
-# --- many fixed-tau runs in lockstep ----------------------------------------
+# --- many runs in lockstep ----------------------------------------------------
 
-# Uniforms drawn per stream at a time. `Generator.random(k)` returns the same
-# values as k scalar draws, so the block size never changes an outcome.
+# Uniforms drawn per stream at a time under `FixedTau`. `Generator.random(k)`
+# returns the same values as k scalar draws, so the block size never changes
+# an outcome.
 DRAW_BLOCK = 32
 
 
 @dataclass(frozen=True)
 class BatchFinal:
-    """Terminal states of `run_fixed_tau_batch`, one row per stream; the
-    weight columns are the initial ensemble's branches."""
+    """Terminal states of `run_batch`, one row per stream; the weight
+    columns are the initial ensemble's branches."""
 
     weights: np.ndarray  # (B, K)
     transferred: np.ndarray  # (B,)
@@ -415,42 +401,42 @@ class BatchFinal:
     reasons: tuple[StopReason, ...]
 
 
-def run_fixed_tau_batch(
+def run_batch(
     initial: WeightedEnsemble,
-    tau: float,
+    policy: TauPolicy,
     gamma: float,
     cutoffs,
     atom_budget: int,
     rngs: list[np.random.Generator],
+    observe: Callable[..., None] | None = None,
 ) -> BatchFinal:
-    """`run` under `FixedTau(tau)` for many streams at once, terminal states only.
+    """Runs from `initial`, one per generator, in lockstep; terminal states only.
 
-    Row b is the run that `run` makes from `initial` with cutoff
-    `cutoffs[b]` and generator `rngs[b]`: the same outcomes, stop reason and
-    atom count, and bit-identical final weights. All live rows pass their
-    k-th atom together, as one B x K weight update under an active mask.
+    Row b draws from `rngs[b]` alone and stops when its mixture is certainly
+    the vacuum or `atom_budget` atoms have passed (checked in that order
+    before each atom), or after `cutoffs[b]` consecutive ground results.
+    All live rows pass their k-th atom as one B x K weight update. Under
+    `FixedTau` the factors come from one table row per transferred count and
+    uniforms `DRAW_BLOCK` at a time; under any other policy a row takes its
+    tau from `policy_tau`, then draws one uniform, in `step`'s order.
+    `observe(rows, taus, excited, p_e, w, m)`, if given, gets the live rows'
+    stream indices, taus, outcomes and p_excite before each pass, and their
+    weights and counts after it.
     """
-    FixedTau(tau)  # same tau check as the scalar policy
     cutoffs = np.asarray(cutoffs, dtype=int)
     if cutoffs.shape != (len(rngs),):
         raise ValueError("need one cutoff per generator")
     ns = initial.photon_numbers
-    # Branch factors depend only on (transferred m, branch n). Each table row
-    # repeats the float expression of excite_prob / update_weights exactly.
-    p_rows, sin_rows, cos_rows = [], [], []
-    for m in range(int(ns.max()) + 1):
-        freq = np.sqrt(np.maximum(ns - m, 0))
-        p_rows.append(np.sin(freq * (gamma * tau)) ** 2)
-        phase = freq * gamma * tau
-        sin_rows.append(np.sin(phase) ** 2)
-        cos_rows.append(np.cos(phase) ** 2)
-    p_table, sin2, cos2 = np.array(p_rows), np.array(sin_rows), np.array(cos_rows)
+    fixed = isinstance(policy, FixedTau)
+    if fixed:  # the factors depend only on (transferred m, branch n)
+        remaining = np.maximum(ns - np.arange(ns.max() + 1)[:, None], 0)
+        tables = _rabi_factors(remaining, gamma, policy.tau)
 
     n_rows = len(rngs)
     final_w = np.empty((n_rows, len(ns)))
     final_m = np.empty(n_rows, dtype=int)
     atoms = np.empty(n_rows, dtype=int)
-    reasons: list[StopReason | None] = [None] * n_rows
+    reasons = np.full(n_rows, None)
 
     # state of the live rows, compacted; `rows` maps them back to streams
     rows = np.arange(n_rows)
@@ -465,9 +451,7 @@ def run_fixed_tau_batch(
         if not done.any():
             return
         ids = rows[done]
-        final_w[ids], final_m[ids], atoms[ids] = w[done], m[done], passed
-        for i in ids.tolist():
-            reasons[i] = reason
+        final_w[ids], final_m[ids], atoms[ids], reasons[ids] = w[done], m[done], passed, reason
         keep = ~done
         rows, w, m, streak, cutoffs, draws = (
             a[keep] for a in (rows, w, m, streak, cutoffs, draws)
@@ -484,14 +468,27 @@ def run_fixed_tau_batch(
             retire(np.ones(rows.size, dtype=bool), StopReason.ATOM_BUDGET)
         if not rows.size:
             break
-        if passed % DRAW_BLOCK == 0:
+        if fixed:
+            if passed % DRAW_BLOCK == 0:
+                for i, r in enumerate(rows.tolist()):
+                    draws[i] = rngs[r].random(DRAW_BLOCK)
+            u = draws[:, passed % DRAW_BLOCK]
+            taus = np.full(rows.size, policy.tau)
+            p_f, sin2, cos2 = (t[m] for t in tables)
+        else:
+            taus, u = np.empty(rows.size), np.empty(rows.size)
             for i, r in enumerate(rows.tolist()):
-                draws[i] = rngs[r].random(DRAW_BLOCK)
+                # the row as an ensemble, unchecked: the rows are checked once, at the end
+                ens = object.__new__(WeightedEnsemble)
+                ens.__dict__.update(photon_numbers=ns, weights=w[i], transferred=int(m[i]))
+                taus[i] = policy_tau(policy, ens, gamma, rngs[r])
+                u[i] = rngs[r].random()
+            p_f, sin2, cos2 = _rabi_factors(np.maximum(ns - m[:, None], 0), gamma, taus[:, None])
         # a stack of the vector-column products excite_prob makes, so the
         # sum runs in the same order and p_e keeps its exact bits
-        p_e = np.matmul(w[:, None, :], p_table[m][:, :, None])[:, 0, 0]
-        excited = draws[:, passed % DRAW_BLOCK] < p_e
-        posterior = w * np.where(excited[:, None], sin2[m], cos2[m])
+        p_e = np.matmul(w[:, None, :], p_f[:, :, None])[:, 0, 0]
+        excited = u < p_e
+        posterior = w * np.where(excited[:, None], sin2, cos2)
         total = posterior.sum(axis=1)
         if np.any(total <= 0.0):
             outcome = "excited" if excited[np.argmax(total <= 0.0)] else "ground"
@@ -500,6 +497,8 @@ def run_fixed_tau_batch(
         m = m + excited
         streak = np.where(excited, 0, streak + 1)
         passed += 1
+        if observe is not None:
+            observe(rows, taus, excited, p_e, w, m)
         retire(streak >= cutoffs, StopReason.CUTOFF)
 
     _check_weights(ns, final_w, final_m)  # every terminal row is a valid ensemble

@@ -275,7 +275,7 @@ def test_criterion_09_weight_evolution_run():
     final = trace.final.as_dict()
     n_star, p_star = max(final.items(), key=lambda kv: kv[1])
     transfers = [e.transferred_after for e in trace.events]
-    staircase = transfers == sorted(transfers) and trace.transferred_total == n_star
+    staircase = transfers == sorted(transfers) and trace.final.transferred == n_star
     f_err = abs(trace.events[-1].atom_fidelity_after - clone_fidelity(1, n_star))
     ok = p_star > 0.99 and staircase and f_err < 1e-9
     report(

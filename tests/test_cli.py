@@ -347,6 +347,35 @@ def test_fig3_jitter_must_be_finite(value, tmp_path, capsys):
     ]
 
 
+@pytest.mark.parametrize(
+    "argv, errors",
+    [
+        # an infinite coupling empties optimal_tau's bounds (a traceback before)
+        (["fig2", "--gamma", "inf"], ["error: gamma: must be finite, got inf"]),
+        (
+            ["fig2", "--gamma", "nan"],
+            ["error: gamma: must be finite, got nan", "error: gamma: must be positive, got nan"],
+        ),
+        # these three ran and wrote NaN weights or all-zero qualities
+        (["fig2", "--tau", "inf"], ["error: tau: must be finite, got inf"]),
+        (["custom", "--policy", "jittered", "--sigma-rel", "inf"],
+         ["error: sigma_rel: must be finite, got inf"]),
+        (["fig4", "--tau", "inf", "--runs", "2"], ["error: tau: must be finite, got inf"]),
+        (
+            ["custom", "--tau", "nan"],
+            ["error: tau: must be finite, got nan", "error: tau: must be positive, got nan"],
+        ),
+    ],
+)
+def test_non_finite_floats_are_config_errors(argv, errors, tmp_path, capsys):
+    out = tmp_path / "x.csv"
+    with pytest.raises(SystemExit, match="invalid configuration"):
+        main([*argv, "--seed", "1", "--out", str(out)])
+    err = capsys.readouterr().err.splitlines()
+    assert [line for line in err if line.startswith("error")] == errors
+    assert not out.exists()
+
+
 def test_fig4_steps_all_streams_in_one_batch(tmp_path, monkeypatch):
     from cavityqubits import protocol
 
@@ -511,6 +540,19 @@ def test_checker_catches_wrong_step0(tmp_path):
     out.write_text(text)
     problems = check_output(out)
     assert any("step-0" in p for p in problems)
+
+
+def test_checker_reports_nan_step_weights(tmp_path):
+    out = tmp_path / "fig2.csv"
+    main(["fig2", "--nmax", "2", "--tau", "0.7", "--seed", "5", "--out", str(out)])
+    lines = out.read_text().splitlines()
+    for i, line in enumerate(lines):
+        if line.startswith("1,"):  # every row of step 1
+            row = line.split(",")
+            row[2] = "nan"
+            lines[i] = ",".join(row)
+    out.write_text("\n".join(lines) + "\n")
+    assert check_output(out) == ["step 1: weights sum to nan"]
 
 
 def test_check_command_reports_ok(tmp_path, capsys):

@@ -8,6 +8,7 @@ from cavityqubits.cloning import (
     atom_fidelity,
     binomial_distribution,
     clone_fidelity,
+    ordered_sum,
     quality,
     uniform_distribution,
 )
@@ -64,6 +65,25 @@ def test_atom_fidelity_can_exceed_final_fidelity():
 def test_atom_fidelity_requires_normalized_weights():
     with pytest.raises(ValueError, match="sum to 1"):
         atom_fidelity({1: 0.7, 2: 0.7})
+
+
+@pytest.mark.parametrize(
+    "weights", [{1: math.nan}, {1: math.nan, 2: math.nan}, {1: 1.0, 2: math.nan}]
+)
+def test_atom_fidelity_rejects_nan_weights(weights):
+    with pytest.raises(ValueError, match="sum to 1"):
+        atom_fidelity(weights)
+
+
+def test_sums_run_left_to_right_on_every_python():
+    # Python >= 3.12's sum() compensates rounding like math.fsum, and differs
+    # from left to right on both cases; the golden F_atom and fig4 bytes hold
+    # the left-to-right values
+    assert ordered_sum([0.1, 0.2, 0.3, 1e16, -1e16]) == 0.0
+    assert math.fsum([0.1, 0.2, 0.3, 1e16, -1e16]) == 0.6
+    weights = binomial_distribution(10)
+    assert atom_fidelity(weights, 1) == 0.7332682291666666
+    assert math.fsum(p * clone_fidelity(1, n) for n, p in weights.items()) == 0.7332682291666667
 
 
 @settings(max_examples=60)

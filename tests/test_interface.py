@@ -164,3 +164,34 @@ def test_protocol_imports_neither_config_nor_cli():
     imported = _imported_modules(SRC / "protocol.py")
     assert ".cloning" in imported  # the walk sees protocol's real imports
     assert not imported & forbidden
+
+
+def _stop_reason_users(path: Path) -> dict[str, set[str]]:
+    """For each `StopReason.<member>` a source file names, the top-level
+    functions (or methods) that name it; `<module>` for any other place."""
+    users: dict[str, set[str]] = {}
+
+    def visit(node: ast.AST, owner: str) -> None:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and owner == "<module>":
+            owner = node.name
+        if (
+            isinstance(node, ast.Attribute)
+            and isinstance(node.value, ast.Name)
+            and node.value.id == "StopReason"
+        ):
+            users.setdefault(node.attr, set()).add(owner)
+        for child in ast.iter_child_nodes(node):
+            visit(child, owner)
+
+    visit(ast.parse(path.read_text()), "<module>")
+    return users
+
+
+def test_one_stepping_loop_applies_the_stop_rules():
+    # a second loop over atoms would need the stop reasons too
+    found: dict[str, set[str]] = {}
+    for path in sorted(SRC.glob("*.py")):
+        for member, owners in _stop_reason_users(path).items():
+            found.setdefault(member, set()).update(f"{path.stem}.{o}" for o in owners)
+    for member in ("CUTOFF", "ATOM_BUDGET", "VACUUM_CERTAIN"):
+        assert found.get(member) == {"protocol.run_batch"}, member

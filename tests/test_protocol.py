@@ -22,7 +22,7 @@ from cavityqubits.protocol import (
     optimal_tau,
     policy_tau,
     run,
-    run_fixed_tau_batch,
+    run_batch,
     step,
     trapping_safe_tau,
     update_weights,
@@ -72,6 +72,12 @@ def test_ensemble_validation():
         WeightedEnsemble.from_weights({1: 0.5, 2: 0.5}, transferred=2)
     ens = WeightedEnsemble.from_weights({2: 3.0, 3: 1.0}, normalize=True)
     assert ens.as_dict() == {2: 0.75, 3: 0.25}
+
+
+@pytest.mark.parametrize("weights", [[math.nan, math.nan], [math.nan, 1.0], [0.5, math.nan]])
+def test_ensemble_rejects_nan_weights(weights):
+    with pytest.raises(ValueError, match="non-negative numbers"):
+        WeightedEnsemble(np.array([1, 2]), np.array(weights))
 
 
 def test_vacuum_certainty():
@@ -460,7 +466,7 @@ def test_run_half_rabi_reaches_vacuum():
     assert len(trace.events) == 2
     assert all(e.outcome is EXCITED for e in trace.events)
     assert trace.reason is StopReason.VACUUM_CERTAIN
-    assert trace.transferred_total == 2
+    assert trace.final.transferred == 2
     assert trace.events[-1].quality_after == pytest.approx(1.0, abs=1e-12)
 
 
@@ -473,7 +479,7 @@ def test_run_trapped_terminates_at_cutoff():
     trace = run(config, split_rng(2))
     assert trace.reason is StopReason.CUTOFF
     assert len(trace.events) == 15
-    assert trace.transferred_total == 0
+    assert trace.final.transferred == 0
 
 
 def test_run_respects_atom_budget():
@@ -509,7 +515,7 @@ def test_run_staircase_and_collapse():
     assert transfers == sorted(transfers)
     top_n, top_p = max(trace.final.as_dict().items(), key=lambda kv: kv[1])
     assert top_p > 0.99
-    assert top_n == trace.transferred_total
+    assert top_n == trace.final.transferred
 
 
 # --- concentration of the mixture ------------------------------------------------
@@ -557,30 +563,61 @@ def test_entropy_decreases_along_sampled_runs():
     assert deltas.mean() <= 3 * stderr
 
 
-# --- lockstep fixed-tau batch ------------------------------------------------------
+# --- lockstep batch ----------------------------------------------------------------
 
 
-def assert_batch_matches_run(weights, tau, cutoffs, atom_budget, seed):
-    """Each batch row equals the scalar `run` on the same stream."""
+def reference_run(initial, policy, cutoff, atom_budget, rng, gamma=1.0):
+    """`run`'s stop rules iterated over `step`: the reference for every row
+    of `run_batch`. Returns (final ensemble, stop reason, per-atom records)."""
+    ens, streak, records = initial, 0, []
+    while True:
+        if ens.is_vacuum_certain():
+            return ens, StopReason.VACUUM_CERTAIN, records
+        if len(records) >= atom_budget:
+            return ens, StopReason.ATOM_BUDGET, records
+        outcome, ens, tau, p_e = step(ens, policy, gamma, rng)
+        records.append((tau, outcome is EXCITED, p_e, tuple(ens.weights), ens.transferred))
+        streak = 0 if outcome is EXCITED else streak + 1
+        if streak >= cutoff:
+            return ens, StopReason.CUTOFF, records
+
+
+def run_rows(initial, policy, cutoffs, atom_budget, rngs, gamma=1.0):
+    """`run_batch`, plus the per-atom records its `observe` callback sees, by row."""
+    records = [[] for _ in rngs]
+
+    def observe(rows, taus, excited, p_e, w, m):
+        for i, row in enumerate(rows.tolist()):
+            records[row].append((taus[i], excited[i], p_e[i], tuple(w[i]), m[i]))
+
+    return run_batch(initial, policy, gamma, cutoffs, atom_budget, rngs, observe), records
+
+
+def assert_batch_matches_run(weights, policy, cutoffs, atom_budget, seed, gamma=1.0):
+    """Each batch row equals the step loop on the same stream, atom by atom;
+    under `FixedTau` it also equals that stream run alone as a batch of one."""
     initial = WeightedEnsemble.from_weights(weights)
     streams = [(c, r) for r, c in enumerate(cutoffs)]
-    final = run_fixed_tau_batch(
-        initial, tau, 1.0, cutoffs, atom_budget, [split_rng(seed, *s) for s in streams]
+    final, records = run_rows(
+        initial, policy, cutoffs, atom_budget, [split_rng(seed, *s) for s in streams], gamma
     )
     reasons = set()
     for row, (cutoff, r) in enumerate(streams):
-        config = make_config(
-            distribution=DistributionSpec("explicit", weights=weights),
-            tau=tau,
-            cutoff=cutoff,
-            atom_budget=atom_budget,
+        ens, reason, expected = reference_run(
+            initial, policy, cutoff, atom_budget, split_rng(seed, cutoff, r), gamma
         )
-        trace = run(config, split_rng(seed, cutoff, r))
-        assert final.atoms[row] == len(trace.events)
-        assert final.transferred[row] == trace.final.transferred
-        assert final.reasons[row] is trace.reason
-        assert np.array_equal(final.weights[row], trace.final.weights)
-        reasons.add(trace.reason)
+        assert records[row] == expected
+        assert final.atoms[row] == len(expected)
+        assert final.transferred[row] == ens.transferred
+        assert final.reasons[row] is reason
+        assert np.array_equal(final.weights[row], ens.weights)
+        if isinstance(policy, FixedTau):
+            alone, _ = run_rows(
+                initial, policy, [cutoff], atom_budget, [split_rng(seed, cutoff, r)], gamma
+            )
+            assert alone.reasons[0] is reason and alone.atoms[0] == len(expected)
+            assert np.array_equal(alone.weights[0], ens.weights)
+        reasons.add(reason)
     return reasons
 
 
@@ -588,58 +625,97 @@ def test_batch_matches_run_on_cutoff_stops():
     weights = binomial_distribution(10)
     tau = optimal_tau(WeightedEnsemble.from_weights(weights), 1.0)
     # cutoffs up to 40 take most rows past one block of draws
-    reasons = assert_batch_matches_run(weights, tau, [1, 2, 5, 10, 20, 40] * 8, 10_000, 5)
+    reasons = assert_batch_matches_run(weights, FixedTau(tau), [1, 2, 5, 10, 20, 40] * 8, 10_000, 5)
+    assert reasons == {StopReason.CUTOFF}
+    # gamma != 1 separates the two roundings of the Rabi phase
+    reasons = assert_batch_matches_run(weights, FixedTau(tau / 1.3), [1, 5, 20] * 4, 10_000, 6, 1.3)
     assert reasons == {StopReason.CUTOFF}
 
 
 def test_batch_matches_run_on_vacuum_and_cutoff_stops():
     # a known photon number empties for certain; short cutoffs stop some rows first
-    reasons = assert_batch_matches_run({3: 1.0}, 0.6, [1, 2, 4, 8] * 6, 10_000, 4)
+    reasons = assert_batch_matches_run({3: 1.0}, FixedTau(0.6), [1, 2, 4, 8] * 6, 10_000, 4)
     assert reasons == {StopReason.CUTOFF, StopReason.VACUUM_CERTAIN}
 
 
 def test_batch_matches_run_on_budget_stops():
     weights = binomial_distribution(6)
-    reasons = assert_batch_matches_run(weights, 0.825, [3, 50, 50, 50] * 5, 37, 6)
+    reasons = assert_batch_matches_run(weights, FixedTau(0.825), [3, 50, 50, 50] * 5, 37, 6)
     assert StopReason.ATOM_BUDGET in reasons
 
 
 def test_batch_single_photon_is_vacuum_certain_after_one_atom():
-    final = run_fixed_tau_batch(
-        WeightedEnsemble.from_weights({1: 1.0}), math.pi / 2, 1.0, [1, 5], 100,
+    final = run_batch(
+        WeightedEnsemble.from_weights({1: 1.0}), FixedTau(math.pi / 2), 1.0, [1, 5], 100,
         [split_rng(0, 1), split_rng(0, 2)],
     )
     assert final.reasons == (StopReason.VACUUM_CERTAIN,) * 2
     assert final.atoms.tolist() == [1, 1]
     assert final.transferred.tolist() == [1, 1]
-    assert_batch_matches_run({1: 1.0}, math.pi / 2, [1, 5, 9], 100, 7)
+    assert_batch_matches_run({1: 1.0}, FixedTau(math.pi / 2), [1, 5, 9], 100, 7)
 
 
 def test_batch_cutoff_on_the_last_budgeted_atom_is_a_cutoff_stop():
     # budget 1: a ground result at cutoff 1 stops on the cutoff, any other
     # row on the budget
-    reasons = assert_batch_matches_run({1: 0.5, 2: 0.5}, 0.4, [1, 2] * 20, 1, 8)
+    reasons = assert_batch_matches_run({1: 0.5, 2: 0.5}, FixedTau(0.4), [1, 2] * 20, 1, 8)
     assert reasons == {StopReason.CUTOFF, StopReason.ATOM_BUDGET}
 
 
 def test_batch_rejects_bad_inputs():
     ens = WeightedEnsemble.from_weights({1: 1.0})
     with pytest.raises(ValueError, match="one cutoff per generator"):
-        run_fixed_tau_batch(ens, 0.5, 1.0, [1, 2], 10, [split_rng(0)])
+        run_batch(ens, FixedTau(0.5), 1.0, [1, 2], 10, [split_rng(0)])
     with pytest.raises(ValueError, match="tau must be positive"):
-        run_fixed_tau_batch(ens, 0.0, 1.0, [1], 10, [split_rng(0)])
+        run_batch(ens, FixedTau(0.0), 1.0, [1], 10, [split_rng(0)])
+
+
+@pytest.mark.parametrize("policy", ["fixed", "optimal-each-step", "half-rabi", "jittered"])
+def test_run_is_the_step_loop(policy):
+    # half-rabi needs a single known photon number
+    weights = {4: 1.0} if policy == "half-rabi" else binomial_distribution(6)
+    config = make_config(
+        distribution=DistributionSpec("explicit", weights=weights), policy=policy, tau=None,
+        sigma_rel=0.2,
+    )
+    initial = WeightedEnsemble.from_weights(config.initial_weights())
+    trace = run(config, split_rng(9))
+    ens, reason, expected = reference_run(
+        initial, config.tau_policy(initial), config.cutoff, config.atom_budget, split_rng(9)
+    )
+    assert [
+        (e.tau, e.outcome is EXCITED, e.p_excite_before, tuple(e.weights_after.values()),
+         e.transferred_after)
+        for e in trace.events
+    ] == expected
+    assert [e.atom_index for e in trace.events] == list(range(len(expected)))
+    assert trace.reason is reason
+    assert np.array_equal(trace.final.weights, ens.weights)
+    assert trace.final.transferred == ens.transferred
 
 
 @settings(max_examples=40, deadline=None)
 @given(
     st.dictionaries(st.integers(1, 6), st.floats(0.01, 1.0), min_size=1, max_size=4),
+    st.sampled_from(["fixed", "optimal-each-step", "half-rabi", "jittered"]),
     st.floats(0.05, 3.0),
+    st.floats(0.0, 1.0),
     st.lists(st.integers(1, 8), min_size=1, max_size=6),
     st.integers(1, 70),
     st.integers(0, 2**32 - 1),
+    # gamma != 1 separates the two roundings of the Rabi phase
+    st.sampled_from([1.0]) | st.floats(0.2, 5.0),
 )
-def test_batch_matches_run_property(raw, tau, cutoffs, atom_budget, seed):
+def test_batch_matches_run_property(raw, name, tau, sigma_rel, cutoffs, atom_budget, seed, gamma):
+    if name == "half-rabi":  # needs a single known photon number
+        raw = {max(raw): 1.0}
     total = sum(raw.values())
     weights = {n: p / total for n, p in raw.items()}
     WeightedEnsemble.from_weights(weights)  # hypothesis only draws valid mixtures
-    assert_batch_matches_run(weights, tau, cutoffs, atom_budget, seed)
+    policy = {
+        "fixed": FixedTau(tau),
+        "optimal-each-step": OptimalEachStep(),
+        "half-rabi": HalfRabiTau(max(raw)),
+        "jittered": JitteredTau(tau, sigma_rel * tau),
+    }[name]
+    assert_batch_matches_run(weights, policy, cutoffs, atom_budget, seed, gamma)
