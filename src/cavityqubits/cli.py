@@ -43,13 +43,13 @@ from .config import (
 
 DEFAULT_SIGMA_REL_GRID = tuple(parse_float_list("0.01:0.20:0.01"))
 
-# Most (cutoff, run) streams one fig4 call may step. Each keeps a numpy
-# Generator of about 2 KB; 30000 streams peak near 100 MB.
+# Most (cutoff, run) pairs one fig4 call may grade: the rows of its
+# cutoffs x runs snapshot stack. fig4 keeps one numpy Generator per run, not
+# per pair, so this no longer bounds the generators.
 MAX_STREAMS = 100_000
 
-# Most weights (streams x photon numbers 0..n_max) one fig4 call may step,
-# about 3x the script default (330000). 2000 streams at binomial:1000 (about
-# 2 million) took 4.5 s and 209 MB.
+# Most weights in one fig4 call's snapshot stack (cutoffs x runs x photon
+# numbers 0..n_max), about 3x the script default (330000): 8 MB of floats.
 MAX_STREAM_WEIGHTS = 1_000_000
 
 # Most atoms one fig3 grid may send, as `trials` x the closed-form mean
@@ -57,6 +57,16 @@ MAX_STREAM_WEIGHTS = 1_000_000
 # 635 = 1.3e7). Each trial keeps drawing until it escapes, and the mean
 # escape count grows as 1/sigma_rel^2 for small jitter.
 MAX_TRAPPING_ATOMS = 100_000_000
+
+# Most Monte Carlo rounds one fig3 grid may take, about 100x the script
+# default (6900). A cell runs until its last trial escapes, about
+# mean x (1 + ln trials) rounds, and each round costs about 15 us however
+# few trials are left, so the bound is about 10 s.
+MAX_TRAPPING_ROUNDS = 700_000
+
+# False-alarm probability of `check`'s bound on a fig3 row's a_mean_mc,
+# split evenly between the two tails.
+MC_FALSE_ALARM = 1e-6
 
 # subcommand -> experiment
 COMMANDS = {e.command: name for name, e in EXPERIMENTS.items()}
@@ -72,15 +82,17 @@ class Diagnostic:
         return f"{self.level}: {self.field}: {self.message}"
 
 
-def _trapping_atoms(trials: int, rabi_cycles_values, sigma_rels) -> float:
-    """Atoms the fig3 grid is expected to send: `trials` times the closed-form
-    mean escape count, summed over the (m_rabi, sigma_rel) cells."""
+def _trapping_work(trials: int, rabi_cycles_values, sigma_rels) -> tuple[float, float]:
+    """Atoms the fig3 grid is expected to send and Monte Carlo rounds it is
+    expected to take: the closed-form mean escape counts of its
+    (m_rabi, sigma_rel) cells, summed, times `trials` and 1 + ln `trials`."""
     try:
-        return trials * math.fsum(
+        means = math.fsum(
             trapping.mean_atoms_rel(m, s) for m in rabi_cycles_values for s in sigma_rels
         )
     except ZeroDivisionError:  # 1 - exp(-x) rounds to 0 for a tiny jitter
-        return math.inf
+        means = math.inf
+    return trials * means, (1.0 + math.log(trials)) * means
 
 
 def validate(config: ExperimentConfig) -> list[Diagnostic]:
@@ -164,12 +176,19 @@ def validate(config: ExperimentConfig) -> list[Diagnostic]:
         if config.trap_photon_number < 1:
             error("trap_photon_number", f"must be >= 1, got {config.trap_photon_number}")
         if jitters_ok and cycles_ok and config.trials >= 1:
-            atoms = _trapping_atoms(config.trials, config.rabi_cycles_values, sigma_rels)
+            atoms, rounds = _trapping_work(config.trials, config.rabi_cycles_values, sigma_rels)
             if atoms > MAX_TRAPPING_ATOMS:
                 error(
                     "trials",
                     f"{config.trials} trials x the grid's mean escape counts = {atoms:.3g} "
                     f"atoms exceeds the maximum {MAX_TRAPPING_ATOMS:.3g}",
+                )
+            elif rounds > MAX_TRAPPING_ROUNDS:
+                error(
+                    "trials",
+                    f"the grid's mean escape counts x (1 + ln {config.trials} trials) = "
+                    f"{rounds:.3g} Monte Carlo rounds exceeds the maximum "
+                    f"{MAX_TRAPPING_ROUNDS:.3g}",
                 )
     if table is QUALITY_TABLE:
         if not config.cutoffs:
@@ -304,37 +323,68 @@ def _run_quality_cutoff(config: ExperimentConfig) -> Path:
     """Average terminal clone quality per cutoff, over `runs` repetitions.
 
     The interaction time is the optimum for the initial mixture and stays
-    fixed for the whole process. Every (cutoff, run) stream steps in one
-    lockstep batch. Runs that stop before `n_originals` transfers have no
-    clones; they count as quality 0.
+    fixed for the whole process. Run r draws from `split_rng(seed, r)` and
+    steps once, to the largest cutoff, with every run in one lockstep batch.
+    Where its ground streak first reaches c is exactly where a run with
+    cutoff c on that stream stops; a vacuum or budget stop before that ends
+    every higher cutoff there too. Runs that stop before `n_originals`
+    transfers have no clones; they count as quality 0.
     """
     initial = protocol.WeightedEnsemble.from_weights(config.initial_weights())
     resolved_tau = config.resolved_tau(initial)
-    n_max = config.distribution.max_photon_number()
+    ns = initial.photon_numbers
+    runs = config.runs
+    levels = np.array(sorted(set(config.cutoffs)))
+    slot = np.full(levels[-1] + 1, -1)  # streak value -> its row in the snapshot stack
+    slot[levels] = np.arange(len(levels))
+    snap_w = np.empty((len(levels), runs, len(ns)))
+    snap_m = np.empty((len(levels), runs), dtype=int)
+    streak = np.zeros(runs, dtype=int)
+    longest = np.zeros(runs, dtype=int)
+
+    def observe(rows, taus, excited, p_e, w, m) -> None:
+        s = np.where(excited, 0, streak[rows] + 1)
+        streak[rows] = s
+        first = (s > longest[rows]) & (slot[s] >= 0)  # s grows by one, so s = longest + 1
+        longest[rows] = np.maximum(longest[rows], s)
+        snap_w[slot[s[first]], rows[first]] = w[first]
+        snap_m[slot[s[first]], rows[first]] = m[first]
+
     final = protocol.run_batch(
         initial,
         protocol.FixedTau(resolved_tau),
         config.gamma,
-        np.repeat(config.cutoffs, config.runs),
+        np.full(runs, levels[-1]),
         config.atom_budget,
-        [split_rng(config.seed, c, r) for c in config.cutoffs for r in range(config.runs)],
+        [split_rng(config.seed, r) for r in range(runs)],
+        observe,
     )
-    ns = initial.photon_numbers.tolist()
+    stopped = longest < levels[:, None]  # (levels, runs): stopped before reaching the cutoff
+    snap_w[stopped] = np.broadcast_to(final.weights, snap_w.shape)[stopped]
+    snap_m[stopped] = np.broadcast_to(final.transferred, snap_m.shape)[stopped]
+
+    # atom_fidelity and quality over the whole stack, in their float order:
+    # F_atom accumulates left to right over the nonzero weights in ascending n
+    protocol._check_weights(ns, snap_w, snap_m)
     n_orig = config.n_originals
-    qualities = np.array(
-        [
-            cloning.quality(cloning.atom_fidelity(dict(zip(ns, w)), n_orig), n_orig, m)
-            if m >= n_orig
-            else 0.0
-            for w, m in zip(final.weights.tolist(), final.transferred.tolist())
-        ]
-    ).reshape(len(config.cutoffs), config.runs)
+    f_atom = np.zeros(snap_m.shape)
+    for k, n in enumerate(ns.tolist()):
+        if n >= n_orig:  # lower branches carry no weight once validated
+            f_atom += snap_w[..., k] * cloning.clone_fidelity(n_orig, n)
+    optimum = np.array(
+        [cloning.clone_fidelity(n_orig, max(m, n_orig)) for m in range(int(ns.max()) + 1)]
+    )
+    qualities = np.where(snap_m >= n_orig, f_atom / optimum[snap_m], 0.0)
+
+    n_max = config.distribution.max_photon_number()
     rows: list[tuple] = []
-    for cutoff, q in zip(config.cutoffs, qualities):
-        stderr = float(q.std(ddof=1) / math.sqrt(config.runs)) if config.runs > 1 else 0.0
+    for cutoff in config.cutoffs:
+        q = qualities[slot[cutoff]]
+        stderr = float(q.std(ddof=1) / math.sqrt(runs)) if runs > 1 else 0.0
         rows.append((cutoff, float(q.mean()), stderr, n_max))
     metadata = config.metadata(__version__)
     metadata.append(("resolved_tau", repr(float(resolved_tau))))
+    metadata.append(("stream_layout", "(seed, run)"))
     return _write_csv(config, metadata, rows)
 
 
@@ -395,6 +445,9 @@ def check_output(path: Path) -> list[str]:
         dist = DistributionSpec.parse(metadata["distribution"])
         configured, n_max = dist.resolve(), dist.max_photon_number()
         n_originals = int(metadata.get("n_originals", "1"))
+        trials = int(metadata.get("trials", "1"))
+        if trials < 1:
+            raise ValueError(f"trials must be >= 1, got {trials}")
     except ValueError as exc:
         return [f"metadata: {exc}"]
     if header != [name for name, _ in table]:
@@ -412,7 +465,10 @@ def check_output(path: Path) -> list[str]:
             problems.append(f"row {i}: {exc}")
 
     if table is TRAPPING_TABLE:
-        for i, (m_rabi, sigma_rel, closed, _, _) in parsed:
+        # the sample mean of `trials` geometric escape counts: beyond the
+        # Chernoff bound of either tail with probability <= MC_FALSE_ALARM / 2
+        tail_exponent = math.log(2.0 / MC_FALSE_ALARM)
+        for i, (m_rabi, sigma_rel, closed, mc, _) in parsed:
             try:
                 expected = trapping.mean_atoms_rel(m_rabi, sigma_rel)
             except (ValueError, ArithmeticError) as exc:
@@ -420,6 +476,11 @@ def check_output(path: Path) -> list[str]:
                 continue
             if not math.isclose(closed, expected, rel_tol=1e-12):
                 problems.append(f"row {i}: a_mean_closed {closed!r} != recomputed {expected!r}")
+            elif not trials * trapping.escape_mean_rate(expected, mc) <= tail_exponent:
+                problems.append(
+                    f"row {i}: a_mean_mc {mc!r} is outside the {MC_FALSE_ALARM:g} tail bound "
+                    f"of {trials} trials around a_mean_closed {expected!r}"
+                )
     elif table is QUALITY_TABLE:
         for i, (_, mean_quality, _, row_n_max) in parsed:
             if row_n_max != n_max:

@@ -34,9 +34,9 @@ MAX_PHOTON_NUMBER = 1000
 def split_rng(seed: int, *stream: int) -> np.random.Generator:
     """Independent generator for (seed, stream indices).
 
-    The split rule is SeedSequence([seed, *stream]); per-run streams use
-    the run index, per-cell streams in grid experiments use the flat cell
-    index (and the run index within the cell where both apply).
+    The split rule is SeedSequence([seed, *stream]). fig4 uses the run
+    index alone: each run's one trajectory serves every cutoff. fig3 uses
+    the flat cell index, and a single run the bare seed.
     """
     if seed < 0:
         raise ValueError(f"seed must be non-negative, got {seed}")

@@ -64,16 +64,9 @@ class WeightedEnsemble:
         _check_weights(ns, ws, self.transferred)
 
     @classmethod
-    def from_weights(
-        cls,
-        mapping: Mapping[int, float],
-        transferred: int = 0,
-        normalize: bool = False,
-    ) -> "WeightedEnsemble":
+    def from_weights(cls, mapping: Mapping[int, float], transferred: int = 0) -> "WeightedEnsemble":
         ns = np.array(sorted(mapping), dtype=int)
         ws = np.array([mapping[n] for n in ns], dtype=float)
-        if normalize:
-            ws = ws / ws.sum()
         return cls(ns, ws, transferred)
 
     def as_dict(self) -> dict[int, float]:
@@ -345,7 +338,6 @@ class TraceEvent:
 
 @dataclass(frozen=True)
 class ProtocolTrace:
-    initial: WeightedEnsemble
     events: list[TraceEvent]
     reason: StopReason
     final: WeightedEnsemble
@@ -379,7 +371,7 @@ def run(config, rng: np.random.Generator) -> ProtocolTrace:
         [rng], observe,
     )
     last = WeightedEnsemble(initial.photon_numbers, final.weights[0], int(final.transferred[0]))
-    return ProtocolTrace(initial=initial, events=events, reason=final.reasons[0], final=last)
+    return ProtocolTrace(events=events, reason=final.reasons[0], final=last)
 
 
 # --- many runs in lockstep ----------------------------------------------------

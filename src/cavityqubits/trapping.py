@@ -88,6 +88,25 @@ def mean_atoms_rel(rabi_cycles: int, sigma_rel: float) -> float:
     return 2.0 / (1.0 - math.exp(-8.0 * math.pi**2 * rabi_cycles**2 * sigma_rel**2))
 
 
+def escape_mean_rate(mean_atoms: float, sample_mean: float) -> float:
+    """Chernoff exponent of the mean of geometric escape counts: over T
+    trials with mean `mean_atoms`, a sample mean at or beyond `sample_mean`
+    (on its side of the mean) has probability at most exp(-T * rate), for
+    any T >= 1. The rate is the Kullback-Leibler divergence of the geometric
+    law with mean `sample_mean` from the one with mean `mean_atoms`; it is
+    inf for a sample mean no set of counts >= 1 can give, and for any
+    sample mean when escape never happens (an infinite mean)."""
+    mu, a = mean_atoms, sample_mean
+    if not mu >= 1.0:
+        raise ValueError(f"mean escape count must be >= 1, got {mu}")
+    if not 1.0 <= a < math.inf or mu == math.inf or (mu == 1.0 and a != 1.0):  # NaN too
+        return math.inf
+    rate = math.log(mu / a)
+    if a > 1.0:
+        rate += (a - 1.0) * math.log((a - 1.0) * mu / (a * (mu - 1.0)))
+    return rate
+
+
 @dataclass(frozen=True)
 class EscapeEstimate:
     mean: float

@@ -1,19 +1,21 @@
 import math
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from cavityqubits import __version__
+from cavityqubits import __version__, protocol
 from cavityqubits.cli import (
     MAX_STREAM_WEIGHTS,
     MAX_STREAMS,
     MAX_TRAPPING_ATOMS,
+    MAX_TRAPPING_ROUNDS,
     check_output,
     main,
     run_experiment,
     validate,
 )
-from cavityqubits.cloning import binomial_distribution
+from cavityqubits.cloning import atom_fidelity, binomial_distribution, quality
 from cavityqubits.config import (
     MAX_PHOTON_NUMBER,
     DistributionSpec,
@@ -21,6 +23,7 @@ from cavityqubits.config import (
     parse_config_file,
     parse_float_list,
     parse_int_list,
+    split_rng,
 )
 from cavityqubits.trapping import mean_atoms_rel
 
@@ -327,10 +330,26 @@ def test_fig3_work_is_bounded(lines, message, tmp_path, capsys):
     ]
 
 
+def test_fig3_rounds_are_bounded(tmp_path, capsys):
+    # one trial of a cell with a mean escape count near 10^8 passes the atom
+    # bound, but it takes about that many Monte Carlo rounds
+    conf = tmp_path / "exp.conf"
+    conf.write_text("experiment = trapping-curves\nseed = 1\nrabi_cycles_values = 1\n"
+                    "sigma_rel_values = 0.0000168\ntrials = 1\n")
+    assert mean_atoms_rel(1, 0.0000168) < MAX_TRAPPING_ATOMS
+    assert main(["validate", "--config", str(conf)]) == 1
+    assert capsys.readouterr().out.splitlines() == [
+        "error: trials: the grid's mean escape counts x (1 + ln 1 trials) = 8.97e+07 Monte Carlo "
+        f"rounds exceeds the maximum {MAX_TRAPPING_ROUNDS:.3g}"
+    ]
+
+
 def test_fig3_script_grid_is_within_the_work_bound():
     grid = tuple(parse_float_list("0.01:0.20:0.01"))
     work = 20_000 * sum(mean_atoms_rel(m, s) for m in (1, 2, 3) for s in grid)
     assert 1.2e7 < work < MAX_TRAPPING_ATOMS / 5
+    rounds = (1 + math.log(20_000)) * sum(mean_atoms_rel(m, s) for m in (1, 2, 3) for s in grid)
+    assert 6800 < rounds < MAX_TRAPPING_ROUNDS / 50
     for values in (grid, ()):  # explicit and default jitter grid
         config = make_config(experiment="trapping-curves", sigma_rel_values=values, trials=20_000)
         assert validate(config) == []
@@ -377,16 +396,64 @@ def test_non_finite_floats_are_config_errors(argv, errors, tmp_path, capsys):
 
 
 def test_fig4_steps_all_streams_in_one_batch(tmp_path, monkeypatch):
-    from cavityqubits import protocol
+    run_batch = protocol.run_batch
+    calls = []
 
     def no_scalar_runs(*args, **kwargs):
         raise AssertionError("fig4 must not call protocol.run")
 
+    def counted_run_batch(initial, policy, gamma, cutoffs, atom_budget, rngs, observe=None):
+        calls.append((list(cutoffs), len(rngs)))
+        return run_batch(initial, policy, gamma, cutoffs, atom_budget, rngs, observe)
+
     monkeypatch.setattr(protocol, "run", no_scalar_runs)
+    monkeypatch.setattr(protocol, "run_batch", counted_run_batch)
     out = tmp_path / "q.csv"
     assert main(["fig4", "--nmax", "4", "--cutoffs", "1..3", "--runs", "4", "--seed", "3",
                  "--out", str(out)]) == 0
+    assert calls == [([3] * 4, 4)]  # one stream per run, stepped to the largest cutoff
     assert check_output(out) == []
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["--nmax", "10", "--cutoffs", "1..30", "--runs", "20", "--seed", "2024"],
+        ["--nmax", "10", "--cutoffs", "1..30", "--runs", "20", "--budget", "12", "--seed", "2025"],
+        ["--dist", "uniform:2..6", "--n-originals", "2", "--cutoffs", "1..30", "--runs", "20",
+         "--seed", "2026"],
+        ["--nmax", "6", "--cutoffs", "3,1,3", "--runs", "15", "--seed", "4"],
+        ["--nmax", "10", "--cutoffs", "30,5,1", "--runs", "1", "--seed", "5"],
+    ],
+    ids=["binomial10", "budget", "two-originals", "unsorted-duplicates", "single-run"],
+)
+def test_fig4_rows_equal_separate_runs_at_each_cutoff(args, tmp_path):
+    # every cutoff read off one trajectory per run equals a separate batch at
+    # that cutoff alone on the same split_rng(seed, run) streams, graded run by run
+    out = tmp_path / "q.csv"
+    assert main(["fig4", *args, "--out", str(out)]) == 0
+    meta = read_metadata(out)
+    initial = protocol.WeightedEnsemble.from_weights(
+        DistributionSpec.parse(meta["distribution"]).resolve()
+    )
+    ns = initial.photon_numbers.tolist()
+    runs, n_orig, budget = int(meta["runs"]), int(meta["n_originals"]), int(meta["atom_budget"])
+    expected, reasons = [], set()
+    for cutoff in parse_int_list(meta["cutoffs"]):
+        final = protocol.run_batch(
+            initial, protocol.FixedTau(float(meta["resolved_tau"])), float(meta["gamma"]),
+            [cutoff] * runs, budget, [split_rng(int(meta["seed"]), r) for r in range(runs)],
+        )
+        reasons.update(final.reasons)
+        q = np.array([
+            quality(atom_fidelity(dict(zip(ns, w)), n_orig), n_orig, m) if m >= n_orig else 0.0
+            for w, m in zip(final.weights.tolist(), final.transferred.tolist())
+        ])
+        stderr = float(q.std(ddof=1) / math.sqrt(runs)) if runs > 1 else 0.0
+        expected.append([str(cutoff), repr(float(q.mean())), repr(stderr), str(max(ns))])
+    assert read_rows(out)[1] == expected
+    if budget == 12:
+        assert protocol.StopReason.ATOM_BUDGET in reasons
 
 
 def test_run_experiment_refuses_invalid_config(tmp_path):
@@ -531,6 +598,42 @@ def test_checker_catches_tampering(tmp_path):
     problems = check_output(out)
     assert problems and "a_mean_closed" in problems[0]
     assert main(["check", str(out)]) == 1
+
+
+@pytest.mark.parametrize("row", [0, 59])  # mean escape counts near 253 and 2
+@pytest.mark.parametrize("shift", [10, -10])
+def test_checker_bounds_the_monte_carlo_escape_mean(row, shift, tmp_path):
+    golden = Path(__file__).parent / "golden" / "fig3.csv"
+    assert check_output(golden) == []
+    trials = int(read_metadata(golden)["trials"])
+    lines = golden.read_text().splitlines()
+    index = len(lines) - 60 + row
+    fields = lines[index].split(",")
+    mu = float(fields[2])
+    fields[3] = repr(mu + shift * math.sqrt((mu * mu - mu) / trials))  # shift by exact sds
+    lines[index] = ",".join(fields)
+    out = tmp_path / "fig3.csv"
+    out.write_text("\n".join(lines) + "\n")
+    assert check_output(out) == [
+        f"row {row}: a_mean_mc {float(fields[3])!r} is outside the 1e-06 tail bound of "
+        f"{trials} trials around a_mean_closed {mu!r}"
+    ]
+
+
+def test_checker_bound_holds_at_one_trial(tmp_path):
+    # one escape count per cell: the Chernoff bound holds at any trials,
+    # where a normal rule on the standard error does not
+    out = tmp_path / "fig3.csv"
+    assert main(["fig3", "--trials", "1", "--seed", "4", "--out", str(out)]) == 0
+    assert check_output(out) == []
+    lines = out.read_text().splitlines()
+    fields = lines[-1].split(",")
+    fields[3] = "0.5"  # no escape count is below 1
+    zero_jitter = ["1", "0.0", "inf", "7.0", "0.0"]  # escape never happens
+    out.write_text("\n".join(lines[:-1] + [",".join(fields), ",".join(zero_jitter)]) + "\n")
+    assert [p.partition(" is ")[0] for p in check_output(out)] == [
+        "row 59: a_mean_mc 0.5", "row 60: a_mean_mc 7.0"
+    ]
 
 
 def test_checker_catches_wrong_step0(tmp_path):

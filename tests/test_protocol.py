@@ -56,7 +56,7 @@ def ensembles(draw):
     raw = [draw(st.floats(0.01, 1.0)) for _ in ns]
     total = sum(raw)
     return WeightedEnsemble.from_weights(
-        {n: w / total for n, w in zip(ns, raw)}, transferred=transferred, normalize=True
+        {n: w / total for n, w in zip(ns, raw)}, transferred=transferred
     )
 
 
@@ -70,7 +70,9 @@ def test_ensemble_validation():
         WeightedEnsemble.from_weights({1: 1.5, 2: -0.5})
     with pytest.raises(ValueError, match="zero weight"):
         WeightedEnsemble.from_weights({1: 0.5, 2: 0.5}, transferred=2)
-    ens = WeightedEnsemble.from_weights({2: 3.0, 3: 1.0}, normalize=True)
+    raw = {3: 1.0, 2: 3.0}
+    ens = WeightedEnsemble.from_weights({n: w / 4.0 for n, w in raw.items()})
+    assert ens.photon_numbers.tolist() == [2, 3]  # branches in ascending n
     assert ens.as_dict() == {2: 0.75, 3: 0.25}
 
 
@@ -532,9 +534,7 @@ def test_expected_entropy_never_increases():
     for _ in range(200):
         ns = rng.choice(np.arange(1, 9), size=rng.integers(2, 6), replace=False)
         ws = rng.random(len(ns))
-        ens = WeightedEnsemble.from_weights(
-            dict(zip(ns.tolist(), ws / ws.sum())), normalize=True
-        )
+        ens = WeightedEnsemble.from_weights(dict(zip(ns.tolist(), ws / ws.sum())))
         tau = rng.uniform(0.05, 2.5)
         p_e = excite_prob(ens, 1.0, tau)
         expected = 0.0

@@ -4,11 +4,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy import integrate
+from scipy import integrate, stats
 
 from cavityqubits.config import split_rng
 from cavityqubits.trapping import (
     TrapSpec,
+    escape_mean_rate,
     mean_atoms_abs,
     mean_atoms_rel,
     mean_success_prob,
@@ -161,6 +162,27 @@ def test_monte_carlo_near_uniform_limit():
     estimate = monte_carlo_escape(spec, 20_000, split_rng(7))
     assert abs(estimate.mean - mean_atoms_rel(1, 0.5)) < 3 * estimate.stderr
     assert estimate.mean == pytest.approx(2.0, abs=0.1)
+
+
+@pytest.mark.parametrize("trials", [1, 5, 50])
+@pytest.mark.parametrize("mu", [2.0, 7.5, 253.0])
+def test_escape_mean_rate_bounds_the_exact_tails(mu, trials):
+    # the total of `trials` geometric counts is trials + a negative binomial
+    failures = stats.nbinom(trials, 1.0 / mu)
+    assert escape_mean_rate(mu, mu) == 0.0
+    for factor in (0.3, 0.6, 0.9, 1.2, 2.0, 4.0):
+        total = math.ceil(factor * mu * trials)
+        if total < trials:
+            continue
+        a = total / trials
+        if a < mu:
+            tail = failures.cdf(total - trials)  # P(mean <= a)
+        else:
+            tail = failures.sf(total - trials - 1)  # P(mean >= a)
+        assert tail <= math.exp(-trials * escape_mean_rate(mu, a)) * (1 + 1e-9)
+    assert escape_mean_rate(mu, 0.5) == math.inf  # below any count
+    assert escape_mean_rate(mu, math.nan) == math.inf
+    assert escape_mean_rate(math.inf, mu) == math.inf  # never escapes
 
 
 def test_monte_carlo_seeded_determinism():
