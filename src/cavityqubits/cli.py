@@ -19,6 +19,7 @@ import io
 import math
 import os
 import sys
+import threading
 from dataclasses import dataclass, replace
 from pathlib import Path
 
@@ -290,32 +291,81 @@ def _run_weights_evolution(config: ExperimentConfig) -> Path:
     return _write_csv(config, metadata, rows)
 
 
+def _usable_cpus() -> int:
+    """CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no sched_getaffinity on macOS and Windows
+        return os.cpu_count() or 1
+
+
+def _map_longest_first(fn, jobs: list[tuple], costs: list[float]) -> list:
+    """`[fn(*job) for job in jobs]`, run by one worker per usable CPU (never
+    more workers than jobs): the calling thread and plain threads, which take
+    the jobs in order of decreasing cost, so the longest starts first and the
+    workers finish close together. Only calls that release the interpreter
+    lock gain from this. Once a call raises, no worker starts another job,
+    and its exception is raised here after every thread has ended."""
+    workers = min(_usable_cpus(), len(jobs))
+    if workers <= 1:
+        return [fn(*job) for job in jobs]
+    queue = iter(sorted(range(len(jobs)), key=costs.__getitem__, reverse=True))
+    results: list = [None] * len(jobs)
+    errors: list[BaseException] = []
+    lock = threading.Lock()
+
+    def work() -> None:
+        try:
+            while True:
+                with lock:
+                    i = None if errors else next(queue, None)
+                if i is None:
+                    return
+                results[i] = fn(*jobs[i])
+        except BaseException as exc:  # re-raised on the calling thread
+            with lock:
+                errors.append(exc)
+
+    threads = [threading.Thread(target=work) for _ in range(workers - 1)]
+    try:
+        for thread in threads:
+            thread.start()
+        work()
+    finally:
+        for thread in threads:
+            if thread.ident is not None:  # started
+                thread.join()
+    if errors:
+        raise errors[0]
+    return results
+
+
 def _run_trapping_curves(config: ExperimentConfig) -> Path:
+    """One Monte Carlo estimate per (m_rabi, sigma_rel) cell; cell i draws
+    from `split_rng(seed, i)`, so no cell's numbers depend on which thread
+    runs it or when."""
     sigma_rels = config.sigma_rel_values or DEFAULT_SIGMA_REL_GRID
     config = replace(config, sigma_rel_values=tuple(sigma_rels))
-    rows: list[tuple] = []
-    cell = 0
-    for m_rabi in config.rabi_cycles_values:
-        for sigma_rel in sigma_rels:
-            spec = trapping.TrapSpec(
+    cells = [(m, sigma_rel) for m in config.rabi_cycles_values for sigma_rel in sigma_rels]
+    jobs = [
+        (
+            trapping.TrapSpec(
                 photon_number=config.trap_photon_number,
                 rabi_cycles=m_rabi,
                 gamma=config.gamma,
                 sigma_rel=sigma_rel,
-            )
-            estimate = trapping.monte_carlo_escape(
-                spec, config.trials, split_rng(config.seed, cell)
-            )
-            rows.append(
-                (
-                    m_rabi,
-                    sigma_rel,
-                    trapping.mean_atoms_rel(m_rabi, sigma_rel),
-                    estimate.mean,
-                    estimate.stderr,
-                )
-            )
-            cell += 1
+            ),
+            config.trials,
+            split_rng(config.seed, cell),
+        )
+        for cell, (m_rabi, sigma_rel) in enumerate(cells)
+    ]
+    closed = [trapping.mean_atoms_rel(m_rabi, sigma_rel) for m_rabi, sigma_rel in cells]
+    estimates = _map_longest_first(trapping.monte_carlo_escape, jobs, closed)
+    rows = [
+        (m_rabi, sigma_rel, mean, estimate.mean, estimate.stderr)
+        for (m_rabi, sigma_rel), mean, estimate in zip(cells, closed, estimates)
+    ]
     return _write_csv(config, config.metadata(__version__), rows)
 
 

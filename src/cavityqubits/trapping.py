@@ -124,6 +124,7 @@ def monte_carlo_escape(spec: TrapSpec, trials: int, rng: np.random.Generator) ->
         raise ValueError("sigma = 0 never escapes; the mean is infinite")
     counts = np.zeros(trials, dtype=np.int64)
     active = np.arange(trials)
+    tau_center, sigma = spec.tau_center, spec.sigma
     sqrt_n_gamma = math.sqrt(spec.photon_number) * spec.gamma
     # per-round buffers, reused: at fig3's 20000 trials a fresh array is
     # above glibc's mmap threshold, so every round would map and unmap it
@@ -133,11 +134,10 @@ def monte_carlo_escape(spec: TrapSpec, trials: int, rng: np.random.Generator) ->
     while active.size:
         atoms += 1
         n = active.size
-        taus = rng.normal(spec.tau_center, spec.sigma, size=n)
-        bad = taus <= 0
-        while np.any(bad):
-            taus[bad] = rng.normal(spec.tau_center, spec.sigma, size=int(bad.sum()))
+        taus = rng.normal(tau_center, sigma, size=n)
+        while taus.min() <= 0:
             bad = taus <= 0
+            taus[bad] = rng.normal(tau_center, sigma, size=int(bad.sum()))
         p = np.multiply(taus, sqrt_n_gamma, out=taus)
         np.square(np.sin(p, out=p), out=p)
         success = np.less(rng.random(n, out=uniforms[:n]), p, out=hits[:n])

@@ -1,10 +1,15 @@
 import math
+import sys
+import threading
+import time
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
-from cavityqubits import __version__, protocol
+from cavityqubits import __version__, cli, protocol, trapping
 from cavityqubits.cli import (
     MAX_STREAM_WEIGHTS,
     MAX_STREAMS,
@@ -507,6 +512,105 @@ def test_fig3_output(tmp_path):
     assert check_output(out) == []
 
 
+FIG3_SMALL = ["fig3", "--sigma-rel", "0.02:0.10:0.02", "--m", "1,2", "--trials", "2000",
+              "--seed", "9"]
+
+
+def record_cells(monkeypatch, before=None):
+    """Wrap `trapping.monte_carlo_escape` to record (m_rabi, sigma_rel, thread)
+    of every call as it starts; `before(spec)` runs first."""
+    escape = trapping.monte_carlo_escape
+    started = []
+    lock = threading.Lock()
+
+    def recorded(spec, trials, rng):
+        with lock:
+            started.append((spec.rabi_cycles, spec.sigma_rel, threading.get_ident()))
+        if before is not None:
+            before(spec)
+        return escape(spec, trials, rng)
+
+    monkeypatch.setattr(trapping, "monte_carlo_escape", recorded)
+    return started
+
+
+@pytest.mark.parametrize("workers", [1, 2, 5])
+def test_fig3_bytes_do_not_depend_on_the_worker_count(workers, tmp_path, monkeypatch):
+    out = tmp_path / "fig3.csv"
+    monkeypatch.setattr(cli, "_usable_cpus", lambda: 1)
+    assert main([*FIG3_SMALL, "--out", str(out)]) == 0
+    serial = out.read_bytes()
+    _, rows = read_rows(out)
+    for cell, row in enumerate(rows):  # each row is its own stream's estimate
+        spec = trapping.TrapSpec(photon_number=1, rabi_cycles=int(row[0]),
+                                 sigma_rel=float(row[1]))
+        direct = trapping.monte_carlo_escape(spec, 2000, split_rng(9, cell))
+        assert row[3:] == [repr(direct.mean), repr(direct.stderr)]
+
+    monkeypatch.setattr(cli, "_usable_cpus", lambda: workers)
+    started = record_cells(monkeypatch)
+    threads = threading.active_count()
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # more thread switches, more chances to lose an update
+    try:
+        assert main([*FIG3_SMALL, "--out", str(out)]) == 0
+    finally:
+        sys.setswitchinterval(interval)
+    assert out.read_bytes() == serial
+    assert threading.active_count() == threads
+    cost = {(m, s): mean_atoms_rel(m, s) for m, s, _ in started}
+    assert len(cost) == len(rows) == len(started)
+    ran_on = {ident for _, _, ident in started}
+    if workers == 1:
+        assert ran_on == {threading.get_ident()}
+        assert [float(s) for _, s, _ in started] == [float(r[1]) for r in rows]
+        return
+    assert len(ran_on) > 1
+    for ident in ran_on:  # each worker takes its cells longest first
+        mine = [cost[m, s] for m, s, thread in started if thread == ident]
+        assert mine == sorted(mine, reverse=True)
+
+
+def test_fig3_with_one_cell_runs_on_the_calling_thread(tmp_path, monkeypatch):
+    monkeypatch.setattr(cli, "_usable_cpus", lambda: 4)
+    started = record_cells(monkeypatch)
+    out = tmp_path / "fig3.csv"
+    assert main(["fig3", "--sigma-rel", "0.1", "--m", "1", "--trials", "100", "--seed", "1",
+                 "--out", str(out)]) == 0
+    assert [ident for _, _, ident in started] == [threading.get_ident()]
+
+
+@pytest.mark.parametrize(
+    "error", [SystemExit("error: cell m=1 sigma_rel=0.04 failed"), ValueError("cell failed")],
+    ids=["exit", "exception"],
+)
+@pytest.mark.parametrize("workers", [1, 2])
+def test_a_failing_fig3_cell_stops_the_grid(workers, error, tmp_path, monkeypatch, capsys):
+    # one m, so the cost falls with sigma_rel: cell order is cost order
+    argv = ["fig3", "--sigma-rel", "0.02:0.10:0.02", "--m", "1", "--trials", "2000",
+            "--seed", "9", "--out", str(tmp_path / "fig3.csv")]
+    failed = []
+
+    def fail_one(spec):
+        if (spec.rabi_cycles, spec.sigma_rel) == (1, 0.04):
+            failed.append(True)
+            raise error
+        assert not failed, f"cell {spec} started after the failure"
+        time.sleep(0.05)  # the other worker is busy when the failure comes
+
+    monkeypatch.setattr(cli, "_usable_cpus", lambda: workers)
+    started = record_cells(monkeypatch, before=fail_one)
+    threads = threading.active_count()
+    with pytest.raises(type(error)) as raised:
+        main(argv)
+    assert raised.value is error  # what the serial loop raises, not a wrapper
+    assert threading.active_count() == threads
+    assert capsys.readouterr().err == ""  # no traceback from a worker thread
+    assert not (tmp_path / "fig3.csv").exists()
+    assert (1, 0.04) in {(m, s) for m, s, _ in started}
+    assert len(started) <= 2  # the failing cell is second in cell and in cost order
+
+
 def test_fig4_output_quality_grows_with_cutoff(tmp_path):
     out = tmp_path / "fig4.csv"
     args = [
@@ -728,6 +832,49 @@ def test_check_reports_rows_it_cannot_recompute(tmp_path):
     assert check_output(out)[0] == (
         "step 0: cannot recompute F_atom: cloner cannot shrink: m_clones=1 < n_originals=2"
     )
+
+
+GOLDEN_FILES = [path.read_text().splitlines()
+                for path in sorted((Path(__file__).parent / "golden").glob("*.csv"))]
+GOLDEN_LINES = [line for lines in GOLDEN_FILES for line in lines]
+JUNK = ["", ",", "-", "0", "e9", "nan", "inf", "=", "#", "\"", " ", "\n"]
+
+
+def mangled(lines: list[str], edits: list[tuple[int, int, str]]) -> bytes:
+    """`lines` with the text of each (line, column, text) edit inserted."""
+    lines = list(lines)
+    for row, column, junk in edits:
+        row %= len(lines)
+        column %= len(lines[row]) + 1
+        lines[row] = lines[row][:column] + junk + lines[row][column:]
+    return "\n".join(lines).encode("utf-8", "surrogatepass")
+
+
+edits = st.lists(
+    st.tuples(
+        st.integers(0, 500), st.integers(0, 200), st.sampled_from(JUNK) | st.text(max_size=5)
+    ),
+    max_size=4,
+)
+any_csv = st.one_of(
+    st.binary(max_size=400),
+    st.builds(mangled, st.sampled_from(GOLDEN_FILES), edits),  # a golden file, damaged
+    st.builds(  # lines of any golden file in any order, or none
+        mangled,
+        st.lists(st.sampled_from(GOLDEN_LINES) | st.text(max_size=40), min_size=1, max_size=40),
+        edits,
+    ),
+)
+
+
+@settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(data=any_csv)
+def test_check_returns_problems_for_any_bytes(data, tmp_path_factory):
+    path = tmp_path_factory.getbasetemp() / "any.csv"
+    path.write_bytes(data)
+    problems = check_output(path)
+    assert isinstance(problems, list)
+    assert all(isinstance(p, str) for p in problems)
 
 
 @pytest.mark.parametrize(
