@@ -299,17 +299,15 @@ def _usable_cpus() -> int:
         return os.cpu_count() or 1
 
 
-def _map_longest_first(fn, jobs: list[tuple], costs: list[float]) -> list:
+def _parallel_map(fn, jobs: list[tuple]) -> list:
     """`[fn(*job) for job in jobs]`, run by one worker per usable CPU (never
     more workers than jobs): the calling thread and plain threads, which take
-    the jobs in order of decreasing cost, so the longest starts first and the
-    workers finish close together. Only calls that release the interpreter
-    lock gain from this. Once a call raises, no worker starts another job,
-    and its exception is raised here after every thread has ended."""
-    workers = min(_usable_cpus(), len(jobs))
-    if workers <= 1:
-        return [fn(*job) for job in jobs]
-    queue = iter(sorted(range(len(jobs)), key=costs.__getitem__, reverse=True))
+    the jobs in order from one shared queue. With one worker that is the
+    plain loop on the calling thread. Only calls that release the
+    interpreter lock gain from this. Once a call raises, no worker starts
+    another job, and its exception is raised here after every thread has
+    ended."""
+    queue = iter(range(len(jobs)))
     results: list = [None] * len(jobs)
     errors: list[BaseException] = []
     lock = threading.Lock()
@@ -326,6 +324,7 @@ def _map_longest_first(fn, jobs: list[tuple], costs: list[float]) -> list:
             with lock:
                 errors.append(exc)
 
+    workers = min(_usable_cpus(), len(jobs))
     threads = [threading.Thread(target=work) for _ in range(workers - 1)]
     try:
         for thread in threads:
@@ -361,7 +360,7 @@ def _run_trapping_curves(config: ExperimentConfig) -> Path:
         for cell, (m_rabi, sigma_rel) in enumerate(cells)
     ]
     closed = [trapping.mean_atoms_rel(m_rabi, sigma_rel) for m_rabi, sigma_rel in cells]
-    estimates = _map_longest_first(trapping.monte_carlo_escape, jobs, closed)
+    estimates = _parallel_map(trapping.monte_carlo_escape, jobs)
     rows = [
         (m_rabi, sigma_rel, mean, estimate.mean, estimate.stderr)
         for (m_rabi, sigma_rel), mean, estimate in zip(cells, closed, estimates)

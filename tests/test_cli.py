@@ -558,17 +558,19 @@ def test_fig3_bytes_do_not_depend_on_the_worker_count(workers, tmp_path, monkeyp
         sys.setswitchinterval(interval)
     assert out.read_bytes() == serial
     assert threading.active_count() == threads
-    cost = {(m, s): mean_atoms_rel(m, s) for m, s, _ in started}
-    assert len(cost) == len(rows) == len(started)
+    assert [(int(r[0]), float(r[1])) for r in rows] == sorted(
+        (m, s) for m, s, _ in started
+    )  # every cell ran once
     ran_on = {ident for _, _, ident in started}
     if workers == 1:
         assert ran_on == {threading.get_ident()}
-        assert [float(s) for _, s, _ in started] == [float(r[1]) for r in rows]
+        assert [(m, s) for m, s, _ in started] == [(int(r[0]), float(r[1])) for r in rows]
         return
     assert len(ran_on) > 1
-    for ident in ran_on:  # each worker takes its cells longest first
-        mine = [cost[m, s] for m, s, thread in started if thread == ident]
-        assert mine == sorted(mine, reverse=True)
+    cell = {(int(r[0]), float(r[1])): i for i, r in enumerate(rows)}
+    for ident in ran_on:  # each worker takes its cells in cell order
+        mine = [cell[m, s] for m, s, thread in started if thread == ident]
+        assert mine == sorted(mine)
 
 
 def test_fig3_with_one_cell_runs_on_the_calling_thread(tmp_path, monkeypatch):
@@ -586,20 +588,21 @@ def test_fig3_with_one_cell_runs_on_the_calling_thread(tmp_path, monkeypatch):
 )
 @pytest.mark.parametrize("workers", [1, 2])
 def test_a_failing_fig3_cell_stops_the_grid(workers, error, tmp_path, monkeypatch, capsys):
-    # one m, so the cost falls with sigma_rel: cell order is cost order
+    # cells in the order sigma_rel = 0.02, 0.04, ...; the second one fails
     argv = ["fig3", "--sigma-rel", "0.02:0.10:0.02", "--m", "1", "--trials", "2000",
             "--seed", "9", "--out", str(tmp_path / "fig3.csv")]
-    failed = []
+    failing = threading.Event()
 
-    def fail_one(spec):
-        if (spec.rabi_cycles, spec.sigma_rel) == (1, 0.04):
-            failed.append(True)
+    def fail_second(spec):
+        if spec.sigma_rel == 0.04:
+            failing.set()
             raise error
-        assert not failed, f"cell {spec} started after the failure"
-        time.sleep(0.05)  # the other worker is busy when the failure comes
+        if workers > 1:  # the first cell ends only after the second has failed
+            failing.wait(timeout=10)
+            time.sleep(0.05)  # time for the failing worker to record its exception
 
     monkeypatch.setattr(cli, "_usable_cpus", lambda: workers)
-    started = record_cells(monkeypatch, before=fail_one)
+    started = record_cells(monkeypatch, before=fail_second)
     threads = threading.active_count()
     with pytest.raises(type(error)) as raised:
         main(argv)
@@ -607,8 +610,9 @@ def test_a_failing_fig3_cell_stops_the_grid(workers, error, tmp_path, monkeypatc
     assert threading.active_count() == threads
     assert capsys.readouterr().err == ""  # no traceback from a worker thread
     assert not (tmp_path / "fig3.csv").exists()
-    assert (1, 0.04) in {(m, s) for m, s, _ in started}
-    assert len(started) <= 2  # the failing cell is second in cell and in cost order
+    # no cell is started once the failure is recorded
+    assert sorted(s for _, s, _ in started) == [0.02, 0.04]
+    assert len({ident for _, _, ident in started}) == workers
 
 
 def test_fig4_output_quality_grows_with_cutoff(tmp_path):
