@@ -134,6 +134,23 @@ def validate(config: ExperimentConfig) -> list[Diagnostic]:
             )
     if not config.gamma > 0:
         error("gamma", f"must be positive, got {config.gamma}")
+    elif math.isfinite(config.gamma):
+        # an overflowed time scale or Rabi frequency makes every sin^2 NaN:
+        # the runs then crash or, in fig3, never end
+        gamma = config.gamma
+        n = config.trap_photon_number if table is TRAPPING_TABLE else max(occupied, default=0)
+        scales = {"pi/gamma": math.pi / gamma}
+        if n >= 1:
+            rabi = scales[f"sqrt({n})*gamma"] = math.sqrt(n) * gamma
+            if table is TRAPPING_TABLE and config.rabi_cycles_values:
+                m = max(config.rabi_cycles_values)
+                scales[f"tau0 = 2*pi*{m}/(gamma*sqrt({n}))"] = 2 * math.pi * m / rabi
+        overflowed = [name for name, value in scales.items() if not math.isfinite(value)]
+        if overflowed:
+            error("gamma", f"{gamma!r} makes {' and '.join(overflowed)} overflow")
+        elif n >= 1 and policy and policy.needs == NEEDS_TAU and config.tau is not None:
+            if 0 < config.tau < math.inf and math.isinf(rabi * config.tau):
+                error("tau", f"{config.tau!r} makes the Rabi phase sqrt({n})*gamma*tau overflow")
     if config.sigma_rel < 0:
         error("sigma_rel", f"must be non-negative, got {config.sigma_rel}")
     if experiment and policy and config.policy not in experiment.policies:

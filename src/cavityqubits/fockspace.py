@@ -8,16 +8,30 @@ never mix and the truncation costs nothing. `evolve` diagonalizes only the
 sector blocks the state occupies, never forming a full propagator, and
 raises ValueError for a Hamiltonian that links a sector to the rest of the
 space. `evolution_operator` is the dense exp(-iHt), kept as the reference.
-Operators are dense over the whole space, so memory grows as dim^2: one
-Hamiltonian at 6 atoms x 6 photons would take 3.3 GB.
+
+Work is done once and shared. The basis tables of each (atoms, n_max) are
+built once per process and kept. Operators (Hamiltonians, ladder matrices)
+are shared by every JointSpace of the same shape, and each sector block's
+eigensystem is keyed by the block's exact bytes, so a changed or perturbed
+matrix never meets a stale eigensystem. Both sit in one least-recently-used
+store of at most CACHE_BYTES; an array larger than that is not stored, and
+only the JointSpace that built it holds it. Tables, operators and
+eigensystems are read-only. Operators are dense over the whole space, so
+memory grows as dim^2: one Hamiltonian at 6 atoms x 6 photons would take
+3.3 GB.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
+import operator
+import threading
+from collections import OrderedDict
 from dataclasses import dataclass
 from enum import IntEnum
+from types import MappingProxyType
 from typing import NamedTuple
 
 import numpy as np
@@ -25,6 +39,8 @@ import numpy as np
 from .protocol import MeasurementOutcome
 
 NORM_TOL = 1e-10
+# Bytes the shared store of operators and sector eigensystems may hold.
+CACHE_BYTES = 64 * 2**20
 
 
 class AtomLevel(IntEnum):
@@ -53,34 +69,91 @@ class CouplingParams:
             raise ValueError(f"gamma must be positive, got {self.gamma}")
 
 
+def _read_only(array: np.ndarray) -> np.ndarray:
+    array.flags.writeable = False
+    return array
+
+
+class _Store:
+    """Least-recently-used map from keys to arrays or tuples of arrays,
+    holding at most `limit` bytes of arrays and of `bytes` in keys. Values
+    are made read-only. `fetch` builds a missing entry outside the lock, so
+    concurrent callers may build the same entry twice; the results are equal
+    and either one is kept."""
+
+    def __init__(self, limit: int):
+        self.limit = limit
+        self.nbytes = 0
+        self._entries: OrderedDict = OrderedDict()  # key -> (value, nbytes)
+        self._lock = threading.Lock()
+
+    def fetch(self, key: tuple, build):
+        """The value under `key`, from `build()` on a miss; a value larger
+        than the limit is returned and not kept."""
+        with self._lock:
+            entry = self._entries.get(key)
+            if entry is not None:
+                self._entries.move_to_end(key)
+                return entry[0]
+        value = build()
+        arrays = tuple(map(_read_only, value if isinstance(value, tuple) else (value,)))
+        nbytes = sum(a.nbytes for a in arrays) + sum(len(k) for k in key if isinstance(k, bytes))
+        if nbytes <= self.limit:
+            with self._lock:
+                old = self._entries.pop(key, None)
+                self.nbytes += nbytes - (old[1] if old else 0)
+                self._entries[key] = (value, nbytes)
+                while self.nbytes > self.limit:
+                    _, (_, evicted) = self._entries.popitem(last=False)
+                    self.nbytes -= evicted
+        return value
+
+
+_STORE = _Store(CACHE_BYTES)
+
+
+@functools.cache
+def _basis_tables(atom_count: int, n_max: int) -> tuple:
+    """(basis, index, levels, n0, n1, level_stride, sectors) of every
+    JointSpace(atom_count, n_max), built once."""
+    fock = [FockLabel(n0, n1) for n0 in range(n_max + 1) for n1 in range(n_max + 1 - n0)]
+    level_rows = list(itertools.product(tuple(AtomLevel), repeat=atom_count))
+    basis = tuple((lv, f.n0, f.n1) for lv in level_rows for f in fock)
+    levels = np.repeat(np.array(level_rows, dtype=int), len(fock), axis=0)
+    n0, n1 = np.tile(np.array(fock, dtype=int).T, len(level_rows))
+    # position = level code * len(fock) + Fock position, the level code
+    # reading the atoms' levels as base-3 digits, atom 0 most significant
+    level_stride = 3 ** np.arange(atom_count - 1, -1, -1) * len(fock)
+    excitations = np.count_nonzero(levels, axis=1) + n0 + n1
+    sectors = tuple(
+        _read_only(np.flatnonzero(excitations == n)) for n in range(excitations.max() + 1)
+    )
+    index = MappingProxyType({b: i for i, b in enumerate(basis)})
+    return (basis, index, *map(_read_only, (levels, n0, n1, level_stride)), sectors)
+
+
 class JointSpace:
     """Basis bookkeeping for `atom_count` atoms and a two-mode cavity.
 
     `basis[i]` is (levels, n0, n1), levels a tuple of AtomLevel and
     n0 + n1 <= n_max; `index()` inverts it. As arrays it is (levels[i], n0[i],
-    n1[i]), and `sectors[N]` lists the positions of total excitation N."""
+    n1[i]), and `sectors[N]` lists the positions of total excitation N. All
+    of these are read-only and shared by every space of the same shape."""
 
     def __init__(self, atom_count: int, n_max: int):
+        # integers before any lookup: (3, 2.0) would find the tables of (3, 2)
+        atom_count, n_max = operator.index(atom_count), operator.index(n_max)
         if atom_count < 0:
             raise ValueError(f"atom_count must be >= 0, got {atom_count}")
         if n_max < 0:
             raise ValueError(f"n_max must be >= 0, got {n_max}")
         self.atom_count = atom_count
         self.n_max = n_max
-        fock = [FockLabel(n0, n1) for n0 in range(n_max + 1) for n1 in range(n_max + 1 - n0)]
-        level_rows = list(itertools.product(tuple(AtomLevel), repeat=atom_count))
-        self.basis = [(lv, f.n0, f.n1) for lv in level_rows for f in fock]
-        self._index = {b: i for i, b in enumerate(self.basis)}
+        (self.basis, self._index, self.levels, self.n0, self.n1, self._level_stride,
+         self.sectors) = _basis_tables(atom_count, n_max)
         self.dim = len(self.basis)
-        self.levels = np.repeat(np.array(level_rows, dtype=int), len(fock), axis=0)
-        self.n0, self.n1 = np.tile(np.array(fock, dtype=int).T, len(level_rows))
-        # position = level code * len(fock) + Fock position, the level code
-        # reading the atoms' levels as base-3 digits, atom 0 most significant
-        self._level_stride = 3 ** np.arange(atom_count - 1, -1, -1) * len(fock)
-        excitations = self.excitation_numbers()
-        self.sectors = [np.flatnonzero(excitations == n) for n in range(excitations.max() + 1)]
-        self._ham_cache: dict[tuple[int, float], np.ndarray] = {}
-        self._mode_op_cache: dict[int, np.ndarray] = {}
+        # operators this space has handed out, including any too large to store
+        self._operators: dict[tuple, np.ndarray] = {}
 
     def index(self, levels, n0: int, n1: int) -> int:
         return self._index[(tuple(AtomLevel(l) for l in levels), n0, n1)]
@@ -91,6 +164,14 @@ class JointSpace:
         1 step back for mode 1 and n_max + 2 - n0 steps back for mode 0."""
         return src - (self.n_max + 2 - self.n0[src] if mode == 0 else 1)
 
+    def _operator(self, key: tuple, build) -> np.ndarray:
+        """Operator `key`, shared through the store by every space of this
+        shape and kept by this space; `build()` makes it on a miss."""
+        op = self._operators.get(key)
+        if op is None:
+            op = self._operators[key] = _STORE.fetch((self.atom_count, self.n_max, *key), build)
+        return op
+
     def excitation_numbers(self) -> np.ndarray:
         """Total excitation N = (# atoms not in ground) + n0 + n1, per basis
         element. The interaction Hamiltonian commutes with this."""
@@ -98,21 +179,25 @@ class JointSpace:
 
     def annihilation_matrix(self, mode: int) -> np.ndarray:
         """Dense matrix of the ladder operator for cavity mode 0 or 1."""
+        mode = operator.index(mode)  # 0.0 must not find the operator of 0
         if mode not in (0, 1):
             raise ValueError(f"mode must be 0 or 1, got {mode}")
-        if mode not in self._mode_op_cache:
+
+        def build():
             n = (self.n0, self.n1)[mode]
             src = np.flatnonzero(n > 0)
             op = np.zeros((self.dim, self.dim))
             op[self._lowered(src, mode), src] = np.sqrt(n[src])
-            self._mode_op_cache[mode] = op
-        return self._mode_op_cache[mode]
+            return op
+
+        return self._operator(("mode", mode), build)
 
     def hamiltonian(self, atom_index: int, gamma: float) -> np.ndarray:
+        atom_index = operator.index(atom_index)
         if not 0 <= atom_index < self.atom_count:
             raise IndexError(f"atom_index {atom_index} out of range [0, {self.atom_count})")
-        key = (atom_index, gamma)
-        if key not in self._ham_cache:
+
+        def build():
             h = np.zeros((self.dim, self.dim))
             ground = self.levels[:, atom_index] == AtomLevel.GROUND
             # a0 |e0><g| and a1 |e1><g| on the addressed atom, plus h.c.
@@ -120,8 +205,9 @@ class JointSpace:
                 src = np.flatnonzero(ground & (n > 0))
                 tgt = self._lowered(src, mode) + (1 + mode) * self._level_stride[atom_index]
                 h[tgt, src] = h[src, tgt] = gamma * np.sqrt(n[src])
-            self._ham_cache[key] = h
-        return self._ham_cache[key]
+            return h
+
+        return self._operator(("hamiltonian", atom_index, gamma), build)
 
 
 @dataclass(frozen=True)
@@ -222,9 +308,16 @@ def evolve(state: JointPureState, hamiltonian: np.ndarray, t: float) -> JointPur
         inside = np.count_nonzero(block)
         if np.count_nonzero(rows) != inside or np.count_nonzero(hamiltonian[:, idx]) != inside:
             raise ValueError(f"hamiltonian couples excitation sector N={n} to other sectors")
-        w, v = np.linalg.eigh(block)
+        w, v = _sector_eigh(block)
         out[idx] = v @ (np.exp(-1j * w * t) * (v.conj().T @ psi))
     return JointPureState(space, out)
+
+
+def _sector_eigh(block: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """eigh of one sector block, stored under the block's exact bytes: a hit
+    compares the whole key, so only an identical matrix reuses a result."""
+    key = ("eigh", block.shape, block.dtype.str, block.tobytes())
+    return _STORE.fetch(key, lambda: tuple(np.linalg.eigh(block)))
 
 
 def measure_atom_energy(

@@ -389,6 +389,23 @@ def test_fig3_jitter_must_be_finite(value, tmp_path, capsys):
             ["custom", "--tau", "nan"],
             ["error: tau: must be finite, got nan", "error: tau: must be positive, got nan"],
         ),
+        # finite values whose time scale or Rabi frequency overflows: pi/gamma
+        # = inf emptied optimal_tau's grid (a traceback), an infinite
+        # sqrt(n)*gamma made NaN weights, and fig3's infinite tau0 never ended
+        (["custom", "--gamma", "1e-308"], ["error: gamma: 1e-308 makes pi/gamma overflow"]),
+        (["fig2", "--gamma", "1e-308"], ["error: gamma: 1e-308 makes pi/gamma overflow"]),
+        (["fig4", "--gamma", "1e-308"], ["error: gamma: 1e-308 makes pi/gamma overflow"]),
+        (["fig2", "--gamma", "1e308"], ["error: gamma: 1e+308 makes sqrt(6)*gamma overflow"]),
+        (["custom", "--gamma", "1e308"], ["error: gamma: 1e+308 makes sqrt(6)*gamma overflow"]),
+        (["fig4", "--gamma", "1e308"], ["error: gamma: 1e+308 makes sqrt(6)*gamma overflow"]),
+        (
+            ["fig3", "--gamma", "1e-308", "--trials", "10"],
+            ["error: gamma: 1e-308 makes pi/gamma and tau0 = 2*pi*3/(gamma*sqrt(1)) overflow"],
+        ),
+        (
+            ["fig2", "--tau", "1e308"],
+            ["error: tau: 1e+308 makes the Rabi phase sqrt(6)*gamma*tau overflow"],
+        ),
     ],
 )
 def test_non_finite_floats_are_config_errors(argv, errors, tmp_path, capsys):

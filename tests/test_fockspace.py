@@ -1,8 +1,13 @@
+import gc
 import math
+import sys
+import threading
+import weakref
 
 import numpy as np
 import pytest
 
+from cavityqubits import fockspace
 from cavityqubits.fockspace import (
     AtomLevel,
     CouplingParams,
@@ -52,6 +57,23 @@ def test_space_dimensions():
     for i, (lv, n0, n1) in enumerate(space.basis):
         assert n0 + n1 <= 3
         assert space.index(lv, n0, n1) == i
+
+
+def test_space_sizes_must_be_integers():
+    JointSpace(3, 2)
+    # (3, 2.0) == (3, 2): the size check must come before the shared tables
+    for atoms, n_max in [(3, 2.0), (3.0, 2), (1, 0.5)]:
+        with pytest.raises(TypeError):
+            JointSpace(atoms, n_max)
+    space = JointSpace(1, 2)
+    space.hamiltonian(0, 1.0)
+    space.annihilation_matrix(0)
+    with pytest.raises(TypeError):
+        space.hamiltonian(0.0, 1.0)
+    with pytest.raises(TypeError):
+        space.annihilation_matrix(0.0)
+    with pytest.raises(ValueError):
+        JointSpace(-1, 2)
 
 
 def test_coupling_params_validation():
@@ -159,16 +181,32 @@ def reference_operators(space, gamma):
 
 @pytest.mark.parametrize("atoms,n_max", [(0, 3), (1, 4), (2, 3), (3, 2)])
 def test_operators_match_element_by_element_reference(atoms, n_max):
-    space = JointSpace(atoms, n_max)
+    space, twin = JointSpace(atoms, n_max), JointSpace(atoms, n_max)
     ladders, hams = reference_operators(space, 1.3)
-    for mode in (0, 1):
-        np.testing.assert_array_equal(space.annihilation_matrix(mode), ladders[mode])
-    for k in range(atoms):
-        np.testing.assert_array_equal(space.hamiltonian(k, 1.3), hams[k])
+    ops = [space.annihilation_matrix(mode) for mode in (0, 1)]
+    ops += [space.hamiltonian(k, 1.3) for k in range(atoms)]
+    for op, reference in zip(ops, ladders + hams):
+        np.testing.assert_array_equal(op, reference)
+    # built once, shared by every space of the shape, and read-only
+    twins = [twin.annihilation_matrix(mode) for mode in (0, 1)]
+    twins += [twin.hamiltonian(k, 1.3) for k in range(atoms)]
+    for op, shared in zip(ops, twins):
+        assert shared is op
+        with pytest.raises(ValueError, match="read-only"):
+            op[0, 0] = 1.0
 
 
 def test_basis_arrays_and_sectors():
     space = JointSpace(2, 3)
+    twin = JointSpace(2, 3)
+    assert twin.basis is space.basis and twin.sectors is space.sectors
+    for table in (space.levels, space.n0, space.n1, space._level_stride, *space.sectors):
+        with pytest.raises(ValueError, match="read-only"):
+            table[0] = 1
+    with pytest.raises(TypeError):
+        space.basis[0] = space.basis[1]
+    with pytest.raises(TypeError):
+        space._index[space.basis[0]] = 1
     for i, (lv, n0, n1) in enumerate(space.basis):
         assert tuple(space.levels[i]) == lv
         assert (space.n0[i], space.n1[i]) == (n0, n1)
@@ -271,11 +309,89 @@ def test_sector_evolve_matches_dense_propagator(atoms, n_max):
     space = JointSpace(atoms, n_max)
     for atom in range(atoms):
         h = interaction_hamiltonian(space, atom, CouplingParams(1.3))
-        for seed, t in [(atom, 0.37), (atom + 10, 2.9)]:
-            for state in (sector_spanning_state(space, seed), random_state(space, seed)):
-                dense = evolution_operator(h, t) @ state.amplitudes
-                got = evolve(state, h, t).amplitudes
-                np.testing.assert_allclose(got, dense, rtol=0, atol=1e-12)
+        # a copy changed inside one sector, evolved after the original: it
+        # must not be handed the original's cached eigensystem
+        perturbed = h.copy()
+        i, j = space.sectors[2][:2]
+        perturbed[i, j] = perturbed[j, i] = perturbed[i, j] + 0.25
+        for ham in (h, perturbed):
+            for seed, t in [(atom, 0.37), (atom + 10, 2.9)]:
+                for state in (sector_spanning_state(space, seed), random_state(space, seed)):
+                    dense = evolution_operator(ham, t) @ state.amplitudes
+                    got = evolve(state, ham, t).amplitudes
+                    np.testing.assert_allclose(got, dense, rtol=0, atol=1e-12)
+        changed = evolve(random_state(space, atom), perturbed, 0.37).amplitudes
+        original = evolve(random_state(space, atom), h, 0.37).amplitudes
+        assert np.abs(changed - original).max() > 1e-3
+
+
+def run_threads(target, count):
+    """Run target(i) on `count` threads with a short switch interval."""
+    switch = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=target, args=(i,)) for i in range(count)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(switch)
+    assert not any(thread.is_alive() for thread in threads)
+
+
+def test_evolve_from_many_threads_matches_serial(monkeypatch):
+    # more threads than cores on one space, with a store small enough that
+    # entries are evicted while others are being added
+    space = JointSpace(3, 3)
+    jobs = [(k, random_state(space, k), t) for k in range(3) for t in (0.4, 1.9)]
+    serial = [evolve(state, space.hamiltonian(k, 0.7), t).amplitudes for k, state, t in jobs]
+    store = fockspace._Store(60_000)
+    monkeypatch.setattr(fockspace, "_STORE", store)
+    space = JointSpace(3, 3)
+    results = [[None] * len(jobs) for _ in range(8)]
+
+    def work(row):
+        for i, (k, state, t) in enumerate(jobs):
+            results[row][i] = evolve(state, space.hamiltonian(k, 0.7), t).amplitudes
+
+    run_threads(work, 8)
+    for row in results:
+        for got, expected in zip(row, serial):
+            np.testing.assert_allclose(got, expected, rtol=0, atol=1e-12)
+
+    # many small entries: a lost update would leave the byte count off
+    def churn(seed):
+        for size in np.random.default_rng(seed).integers(1, 40, size=3000).tolist():
+            assert store.fetch(("churn", size), lambda: np.zeros(size)).shape == (size,)
+
+    store = fockspace._Store(4000)
+    run_threads(churn, 8)
+    assert store.nbytes == sum(size for _, size in store._entries.values()) <= store.limit
+
+
+def test_store_keeps_at_most_its_bound(monkeypatch):
+    assert fockspace._STORE.limit == fockspace.CACHE_BYTES
+    small = JointSpace(2, 2)
+    limit = 2 * small.hamiltonian(0, 1.0).nbytes
+    store = fockspace._Store(limit)
+    monkeypatch.setattr(fockspace, "_STORE", store)
+    small = JointSpace(2, 2)
+    evolve(random_state(small, 0), small.hamiltonian(0, 2.0), 0.5)
+    kept = dict(store._entries)
+    big = JointSpace(3, 3)  # each Hamiltonian alone is above the bound
+    hams = [big.hamiltonian(k, 1.0) for k in range(3)]
+    assert store._entries.keys() == kept.keys()  # not stored, and nothing evicted for them
+    for k, h in enumerate(hams):
+        assert h.nbytes > limit and not h.flags.writeable
+        assert big.hamiltonian(k, 1.0) is h  # the space keeps what it built
+        evolve(random_state(big, k), h, 0.5)
+        assert 0 < store.nbytes <= limit
+    # an operator too large to store goes with the space that built it
+    gone = weakref.ref(hams[0])
+    del big, h, hams
+    gc.collect()
+    assert gone() is None
 
 
 def test_evolve_rejects_sector_coupling():
