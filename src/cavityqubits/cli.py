@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import math
 import os
@@ -28,6 +29,7 @@ import numpy as np
 from . import __version__, cloning, protocol, trapping
 from .config import (
     EXPERIMENTS,
+    JITTERED,
     KEYS,
     NEEDS_PHOTON_NUMBER,
     NEEDS_TAU,
@@ -65,6 +67,15 @@ MAX_TRAPPING_ATOMS = 100_000_000
 # few trials are left, so the bound is about 10 s.
 MAX_TRAPPING_ROUNDS = 700_000
 
+# Largest value a float square keeps finite: fig3's closed form squares its
+# Rabi cycle counts and jitters as floats.
+MAX_SQUARABLE = math.sqrt(sys.float_info.max)
+
+# numpy's normal sampler returns no draw beyond about 12.3 standard
+# deviations from its mean (its ziggurat tail takes the log of a 53-bit
+# uniform); `validate` keeps the Rabi phase finite out to this many.
+NORMAL_DRAW_SPAN = 16.0
+
 # False-alarm probability of `check`'s bound on a fig3 row's a_mean_mc,
 # split evenly between the two tails.
 MC_FALSE_ALARM = 1e-6
@@ -94,6 +105,12 @@ def _trapping_work(trials: int, rabi_cycles_values, sigma_rels) -> tuple[float, 
     except ZeroDivisionError:  # 1 - exp(-x) rounds to 0 for a tiny jitter
         means = math.inf
     return trials * means, (1.0 + math.log(trials)) * means
+
+
+def _draws_overflow(rabi: float, center: float, sigma: float) -> bool:
+    """Whether a normal draw of tau around `center` with spread `sigma` can
+    overflow the Rabi phase rabi * tau."""
+    return not math.isfinite(rabi * (center + NORMAL_DRAW_SPAN * sigma))
 
 
 def validate(config: ExperimentConfig) -> list[Diagnostic]:
@@ -132,25 +149,51 @@ def validate(config: ExperimentConfig) -> list[Diagnostic]:
                 "n_originals",
                 f"{config.n_originals} exceeds the smallest occupied photon number {n_min}",
             )
+    # fig3's grid: its closed form squares each value as a float
+    cycles, sigma_rels = (), ()
+    if table is TRAPPING_TABLE:
+        cycles = config.rabi_cycles_values
+        sigma_rels = config.sigma_rel_values or DEFAULT_SIGMA_REL_GRID
+    cycles_ok = all(1 <= m <= MAX_SQUARABLE for m in cycles)
+    jitters_ok = all(0 < s <= MAX_SQUARABLE for s in sigma_rels)  # NaN or inf never escapes
     if not config.gamma > 0:
         error("gamma", f"must be positive, got {config.gamma}")
     elif math.isfinite(config.gamma):
-        # an overflowed time scale or Rabi frequency makes every sin^2 NaN:
-        # the runs then crash or, in fig3, never end
+        # an overflowed time scale, Rabi frequency or Rabi phase makes every
+        # sin^2 NaN: the runs then crash or, in fig3, never end
         gamma = config.gamma
         n = config.trap_photon_number if table is TRAPPING_TABLE else max(occupied, default=0)
         scales = {"pi/gamma": math.pi / gamma}
         if n >= 1:
             rabi = scales[f"sqrt({n})*gamma"] = math.sqrt(n) * gamma
-            if table is TRAPPING_TABLE and config.rabi_cycles_values:
-                m = max(config.rabi_cycles_values)
-                scales[f"tau0 = 2*pi*{m}/(gamma*sqrt({n}))"] = 2 * math.pi * m / rabi
+            if cycles and cycles_ok:
+                m = max(cycles)
+                tau0 = scales[f"tau0 = 2*pi*{m}/(gamma*sqrt({n}))"] = 2 * math.pi * m / rabi
         overflowed = [name for name, value in scales.items() if not math.isfinite(value)]
         if overflowed:
             error("gamma", f"{gamma!r} makes {' and '.join(overflowed)} overflow")
-        elif n >= 1 and policy and policy.needs == NEEDS_TAU and config.tau is not None:
-            if 0 < config.tau < math.inf and math.isinf(rabi * config.tau):
-                error("tau", f"{config.tau!r} makes the Rabi phase sqrt({n})*gamma*tau overflow")
+        elif table is TRAPPING_TABLE:
+            if cycles and cycles_ok and jitters_ok and n >= 1:
+                sigma = max(sigma_rels) * tau0
+                if _draws_overflow(rabi, tau0, sigma):
+                    error(
+                        "sigma_rel_values",
+                        f"{max(sigma_rels)!r} x tau0 = {sigma!r} lets a dwell time overflow "
+                        f"the Rabi phase sqrt({n})*gamma*tau",
+                    )
+        elif n >= 1 and policy and policy.needs == NEEDS_TAU:
+            # with no tau configured the run takes the optimal one, at most pi/gamma
+            tau = config.tau if config.tau is not None else scales["pi/gamma"]
+            jitter = config.sigma_rel if config.policy == JITTERED else 0.0
+            if 0 < tau < math.inf:  # else an error below
+                if math.isinf(rabi * tau):
+                    error("tau", f"{tau!r} makes the Rabi phase sqrt({n})*gamma*tau overflow")
+                elif 0 < jitter < math.inf and _draws_overflow(rabi, tau, jitter * tau):
+                    error(
+                        "sigma_rel",
+                        f"{jitter!r} x tau = {jitter * tau!r} lets a jittered tau overflow "
+                        f"the Rabi phase sqrt({n})*gamma*tau",
+                    )
     if config.sigma_rel < 0:
         error("sigma_rel", f"must be non-negative, got {config.sigma_rel}")
     if experiment and policy and config.policy not in experiment.policies:
@@ -182,19 +225,20 @@ def validate(config: ExperimentConfig) -> list[Diagnostic]:
     elif config.seed < 0:
         error("seed", f"must be non-negative, got {config.seed}")
     if table is TRAPPING_TABLE:
-        sigma_rels = config.sigma_rel_values or DEFAULT_SIGMA_REL_GRID
-        jitters_ok = all(0 < s < math.inf for s in sigma_rels)  # NaN or inf never escapes
-        cycles_ok = all(m >= 1 for m in config.rabi_cycles_values)
-        if not jitters_ok:
+        if not all(0 < s < math.inf for s in sigma_rels):
             error("sigma_rel_values", "jitter values must be positive and finite")
-        if not config.rabi_cycles_values:
+        elif not jitters_ok:
+            error("sigma_rel_values", f"jitter values must be at most {MAX_SQUARABLE:.6g}")
+        if not cycles:
             error("rabi_cycles_values", "needs at least one Rabi cycle count")
-        elif not cycles_ok:
+        elif not all(m >= 1 for m in cycles):
             error("rabi_cycles_values", "Rabi cycle counts must be >= 1")
+        elif not cycles_ok:
+            error("rabi_cycles_values", f"Rabi cycle counts must be at most {MAX_SQUARABLE:.6g}")
         if config.trap_photon_number < 1:
             error("trap_photon_number", f"must be >= 1, got {config.trap_photon_number}")
         if jitters_ok and cycles_ok and config.trials >= 1:
-            atoms, rounds = _trapping_work(config.trials, config.rabi_cycles_values, sigma_rels)
+            atoms, rounds = _trapping_work(config.trials, cycles, sigma_rels)
             if atoms > MAX_TRAPPING_ATOMS:
                 error(
                     "trials",
@@ -608,6 +652,8 @@ def _add_subcommand(subs, command: str, help: str, keys) -> None:
         )
 
 
+# one parser per process: parse_args never changes it
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="cavityqubits",

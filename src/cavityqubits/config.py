@@ -130,11 +130,12 @@ class Policy:
 
 
 FIXED = "fixed"
+JITTERED = "jittered"
 POLICIES = {
     FIXED: Policy(NEEDS_TAU, lambda config, tau: protocol.FixedTau(tau)),
     "optimal-each-step": Policy(None, lambda config, _: protocol.OptimalEachStep()),
     "half-rabi": Policy(NEEDS_PHOTON_NUMBER, lambda config, n: protocol.HalfRabiTau(n)),
-    "jittered": Policy(NEEDS_TAU, lambda c, tau: protocol.JitteredTau(tau, c.sigma_rel * tau)),
+    JITTERED: Policy(NEEDS_TAU, lambda c, tau: protocol.JitteredTau(tau, c.sigma_rel * tau)),
 }
 
 

@@ -281,24 +281,29 @@ def optimal_tau(
     values = w @ table
     best = int(np.argmax(values))  # first max = smallest tau on ties
 
-    # excite_prob at one tau: the same (K,) @ (K, 1) product, without the
-    # per-call conversions, so every value keeps its bits
-    freq = np.sqrt(remaining)[:, None]
+    # excite_prob at one tau: its (K,) @ (K, 1) product reaches the same BLAS
+    # ddot as this 1-D dot, so every value keeps its bits
+    freq = np.sqrt(remaining)
     buf = np.empty_like(freq)
 
     def excite(tau) -> float:
         np.multiply(freq, gamma * tau, out=buf)
         np.sin(buf, out=buf)
         np.square(buf, out=buf)
-        return float((w @ buf)[0])
+        return float(w.dot(buf))
 
-    a = grid[best - 1] if best > 0 else grid[0]
-    b = grid[best + 1] if best + 1 < len(grid) else grid[-1]
+    # Python floats: the same IEEE arithmetic as numpy scalars, but cheaper
+    a = float(grid[best - 1] if best > 0 else grid[0])
+    b = float(grid[best + 1] if best + 1 < len(grid) else grid[-1])
     c = b - GOLDEN * (b - a)
     d = a + GOLDEN * (b - a)
     fc = excite(c)
     fd = excite(d)
-    for _ in range(80):
+    # The state (a, b, c, d, fc, fd) alone fixes the next iteration, so once
+    # it equals the state two iterations back it repeats with period 2 (or
+    # 1): stop there, on the state the last of the 80 iterations lands on.
+    prev = older = None
+    for i in range(80):
         if fc >= fd:  # keep the left interval on ties
             b, d, fd = d, c, fc
             c = b - GOLDEN * (b - a)
@@ -307,7 +312,13 @@ def optimal_tau(
             a, c, fc = c, d, fd
             d = a + GOLDEN * (b - a)
             fd = excite(d)
-    candidates = [(float(grid[best]), float(values[best])), (float(c), float(fc)), (float(d), float(fd))]
+        state = (a, b, c, d, fc, fd)
+        if state == older:
+            if (79 - i) % 2:
+                a, b, c, d, fc, fd = prev
+            break
+        older, prev = prev, state
+    candidates = [(float(grid[best]), float(values[best])), (c, fc), (d, fd)]
     best_value = max(v for _, v in candidates)
     return min(t for t, v in candidates if v >= best_value)
 

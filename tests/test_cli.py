@@ -2,6 +2,7 @@ import math
 import sys
 import threading
 import time
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -406,6 +407,38 @@ def test_fig3_jitter_must_be_finite(value, tmp_path, capsys):
             ["fig2", "--tau", "1e308"],
             ["error: tau: 1e+308 makes the Rabi phase sqrt(6)*gamma*tau overflow"],
         ),
+        # a Rabi cycle count or a jitter the closed form cannot square as a
+        # float was an OverflowError traceback
+        (
+            ["fig3", "--m", str(10**200), "--trials", "10"],
+            ["error: rabi_cycles_values: Rabi cycle counts must be at most 1.34078e+154"],
+        ),
+        (
+            ["fig3", "--m", f"1,{10**400}", "--trials", "10"],
+            ["error: rabi_cycles_values: Rabi cycle counts must be at most 1.34078e+154"],
+        ),
+        (
+            ["fig3", "--sigma-rel", "1e200", "--trials", "10"],
+            ["error: sigma_rel_values: jitter values must be at most 1.34078e+154"],
+        ),
+        # squarable values whose dwell-time spread overflows the Rabi phase:
+        # every sin^2 would be NaN and no trial would escape
+        (
+            ["fig3", "--m", str(10**154), "--sigma-rel", "0.1,1e154", "--trials", "10"],
+            ["error: sigma_rel_values: 1e+154 x tau0 = inf lets a dwell time overflow the "
+             "Rabi phase sqrt(1)*gamma*tau"],
+        ),
+        # an infinite jittered spread sigma_rel * tau made NaN weights
+        (
+            ["custom", "--policy", "jittered", "--tau", "1e300", "--sigma-rel", "1e10"],
+            ["error: sigma_rel: 10000000000.0 x tau = inf lets a jittered tau overflow the "
+             "Rabi phase sqrt(6)*gamma*tau"],
+        ),
+        (
+            ["custom", "--policy", "jittered", "--tau", "1e300", "--sigma-rel", "1e7"],
+            ["error: sigma_rel: 10000000.0 x tau = 1.0000000000000001e+307 lets a jittered tau "
+             "overflow the Rabi phase sqrt(6)*gamma*tau"],
+        ),
     ],
 )
 def test_non_finite_floats_are_config_errors(argv, errors, tmp_path, capsys):
@@ -415,6 +448,41 @@ def test_non_finite_floats_are_config_errors(argv, errors, tmp_path, capsys):
     err = capsys.readouterr().err.splitlines()
     assert [line for line in err if line.startswith("error")] == errors
     assert not out.exists()
+
+
+def _validated_run(config: ExperimentConfig, out: Path) -> list[str] | None:
+    """None if `validate` rejects the config; otherwise run it and return
+    `check`'s problems with its output."""
+    if any(d.level == "error" for d in validate(config)):
+        return None
+    return check_output(run_experiment(replace(config, out=str(out))))
+
+
+# floats across the whole range, both signs, infinities and NaN, and more
+# often the tiniest positive ones
+any_float = st.floats() | st.floats(min_value=5e-324, max_value=1e-300)
+
+
+@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(tau=any_float, sigma_rel=any_float)
+def test_jittered_configs_are_rejected_or_run_and_check(tau, sigma_rel, tmp_path_factory):
+    config = make_config(policy="jittered", tau=tau, sigma_rel=sigma_rel, atom_budget=200)
+    assert _validated_run(config, tmp_path_factory.getbasetemp() / "jit.csv") in (None, [])
+
+
+@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(
+    m=st.integers(-2, 10) | st.integers(1, 10**400),
+    # a jitter below 0.01 is priced by the Monte Carlo round bound and can
+    # take seconds per example (test_fig3_rounds_are_bounded)
+    sigma_rel=st.floats(min_value=0.01) | st.sampled_from([0.0, -1.0, math.nan]),
+)
+def test_fig3_cells_are_rejected_or_run_and_check(m, sigma_rel, tmp_path_factory):
+    config = make_config(
+        experiment="trapping-curves", tau=None, rabi_cycles_values=(m,),
+        sigma_rel_values=(sigma_rel,), trials=3,
+    )
+    assert _validated_run(config, tmp_path_factory.getbasetemp() / "trap.csv") in (None, [])
 
 
 def test_fig4_steps_all_streams_in_one_batch(tmp_path, monkeypatch):

@@ -13,6 +13,7 @@ To regenerate a golden file on purpose (after a documented output change):
 from __future__ import annotations
 
 import os
+import subprocess
 import sys
 from pathlib import Path
 
@@ -21,6 +22,7 @@ import pytest
 from cavityqubits import cli
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
+SRC = Path(__file__).parents[1] / "src"
 
 CASES = {
     "fig4_binomial10.csv": [
@@ -66,6 +68,32 @@ def test_golden_bytes(name, tmp_path):
     assert _without_out_line(out.read_text()) == _without_out_line(
         (GOLDEN_DIR / name).read_text()
     )
+
+
+def test_alternating_commands_share_one_parser(tmp_path, capsys):
+    # one parser serves every call of the process; runs, validate, check and
+    # a bad flag in turn must each give what they give alone
+    assert cli.build_parser() is cli.build_parser()
+    bad = subprocess.run(
+        [sys.executable, "-m", "cavityqubits.cli", "fig4", "--no-such-flag"],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": str(SRC)},
+    )
+    assert bad.returncode == 2
+    for _ in range(2):
+        for name in ("fig4_budget.csv", "custom_optimal_each_step.csv", "fig3.csv"):
+            out = tmp_path / name
+            generate(name, out)
+            assert _without_out_line(out.read_text()) == _without_out_line(
+                (GOLDEN_DIR / name).read_text()
+            )
+            assert cli.main(["validate", "--nmax", "6", "--seed", "1"]) == 0
+            assert cli.main(["check", str(out)]) == 0
+            with pytest.raises(SystemExit) as exc:
+                cli.main(["fig4", "--no-such-flag"])
+            assert exc.value.code == 2
+            captured = capsys.readouterr()
+            assert captured.out == f"{out}\nok\n{out}: OK\n"
+            assert captured.err == bad.stderr
 
 
 if __name__ == "__main__":

@@ -362,8 +362,11 @@ def reference_optimal_tau(ens, gamma, bounds=None, grid_points=2000):
 
 @st.composite
 def wide_ensembles(draw):
-    """1 to 12 branches up to n = 60, some of them dead or empty."""
-    ns = draw(st.lists(st.integers(0, 60), min_size=1, max_size=12, unique=True))
+    """1 to 12 or 33 to 99 branches up to n = 160, some of them dead or
+    empty. Past 32 branches the BLAS ddot behind every value takes its
+    blocked path."""
+    size = draw(st.integers(1, 12) | st.integers(33, 99))
+    ns = draw(st.lists(st.integers(0, 160), min_size=size, max_size=size, unique=True))
     transferred = draw(st.integers(0, max(ns)))
     raw = [
         draw(st.sampled_from([0.0, 1.0]) | st.floats(1e-6, 1.0)) if n >= transferred else 0.0
@@ -388,6 +391,44 @@ def test_optimal_tau_equals_the_plain_excite_prob_reference(ens, gamma, bounds, 
     assert optimal_tau(ens, gamma, bounds, grid_points) == reference_optimal_tau(
         ens, gamma, bounds, grid_points
     )
+
+
+def golden_section_states(ens, gamma):
+    """The (a, b, c, d, fc, fd) state after each of reference_optimal_tau's
+    80 golden-section iterations, from the same plain excite_prob calls."""
+    grid = np.linspace(0.0, math.pi / gamma, 2000)
+    grid = grid[grid > 0]
+    best = int(np.argmax(excite_prob(ens, gamma, grid)))
+    assert 0 < best < len(grid) - 1
+    golden = (math.sqrt(5.0) - 1.0) / 2.0
+    a, b = grid[best - 1], grid[best + 1]
+    c, d = b - golden * (b - a), a + golden * (b - a)
+    fc, fd = excite_prob(ens, gamma, c), excite_prob(ens, gamma, d)
+    states = []
+    for _ in range(80):
+        if fc >= fd:
+            b, d, fd = d, c, fc
+            c = b - golden * (b - a)
+            fc = excite_prob(ens, gamma, c)
+        else:
+            a, c, fc = c, d, fd
+            d = a + golden * (b - a)
+            fd = excite_prob(ens, gamma, d)
+        states.append((a, b, c, d, fc, fd))
+    return states
+
+
+@pytest.mark.parametrize("n_max, parity", [(3, 0), (1, 1)])
+def test_optimal_tau_stops_at_its_two_cycle_on_either_parity(n_max, parity):
+    # the loop stops once the state equals the one two iterations back and
+    # keeps the state the 80th iteration would have landed on
+    ens = WeightedEnsemble.from_weights(binomial_distribution(n_max))
+    states = golden_section_states(ens, 1.0)
+    start = next(i for i in range(2, 80) if states[i] == states[i - 2])
+    assert start % 2 == parity and start < 78
+    assert states[start] != states[start - 1]  # a true 2-cycle, not a fixed point
+    assert states[79] == states[start if (79 - start) % 2 == 0 else start - 1]
+    assert optimal_tau(ens, 1.0) == reference_optimal_tau(ens, 1.0)
 
 
 def test_optimal_each_step_builds_each_grid_row_once(tmp_path):
