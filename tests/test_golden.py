@@ -50,6 +50,20 @@ CASES = {
     "custom_half_rabi.csv": [
         "custom", "--dist", "explicit:4=1.0", "--policy", "half-rabi", "--seed", "10",
     ],
+    # gamma != 1: gamma and tau stay separate floats, so these pin how the
+    # Rabi phase sqrt(k) * (gamma * tau) rounds
+    "fig2_gamma.csv": ["fig2", "--nmax", "6", "--tau", "0.825", "--gamma", "1.3", "--seed", "7"],
+    "custom_optimal_each_step_gamma.csv": [
+        "custom", "--nmax", "6", "--policy", "optimal-each-step", "--gamma", "0.7", "--seed", "8",
+    ],
+    "custom_jittered_gamma.csv": [
+        "custom", "--nmax", "6", "--policy", "jittered", "--sigma-rel", "0.05", "--gamma", "1.3",
+        "--seed", "9",
+    ],
+    "fig4_binomial10_gamma.csv": [
+        "fig4", "--nmax", "10", "--cutoffs", "1..30", "--runs", "20", "--gamma", "1.3",
+        "--seed", "2024",
+    ],
 }
 
 
