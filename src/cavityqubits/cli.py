@@ -47,8 +47,7 @@ from .config import (
 DEFAULT_SIGMA_REL_GRID = tuple(parse_float_list("0.01:0.20:0.01"))
 
 # Most (cutoff, run) pairs one fig4 call may grade: the rows of its
-# cutoffs x runs snapshot stack. fig4 keeps one numpy Generator per run, not
-# per pair, so this no longer bounds the generators.
+# cutoffs x runs snapshot stack.
 MAX_STREAMS = 100_000
 
 # Most weights in one fig4 call's snapshot stack (cutoffs x runs x photon
@@ -67,14 +66,22 @@ MAX_TRAPPING_ATOMS = 100_000_000
 # few trials are left, so the bound is about 10 s.
 MAX_TRAPPING_ROUNDS = 700_000
 
-# Largest value a float square keeps finite: fig3's closed form squares its
-# Rabi cycle counts and jitters as floats.
-MAX_SQUARABLE = math.sqrt(sys.float_info.max)
+# Largest Rabi phase sqrt(n)*gamma*tau a run may reach. Below 2^40 adjacent
+# floats are at most 2^-12 apart, small next to the period pi of sin^2;
+# beyond about 2^52*pi they are more than a period apart, and every sin^2
+# is rounding noise.
+MAX_PHASE = 2**40
 
 # numpy's normal sampler returns no draw beyond about 12.3 standard
 # deviations from its mean (its ziggurat tail takes the log of a 53-bit
-# uniform); `validate` keeps the Rabi phase finite out to this many.
+# uniform); `validate` bounds the Rabi phase out to this many.
 NORMAL_DRAW_SPAN = 16.0
+
+# the config keys the largest Rabi phase is computed from
+PHASE_KEYS = {
+    "distribution", "gamma", "policy", "tau", "sigma_rel", "sigma_rel_values",
+    "rabi_cycles_values", "trap_photon_number",
+}
 
 # False-alarm probability of `check`'s bound on a fig3 row's a_mean_mc,
 # split evenly between the two tails.
@@ -107,10 +114,23 @@ def _trapping_work(trials: int, rabi_cycles_values, sigma_rels) -> tuple[float, 
     return trials * means, (1.0 + math.log(trials)) * means
 
 
-def _draws_overflow(rabi: float, center: float, sigma: float) -> bool:
-    """Whether a normal draw of tau around `center` with spread `sigma` can
-    overflow the Rabi phase rabi * tau."""
-    return not math.isfinite(rabi * (center + NORMAL_DRAW_SPAN * sigma))
+def _largest_phase(config: ExperimentConfig, table, n: int) -> float:
+    """The largest Rabi phase sqrt(n)*gamma*tau a run of `config` can reach,
+    n being its largest photon number: tau is at most pi/gamma (the longest
+    optimal or half-Rabi time), or a draw around the configured tau or
+    fig3's dwell time tau0 = 2*pi*m/(gamma*sqrt(n)) within
+    `NORMAL_DRAW_SPAN` spreads of its jitter."""
+    rabi, longest = math.sqrt(n) * config.gamma, math.pi / config.gamma
+    center, jitter = longest, 0.0
+    if table is TRAPPING_TABLE:
+        # capped below where an int's float conversion raises: 2*pi*m is then inf
+        m = min(max(config.rabi_cycles_values), 2**1023)
+        center = 2 * math.pi * m / rabi
+        jitter = max(config.sigma_rel_values or DEFAULT_SIGMA_REL_GRID)
+    elif POLICIES[config.policy].needs == NEEDS_TAU:
+        center = config.tau if config.tau is not None else longest
+        jitter = config.sigma_rel if config.policy == JITTERED else 0.0
+    return rabi * max(longest, center * (1 + NORMAL_DRAW_SPAN * jitter))
 
 
 def validate(config: ExperimentConfig) -> list[Diagnostic]:
@@ -149,51 +169,8 @@ def validate(config: ExperimentConfig) -> list[Diagnostic]:
                 "n_originals",
                 f"{config.n_originals} exceeds the smallest occupied photon number {n_min}",
             )
-    # fig3's grid: its closed form squares each value as a float
-    cycles, sigma_rels = (), ()
-    if table is TRAPPING_TABLE:
-        cycles = config.rabi_cycles_values
-        sigma_rels = config.sigma_rel_values or DEFAULT_SIGMA_REL_GRID
-    cycles_ok = all(1 <= m <= MAX_SQUARABLE for m in cycles)
-    jitters_ok = all(0 < s <= MAX_SQUARABLE for s in sigma_rels)  # NaN or inf never escapes
     if not config.gamma > 0:
         error("gamma", f"must be positive, got {config.gamma}")
-    elif math.isfinite(config.gamma):
-        # an overflowed time scale, Rabi frequency or Rabi phase makes every
-        # sin^2 NaN: the runs then crash or, in fig3, never end
-        gamma = config.gamma
-        n = config.trap_photon_number if table is TRAPPING_TABLE else max(occupied, default=0)
-        scales = {"pi/gamma": math.pi / gamma}
-        if n >= 1:
-            rabi = scales[f"sqrt({n})*gamma"] = math.sqrt(n) * gamma
-            if cycles and cycles_ok:
-                m = max(cycles)
-                tau0 = scales[f"tau0 = 2*pi*{m}/(gamma*sqrt({n}))"] = 2 * math.pi * m / rabi
-        overflowed = [name for name, value in scales.items() if not math.isfinite(value)]
-        if overflowed:
-            error("gamma", f"{gamma!r} makes {' and '.join(overflowed)} overflow")
-        elif table is TRAPPING_TABLE:
-            if cycles and cycles_ok and jitters_ok and n >= 1:
-                sigma = max(sigma_rels) * tau0
-                if _draws_overflow(rabi, tau0, sigma):
-                    error(
-                        "sigma_rel_values",
-                        f"{max(sigma_rels)!r} x tau0 = {sigma!r} lets a dwell time overflow "
-                        f"the Rabi phase sqrt({n})*gamma*tau",
-                    )
-        elif n >= 1 and policy and policy.needs == NEEDS_TAU:
-            # with no tau configured the run takes the optimal one, at most pi/gamma
-            tau = config.tau if config.tau is not None else scales["pi/gamma"]
-            jitter = config.sigma_rel if config.policy == JITTERED else 0.0
-            if 0 < tau < math.inf:  # else an error below
-                if math.isinf(rabi * tau):
-                    error("tau", f"{tau!r} makes the Rabi phase sqrt({n})*gamma*tau overflow")
-                elif 0 < jitter < math.inf and _draws_overflow(rabi, tau, jitter * tau):
-                    error(
-                        "sigma_rel",
-                        f"{jitter!r} x tau = {jitter * tau!r} lets a jittered tau overflow "
-                        f"the Rabi phase sqrt({n})*gamma*tau",
-                    )
     if config.sigma_rel < 0:
         error("sigma_rel", f"must be non-negative, got {config.sigma_rel}")
     if experiment and policy and config.policy not in experiment.policies:
@@ -225,33 +202,46 @@ def validate(config: ExperimentConfig) -> list[Diagnostic]:
     elif config.seed < 0:
         error("seed", f"must be non-negative, got {config.seed}")
     if table is TRAPPING_TABLE:
-        if not all(0 < s < math.inf for s in sigma_rels):
+        cycles = config.rabi_cycles_values
+        sigma_rels = config.sigma_rel_values or DEFAULT_SIGMA_REL_GRID
+        if not all(0 < s < math.inf for s in sigma_rels):  # NaN or inf never escapes
             error("sigma_rel_values", "jitter values must be positive and finite")
-        elif not jitters_ok:
-            error("sigma_rel_values", f"jitter values must be at most {MAX_SQUARABLE:.6g}")
         if not cycles:
             error("rabi_cycles_values", "needs at least one Rabi cycle count")
         elif not all(m >= 1 for m in cycles):
             error("rabi_cycles_values", "Rabi cycle counts must be >= 1")
-        elif not cycles_ok:
-            error("rabi_cycles_values", f"Rabi cycle counts must be at most {MAX_SQUARABLE:.6g}")
         if config.trap_photon_number < 1:
             error("trap_photon_number", f"must be >= 1, got {config.trap_photon_number}")
-        if jitters_ok and cycles_ok and config.trials >= 1:
-            atoms, rounds = _trapping_work(config.trials, cycles, sigma_rels)
-            if atoms > MAX_TRAPPING_ATOMS:
-                error(
-                    "trials",
-                    f"{config.trials} trials x the grid's mean escape counts = {atoms:.3g} "
-                    f"atoms exceeds the maximum {MAX_TRAPPING_ATOMS:.3g}",
-                )
-            elif rounds > MAX_TRAPPING_ROUNDS:
-                error(
-                    "trials",
-                    f"the grid's mean escape counts x (1 + ln {config.trials} trials) = "
-                    f"{rounds:.3g} Monte Carlo rounds exceeds the maximum "
-                    f"{MAX_TRAPPING_ROUNDS:.3g}",
-                )
+
+    # one bound covers every overflow of the Rabi phase, and its resolution;
+    # it is checked once nothing it is computed from has an error
+    n = config.trap_photon_number if table is TRAPPING_TABLE else max(occupied, default=0)
+    phase_ok = False
+    if table and not any(d.field in PHASE_KEYS for d in diags):
+        phase = _largest_phase(config, table, n)
+        phase_ok = phase <= MAX_PHASE
+        if not phase_ok:
+            error(
+                "Rabi phase",
+                f"sqrt({n})*gamma*tau can reach {phase:.3g}, above the maximum 2^40, "
+                "where adjacent floats are 2^-12 apart",
+            )
+    if table is TRAPPING_TABLE and phase_ok and config.trials >= 1:
+        # the phase bound keeps each cycle count and jitter squarable as a float
+        atoms, rounds = _trapping_work(config.trials, cycles, sigma_rels)
+        if atoms > MAX_TRAPPING_ATOMS:
+            error(
+                "trials",
+                f"{config.trials} trials x the grid's mean escape counts = {atoms:.3g} "
+                f"atoms exceeds the maximum {MAX_TRAPPING_ATOMS:.3g}",
+            )
+        elif rounds > MAX_TRAPPING_ROUNDS:
+            error(
+                "trials",
+                f"the grid's mean escape counts x (1 + ln {config.trials} trials) = "
+                f"{rounds:.3g} Monte Carlo rounds exceeds the maximum "
+                f"{MAX_TRAPPING_ROUNDS:.3g}",
+            )
     if table is QUALITY_TABLE:
         if not config.cutoffs:
             error("cutoffs", "needs at least one cutoff")
@@ -272,18 +262,16 @@ def validate(config: ExperimentConfig) -> list[Diagnostic]:
                 f"weights exceeds the maximum {MAX_STREAM_WEIGHTS}",
             )
 
-    # a fixed tau at or above pi/(gamma sqrt(n_max)) can hit a trapping
-    # point of some occupied branch and stall the run
-    if weights and config.tau is not None and policy and policy.needs == NEEDS_TAU:
-        n_max = max(n for n, p in weights.items() if p > 0)
-        if n_max >= 1 and config.gamma > 0:
-            bound = protocol.trapping_safe_tau(n_max, config.gamma)
-            if config.tau >= bound:
-                warn(
-                    "tau",
-                    f"tau = {config.tau!r} >= pi/(gamma*sqrt({n_max})) = {bound!r}; "
-                    "a trapping point is reachable for some branch",
-                )
+    # a fixed tau that puts the top branch's phase at pi or beyond can hit a
+    # trapping point of some occupied branch and stall the run
+    if phase_ok and table is not TRAPPING_TABLE and policy.needs == NEEDS_TAU and config.tau:
+        top = math.sqrt(n) * config.gamma * config.tau
+        if top >= math.pi:
+            warn(
+                "tau",
+                f"tau = {config.tau!r} puts sqrt({n})*gamma*tau at {top!r} >= pi; "
+                "a trapping point is reachable for some branch",
+            )
     return diags
 
 

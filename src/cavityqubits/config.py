@@ -30,6 +30,11 @@ OUTDIR_ENV = "CAVITYQUBITS_OUTDIR"
 # 20000 for the binomial weights alone).
 MAX_PHOTON_NUMBER = 1000
 
+# Most values an 'a:b:step' or 'a..b' range may hold. No accepted config has
+# more: fig4 takes at most `cli.MAX_STREAMS` cutoffs, and each fig3 cell
+# costs at least 2 of `cli.MAX_TRAPPING_ROUNDS` Monte Carlo rounds.
+MAX_RANGE_VALUES = 1_000_000
+
 
 def split_rng(seed: int, *stream: int) -> np.random.Generator:
     """Independent generator for (seed, stream indices).
@@ -284,7 +289,10 @@ def parse_float_list(text: str) -> list[float]:
         start, stop, step = float(start_s), float(stop_s), float(step_s)
         if step <= 0:
             raise ValueError(f"range step must be positive in {text!r}")
-        count = int(round((stop - start) / step))
+        steps = (stop - start) / step
+        if not abs(steps) < MAX_RANGE_VALUES:  # NaN and inf too
+            raise ValueError(f"range {text!r} must hold at most {MAX_RANGE_VALUES} values")
+        count = int(round(steps))
         values = [start + k * step for k in range(count + 1)]
         return [v for v in values if v <= stop + step * 1e-9]
     return [float(v) for v in text.split(",") if v.strip()]
@@ -298,5 +306,7 @@ def parse_int_list(text: str) -> list[int]:
         lo, hi = int(lo_s), int(hi_s)
         if hi < lo:
             raise ValueError(f"empty integer range {text!r}")
+        if hi - lo >= MAX_RANGE_VALUES:
+            raise ValueError(f"range {text!r} must hold at most {MAX_RANGE_VALUES} values")
         return list(range(lo, hi + 1))
     return [int(v) for v in text.split(",") if v.strip()]

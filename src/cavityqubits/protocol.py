@@ -105,12 +105,12 @@ def _check_weights(ns: np.ndarray, weights: np.ndarray, transferred) -> None:
 
 
 def _rabi_factors(remaining, gamma: float, tau):
-    """sin^2 of each branch's Rabi phase sqrt(remaining) gamma tau as `excite_prob`
-    weighs it, then `update_weights`' sin^2 and cos^2, which round the phase
-    differently; the outputs keep both bit for bit."""
-    freq = np.sqrt(remaining)
-    phase = freq * gamma * tau
-    return np.sin(freq * (gamma * tau)) ** 2, np.sin(phase) ** 2, np.cos(phase) ** 2
+    """sin^2 and cos^2 of each branch's Rabi phase sqrt(remaining) * (gamma * tau):
+    the excitation and ground factors of one atom pass. Every use takes them
+    from this one phase expression, so p_excite and the weight update see
+    the same floats."""
+    phase = np.sqrt(remaining) * (gamma * tau)
+    return np.sin(phase) ** 2, np.cos(phase) ** 2
 
 
 def excite_prob(ens: WeightedEnsemble, gamma: float, tau) -> float | np.ndarray:
@@ -137,7 +137,7 @@ def update_weights(
     phase; excited also increments the transferred count, which kills the
     branch that had no photons left (its sin^2 factor is exactly zero).
     """
-    _, sin2, cos2 = _rabi_factors(ens.remaining_photons(), gamma, tau)
+    sin2, cos2 = _rabi_factors(ens.remaining_photons(), gamma, tau)
     excited = outcome is MeasurementOutcome.EXCITED
     posterior = ens.weights * (sin2 if excited else cos2)
     total = posterior.sum()
@@ -263,8 +263,9 @@ def optimal_tau(
 
     Grid scan over the bounds (default (0, pi/gamma]) followed by
     golden-section refinement of the best bracket. Ties break toward the
-    smaller tau. Each value is the one `excite_prob` returns, bit for bit;
-    the grid's sin^2 rows are cached per remaining photon count.
+    smaller tau. Each value is the one `excite_prob` returns, bit for bit:
+    the grid's sin^2 rows are cached per remaining photon count, and the
+    refinement computes `_rabi_factors`' phase sqrt(k) * (gamma * tau) in place.
     """
     if bounds is None:
         bounds = (0.0, math.pi / gamma)
@@ -477,7 +478,7 @@ def run_batch(
                     draws[i] = rngs[r].random(DRAW_BLOCK)
             u = draws[:, passed % DRAW_BLOCK]
             taus = np.full(rows.size, policy.tau)
-            p_f, sin2, cos2 = (t[m] for t in tables)
+            sin2, cos2 = (t[m] for t in tables)
         else:
             taus, u = np.empty(rows.size), np.empty(rows.size)
             for i, r in enumerate(rows.tolist()):
@@ -486,10 +487,10 @@ def run_batch(
                 ens.__dict__.update(photon_numbers=ns, weights=w[i], transferred=int(m[i]))
                 taus[i] = policy_tau(policy, ens, gamma, rngs[r])
                 u[i] = rngs[r].random()
-            p_f, sin2, cos2 = _rabi_factors(np.maximum(ns - m[:, None], 0), gamma, taus[:, None])
+            sin2, cos2 = _rabi_factors(np.maximum(ns - m[:, None], 0), gamma, taus[:, None])
         # a stack of the vector-column products excite_prob makes, so the
         # sum runs in the same order and p_e keeps its exact bits
-        p_e = np.matmul(w[:, None, :], p_f[:, :, None])[:, 0, 0]
+        p_e = np.matmul(w[:, None, :], sin2[:, :, None])[:, 0, 0]
         excited = u < p_e
         posterior = w * np.where(excited[:, None], sin2, cos2)
         total = posterior.sum(axis=1)

@@ -24,6 +24,7 @@ from cavityqubits.cli import (
 from cavityqubits.cloning import atom_fidelity, binomial_distribution, quality
 from cavityqubits.config import (
     MAX_PHOTON_NUMBER,
+    MAX_RANGE_VALUES,
     DistributionSpec,
     ExperimentConfig,
     parse_config_file,
@@ -52,21 +53,53 @@ def read_metadata(path: Path):
 # --- value parsing -----------------------------------------------------------
 
 
-def test_parse_float_list():
+def test_parse_float_list(monkeypatch):
     grid = parse_float_list("0.01:0.20:0.01")
     assert len(grid) == 20
     assert grid[0] == pytest.approx(0.01)
     assert grid[-1] == pytest.approx(0.20)
     assert parse_float_list("0.1,0.5") == [0.1, 0.5]
     assert parse_float_list("2.5") == [2.5]
+    # counts that are too large, infinite or NaN: an OverflowError before
+    for text in (f"1:{MAX_RANGE_VALUES + 1}:1", "0:1e300:1e-300", "1e300:-1e300:1e-300",
+                 "nan:1:0.1"):
+        with pytest.raises(ValueError, match="must hold at most"):
+            parse_float_list(text)
+    monkeypatch.setattr("cavityqubits.config.MAX_RANGE_VALUES", 20)  # the bound, no huge list
+    assert parse_float_list("1:20:1") == [float(k) for k in range(1, 21)]
+    with pytest.raises(ValueError, match="'1:21:1' must hold at most 20 values"):
+        parse_float_list("1:21:1")
 
 
-def test_parse_int_list():
+def test_parse_int_list(monkeypatch):
     assert parse_int_list("1..5") == [1, 2, 3, 4, 5]
     assert parse_int_list("1,4,9") == [1, 4, 9]
     assert parse_int_list("7") == [7]
     with pytest.raises(ValueError):
         parse_int_list("5..1")
+    for text in (f"1..{MAX_RANGE_VALUES + 1}", f"1..{10**400}"):
+        with pytest.raises(ValueError, match="must hold at most"):
+            parse_int_list(text)
+    monkeypatch.setattr("cavityqubits.config.MAX_RANGE_VALUES", 20)  # the bound, no huge list
+    assert parse_int_list("1..20") == list(range(1, 21))
+    with pytest.raises(ValueError, match="'1..21' must hold at most 20 values"):
+        parse_int_list("1..21")
+
+
+def test_an_oversized_range_is_a_one_line_error(tmp_path, capsys):
+    # an OverflowError traceback before, from the flag and the config file alike
+    text = "0:1e300:1e-300"
+    message = f"range {text!r} must hold at most {MAX_RANGE_VALUES} values"
+    with pytest.raises(SystemExit) as exc:
+        main(["fig3", "--sigma-rel", text, "--seed", "1", "--out", str(tmp_path / "x.csv")])
+    assert exc.value.code == 2
+    assert [line for line in capsys.readouterr().err.splitlines() if "error" in line] == [
+        f"cavityqubits fig3: error: argument --sigma-rel: {message}"
+    ]
+    conf = tmp_path / "exp.conf"
+    conf.write_text(f"sigma_rel_values = {text}\n")
+    with pytest.raises(SystemExit, match=f"^invalid configuration: sigma_rel_values: {message}$"):
+        main(["fig3", "--config", str(conf), "--seed", "1"])
 
 
 def test_distribution_spec_parse_roundtrip():
@@ -372,6 +405,13 @@ def test_fig3_jitter_must_be_finite(value, tmp_path, capsys):
     ]
 
 
+def phase_error(n, phase):
+    return (
+        f"error: Rabi phase: sqrt({n})*gamma*tau can reach {phase}, above the maximum 2^40, "
+        "where adjacent floats are 2^-12 apart"
+    )
+
+
 @pytest.mark.parametrize(
     "argv, errors",
     [
@@ -393,52 +433,42 @@ def test_fig3_jitter_must_be_finite(value, tmp_path, capsys):
         # finite values whose time scale or Rabi frequency overflows: pi/gamma
         # = inf emptied optimal_tau's grid (a traceback), an infinite
         # sqrt(n)*gamma made NaN weights, and fig3's infinite tau0 never ended
-        (["custom", "--gamma", "1e-308"], ["error: gamma: 1e-308 makes pi/gamma overflow"]),
-        (["fig2", "--gamma", "1e-308"], ["error: gamma: 1e-308 makes pi/gamma overflow"]),
-        (["fig4", "--gamma", "1e-308"], ["error: gamma: 1e-308 makes pi/gamma overflow"]),
-        (["fig2", "--gamma", "1e308"], ["error: gamma: 1e+308 makes sqrt(6)*gamma overflow"]),
-        (["custom", "--gamma", "1e308"], ["error: gamma: 1e+308 makes sqrt(6)*gamma overflow"]),
-        (["fig4", "--gamma", "1e308"], ["error: gamma: 1e+308 makes sqrt(6)*gamma overflow"]),
-        (
-            ["fig3", "--gamma", "1e-308", "--trials", "10"],
-            ["error: gamma: 1e-308 makes pi/gamma and tau0 = 2*pi*3/(gamma*sqrt(1)) overflow"],
-        ),
-        (
-            ["fig2", "--tau", "1e308"],
-            ["error: tau: 1e+308 makes the Rabi phase sqrt(6)*gamma*tau overflow"],
-        ),
+        (["custom", "--gamma", "1e-308"], [phase_error(6, "inf")]),
+        (["fig2", "--gamma", "1e-308"], [phase_error(6, "inf")]),
+        (["fig4", "--gamma", "1e-308"], [phase_error(6, "inf")]),
+        (["fig2", "--gamma", "1e308"], [phase_error(6, "inf")]),
+        (["custom", "--gamma", "1e308"], [phase_error(6, "inf")]),
+        (["fig4", "--gamma", "1e308"], [phase_error(6, "inf")]),
+        (["fig3", "--gamma", "1e-308", "--trials", "10"], [phase_error(1, "inf")]),
+        (["fig2", "--tau", "1e308"], [phase_error(6, "inf")]),
         # a Rabi cycle count or a jitter the closed form cannot square as a
         # float was an OverflowError traceback
-        (
-            ["fig3", "--m", str(10**200), "--trials", "10"],
-            ["error: rabi_cycles_values: Rabi cycle counts must be at most 1.34078e+154"],
-        ),
-        (
-            ["fig3", "--m", f"1,{10**400}", "--trials", "10"],
-            ["error: rabi_cycles_values: Rabi cycle counts must be at most 1.34078e+154"],
-        ),
-        (
-            ["fig3", "--sigma-rel", "1e200", "--trials", "10"],
-            ["error: sigma_rel_values: jitter values must be at most 1.34078e+154"],
-        ),
+        (["fig3", "--m", str(10**200), "--trials", "10"], [phase_error(1, "2.64e+201")]),
+        (["fig3", "--m", f"1,{10**400}", "--trials", "10"], [phase_error(1, "inf")]),
+        (["fig3", "--sigma-rel", "1e200", "--trials", "10"], [phase_error(1, "3.02e+202")]),
         # squarable values whose dwell-time spread overflows the Rabi phase:
         # every sin^2 would be NaN and no trial would escape
         (
             ["fig3", "--m", str(10**154), "--sigma-rel", "0.1,1e154", "--trials", "10"],
-            ["error: sigma_rel_values: 1e+154 x tau0 = inf lets a dwell time overflow the "
-             "Rabi phase sqrt(1)*gamma*tau"],
+            [phase_error(1, "inf")],
         ),
         # an infinite jittered spread sigma_rel * tau made NaN weights
         (
             ["custom", "--policy", "jittered", "--tau", "1e300", "--sigma-rel", "1e10"],
-            ["error: sigma_rel: 10000000000.0 x tau = inf lets a jittered tau overflow the "
-             "Rabi phase sqrt(6)*gamma*tau"],
+            [phase_error(6, "inf")],
         ),
         (
             ["custom", "--policy", "jittered", "--tau", "1e300", "--sigma-rel", "1e7"],
-            ["error: sigma_rel: 10000000.0 x tau = 1.0000000000000001e+307 lets a jittered tau "
-             "overflow the Rabi phase sqrt(6)*gamma*tau"],
+            [phase_error(6, "inf")],
         ),
+        # a finite phase too large for floats to resolve: every sin^2 was
+        # rounding noise, yet the run passed check
+        (
+            ["custom", "--policy", "jittered", "--tau", "1e300", "--sigma-rel", "1e5"],
+            [phase_error(6, "3.92e+306")],
+        ),
+        (["fig4", "--tau", "1e13", "--runs", "2"], [phase_error(6, "2.45e+13")]),
+        (["fig3", "--m", str(10**12), "--trials", "10"], [phase_error(1, "2.64e+13")]),
     ],
 )
 def test_non_finite_floats_are_config_errors(argv, errors, tmp_path, capsys):
@@ -448,6 +478,16 @@ def test_non_finite_floats_are_config_errors(argv, errors, tmp_path, capsys):
     err = capsys.readouterr().err.splitlines()
     assert [line for line in err if line.startswith("error")] == errors
     assert not out.exists()
+
+
+def test_the_rabi_phase_cap_is_2_to_the_40():
+    # binomial:6: the top branch's phase is sqrt(6)*tau at gamma = 1
+    tau = cli.MAX_PHASE / math.sqrt(6)
+    below = validate(make_config(tau=tau * (1 - 2**-40)))
+    assert [d.level for d in below] == ["warning"]  # a trapping point is reachable
+    assert [str(d) for d in validate(make_config(tau=tau * (1 + 2**-40)))] == [
+        phase_error(6, "1.1e+12")
+    ]
 
 
 def _validated_run(config: ExperimentConfig, out: Path) -> list[str] | None:
@@ -464,9 +504,11 @@ any_float = st.floats() | st.floats(min_value=5e-324, max_value=1e-300)
 
 
 @settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
-@given(tau=any_float, sigma_rel=any_float)
-def test_jittered_configs_are_rejected_or_run_and_check(tau, sigma_rel, tmp_path_factory):
-    config = make_config(policy="jittered", tau=tau, sigma_rel=sigma_rel, atom_budget=200)
+@given(tau=any_float, sigma_rel=any_float, gamma=any_float)
+def test_jittered_configs_are_rejected_or_run_and_check(tau, sigma_rel, gamma, tmp_path_factory):
+    config = make_config(
+        policy="jittered", tau=tau, sigma_rel=sigma_rel, gamma=gamma, atom_budget=200
+    )
     assert _validated_run(config, tmp_path_factory.getbasetemp() / "jit.csv") in (None, [])
 
 
@@ -476,11 +518,12 @@ def test_jittered_configs_are_rejected_or_run_and_check(tau, sigma_rel, tmp_path
     # a jitter below 0.01 is priced by the Monte Carlo round bound and can
     # take seconds per example (test_fig3_rounds_are_bounded)
     sigma_rel=st.floats(min_value=0.01) | st.sampled_from([0.0, -1.0, math.nan]),
+    gamma=any_float,
 )
-def test_fig3_cells_are_rejected_or_run_and_check(m, sigma_rel, tmp_path_factory):
+def test_fig3_cells_are_rejected_or_run_and_check(m, sigma_rel, gamma, tmp_path_factory):
     config = make_config(
         experiment="trapping-curves", tau=None, rabi_cycles_values=(m,),
-        sigma_rel_values=(sigma_rel,), trials=3,
+        sigma_rel_values=(sigma_rel,), trials=3, gamma=gamma,
     )
     assert _validated_run(config, tmp_path_factory.getbasetemp() / "trap.csv") in (None, [])
 

@@ -82,6 +82,7 @@ def test_golden_bytes(name, tmp_path):
     assert _without_out_line(out.read_text()) == _without_out_line(
         (GOLDEN_DIR / name).read_text()
     )
+    assert cli.check_output(out) == []
 
 
 def test_alternating_commands_share_one_parser(tmp_path, capsys):

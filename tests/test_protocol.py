@@ -668,7 +668,7 @@ def test_batch_matches_run_on_cutoff_stops():
     # cutoffs up to 40 take most rows past one block of draws
     reasons = assert_batch_matches_run(weights, FixedTau(tau), [1, 2, 5, 10, 20, 40] * 8, 10_000, 5)
     assert reasons == {StopReason.CUTOFF}
-    # gamma != 1 separates the two roundings of the Rabi phase
+    # gamma != 1: gamma * tau is then a rounded product, not tau itself
     reasons = assert_batch_matches_run(weights, FixedTau(tau / 1.3), [1, 5, 20] * 4, 10_000, 6, 1.3)
     assert reasons == {StopReason.CUTOFF}
 
@@ -744,7 +744,7 @@ def test_run_is_the_step_loop(policy):
     st.lists(st.integers(1, 8), min_size=1, max_size=6),
     st.integers(1, 70),
     st.integers(0, 2**32 - 1),
-    # gamma != 1 separates the two roundings of the Rabi phase
+    # gamma != 1: gamma * tau is then a rounded product, not tau itself
     st.sampled_from([1.0]) | st.floats(0.2, 5.0),
 )
 def test_batch_matches_run_property(raw, name, tau, sigma_rel, cutoffs, atom_budget, seed, gamma):
