@@ -54,6 +54,10 @@ MAX_STREAMS = 100_000
 # numbers 0..n_max), about 3x the script default (330000): 8 MB of floats.
 MAX_STREAM_WEIGHTS = 1_000_000
 
+# Largest cutoff a run may take. fig4's table from ground streak to
+# snapshot row holds 8 bytes per unit of its largest cutoff: 8 MB here.
+MAX_CUTOFF = 1_000_000
+
 # Most atoms one fig3 grid may send, as `trials` x the closed-form mean
 # escape counts of its cells: about 8x the script default (20000 trials x
 # 635 = 1.3e7). Each trial keeps drawing until it escapes, and the mean
@@ -189,6 +193,8 @@ def validate(config: ExperimentConfig) -> list[Diagnostic]:
         error("tau", f"must be positive, got {config.tau}")
     if config.cutoff < 1:
         error("cutoff", f"must be >= 1, got {config.cutoff}")
+    elif config.cutoff > MAX_CUTOFF:
+        error("cutoff", f"{config.cutoff} exceeds the maximum {MAX_CUTOFF}")
     if config.atom_budget < 1:
         error("atom_budget", f"must be >= 1, got {config.atom_budget}")
     if config.trials < 1:
@@ -247,6 +253,8 @@ def validate(config: ExperimentConfig) -> list[Diagnostic]:
             error("cutoffs", "needs at least one cutoff")
         elif any(c < 1 for c in config.cutoffs):
             error("cutoffs", "cutoff values must be >= 1")
+        elif max(config.cutoffs) > MAX_CUTOFF:
+            error("cutoffs", f"{max(config.cutoffs)} exceeds the maximum {MAX_CUTOFF}")
         streams = len(config.cutoffs) * config.runs
         branches = config.distribution.max_photon_number() + 1
         if streams > MAX_STREAMS:

@@ -8,9 +8,8 @@ average against the optimum for the number of clones actually produced.
 
 from __future__ import annotations
 
+import math
 from typing import Iterable, Mapping
-
-from .symstate import binom
 
 # Allowed distance of a weight total from 1, shared by the ensemble, the
 # fidelity bookkeeping and the config validator.
@@ -66,7 +65,7 @@ def binomial_distribution(n_max: int) -> dict[int, float]:
     if n_max < 1:
         raise ValueError(f"n_max must be >= 1, got {n_max}")
     scale = 2 ** (n_max - 1)
-    return {n: binom(n_max - 1, n - 1) / scale for n in range(1, n_max + 1)}
+    return {n: math.comb(n_max - 1, n - 1) / scale for n in range(1, n_max + 1)}
 
 
 def uniform_distribution(n_min: int, n_max: int) -> dict[int, float]:

@@ -294,7 +294,10 @@ def parse_float_list(text: str) -> list[float]:
             raise ValueError(f"range {text!r} must hold at most {MAX_RANGE_VALUES} values")
         count = int(round(steps))
         values = [start + k * step for k in range(count + 1)]
-        return [v for v in values if v <= stop + step * 1e-9]
+        values = [v for v in values if v <= stop + step * 1e-9]
+        if not values:  # an empty grid would mean the default one
+            raise ValueError(f"empty float range {text!r}")
+        return values
     return [float(v) for v in text.split(",") if v.strip()]
 
 

@@ -57,18 +57,6 @@ class FockLabel(NamedTuple):
     n1: int
 
 
-@dataclass(frozen=True)
-class CouplingParams:
-    """Atom-cavity coupling constant (units 1/time, hbar = 1). Both
-    excited-to-ground transitions share the same gamma."""
-
-    gamma: float = 1.0
-
-    def __post_init__(self) -> None:
-        if not self.gamma > 0:
-            raise ValueError(f"gamma must be positive, got {self.gamma}")
-
-
 def _read_only(array: np.ndarray) -> np.ndarray:
     array.flags.writeable = False
     return array
@@ -193,9 +181,13 @@ class JointSpace:
         return self._operator(("mode", mode), build)
 
     def hamiltonian(self, atom_index: int, gamma: float) -> np.ndarray:
+        """Coupling `gamma` (units 1/time, hbar = 1) is shared by both
+        excited-to-ground transitions."""
         atom_index = operator.index(atom_index)
         if not 0 <= atom_index < self.atom_count:
             raise IndexError(f"atom_index {atom_index} out of range [0, {self.atom_count})")
+        if not gamma > 0:
+            raise ValueError(f"gamma must be positive, got {gamma}")
 
         def build():
             h = np.zeros((self.dim, self.dim))
@@ -276,13 +268,11 @@ def annihilate(state: JointPureState, mode: int) -> JointPureState:
     return JointPureState(state.space, op @ state.amplitudes)
 
 
-def interaction_hamiltonian(
-    space: JointSpace, atom_index: int, params: CouplingParams = CouplingParams()
-) -> np.ndarray:
+def interaction_hamiltonian(space: JointSpace, atom_index: int, gamma: float = 1.0) -> np.ndarray:
     """Dense Hermitian matrix of gamma*(a0 |e0><g| + a1 |e1><g| + h.c.)
     acting on the addressed atom. Commutes with the total excitation
     number, so each N sector evolves independently."""
-    return space.hamiltonian(atom_index, params.gamma)
+    return space.hamiltonian(atom_index, gamma)
 
 
 def evolution_operator(hamiltonian: np.ndarray, t: float) -> np.ndarray:
@@ -372,7 +362,7 @@ def partially_transferred_state(
     zeros: int,
     total: int,
     transferred: int,
-    params: CouplingParams = CouplingParams(),
+    gamma: float = 1.0,
 ) -> JointPureState:
     """Physical representation of the symmetric state with `zeros` of
     `total` qubits in |0>, after `transferred` qubits have been moved onto
@@ -391,7 +381,7 @@ def partially_transferred_state(
     levels = (AtomLevel.GROUND,) * space.atom_count
     state = basis_state(space, levels, zeros, total - zeros)
     for k in range(1, transferred + 1):
-        amps = space.hamiltonian(k - 1, params.gamma) @ state.amplitudes
-        state = JointPureState(space, amps / (math.sqrt(total - k + 1) * params.gamma))
+        amps = space.hamiltonian(k - 1, gamma) @ state.amplitudes
+        state = JointPureState(space, amps / (math.sqrt(total - k + 1) * gamma))
     assert abs(state.norm() - 1.0) < NORM_TOL, "transfer chain should preserve the norm"
     return state

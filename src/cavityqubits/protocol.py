@@ -324,15 +324,6 @@ def optimal_tau(
     return min(t for t, v in candidates if v >= best_value)
 
 
-def trapping_safe_tau(n_max: int, gamma: float) -> float:
-    """Upper bound pi / (gamma sqrt(n_max)): any fixed tau strictly below
-    it keeps sin^2(sqrt(k) gamma tau) > 0 for every occupied branch, so no
-    trapping point is ever hit."""
-    if n_max < 1:
-        raise ValueError(f"n_max must be >= 1, got {n_max}")
-    return math.pi / (gamma * math.sqrt(n_max))
-
-
 # --- full runs -------------------------------------------------------------
 
 

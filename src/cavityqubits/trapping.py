@@ -24,14 +24,13 @@ import numpy as np
 @dataclass(frozen=True)
 class TrapSpec:
     """Trapping-point scenario: `photon_number` photons, dwell time centered
-    on `rabi_cycles` full Rabi oscillations, Gaussian jitter given either
-    relative (`sigma_rel`) or absolute (`sigma`)."""
+    on `rabi_cycles` full Rabi oscillations, Gaussian jitter `sigma_rel`
+    relative to that dwell time."""
 
     photon_number: int
     rabi_cycles: int
+    sigma_rel: float
     gamma: float = 1.0
-    sigma_rel: float | None = None
-    sigma: float | None = None
 
     def __post_init__(self) -> None:
         if self.photon_number < 1:
@@ -40,18 +39,17 @@ class TrapSpec:
             raise ValueError(f"rabi_cycles must be >= 1, got {self.rabi_cycles}")
         if not self.gamma > 0:
             raise ValueError(f"gamma must be positive, got {self.gamma}")
-        if (self.sigma_rel is None) == (self.sigma is None):
-            raise ValueError("give exactly one of sigma_rel or sigma")
-        if self.sigma_rel is None:
-            object.__setattr__(self, "sigma_rel", self.sigma / self.tau_center)
-        else:
-            object.__setattr__(self, "sigma", self.sigma_rel * self.tau_center)
-        if self.sigma < 0:
-            raise ValueError(f"sigma must be non-negative, got {self.sigma}")
+        if self.sigma_rel < 0:
+            raise ValueError(f"sigma_rel must be non-negative, got {self.sigma_rel}")
 
     @property
     def tau_center(self) -> float:
         return 2.0 * math.pi * self.rabi_cycles / (self.gamma * math.sqrt(self.photon_number))
+
+    @property
+    def sigma(self) -> float:
+        """Absolute jitter of the dwell time."""
+        return self.sigma_rel * self.tau_center
 
 
 def mean_success_prob(n: int, sigma: float, gamma: float = 1.0) -> float:
@@ -64,15 +62,6 @@ def mean_success_prob(n: int, sigma: float, gamma: float = 1.0) -> float:
     if sigma < 0:
         raise ValueError(f"sigma must be non-negative, got {sigma}")
     return 0.5 * (1.0 - math.exp(-2.0 * n * gamma**2 * sigma**2))
-
-
-def mean_atoms_abs(n: int, sigma: float, gamma: float = 1.0) -> float:
-    """Mean atoms through the cavity before the first successful transfer."""
-    if sigma < 0:
-        raise ValueError(f"sigma must be non-negative, got {sigma}")
-    if sigma == 0:
-        return math.inf
-    return 1.0 / mean_success_prob(n, sigma, gamma)
 
 
 def mean_atoms_rel(rabi_cycles: int, sigma_rel: float) -> float:

@@ -300,7 +300,7 @@ def test_criterion_10_quality_versus_cutoff(tmp_path):
     tau = optimal_tau(
         WeightedEnsemble.from_weights(config.initial_weights()), config.gamma
     )
-    assert tau < protocol.trapping_safe_tau(10, config.gamma)
+    assert math.sqrt(10) * config.gamma * tau < math.pi  # no trapping point is reachable
     cli.run_experiment(config)
     rows = {
         int(r[0]): (float(r[1]), float(r[2]))

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 
 from cavityqubits import __version__, cli, protocol, trapping
 from cavityqubits.cli import (
+    MAX_CUTOFF,
     MAX_STREAM_WEIGHTS,
     MAX_STREAMS,
     MAX_TRAPPING_ATOMS,
@@ -69,6 +70,11 @@ def test_parse_float_list(monkeypatch):
     assert parse_float_list("1:20:1") == [float(k) for k in range(1, 21)]
     with pytest.raises(ValueError, match="'1:21:1' must hold at most 20 values"):
         parse_float_list("1:21:1")
+    # a range that runs down, even by rounding alone, holds no value: it
+    # would have meant the default grid
+    for text in ("1:0:0.1", "0.1:0.0999999:0.1"):
+        with pytest.raises(ValueError, match=f"^empty float range {text!r}$"):
+            parse_float_list(text)
 
 
 def test_parse_int_list(monkeypatch):
@@ -100,6 +106,24 @@ def test_an_oversized_range_is_a_one_line_error(tmp_path, capsys):
     conf.write_text(f"sigma_rel_values = {text}\n")
     with pytest.raises(SystemExit, match=f"^invalid configuration: sigma_rel_values: {message}$"):
         main(["fig3", "--config", str(conf), "--seed", "1"])
+
+
+def test_an_empty_range_is_a_one_line_error(tmp_path, capsys):
+    # fig3 ran the 20-value default grid before, from the flag and the config file alike
+    text = "1:0:0.1"
+    message = f"empty float range {text!r}"
+    out = tmp_path / "x.csv"
+    with pytest.raises(SystemExit) as exc:
+        main(["fig3", "--sigma-rel", text, "--trials", "5", "--seed", "1", "--out", str(out)])
+    assert exc.value.code == 2
+    assert [line for line in capsys.readouterr().err.splitlines() if "error" in line] == [
+        f"cavityqubits fig3: error: argument --sigma-rel: {message}"
+    ]
+    conf = tmp_path / "exp.conf"
+    conf.write_text(f"sigma_rel_values = {text}\n")
+    with pytest.raises(SystemExit, match=f"^invalid configuration: sigma_rel_values: {message}$"):
+        main(["fig3", "--config", str(conf), "--trials", "5", "--seed", "1", "--out", str(out)])
+    assert not out.exists()
 
 
 def test_distribution_spec_parse_roundtrip():
@@ -478,6 +502,43 @@ def test_non_finite_floats_are_config_errors(argv, errors, tmp_path, capsys):
     err = capsys.readouterr().err.splitlines()
     assert [line for line in err if line.startswith("error")] == errors
     assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "argv, errors",
+    [
+        # an OverflowError traceback before, from run_batch's int array
+        (
+            ["fig2", "--cutoff", str(10**20)],
+            [f"error: cutoff: {10**20} exceeds the maximum 1000000"],
+        ),
+        # a 'Maximum allowed dimension exceeded' traceback before; below that
+        # fig4's memory grew by 8 bytes per unit of its largest cutoff
+        (
+            ["fig4", "--cutoffs", str(10**20), "--runs", "1"],
+            [f"error: cutoffs: {10**20} exceeds the maximum 1000000"],
+        ),
+    ],
+)
+def test_huge_cutoffs_are_config_errors(argv, errors, tmp_path, capsys):
+    out = tmp_path / "x.csv"
+    with pytest.raises(SystemExit, match="invalid configuration"):
+        main([*argv, "--seed", "1", "--out", str(out)])
+    err = capsys.readouterr().err.splitlines()
+    assert [line for line in err if line.startswith("error")] == errors
+    assert not out.exists()
+
+
+def test_the_cutoff_cap_is_inclusive():
+    assert validate(make_config(cutoff=MAX_CUTOFF)) == []
+    assert [str(d) for d in validate(make_config(cutoff=MAX_CUTOFF + 1))] == [
+        f"error: cutoff: {MAX_CUTOFF + 1} exceeds the maximum {MAX_CUTOFF}"
+    ]
+    fig4 = make_config(experiment="quality-cutoff", runs=1)
+    assert validate(replace(fig4, cutoffs=(1, MAX_CUTOFF))) == []
+    assert [str(d) for d in validate(replace(fig4, cutoffs=(MAX_CUTOFF + 1, 1)))] == [
+        f"error: cutoffs: {MAX_CUTOFF + 1} exceeds the maximum {MAX_CUTOFF}"
+    ]
 
 
 def test_the_rabi_phase_cap_is_2_to_the_40():

@@ -10,7 +10,6 @@ import pytest
 from cavityqubits import fockspace
 from cavityqubits.fockspace import (
     AtomLevel,
-    CouplingParams,
     JointPureState,
     JointSpace,
     annihilate,
@@ -77,8 +76,12 @@ def test_space_sizes_must_be_integers():
 
 
 def test_coupling_params_validation():
-    with pytest.raises(ValueError):
-        CouplingParams(gamma=0.0)
+    space = JointSpace(2, 2)
+    for gamma in (0.0, -1.0, math.nan):
+        with pytest.raises(ValueError, match="gamma must be positive"):
+            interaction_hamiltonian(space, 0, gamma)
+        with pytest.raises(ValueError, match="gamma must be positive"):
+            partially_transferred_state(space, 1, 2, 1, gamma)
 
 
 # --- ladder operators ---------------------------------------------------------
@@ -140,7 +143,7 @@ def test_annihilation_closed_forms(n, m):
 def test_hamiltonian_matrix_elements():
     gamma = 1.3
     space = JointSpace(1, 2)
-    h = interaction_hamiltonian(space, 0, CouplingParams(gamma))
+    h = interaction_hamiltonian(space, 0, gamma)
     assert h[space.index((E0,), 0, 0), space.index((G,), 1, 0)] == pytest.approx(gamma)
     assert h[space.index((E1,), 1, 0), space.index((G,), 1, 1)] == pytest.approx(gamma)
 
@@ -308,7 +311,7 @@ def sector_spanning_state(space, seed):
 def test_sector_evolve_matches_dense_propagator(atoms, n_max):
     space = JointSpace(atoms, n_max)
     for atom in range(atoms):
-        h = interaction_hamiltonian(space, atom, CouplingParams(1.3))
+        h = interaction_hamiltonian(space, atom, 1.3)
         # a copy changed inside one sector, evolved after the original: it
         # must not be handed the original's cached eigensystem
         perturbed = h.copy()

@@ -11,6 +11,9 @@ from __future__ import annotations
 
 import argparse
 import ast
+import os
+import subprocess
+import sys
 from dataclasses import fields
 from pathlib import Path
 
@@ -18,8 +21,10 @@ import pytest
 
 from cavityqubits import cli
 from cavityqubits.config import DistributionSpec, ExperimentConfig
+from cavityqubits.protocol import MeasurementOutcome
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "cavityqubits"
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "cavityqubits"
 
 POLICIES = ["fixed", "optimal-each-step", "half-rabi", "jittered"]
 EXPERIMENTS = ["weights-evolution", "trapping-curves", "quality-cutoff", "custom"]
@@ -164,6 +169,31 @@ def test_protocol_imports_neither_config_nor_cli():
     imported = _imported_modules(SRC / "protocol.py")
     assert ".cloning" in imported  # the walk sees protocol's real imports
     assert not imported & forbidden
+
+
+def test_the_cli_loads_neither_the_oracle_nor_symstate():
+    # fockspace and symstate are the tests' references; the package re-exports
+    # nothing, so importing the CLI loads only the modules it runs
+    code = "import sys, cavityqubits.cli; print(sorted(m for m in sys.modules if 'cavity' in m))"
+    env = {**os.environ, "PYTHONPATH": str(SRC.parent)}
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    ).stdout
+    loaded = set(ast.literal_eval(out))
+    assert "cavityqubits.cli" in loaded and "cavityqubits.protocol" in loaded
+    assert not loaded & {"cavityqubits.fockspace", "cavityqubits.symstate"}
+
+
+def test_readme_library_example_runs():
+    text = (ROOT / "README.md").read_text().split("## Library example", 1)[1]
+    code = text.split("```python\n", 1)[1].split("```", 1)[0]
+    namespace: dict = {}
+    exec(compile(code, "README.md", "exec"), namespace)
+    assert namespace["tau"] == pytest.approx(0.8253, abs=1e-4)
+    assert namespace["p"] == pytest.approx(0.936, abs=1e-3)
+    assert namespace["post"].transferred == 1
+    excited = namespace["outcome"] is MeasurementOutcome.EXCITED
+    assert namespace["after"].transferred == excited
 
 
 def _stop_reason_users(path: Path) -> dict[str, set[str]]:

@@ -24,7 +24,6 @@ from cavityqubits.protocol import (
     run,
     run_batch,
     step,
-    trapping_safe_tau,
     update_weights,
 )
 
@@ -445,10 +444,13 @@ def test_optimal_each_step_builds_each_grid_row_once(tmp_path):
 
 
 def test_trapping_safe_tau_values():
-    assert trapping_safe_tau(1, 1.0) == pytest.approx(math.pi)
-    assert trapping_safe_tau(4, 1.0) == pytest.approx(math.pi / 2)
-    tau = 0.99 * trapping_safe_tau(6, 1.0)
-    assert min(math.sin(math.sqrt(k) * tau) ** 2 for k in range(1, 7)) > 0
+    # below pi / (gamma sqrt(n_max)) no occupied branch sits on a trapping
+    # point; at it the top branch does
+    gamma, n_max = 1.3, 6
+    safe = math.pi / (gamma * math.sqrt(n_max))
+    branches = [WeightedEnsemble.from_weights({n: 1.0}) for n in range(1, n_max + 1)]
+    assert min(excite_prob(ens, gamma, 0.99 * safe) for ens in branches) > 0
+    assert excite_prob(branches[-1], gamma, safe) < 1e-30
 
 
 # --- stepping and runs -------------------------------------------------------------

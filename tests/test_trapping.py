@@ -10,7 +10,6 @@ from cavityqubits.config import split_rng
 from cavityqubits.trapping import (
     TrapSpec,
     escape_mean_rate,
-    mean_atoms_abs,
     mean_atoms_rel,
     mean_success_prob,
     monte_carlo_escape,
@@ -62,16 +61,6 @@ def test_mean_success_prob_monotone_in_sigma():
     assert all(b > a for a, b in zip(values, values[1:]))
 
 
-def test_mean_atoms_abs_is_reciprocal():
-    assert mean_atoms_abs(1, 0.5) == pytest.approx(2 / (1 - math.exp(-0.5)), abs=1e-12)
-    assert mean_atoms_abs(1, 0.5) == pytest.approx(1 / mean_success_prob(1, 0.5), abs=1e-12)
-
-
-def test_mean_atoms_abs_limits():
-    assert mean_atoms_abs(3, 50.0) == pytest.approx(2.0, abs=1e-12)
-    assert mean_atoms_abs(3, 0.0) == math.inf
-
-
 def test_mean_atoms_rel_reference_point():
     # one Rabi cycle, six percent relative jitter: about eight atoms
     value = mean_atoms_rel(1, 0.06)
@@ -107,7 +96,7 @@ def test_relative_form_independent_of_photon_number(n, m, sigma_rel, gamma):
     # substituting sigma = sigma_rel * tau_center makes n and gamma cancel
     sigma = sigma_rel * 2 * math.pi * m / (gamma * math.sqrt(n))
     assert mean_atoms_rel(m, sigma_rel) == pytest.approx(
-        mean_atoms_abs(n, sigma, gamma), rel=1e-12
+        1 / mean_success_prob(n, sigma, gamma), rel=1e-12
     )
 
 
@@ -132,16 +121,17 @@ def test_trapspec_center_sits_on_trapping_point():
 
 def test_trapspec_sigma_conversions():
     rel = TrapSpec(photon_number=4, rabi_cycles=1, sigma_rel=0.06)
-    assert rel.sigma == pytest.approx(0.06 * rel.tau_center)
-    absolute = TrapSpec(photon_number=4, rabi_cycles=1, sigma=rel.sigma)
-    assert absolute.sigma_rel == pytest.approx(0.06)
+    assert rel.sigma == 0.06 * rel.tau_center
+    assert rel.sigma == pytest.approx(0.06 * math.pi)
 
 
 def test_trapspec_validation():
-    with pytest.raises(ValueError, match="exactly one"):
+    with pytest.raises(TypeError, match="sigma_rel"):
         TrapSpec(photon_number=1, rabi_cycles=1)
-    with pytest.raises(ValueError, match="exactly one"):
-        TrapSpec(photon_number=1, rabi_cycles=1, sigma=0.1, sigma_rel=0.1)
+    with pytest.raises(ValueError, match="sigma_rel must be non-negative"):
+        TrapSpec(photon_number=1, rabi_cycles=1, sigma_rel=-0.1)
+    with pytest.raises(ValueError, match="gamma must be positive"):
+        TrapSpec(photon_number=1, rabi_cycles=1, sigma_rel=0.1, gamma=0.0)
     with pytest.raises(ValueError):
         TrapSpec(photon_number=0, rabi_cycles=1, sigma_rel=0.1)
     with pytest.raises(ValueError):
@@ -193,7 +183,7 @@ def test_monte_carlo_seeded_determinism():
 
 
 def test_monte_carlo_rejects_degenerate_inputs():
-    spec = TrapSpec(photon_number=1, rabi_cycles=1, sigma=0.0)
+    spec = TrapSpec(photon_number=1, rabi_cycles=1, sigma_rel=0.0)
     with pytest.raises(ValueError, match="never escapes"):
         monte_carlo_escape(spec, 10, split_rng(0))
     with pytest.raises(ValueError, match="trials"):
