@@ -46,16 +46,16 @@ from .config import (
 
 DEFAULT_SIGMA_REL_GRID = tuple(parse_float_list("0.01:0.20:0.01"))
 
-# Most (cutoff, run) pairs one fig4 call may grade: the rows of its
-# cutoffs x runs snapshot stack.
+# Most (cutoff, run) pairs one fig4 call may grade: the states `run_batch`
+# returns for cutoffs x runs.
 MAX_STREAMS = 100_000
 
-# Most weights in one fig4 call's snapshot stack (cutoffs x runs x photon
-# numbers 0..n_max), about 3x the script default (330000): 8 MB of floats.
+# Most weights in those states (cutoffs x runs x photon numbers 0..n_max),
+# about 3x the script default (330000): 8 MB of floats.
 MAX_STREAM_WEIGHTS = 1_000_000
 
-# Largest cutoff a run may take. fig4's table from ground streak to
-# snapshot row holds 8 bytes per unit of its largest cutoff: 8 MB here.
+# Largest cutoff a run may take. It keeps every cutoff well inside int64,
+# and it stays where it was, so the set of accepted configs does not change.
 MAX_CUTOFF = 1_000_000
 
 # Most atoms one fig3 grid may send, as `trials` x the closed-form mean
@@ -426,66 +426,40 @@ def _run_trapping_curves(config: ExperimentConfig) -> Path:
 
 
 def _run_quality_cutoff(config: ExperimentConfig) -> Path:
-    """Average terminal clone quality per cutoff, over `runs` repetitions.
+    """Average clone quality at each cutoff, over `runs` repetitions.
 
     The interaction time is the optimum for the initial mixture and stays
-    fixed for the whole process. Run r draws from `split_rng(seed, r)` and
-    steps once, to the largest cutoff, with every run in one lockstep batch.
-    Where its ground streak first reaches c is exactly where a run with
-    cutoff c on that stream stops; a vacuum or budget stop before that ends
-    every higher cutoff there too. Runs that stop before `n_originals`
-    transfers have no clones; they count as quality 0.
+    fixed for the whole process. Run r draws from `split_rng(seed, r)`;
+    one `run_batch` call steps every run in lockstep and returns its state
+    at each distinct cutoff, which is graded here. Runs that stop before
+    `n_originals` transfers have no clones; they count as quality 0.
     """
     initial = protocol.WeightedEnsemble.from_weights(config.initial_weights())
     resolved_tau = config.resolved_tau(initial)
     ns = initial.photon_numbers
     runs = config.runs
     levels = np.array(sorted(set(config.cutoffs)))
-    slot = np.full(levels[-1] + 1, -1)  # streak value -> its row in the snapshot stack
-    slot[levels] = np.arange(len(levels))
-    snap_w = np.empty((len(levels), runs, len(ns)))
-    snap_m = np.empty((len(levels), runs), dtype=int)
-    streak = np.zeros(runs, dtype=int)
-    longest = np.zeros(runs, dtype=int)
-
-    def observe(rows, taus, excited, p_e, w, m) -> None:
-        s = np.where(excited, 0, streak[rows] + 1)
-        streak[rows] = s
-        first = (s > longest[rows]) & (slot[s] >= 0)  # s grows by one, so s = longest + 1
-        longest[rows] = np.maximum(longest[rows], s)
-        snap_w[slot[s[first]], rows[first]] = w[first]
-        snap_m[slot[s[first]], rows[first]] = m[first]
-
     final = protocol.run_batch(
-        initial,
-        protocol.FixedTau(resolved_tau),
-        config.gamma,
-        np.full(runs, levels[-1]),
-        config.atom_budget,
+        initial, protocol.FixedTau(resolved_tau), config.gamma, levels, config.atom_budget,
         [split_rng(config.seed, r) for r in range(runs)],
-        observe,
     )
-    stopped = longest < levels[:, None]  # (levels, runs): stopped before reaching the cutoff
-    snap_w[stopped] = np.broadcast_to(final.weights, snap_w.shape)[stopped]
-    snap_m[stopped] = np.broadcast_to(final.transferred, snap_m.shape)[stopped]
 
     # atom_fidelity and quality over the whole stack, in their float order:
     # F_atom accumulates left to right over the nonzero weights in ascending n
-    protocol._check_weights(ns, snap_w, snap_m)
     n_orig = config.n_originals
-    f_atom = np.zeros(snap_m.shape)
+    f_atom = np.zeros(final.transferred.shape)
     for k, n in enumerate(ns.tolist()):
         if n >= n_orig:  # lower branches carry no weight once validated
-            f_atom += snap_w[..., k] * cloning.clone_fidelity(n_orig, n)
+            f_atom += final.weights[..., k] * cloning.clone_fidelity(n_orig, n)
     optimum = np.array(
         [cloning.clone_fidelity(n_orig, max(m, n_orig)) for m in range(int(ns.max()) + 1)]
     )
-    qualities = np.where(snap_m >= n_orig, f_atom / optimum[snap_m], 0.0)
+    qualities = np.where(final.transferred >= n_orig, f_atom / optimum[final.transferred], 0.0)
 
     n_max = config.distribution.max_photon_number()
     rows: list[tuple] = []
     for cutoff in config.cutoffs:
-        q = qualities[slot[cutoff]]
+        q = qualities[np.searchsorted(levels, cutoff)]
         stderr = float(q.std(ddof=1) / math.sqrt(runs)) if runs > 1 else 0.0
         rows.append((cutoff, float(q.mean()), stderr, n_max))
     metadata = config.metadata(__version__)

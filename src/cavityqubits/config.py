@@ -295,10 +295,11 @@ def parse_float_list(text: str) -> list[float]:
         count = int(round(steps))
         values = [start + k * step for k in range(count + 1)]
         values = [v for v in values if v <= stop + step * 1e-9]
-        if not values:  # an empty grid would mean the default one
-            raise ValueError(f"empty float range {text!r}")
-        return values
-    return [float(v) for v in text.split(",") if v.strip()]
+    else:
+        values = [float(v) for v in text.split(",") if v.strip()]
+    if not values:  # an empty grid would mean the default one
+        raise ValueError(f"empty float {'range' if ':' in text else 'list'} {text!r}")
+    return values
 
 
 def parse_int_list(text: str) -> list[int]:

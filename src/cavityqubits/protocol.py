@@ -85,7 +85,7 @@ class WeightedEnsemble:
 
 def _check_weights(ns: np.ndarray, weights: np.ndarray, transferred) -> None:
     """The weight rules of `WeightedEnsemble`, for one (K,) row with its
-    transferred count, or for a (B, K) stack with one count per row."""
+    transferred count, or for a stack of rows (..., K) with one count per row."""
     transferred = np.asarray(transferred)
     if np.any(transferred < 0):
         raise ValueError("transferred count must be non-negative")
@@ -373,8 +373,10 @@ def run(config, rng: np.random.Generator) -> ProtocolTrace:
         initial, config.tau_policy(initial), config.gamma, [config.cutoff], config.atom_budget,
         [rng], observe,
     )
-    last = WeightedEnsemble(initial.photon_numbers, final.weights[0], int(final.transferred[0]))
-    return ProtocolTrace(events=events, reason=final.reasons[0], final=last)
+    last = WeightedEnsemble(
+        initial.photon_numbers, final.weights[0, 0], int(final.transferred[0, 0])
+    )
+    return ProtocolTrace(events=events, reason=final.reasons[0, 0], final=last)
 
 
 # --- many runs in lockstep ----------------------------------------------------
@@ -387,13 +389,14 @@ DRAW_BLOCK = 32
 
 @dataclass(frozen=True)
 class BatchFinal:
-    """Terminal states of `run_batch`, one row per stream; the weight
-    columns are the initial ensemble's branches."""
+    """States of `run_batch` at each of its sorted distinct cutoffs (axis 0),
+    one row per stream (axis 1); the weight columns are the initial
+    ensemble's branches."""
 
-    weights: np.ndarray  # (B, K)
-    transferred: np.ndarray  # (B,)
-    atoms: np.ndarray  # (B,) atoms passed
-    reasons: tuple[StopReason, ...]
+    weights: np.ndarray  # (L, B, K)
+    transferred: np.ndarray  # (L, B)
+    atoms: np.ndarray  # (L, B) atoms passed
+    reasons: np.ndarray  # (L, B) StopReason
 
 
 def run_batch(
@@ -405,11 +408,15 @@ def run_batch(
     rngs: list[np.random.Generator],
     observe: Callable[..., None] | None = None,
 ) -> BatchFinal:
-    """Runs from `initial`, one per generator, in lockstep; terminal states only.
+    """Runs from `initial`, one per generator, in lockstep; their states at
+    every cutoff.
 
     Row b draws from `rngs[b]` alone and stops when its mixture is certainly
     the vacuum or `atom_budget` atoms have passed (checked in that order
-    before each atom), or after `cutoffs[b]` consecutive ground results.
+    before each atom), or once its ground streak reaches the largest of
+    `cutoffs`. Its state at cutoff c is where that streak first equals c,
+    which is where a run with cutoff c on that stream stops; if the row
+    stopped before that, it is the row's terminal state.
     All live rows pass their k-th atom as one B x K weight update. Under
     `FixedTau` the factors come from one table row per transferred count and
     uniforms `DRAW_BLOCK` at a time; under any other policy a row takes its
@@ -418,9 +425,9 @@ def run_batch(
     stream indices, taus, outcomes and p_excite before each pass, and their
     weights and counts after it.
     """
-    cutoffs = np.asarray(cutoffs, dtype=int)
-    if cutoffs.shape != (len(rngs),):
-        raise ValueError("need one cutoff per generator")
+    levels = np.array(sorted({int(c) for c in cutoffs}), dtype=int)
+    if not levels.size or levels[0] < 1:
+        raise ValueError("need at least one cutoff, each >= 1")
     ns = initial.photon_numbers
     fixed = isinstance(policy, FixedTau)
     if fixed:  # the factors depend only on (transferred m, branch n)
@@ -428,29 +435,36 @@ def run_batch(
         tables = _rabi_factors(remaining, gamma, policy.tau)
 
     n_rows = len(rngs)
-    final_w = np.empty((n_rows, len(ns)))
-    final_m = np.empty(n_rows, dtype=int)
-    atoms = np.empty(n_rows, dtype=int)
-    reasons = np.full(n_rows, None)
+    shape = (len(levels), n_rows)
+    out_w = np.empty((*shape, len(ns)))
+    out_m = np.empty(shape, dtype=int)
+    out_atoms = np.empty(shape, dtype=int)
+    members = list(StopReason)
+    out_reasons = np.empty(shape, dtype=np.int8)  # index into `members`: a byte, not a pointer
 
     # state of the live rows, compacted; `rows` maps them back to streams
     rows = np.arange(n_rows)
     w = np.tile(initial.weights, (n_rows, 1))
     m = np.full(n_rows, initial.transferred)
     streak = np.zeros(n_rows, dtype=int)
+    nxt = np.zeros(n_rows, dtype=int)  # index of the next cutoff the streak meets
     draws = np.empty((n_rows, DRAW_BLOCK))
     passed = 0  # every live row has passed this many atoms
 
+    def store(level: np.ndarray, live: np.ndarray, reason: StopReason) -> None:
+        ids = rows[live]
+        out_w[level, ids], out_m[level, ids] = w[live], m[live]
+        out_atoms[level, ids], out_reasons[level, ids] = passed, members.index(reason)
+
     def retire(done: np.ndarray, reason: StopReason) -> None:
-        nonlocal rows, w, m, streak, cutoffs, draws
+        nonlocal rows, w, m, streak, nxt, draws
         if not done.any():
             return
-        ids = rows[done]
-        final_w[ids], final_m[ids], atoms[ids], reasons[ids] = w[done], m[done], passed, reason
+        # the cutoffs a row's streak has not reached take its terminal state
+        level, i = np.nonzero(np.arange(len(levels))[:, None] >= nxt[done])
+        store(level, np.flatnonzero(done)[i], reason)
         keep = ~done
-        rows, w, m, streak, cutoffs, draws = (
-            a[keep] for a in (rows, w, m, streak, cutoffs, draws)
-        )
+        rows, w, m, streak, nxt, draws = (a[keep] for a in (rows, w, m, streak, nxt, draws))
 
     while rows.size:
         # stop checks in run's order: vacuum-certain, budget, then the step
@@ -483,18 +497,26 @@ def run_batch(
         # sum runs in the same order and p_e keeps its exact bits
         p_e = np.matmul(w[:, None, :], sin2[:, :, None])[:, 0, 0]
         excited = u < p_e
-        posterior = w * np.where(excited[:, None], sin2, cos2)
+        posterior = np.where(excited[:, None], sin2, cos2)
+        posterior *= w  # in place: one new (B, K) array per atom
         total = posterior.sum(axis=1)
         if np.any(total <= 0.0):
             outcome = "excited" if excited[np.argmax(total <= 0.0)] else "ground"
             raise ValueError(f"cannot condition on zero-probability outcome {outcome}")
-        w = posterior / total[:, None]
+        posterior /= total[:, None]
+        w = posterior
         m = m + excited
         streak = np.where(excited, 0, streak + 1)
         passed += 1
         if observe is not None:
             observe(rows, taus, excited, p_e, w, m)
-        retire(streak >= cutoffs, StopReason.CUTOFF)
+        # a streak grows by one, so it meets each cutoff it reaches; a live
+        # row has not yet met the largest
+        hit = streak == levels[nxt]
+        if hit.any():
+            store(nxt[hit], hit, StopReason.CUTOFF)
+            nxt = nxt + hit
+        retire(nxt == len(levels), StopReason.CUTOFF)
 
-    _check_weights(ns, final_w, final_m)  # every terminal row is a valid ensemble
-    return BatchFinal(final_w, final_m, atoms, tuple(reasons))
+    _check_weights(ns, out_w, out_m)  # every returned state is a valid ensemble
+    return BatchFinal(out_w, out_m, out_atoms, np.array(members, dtype=object)[out_reasons])

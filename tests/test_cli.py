@@ -370,6 +370,30 @@ def test_empty_grid_is_a_config_error(command, experiment, key, message, tmp_pat
     assert capsys.readouterr().out.splitlines() == [f"error: {key}: {message}"]
 
 
+@pytest.mark.parametrize("text", [",", " , ,", ""])
+def test_an_empty_jitter_list_is_a_one_line_error(text, tmp_path, capsys):
+    # fig3 ran all 60 cells of the default grid before; leaving the key out
+    # still means that grid
+    message = f"empty float list {text.strip()!r}"
+    out = tmp_path / "x.csv"
+    with pytest.raises(SystemExit) as exc:
+        main(["fig3", "--sigma-rel", text, "--trials", "5", "--seed", "1", "--out", str(out)])
+    assert exc.value.code == 2
+    assert [line for line in capsys.readouterr().err.splitlines() if "error" in line] == [
+        f"cavityqubits fig3: error: argument --sigma-rel: {message}"
+    ]
+    conf = tmp_path / "exp.conf"
+    conf.write_text(f"experiment = trapping-curves\nseed = 5\nsigma_rel_values = {text}\n")
+    for argv in (["fig3", "--trials", "5", "--out", str(out)], ["validate"]):
+        with pytest.raises(
+            SystemExit, match=f"^invalid configuration: sigma_rel_values: {message}$"
+        ):
+            main([*argv, "--config", str(conf)])
+    assert not out.exists()
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        parse_float_list(text)
+
+
 @pytest.mark.parametrize(
     "lines, message",
     [
@@ -597,16 +621,47 @@ def test_fig4_steps_all_streams_in_one_batch(tmp_path, monkeypatch):
         raise AssertionError("fig4 must not call protocol.run")
 
     def counted_run_batch(initial, policy, gamma, cutoffs, atom_budget, rngs, observe=None):
-        calls.append((list(cutoffs), len(rngs)))
+        calls.append((list(cutoffs), len(rngs), observe))
         return run_batch(initial, policy, gamma, cutoffs, atom_budget, rngs, observe)
 
     monkeypatch.setattr(protocol, "run", no_scalar_runs)
     monkeypatch.setattr(protocol, "run_batch", counted_run_batch)
     out = tmp_path / "q.csv"
-    assert main(["fig4", "--nmax", "4", "--cutoffs", "1..3", "--runs", "4", "--seed", "3",
-                 "--out", str(out)]) == 0
-    assert calls == [([3] * 4, 4)]  # one stream per run, stepped to the largest cutoff
-    assert check_output(out) == []
+    for cutoffs, levels in (("1..3", [1, 2, 3]), ("3,1,3", [1, 3])):
+        calls.clear()
+        assert main(["fig4", "--nmax", "4", "--cutoffs", cutoffs, "--runs", "4", "--seed", "3",
+                     "--out", str(out)]) == 0
+        # one stream per run and the sorted distinct cutoffs; run_batch owns
+        # the stop rule, so fig4 watches no atom
+        assert calls == [(levels, 4, None)]
+        assert check_output(out) == []
+
+
+def assert_fig4_rows_equal_separate_runs(out: Path) -> set:
+    """Every row of the fig4 file `out` equals a separate one-cutoff batch on
+    the same split_rng(seed, run) streams, graded run by run with
+    `quality(atom_fidelity(...))`. Returns the stop reasons seen."""
+    meta = read_metadata(out)
+    initial = protocol.WeightedEnsemble.from_weights(
+        DistributionSpec.parse(meta["distribution"]).resolve()
+    )
+    ns = initial.photon_numbers.tolist()
+    runs, n_orig, budget = int(meta["runs"]), int(meta["n_originals"]), int(meta["atom_budget"])
+    expected, reasons = [], set()
+    for cutoff in parse_int_list(meta["cutoffs"]):
+        final = protocol.run_batch(
+            initial, protocol.FixedTau(float(meta["resolved_tau"])), float(meta["gamma"]),
+            [cutoff], budget, [split_rng(int(meta["seed"]), r) for r in range(runs)],
+        )
+        reasons.update(final.reasons[0])
+        q = np.array([
+            quality(atom_fidelity(dict(zip(ns, w)), n_orig), n_orig, m) if m >= n_orig else 0.0
+            for w, m in zip(final.weights[0].tolist(), final.transferred[0].tolist())
+        ])
+        stderr = float(q.std(ddof=1) / math.sqrt(runs)) if runs > 1 else 0.0
+        expected.append([str(cutoff), repr(float(q.mean())), repr(stderr), str(max(ns))])
+    assert read_rows(out)[1] == expected
+    return reasons
 
 
 @pytest.mark.parametrize(
@@ -623,31 +678,49 @@ def test_fig4_steps_all_streams_in_one_batch(tmp_path, monkeypatch):
 )
 def test_fig4_rows_equal_separate_runs_at_each_cutoff(args, tmp_path):
     # every cutoff read off one trajectory per run equals a separate batch at
-    # that cutoff alone on the same split_rng(seed, run) streams, graded run by run
+    # that cutoff alone on the same streams, graded run by run
     out = tmp_path / "q.csv"
     assert main(["fig4", *args, "--out", str(out)]) == 0
-    meta = read_metadata(out)
-    initial = protocol.WeightedEnsemble.from_weights(
-        DistributionSpec.parse(meta["distribution"]).resolve()
-    )
-    ns = initial.photon_numbers.tolist()
-    runs, n_orig, budget = int(meta["runs"]), int(meta["n_originals"]), int(meta["atom_budget"])
-    expected, reasons = [], set()
-    for cutoff in parse_int_list(meta["cutoffs"]):
-        final = protocol.run_batch(
-            initial, protocol.FixedTau(float(meta["resolved_tau"])), float(meta["gamma"]),
-            [cutoff] * runs, budget, [split_rng(int(meta["seed"]), r) for r in range(runs)],
-        )
-        reasons.update(final.reasons)
-        q = np.array([
-            quality(atom_fidelity(dict(zip(ns, w)), n_orig), n_orig, m) if m >= n_orig else 0.0
-            for w, m in zip(final.weights.tolist(), final.transferred.tolist())
-        ])
-        stderr = float(q.std(ddof=1) / math.sqrt(runs)) if runs > 1 else 0.0
-        expected.append([str(cutoff), repr(float(q.mean())), repr(stderr), str(max(ns))])
-    assert read_rows(out)[1] == expected
-    if budget == 12:
+    reasons = assert_fig4_rows_equal_separate_runs(out)
+    if "--budget" in args:
         assert protocol.StopReason.ATOM_BUDGET in reasons
+
+
+small_distributions = (
+    st.integers(1, 6).map(lambda n: f"binomial:{n}")
+    | st.tuples(st.integers(0, 6), st.integers(1, 6))
+    .filter(lambda t: t[0] <= t[1])
+    .map(lambda t: f"uniform:{t[0]}..{t[1]}")
+    | st.dictionaries(st.integers(0, 6), st.sampled_from([1, 2, 3]), min_size=1, max_size=4).map(
+        lambda d: "explicit:" + ",".join(f"{n}={p / sum(d.values())!r}" for n, p in d.items())
+    )
+)
+
+
+@settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(
+    dist=small_distributions,
+    # duplicates and any order; 0 is refused
+    cutoffs=st.lists(st.integers(0, 8), min_size=1, max_size=6),
+    runs=st.integers(1, 6),
+    budget=st.integers(1, 60),
+    n_originals=st.integers(1, 2),
+    gamma=st.sampled_from([1.0]) | st.floats(0.2, 5.0),
+    tau=st.none() | st.floats(0.05, 3.0),
+)
+def test_fig4_configs_are_rejected_or_equal_separate_runs(
+    dist, cutoffs, runs, budget, n_originals, gamma, tau, tmp_path_factory
+):
+    config = make_config(
+        experiment="quality-cutoff", distribution=DistributionSpec.parse(dist),
+        cutoffs=tuple(cutoffs), runs=runs, atom_budget=budget, n_originals=n_originals,
+        gamma=gamma, tau=tau,
+    )
+    out = tmp_path_factory.getbasetemp() / "fig4.csv"
+    problems = _validated_run(config, out)
+    assert problems in (None, [])
+    if problems == []:
+        assert_fig4_rows_equal_separate_runs(out)
 
 
 def test_run_experiment_refuses_invalid_config(tmp_path):

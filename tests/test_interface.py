@@ -225,3 +225,35 @@ def test_one_stepping_loop_applies_the_stop_rules():
             found.setdefault(member, set()).update(f"{path.stem}.{o}" for o in owners)
     for member in ("CUTOFF", "ATOM_BUDGET", "VACUUM_CERTAIN"):
         assert found.get(member) == {"protocol.run_batch"}, member
+
+
+def _private(name: str) -> bool:
+    return name.startswith("_") and not (name.startswith("__") and name.endswith("__"))
+
+
+def _private_reads(path: Path, modules: set[str]) -> list[str]:
+    """Each `<module>._name` attribute, and each `from .<module> import _name`,
+    in a source file, for the sibling `modules`."""
+    found = []
+    for node in ast.walk(ast.parse(path.read_text())):
+        if (
+            isinstance(node, ast.Attribute)
+            and isinstance(node.value, ast.Name)
+            and node.value.id in modules
+            and _private(node.attr)
+        ):
+            found.append(f"{path.stem}:{node.lineno}: {node.value.id}.{node.attr}")
+        elif isinstance(node, ast.ImportFrom) and node.level == 1:
+            found.extend(
+                f"{path.stem}:{node.lineno}: from .{node.module or ''} import {alias.name}"
+                for alias in node.names
+                if _private(alias.name)
+            )
+    return found
+
+
+def test_no_module_reads_another_modules_private_names():
+    # a private name is its module's own business; a second user needs a public one
+    modules = {path.stem for path in SRC.glob("*.py")} - {"__init__"}
+    found = [hit for path in sorted(SRC.glob("*.py")) for hit in _private_reads(path, modules)]
+    assert found == []

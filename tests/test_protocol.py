@@ -636,79 +636,92 @@ def run_rows(initial, policy, cutoffs, atom_budget, rngs, gamma=1.0):
     return run_batch(initial, policy, gamma, cutoffs, atom_budget, rngs, observe), records
 
 
-def assert_batch_matches_run(weights, policy, cutoffs, atom_budget, seed, gamma=1.0):
-    """Each batch row equals the step loop on the same stream, atom by atom;
-    under `FixedTau` it also equals that stream run alone as a batch of one."""
+def assert_batch_matches_run(weights, policy, cutoffs, n_rows, atom_budget, seed, gamma=1.0):
+    """Row r of the batch, at each cutoff, equals the step loop with that
+    cutoff on stream `split_rng(seed, r)`, atom by atom; under `FixedTau`
+    that stream run alone as a batch of one also equals its row."""
     initial = WeightedEnsemble.from_weights(weights)
-    streams = [(c, r) for r, c in enumerate(cutoffs)]
+    levels = sorted(set(cutoffs))
     final, records = run_rows(
-        initial, policy, cutoffs, atom_budget, [split_rng(seed, *s) for s in streams], gamma
+        initial, policy, cutoffs, atom_budget, [split_rng(seed, r) for r in range(n_rows)], gamma
     )
+    assert final.weights.shape == (len(levels), n_rows, len(initial.weights))
+    assert final.transferred.shape == final.atoms.shape == final.reasons.shape
+    assert final.transferred.shape == (len(levels), n_rows)
     reasons = set()
-    for row, (cutoff, r) in enumerate(streams):
-        ens, reason, expected = reference_run(
-            initial, policy, cutoff, atom_budget, split_rng(seed, cutoff, r), gamma
-        )
-        assert records[row] == expected
-        assert final.atoms[row] == len(expected)
-        assert final.transferred[row] == ens.transferred
-        assert final.reasons[row] is reason
-        assert np.array_equal(final.weights[row], ens.weights)
+    for row in range(n_rows):
+        for level, cutoff in enumerate(levels):
+            ens, reason, expected = reference_run(
+                initial, policy, cutoff, atom_budget, split_rng(seed, row), gamma
+            )
+            # the batch steps each row to the largest cutoff, through this one
+            assert records[row][: len(expected)] == expected
+            if cutoff == levels[-1]:
+                assert records[row] == expected
+            assert final.atoms[level, row] == len(expected)
+            assert final.transferred[level, row] == ens.transferred
+            assert final.reasons[level, row] is reason
+            assert np.array_equal(final.weights[level, row], ens.weights)
+            reasons.add(reason)
         if isinstance(policy, FixedTau):
             alone, _ = run_rows(
-                initial, policy, [cutoff], atom_budget, [split_rng(seed, cutoff, r)], gamma
+                initial, policy, cutoffs, atom_budget, [split_rng(seed, row)], gamma
             )
-            assert alone.reasons[0] is reason and alone.atoms[0] == len(expected)
-            assert np.array_equal(alone.weights[0], ens.weights)
-        reasons.add(reason)
+            assert np.array_equal(alone.weights[:, 0], final.weights[:, row])
+            assert np.array_equal(alone.transferred[:, 0], final.transferred[:, row])
+            assert np.array_equal(alone.atoms[:, 0], final.atoms[:, row])
+            assert alone.reasons[:, 0].tolist() == final.reasons[:, row].tolist()
     return reasons
 
 
 def test_batch_matches_run_on_cutoff_stops():
     weights = binomial_distribution(10)
     tau = optimal_tau(WeightedEnsemble.from_weights(weights), 1.0)
-    # cutoffs up to 40 take most rows past one block of draws
-    reasons = assert_batch_matches_run(weights, FixedTau(tau), [1, 2, 5, 10, 20, 40] * 8, 10_000, 5)
+    # cutoffs up to 40 take most rows past one block of draws; unsorted, with a duplicate
+    reasons = assert_batch_matches_run(
+        weights, FixedTau(tau), [20, 1, 5, 2, 40, 10, 5], 8, 10_000, 5
+    )
     assert reasons == {StopReason.CUTOFF}
     # gamma != 1: gamma * tau is then a rounded product, not tau itself
-    reasons = assert_batch_matches_run(weights, FixedTau(tau / 1.3), [1, 5, 20] * 4, 10_000, 6, 1.3)
+    reasons = assert_batch_matches_run(weights, FixedTau(tau / 1.3), [1, 5, 20], 4, 10_000, 6, 1.3)
     assert reasons == {StopReason.CUTOFF}
 
 
 def test_batch_matches_run_on_vacuum_and_cutoff_stops():
     # a known photon number empties for certain; short cutoffs stop some rows first
-    reasons = assert_batch_matches_run({3: 1.0}, FixedTau(0.6), [1, 2, 4, 8] * 6, 10_000, 4)
+    reasons = assert_batch_matches_run({3: 1.0}, FixedTau(0.6), [1, 2, 4, 8], 6, 10_000, 4)
     assert reasons == {StopReason.CUTOFF, StopReason.VACUUM_CERTAIN}
 
 
 def test_batch_matches_run_on_budget_stops():
     weights = binomial_distribution(6)
-    reasons = assert_batch_matches_run(weights, FixedTau(0.825), [3, 50, 50, 50] * 5, 37, 6)
+    reasons = assert_batch_matches_run(weights, FixedTau(0.825), [3, 50], 10, 37, 6)
     assert StopReason.ATOM_BUDGET in reasons
 
 
 def test_batch_single_photon_is_vacuum_certain_after_one_atom():
     final = run_batch(
-        WeightedEnsemble.from_weights({1: 1.0}), FixedTau(math.pi / 2), 1.0, [1, 5], 100,
+        WeightedEnsemble.from_weights({1: 1.0}), FixedTau(math.pi / 2), 1.0, [5, 1], 100,
         [split_rng(0, 1), split_rng(0, 2)],
     )
-    assert final.reasons == (StopReason.VACUUM_CERTAIN,) * 2
-    assert final.atoms.tolist() == [1, 1]
-    assert final.transferred.tolist() == [1, 1]
-    assert_batch_matches_run({1: 1.0}, FixedTau(math.pi / 2), [1, 5, 9], 100, 7)
+    assert final.reasons.tolist() == [[StopReason.VACUUM_CERTAIN] * 2] * 2
+    assert final.atoms.tolist() == [[1, 1], [1, 1]]
+    assert final.transferred.tolist() == [[1, 1], [1, 1]]
+    assert_batch_matches_run({1: 1.0}, FixedTau(math.pi / 2), [1, 5, 9], 3, 100, 7)
 
 
 def test_batch_cutoff_on_the_last_budgeted_atom_is_a_cutoff_stop():
     # budget 1: a ground result at cutoff 1 stops on the cutoff, any other
-    # row on the budget
-    reasons = assert_batch_matches_run({1: 0.5, 2: 0.5}, FixedTau(0.4), [1, 2] * 20, 1, 8)
+    # row and cutoff on the budget
+    reasons = assert_batch_matches_run({1: 0.5, 2: 0.5}, FixedTau(0.4), [1, 2], 20, 1, 8)
     assert reasons == {StopReason.CUTOFF, StopReason.ATOM_BUDGET}
 
 
 def test_batch_rejects_bad_inputs():
     ens = WeightedEnsemble.from_weights({1: 1.0})
-    with pytest.raises(ValueError, match="one cutoff per generator"):
-        run_batch(ens, FixedTau(0.5), 1.0, [1, 2], 10, [split_rng(0)])
+    for cutoffs in ([], [0, 2], [3, -1]):
+        with pytest.raises(ValueError, match="need at least one cutoff, each >= 1"):
+            run_batch(ens, FixedTau(0.5), 1.0, cutoffs, 10, [split_rng(0)])
     with pytest.raises(ValueError, match="tau must be positive"):
         run_batch(ens, FixedTau(0.0), 1.0, [1], 10, [split_rng(0)])
 
@@ -744,12 +757,15 @@ def test_run_is_the_step_loop(policy):
     st.floats(0.05, 3.0),
     st.floats(0.0, 1.0),
     st.lists(st.integers(1, 8), min_size=1, max_size=6),
+    st.integers(1, 6),
     st.integers(1, 70),
     st.integers(0, 2**32 - 1),
     # gamma != 1: gamma * tau is then a rounded product, not tau itself
     st.sampled_from([1.0]) | st.floats(0.2, 5.0),
 )
-def test_batch_matches_run_property(raw, name, tau, sigma_rel, cutoffs, atom_budget, seed, gamma):
+def test_batch_matches_run_property(
+    raw, name, tau, sigma_rel, cutoffs, n_rows, atom_budget, seed, gamma
+):
     if name == "half-rabi":  # needs a single known photon number
         raw = {max(raw): 1.0}
     total = sum(raw.values())
@@ -761,4 +777,4 @@ def test_batch_matches_run_property(raw, name, tau, sigma_rel, cutoffs, atom_bud
         "half-rabi": HalfRabiTau(max(raw)),
         "jittered": JitteredTau(tau, sigma_rel * tau),
     }[name]
-    assert_batch_matches_run(weights, policy, cutoffs, atom_budget, seed, gamma)
+    assert_batch_matches_run(weights, policy, cutoffs, n_rows, atom_budget, seed, gamma)
