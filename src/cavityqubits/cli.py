@@ -29,13 +29,14 @@ import numpy as np
 from . import __version__, cloning, protocol, trapping
 from .config import (
     EXPERIMENTS,
+    HALF_RABI,
     JITTERED,
     KEYS,
-    NEEDS_PHOTON_NUMBER,
-    NEEDS_TAU,
     OUTDIR_ENV,
     POLICIES,
     QUALITY_TABLE,
+    STEP_TABLE,
+    TIMED_POLICIES,
     TRAPPING_TABLE,
     DistributionSpec,
     ExperimentConfig,
@@ -53,6 +54,13 @@ MAX_STREAMS = 100_000
 # Most weights in those states (cutoffs x runs x photon numbers 0..n_max),
 # about 3x the script default (330000): 8 MB of floats.
 MAX_STREAM_WEIGHTS = 1_000_000
+
+# Most rows one fig2 or custom table may hold, (atoms + 1) x photon numbers:
+# the default budget's table at photon numbers 0..1000. The CLI keeps every
+# weight of every atom until it writes the CSV; at binomial:1000 that
+# measured 343, 572 and 1087 MB RSS at 1000, 2000 and 4000 atoms, so about
+# 2.6 GB at this bound (10^4 atoms) by linear extrapolation.
+MAX_STEP_ROWS = 10_011_001
 
 # Largest cutoff a run may take. It keeps every cutoff well inside int64,
 # and it stays where it was, so the set of accepted configs does not change.
@@ -131,7 +139,7 @@ def _largest_phase(config: ExperimentConfig, table, n: int) -> float:
         m = min(max(config.rabi_cycles_values), 2**1023)
         center = 2 * math.pi * m / rabi
         jitter = max(config.sigma_rel_values or DEFAULT_SIGMA_REL_GRID)
-    elif POLICIES[config.policy].needs == NEEDS_TAU:
+    elif config.policy in TIMED_POLICIES:
         center = config.tau if config.tau is not None else longest
         jitter = config.sigma_rel if config.policy == JITTERED else 0.0
     return rabi * max(longest, center * (1 + NORMAL_DRAW_SPAN * jitter))
@@ -155,7 +163,6 @@ def validate(config: ExperimentConfig) -> list[Diagnostic]:
             error(key, f"must be finite, got {value!r}")
     experiment = EXPERIMENTS.get(config.experiment)
     table = experiment.table if experiment else None
-    policy = POLICIES.get(config.policy)
     try:
         weights = config.initial_weights()
         # the runs' own ensemble checks, with their tolerance cloning.WEIGHT_TOL
@@ -177,16 +184,16 @@ def validate(config: ExperimentConfig) -> list[Diagnostic]:
         error("gamma", f"must be positive, got {config.gamma}")
     if config.sigma_rel < 0:
         error("sigma_rel", f"must be non-negative, got {config.sigma_rel}")
-    if experiment and policy and config.policy not in experiment.policies:
+    if experiment and config.policy in POLICIES and config.policy not in experiment.policies:
         error(
             "policy",
             f"{config.experiment} runs only {', '.join(experiment.policies)}, "
             f"got {config.policy!r}",
         )
-    elif policy and policy.needs == NEEDS_PHOTON_NUMBER and len(occupied) > 1:
+    elif config.policy == HALF_RABI and len(occupied) > 1:
         error(
             "policy",
-            f"{config.policy} needs {policy.needs}, the distribution has "
+            f"{config.policy} needs a single known photon number, the distribution has "
             f"{len(occupied)} occupied branches",
         )
     if config.tau is not None and not config.tau > 0:
@@ -270,9 +277,20 @@ def validate(config: ExperimentConfig) -> list[Diagnostic]:
                 f"weights exceeds the maximum {MAX_STREAM_WEIGHTS}",
             )
 
+    if table is STEP_TABLE and weights and config.cutoff >= 1 and config.atom_budget >= 1:
+        # each excitation ends a ground streak, so a run ends within n_max + 1 streaks
+        steps = min(config.atom_budget, (max(weights) + 1) * config.cutoff) + 1
+        rows = steps * len(weights)
+        if rows > MAX_STEP_ROWS:
+            error(
+                "atom_budget",
+                f"{steps} steps x {len(weights)} photon numbers = {rows} rows exceeds the "
+                f"maximum {MAX_STEP_ROWS}",
+            )
+
     # a fixed tau that puts the top branch's phase at pi or beyond can hit a
     # trapping point of some occupied branch and stall the run
-    if phase_ok and table is not TRAPPING_TABLE and policy.needs == NEEDS_TAU and config.tau:
+    if phase_ok and table is not TRAPPING_TABLE and config.policy in TIMED_POLICIES and config.tau:
         top = math.sqrt(n) * config.gamma * config.tau
         if top >= math.pi:
             warn(
@@ -327,7 +345,7 @@ def _write_csv(
 def _run_weights_evolution(config: ExperimentConfig) -> Path:
     rng = split_rng(config.seed)
     initial = config.initial_weights()
-    if POLICIES[config.policy].needs == NEEDS_TAU:  # echo the tau the run uses
+    if config.policy in TIMED_POLICIES:  # echo the tau the run uses
         config = replace(
             config, tau=config.resolved_tau(protocol.WeightedEnsemble.from_weights(initial))
         )
@@ -428,19 +446,20 @@ def _run_trapping_curves(config: ExperimentConfig) -> Path:
 def _run_quality_cutoff(config: ExperimentConfig) -> Path:
     """Average clone quality at each cutoff, over `runs` repetitions.
 
-    The interaction time is the optimum for the initial mixture and stays
-    fixed for the whole process. Run r draws from `split_rng(seed, r)`;
-    one `run_batch` call steps every run in lockstep and returns its state
-    at each distinct cutoff, which is graded here. Runs that stop before
-    `n_originals` transfers have no clones; they count as quality 0.
+    Every atom takes `config.tau_policy`'s fixed tau: the configured one,
+    or the optimum for the initial mixture. Run r draws from
+    `split_rng(seed, r)`; one `run_batch` call steps every run in lockstep
+    and returns its state at each distinct cutoff, which is graded here.
+    Runs that stop before `n_originals` transfers have no clones; they count
+    as quality 0.
     """
     initial = protocol.WeightedEnsemble.from_weights(config.initial_weights())
-    resolved_tau = config.resolved_tau(initial)
+    policy = config.tau_policy(initial)
     ns = initial.photon_numbers
     runs = config.runs
     levels = np.array(sorted(set(config.cutoffs)))
     final = protocol.run_batch(
-        initial, protocol.FixedTau(resolved_tau), config.gamma, levels, config.atom_budget,
+        initial, policy, config.gamma, levels, config.atom_budget,
         [split_rng(config.seed, r) for r in range(runs)],
     )
 
@@ -463,7 +482,7 @@ def _run_quality_cutoff(config: ExperimentConfig) -> Path:
         stderr = float(q.std(ddof=1) / math.sqrt(runs)) if runs > 1 else 0.0
         rows.append((cutoff, float(q.mean()), stderr, n_max))
     metadata = config.metadata(__version__)
-    metadata.append(("resolved_tau", repr(float(resolved_tau))))
+    metadata.append(("resolved_tau", repr(float(policy.tau))))
     metadata.append(("stream_layout", "(seed, run)"))
     return _write_csv(config, metadata, rows)
 
@@ -528,6 +547,8 @@ def check_output(path: Path) -> list[str]:
         trials = int(metadata.get("trials", "1"))
         if trials < 1:
             raise ValueError(f"trials must be >= 1, got {trials}")
+        if trials > sys.float_info.max:  # the Monte Carlo bound takes it as a float
+            raise ValueError(f"trials must be at most {sys.float_info.max!r}")
     except ValueError as exc:
         return [f"metadata: {exc}"]
     if header != [name for name, _ in table]:

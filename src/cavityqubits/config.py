@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, fields
 from pathlib import Path
-from typing import Callable, Mapping
+from typing import Mapping
 
 import numpy as np
 
@@ -120,28 +120,12 @@ TRAPPING_TABLE = (
 )
 QUALITY_TABLE = (("cutoff", int), ("mean_quality", float), ("stderr", float), ("n_max", int))
 
-# what a policy needs besides the mixture
-NEEDS_TAU = "an interaction time"
-NEEDS_PHOTON_NUMBER = "a single known photon number"
-
-
-@dataclass(frozen=True)
-class Policy:
-    """An interaction-time policy: what it needs besides the mixture, and
-    how it is built from the config and that value."""
-
-    needs: str | None  # NEEDS_TAU, NEEDS_PHOTON_NUMBER or nothing
-    build: Callable[["ExperimentConfig", float | int | None], protocol.TauPolicy]
-
-
-FIXED = "fixed"
-JITTERED = "jittered"
-POLICIES = {
-    FIXED: Policy(NEEDS_TAU, lambda config, tau: protocol.FixedTau(tau)),
-    "optimal-each-step": Policy(None, lambda config, _: protocol.OptimalEachStep()),
-    "half-rabi": Policy(NEEDS_PHOTON_NUMBER, lambda config, n: protocol.HalfRabiTau(n)),
-    JITTERED: Policy(NEEDS_TAU, lambda c, tau: protocol.JitteredTau(tau, c.sigma_rel * tau)),
-}
+# interaction-time policies, in `--policy` order
+FIXED, OPTIMAL_EACH_STEP, HALF_RABI, JITTERED = POLICIES = (
+    "fixed", "optimal-each-step", "half-rabi", "jittered"
+)
+# the policies that run at the configured tau, or the optimum for the initial mixture
+TIMED_POLICIES = (FIXED, JITTERED)
 
 
 @dataclass(frozen=True)
@@ -156,7 +140,7 @@ class Experiment:
 _RUN_KEYS = ("tau", "cutoff", "atom_budget", "n_originals")
 EXPERIMENTS = {
     "weights-evolution": Experiment(
-        "fig2", "single seeded run: weight evolution table", STEP_TABLE, tuple(POLICIES), _RUN_KEYS
+        "fig2", "single seeded run: weight evolution table", STEP_TABLE, POLICIES, _RUN_KEYS
     ),
     # fig3 runs no policy, so only the default is accepted
     "trapping-curves": Experiment(
@@ -169,7 +153,7 @@ EXPERIMENTS = {
         ("tau", "atom_budget", "cutoffs", "runs", "n_originals"),
     ),
     "custom": Experiment(
-        "custom", "fully configured single run (fig2-style table)", STEP_TABLE, tuple(POLICIES),
+        "custom", "fully configured single run (fig2-style table)", STEP_TABLE, POLICIES,
         (*_RUN_KEYS, "policy", "sigma_rel"),
     ),
 }
@@ -200,7 +184,7 @@ class ExperimentConfig:
     gamma: float = _key(
         1.0, float, "--gamma", "coupling constant, defines the time unit", common=True
     )
-    policy: str = _key(FIXED, str, "--policy", "interaction-time policy", tuple(POLICIES))
+    policy: str = _key(FIXED, str, "--policy", "interaction-time policy", POLICIES)
     # None -> optimum for the initial mixture
     tau: float | None = _key(None, float, "--tau", "fixed interaction time (default: optimal)")
     sigma_rel: float = _key(0.0, float, "--sigma-rel", "relative jitter of the jittered policy")
@@ -238,15 +222,19 @@ class ExperimentConfig:
 
     def tau_policy(self, initial: protocol.WeightedEnsemble) -> protocol.TauPolicy:
         """The configured policy for a run that starts from `initial`."""
-        policy = POLICIES[self.policy]
-        if policy.needs == NEEDS_TAU:
-            return policy.build(self, self.resolved_tau(initial))
-        if policy.needs == NEEDS_PHOTON_NUMBER:
+        if self.policy == OPTIMAL_EACH_STEP:
+            return protocol.OptimalEachStep()
+        if self.policy == HALF_RABI:
             alive = initial.photon_numbers[initial.weights > 0]
             if len(alive) != 1:
-                raise ValueError(f"{self.policy} needs {policy.needs}")
-            return policy.build(self, int(alive[0]))
-        return policy.build(self, None)
+                raise ValueError(f"{self.policy} needs a single known photon number")
+            return protocol.HalfRabiTau(int(alive[0]))
+        tau = self.resolved_tau(initial)
+        if self.policy == JITTERED:
+            return protocol.JitteredTau(tau, self.sigma_rel * tau)
+        if self.policy == FIXED:
+            return protocol.FixedTau(tau)
+        raise ValueError(f"unknown policy {self.policy!r}")
 
     def metadata(self, version: str) -> list[tuple[str, str]]:
         """Config echo for the CSV header block (deterministic order)."""

@@ -189,10 +189,7 @@ TauPolicy = Union[FixedTau, HalfRabiTau, OptimalEachStep, JitteredTau]
 
 
 def policy_tau(
-    policy: TauPolicy,
-    ens: WeightedEnsemble,
-    gamma: float,
-    rng: np.random.Generator | None = None,
+    policy: TauPolicy, ens: WeightedEnsemble, gamma: float, rng: np.random.Generator
 ) -> float:
     """Interaction time for the next atom under the given policy."""
     if isinstance(policy, FixedTau):
@@ -205,8 +202,6 @@ def policy_tau(
     if isinstance(policy, OptimalEachStep):
         return optimal_tau(ens, gamma)
     if isinstance(policy, JitteredTau):
-        if rng is None:
-            raise ValueError("jittered policy needs an rng")
         if policy.sigma == 0:
             return policy.center
         while True:
@@ -232,53 +227,44 @@ def step(
     return outcome, update_weights(ens, gamma, tau, outcome), tau, p_e
 
 
+# Points of `optimal_tau`'s scan grid over [0, pi/gamma], tau = 0 included.
+TAU_GRID_POINTS = 2000
+
+
 @lru_cache(maxsize=16)
-def _tau_grid(lo: float, hi: float, grid_points: int) -> np.ndarray:
+def _tau_grid(gamma: float) -> np.ndarray:
     """The positive points of `optimal_tau`'s scan grid (read-only)."""
-    grid = np.linspace(lo, hi, grid_points)
+    grid = np.linspace(0.0, math.pi / gamma, TAU_GRID_POINTS)
     grid = grid[grid > 0]
     grid.flags.writeable = False
     return grid
 
 
-# A row holds one float per grid point: 16 KB at the default 2000 points,
-# so a full cache is about 4 MB.
+# A row holds one float per grid point, 16 KB, so a full cache is about 4 MB.
 @lru_cache(maxsize=256)
-def _grid_row(remaining: int, gamma: float, lo: float, hi: float, grid_points: int) -> np.ndarray:
+def _grid_row(remaining: int, gamma: float) -> np.ndarray:
     """sin^2 of the Rabi phase of a branch with `remaining` photons at every
     point of the scan grid (read-only): one row of excite_prob's table,
     from the same float expression. It does not depend on the weights."""
-    row = _rabi_factors(remaining, gamma, _tau_grid(lo, hi, grid_points))[0]
+    row = _rabi_factors(remaining, gamma, _tau_grid(gamma))[0]
     row.flags.writeable = False
     return row
 
 
-def optimal_tau(
-    ens: WeightedEnsemble,
-    gamma: float,
-    bounds: tuple[float, float] | None = None,
-    grid_points: int = 2000,
-) -> float:
-    """Interaction time maximizing the excitation probability.
+def optimal_tau(ens: WeightedEnsemble, gamma: float) -> float:
+    """Interaction time in (0, pi/gamma] maximizing the excitation probability.
 
-    Grid scan over the bounds (default (0, pi/gamma]) followed by
-    golden-section refinement of the best bracket. Ties break toward the
-    smaller tau. Each value is the one `excite_prob` returns, bit for bit:
-    the grid's sin^2 rows are cached per remaining photon count, and the
-    refinement computes `_rabi_factors`' phase sqrt(k) * (gamma * tau) in place.
+    Grid scan of `TAU_GRID_POINTS` points followed by golden-section
+    refinement of the best bracket. Ties break toward the smaller tau. Each
+    value is the one `excite_prob` returns, bit for bit: the grid's sin^2
+    rows are cached per remaining photon count, and the refinement computes
+    `_rabi_factors`' phase sqrt(k) * (gamma * tau) in place.
     """
-    if bounds is None:
-        bounds = (0.0, math.pi / gamma)
-    lo, hi = bounds
-    if not hi > max(lo, 0.0):
-        raise ValueError(f"empty tau bounds {bounds}")
-    if grid_points < 2:
-        raise ValueError("grid_points must be at least 2")
-    grid = _tau_grid(lo, hi, grid_points)
+    grid = _tau_grid(gamma)
     remaining = ens.remaining_photons()
     w = ens.weights
     # the (K, G) table excite_prob would build for the grid, from cached rows
-    table = np.array([_grid_row(r, gamma, lo, hi, grid_points) for r in remaining.tolist()])
+    table = np.array([_grid_row(r, gamma) for r in remaining.tolist()])
     values = w @ table
     best = int(np.argmax(values))  # first max = smallest tau on ties
 

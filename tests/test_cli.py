@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 from cavityqubits import __version__, cli, protocol, trapping
 from cavityqubits.cli import (
     MAX_CUTOFF,
+    MAX_STEP_ROWS,
     MAX_STREAM_WEIGHTS,
     MAX_STREAMS,
     MAX_TRAPPING_ATOMS,
@@ -26,6 +27,7 @@ from cavityqubits.cloning import atom_fidelity, binomial_distribution, quality
 from cavityqubits.config import (
     MAX_PHOTON_NUMBER,
     MAX_RANGE_VALUES,
+    POLICIES,
     DistributionSpec,
     ExperimentConfig,
     parse_config_file,
@@ -394,6 +396,38 @@ def test_an_empty_jitter_list_is_a_one_line_error(text, tmp_path, capsys):
         parse_float_list(text)
 
 
+def test_run_table_rows_are_bounded(capsys):
+    def single_run(experiment, dist, cutoff, budget):
+        return make_config(experiment=experiment, distribution=DistributionSpec.parse(dist),
+                           tau=None, cutoff=cutoff, atom_budget=budget)
+
+    # the default budget at the largest distributions, at any cutoff
+    for dist in ("binomial:1000", "uniform:1..1000"):
+        assert validate(single_run("custom", dist, MAX_CUTOFF, 10_000)) == []
+    # 7 photon numbers: at most MAX_STEP_ROWS / 7 = 1430143 steps, step 0 included
+    assert MAX_STEP_ROWS == 7 * 1_430_143
+    assert validate(single_run("weights-evolution", "binomial:7", MAX_CUTOFF, 1_430_142)) == []
+    assert [str(d) for d in validate(
+        single_run("weights-evolution", "binomial:7", MAX_CUTOFF, 1_430_143)
+    )] == [
+        f"error: atom_budget: 1430144 steps x 7 photon numbers = 10011008 rows exceeds the "
+        f"maximum {MAX_STEP_ROWS}"
+    ]
+    # each excitation ends a ground streak: a run passes at most (7 + 1) x cutoff atoms
+    assert validate(single_run("custom", "binomial:7", 178_767, 10**9)) == []
+    assert [str(d) for d in validate(single_run("custom", "binomial:7", 178_768, 10**9))] == [
+        f"error: atom_budget: 1430145 steps x 7 photon numbers = 10011015 rows exceeds the "
+        f"maximum {MAX_STEP_ROWS}"
+    ]
+    # a run that would keep over 10 GB of rows is refused before it starts
+    assert main(["validate", "--dist", "binomial:1000", "--cutoff", "1000000", "--budget",
+                 "50000", "--seed", "1"]) == 1
+    assert capsys.readouterr().out.splitlines() == [
+        f"error: atom_budget: 50001 steps x 1000 photon numbers = 50001000 rows exceeds the "
+        f"maximum {MAX_STEP_ROWS}"
+    ]
+
+
 @pytest.mark.parametrize(
     "lines, message",
     [
@@ -723,6 +757,39 @@ def test_fig4_configs_are_rejected_or_equal_separate_runs(
         assert_fig4_rows_equal_separate_runs(out)
 
 
+@settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(
+    experiment=st.sampled_from(["weights-evolution", "custom"]),
+    # single-branch distributions too, so that half-rabi runs
+    dist=small_distributions | st.integers(1, 6).map(lambda n: f"explicit:{n}=1.0"),
+    policy=st.sampled_from(POLICIES),
+    tau=st.none() | st.floats(0.05, 3.0),
+    sigma_rel=st.floats(0.0, 0.5),
+    gamma=st.sampled_from([1.0]) | st.floats(0.2, 5.0),
+    cutoff=st.integers(1, 8),
+    budget=st.integers(1, 60),
+    n_originals=st.integers(1, 2),
+    seed=st.integers(0, 2**32),
+)
+def test_run_configs_are_rejected_or_run_and_check(
+    experiment, dist, policy, tau, sigma_rel, gamma, cutoff, budget, n_originals, seed,
+    tmp_path_factory,
+):
+    config = make_config(
+        experiment=experiment, distribution=DistributionSpec.parse(dist), policy=policy,
+        tau=tau, sigma_rel=sigma_rel, gamma=gamma, cutoff=cutoff, atom_budget=budget,
+        n_originals=n_originals, seed=seed,
+    )
+    out = tmp_path_factory.getbasetemp() / "run.csv"
+    problems = _validated_run(config, out)
+    assert problems in (None, [])
+    if problems == []:
+        rows = read_rows(out)[1]
+        assert {int(n): float(p) for step, n, p, *_ in rows if step == "0"} == (
+            config.initial_weights()
+        )
+
+
 def test_run_experiment_refuses_invalid_config(tmp_path):
     config = make_config(sigma_rel=-1.0, out=str(tmp_path / "x.csv"))
     with pytest.raises(SystemExit, match="invalid configuration"):
@@ -988,6 +1055,22 @@ def test_checker_bounds_the_monte_carlo_escape_mean(row, shift, tmp_path):
         f"row {row}: a_mean_mc {float(fields[3])!r} is outside the 1e-06 tail bound of "
         f"{trials} trials around a_mean_closed {mu!r}"
     ]
+
+
+@pytest.mark.parametrize(
+    "trials, problem",
+    [("0", "trials must be >= 1, got 0"),
+     ("9" * 401, f"trials must be at most {sys.float_info.max!r}")],  # no float holds it
+    ids=["zero", "401-digits"],
+)
+def test_check_reports_an_unusable_trials_count(trials, problem, tmp_path, capsys):
+    golden = Path(__file__).parent / "golden" / "fig3.csv"
+    line = f"# trials = {read_metadata(golden)['trials']}\n"
+    out = tmp_path / "fig3.csv"
+    out.write_text(golden.read_text().replace(line, f"# trials = {trials}\n"))
+    assert check_output(out) == [f"metadata: {problem}"]
+    assert main(["check", str(out)]) == 1
+    assert capsys.readouterr().err.splitlines() == [f"{out}: metadata: {problem}"]
 
 
 def test_checker_bound_holds_at_one_trial(tmp_path):

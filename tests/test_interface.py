@@ -257,3 +257,23 @@ def test_no_module_reads_another_modules_private_names():
     modules = {path.stem for path in SRC.glob("*.py")} - {"__init__"}
     found = [hit for path in sorted(SRC.glob("*.py")) for hit in _private_reads(path, modules)]
     assert found == []
+
+
+def test_only_config_and_protocol_name_the_policy_classes():
+    # `config.tau_policy` builds every run's policy from its name
+    classes = {"FixedTau", "JitteredTau", "HalfRabiTau", "OptimalEachStep"}
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        if path.stem in ("config", "protocol"):
+            continue
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Name):
+                names = [node.id]
+            elif isinstance(node, ast.Attribute):
+                names = [node.attr]
+            elif isinstance(node, ast.ImportFrom):
+                names = [alias.name for alias in node.names]
+            else:
+                continue
+            found.extend(f"{path.stem}:{node.lineno}: {name}" for name in names if name in classes)
+    assert found == []
