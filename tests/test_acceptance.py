@@ -85,7 +85,7 @@ def test_criterion_02_deterministic_scheme_endpoint():
         }
         for k in range(1, n + 1):
             half_period = math.pi / (2.0 * math.sqrt(n - k + 1))
-            u = evolution_operator(interaction_hamiltonian(space, k - 1), half_period)
+            u = evolution_operator(space.hamiltonian(k - 1, 1.0), half_period)
             states = {j: u @ amps for j, amps in states.items()}
         for j, amps in states.items():
             register = symmetric_basis_state(SymLabel(j, n)).amplitudes

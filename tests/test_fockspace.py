@@ -2,6 +2,7 @@ import gc
 import math
 import sys
 import threading
+import tracemalloc
 import weakref
 
 import numpy as np
@@ -12,6 +13,7 @@ from cavityqubits.fockspace import (
     AtomLevel,
     JointPureState,
     JointSpace,
+    LocalOperator,
     annihilate,
     basis_state,
     evolve,
@@ -143,7 +145,7 @@ def test_annihilation_closed_forms(n, m):
 def test_hamiltonian_matrix_elements():
     gamma = 1.3
     space = JointSpace(1, 2)
-    h = interaction_hamiltonian(space, 0, gamma)
+    h = space.hamiltonian(0, gamma)
     assert h[space.index((E0,), 0, 0), space.index((G,), 1, 0)] == pytest.approx(gamma)
     assert h[space.index((E1,), 1, 0), space.index((G,), 1, 1)] == pytest.approx(gamma)
 
@@ -152,14 +154,14 @@ def test_hamiltonian_matrix_elements():
 def test_hamiltonian_hermitian(atoms, n_max):
     space = JointSpace(atoms, n_max)
     for atom in range(atoms):
-        h = interaction_hamiltonian(space, atom)
+        h = space.hamiltonian(atom, 1.0)
         np.testing.assert_array_equal(h, h.conj().T)
 
 
 def test_hamiltonian_blocks_by_excitation_number():
     space = JointSpace(2, 2)
     excitations = space.excitation_numbers()
-    h = interaction_hamiltonian(space, 1)
+    h = space.hamiltonian(1, 1.0)
     different = excitations[:, None] != excitations[None, :]
     assert np.all(h[different] == 0)
 
@@ -202,8 +204,8 @@ def test_operators_match_element_by_element_reference(atoms, n_max):
 def test_basis_arrays_and_sectors():
     space = JointSpace(2, 3)
     twin = JointSpace(2, 3)
-    assert twin.basis is space.basis and twin.sectors is space.sectors
-    for table in (space.levels, space.n0, space.n1, space._level_stride, *space.sectors):
+    assert twin.basis is space.basis and twin.levels is space.levels
+    for table in (space.levels, space.n0, space.n1, space._level_stride):
         with pytest.raises(ValueError, match="read-only"):
             table[0] = 1
     with pytest.raises(TypeError):
@@ -213,10 +215,37 @@ def test_basis_arrays_and_sectors():
     for i, (lv, n0, n1) in enumerate(space.basis):
         assert tuple(space.levels[i]) == lv
         assert (space.n0[i], space.n1[i]) == (n0, n1)
+    # the excitation sectors: N = (atoms not in ground) + n0 + n1
     excitations = space.excitation_numbers()
-    assert sorted(np.concatenate(space.sectors).tolist()) == list(range(space.dim))
-    for n, idx in enumerate(space.sectors):
-        assert np.all(excitations[idx] == n)
+    for i, (lv, n0, n1) in enumerate(space.basis):
+        assert excitations[i] == sum(level != G for level in lv) + n0 + n1
+
+
+@pytest.mark.parametrize("atoms,n_max", [(1, 3), (2, 2), (3, 4)])
+def test_interaction_hamiltonian_is_one_shared_local_block(atoms, n_max):
+    space = JointSpace(atoms, n_max)
+    reference = JointSpace(1, n_max).hamiltonian(0, 1.3)
+    state = random_state(space, atoms)
+    for k in range(atoms):
+        h = interaction_hamiltonian(space, k, 1.3)
+        assert h.atom_index == k
+        np.testing.assert_array_equal(h.block, reference)
+        # built once per shape, shared by a second space, read-only
+        assert interaction_hamiltonian(JointSpace(atoms, n_max), k, 1.3) is h
+        assert weakref.ref(h)() is h
+        assert h.nbytes == h.block.nbytes + h.eigenvalues.nbytes + h.eigenvectors.nbytes
+        for array in (h.block, h.eigenvalues, h.eigenvectors):
+            with pytest.raises(ValueError, match="read-only"):
+                array[0] = 1.0
+        v, w = h.eigenvectors, h.eigenvalues
+        np.testing.assert_allclose((v * w) @ v.conj().T, h.block, rtol=0, atol=1e-12)
+        # the block on atom k equals the dense reference on the whole space
+        np.testing.assert_allclose(
+            fockspace._apply_local(space, k, state.amplitudes, h.block.__matmul__),
+            space.hamiltonian(k, 1.3) @ state.amplitudes,
+            rtol=0,
+            atol=1e-12,
+        )
 
 
 def test_hamiltonian_index_out_of_range():
@@ -226,7 +255,7 @@ def test_hamiltonian_index_out_of_range():
 
 def test_hamiltonian_couples_only_addressed_atom():
     space = JointSpace(2, 1)
-    h = interaction_hamiltonian(space, 0)
+    h = space.hamiltonian(0, 1.0)
     src = space.index((G, G), 1, 0)
     tgt_other = space.index((G, E0), 0, 0)
     assert h[tgt_other, src] == 0
@@ -295,14 +324,15 @@ def test_evolution_preserves_norm_and_excitations():
 
 def test_evolution_operator_unitary():
     space = JointSpace(1, 3)
-    u = evolution_operator(interaction_hamiltonian(space, 0), 1.7)
+    u = evolution_operator(space.hamiltonian(0, 1.0), 1.7)
     np.testing.assert_allclose(u @ u.conj().T, np.eye(space.dim), atol=1e-12)
 
 
 def sector_spanning_state(space, seed):
     """Random state on a few N sectors, every other sector left empty."""
     rng = np.random.default_rng(seed)
-    keep = np.isin(space.excitation_numbers(), rng.choice(len(space.sectors), 3, replace=False))
+    excitations = space.excitation_numbers()
+    keep = np.isin(excitations, rng.choice(excitations.max() + 1, 3, replace=False))
     amps = np.where(keep, rng.normal(size=space.dim) + 1j * rng.normal(size=space.dim), 0.0)
     return JointPureState(space, amps / np.linalg.norm(amps))
 
@@ -312,20 +342,48 @@ def test_sector_evolve_matches_dense_propagator(atoms, n_max):
     space = JointSpace(atoms, n_max)
     for atom in range(atoms):
         h = interaction_hamiltonian(space, atom, 1.3)
-        # a copy changed inside one sector, evolved after the original: it
-        # must not be handed the original's cached eigensystem
-        perturbed = h.copy()
-        i, j = space.sectors[2][:2]
-        perturbed[i, j] = perturbed[j, i] = perturbed[i, j] + 0.25
-        for ham in (h, perturbed):
-            for seed, t in [(atom, 0.37), (atom + 10, 2.9)]:
-                for state in (sector_spanning_state(space, seed), random_state(space, seed)):
-                    dense = evolution_operator(ham, t) @ state.amplitudes
-                    got = evolve(state, ham, t).amplitudes
-                    np.testing.assert_allclose(got, dense, rtol=0, atol=1e-12)
-        changed = evolve(random_state(space, atom), perturbed, 0.37).amplitudes
-        original = evolve(random_state(space, atom), h, 0.37).amplitudes
-        assert np.abs(changed - original).max() > 1e-3
+        dense = space.hamiltonian(atom, 1.3)
+        for seed, t in [(atom, 0.37), (atom + 10, 2.9)]:
+            for state in (sector_spanning_state(space, seed), random_state(space, seed)):
+                expected = evolution_operator(dense, t) @ state.amplitudes
+                got = evolve(state, h, t).amplitudes
+                np.testing.assert_allclose(got, expected, rtol=0, atol=1e-12)
+    # on one atom the block is the whole space, so a perturbed block is its
+    # own reference; built after the original, it owns its eigensystem
+    single = JointSpace(1, n_max)
+    h = interaction_hamiltonian(single, 0, 1.3)
+    noise = np.random.default_rng(n_max).normal(size=h.block.shape)
+    perturbed = LocalOperator(0, h.block + 0.1 * (noise + noise.T))
+    phases = np.triu(np.exp(1j * noise), 1)
+    complex_block = LocalOperator(0, h.block * (phases + phases.conj().T + np.eye(len(phases))))
+    for op in (perturbed, complex_block):
+        for seed, t in [(1, 0.37), (2, 2.9)]:
+            state = random_state(single, seed)
+            expected = evolution_operator(op.block, t) @ state.amplitudes
+            got = evolve(state, op, t).amplitudes
+            np.testing.assert_allclose(got, expected, rtol=0, atol=1e-12)
+    changed = evolve(random_state(single, 0), perturbed, 0.37).amplitudes
+    original = evolve(random_state(single, 0), h, 0.37).amplitudes
+    assert np.abs(changed - original).max() > 1e-3
+
+
+def test_evolve_at_six_atoms_six_photons_stays_small():
+    # d = 20412: a dense Hamiltonian would take 3.3 GB, the local block 56 KB
+    space = JointSpace(6, 6)
+    state = random_state(space, 6)
+    h = interaction_hamiltonian(space, 3)
+    tracemalloc.start()
+    try:
+        out = evolve(state, h, 0.9)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 20 * 2**20
+    assert out.norm() == pytest.approx(1.0, abs=1e-12)
+    # the atom's level populations move, the other atoms' stay put
+    for k in range(6):
+        before, after = reduced_atom_state(state, k), reduced_atom_state(out, k)
+        assert np.allclose(np.diag(before), np.diag(after), atol=1e-12) == (k != 3)
 
 
 def run_threads(target, count):
@@ -344,19 +402,21 @@ def run_threads(target, count):
 
 
 def test_evolve_from_many_threads_matches_serial(monkeypatch):
-    # more threads than cores on one space, with a store small enough that
-    # entries are evicted while others are being added
+    # more threads than cores, each call on a new space so that every lookup
+    # goes to a store small enough that entries are evicted while others are
+    # being added
     space = JointSpace(3, 3)
     jobs = [(k, random_state(space, k), t) for k in range(3) for t in (0.4, 1.9)]
-    serial = [evolve(state, space.hamiltonian(k, 0.7), t).amplitudes for k, state, t in jobs]
-    store = fockspace._Store(60_000)
+    serial = [evolve(state, interaction_hamiltonian(space, k, 0.7), t).amplitudes
+              for k, state, t in jobs]
+    store = fockspace._Store(30_000)
     monkeypatch.setattr(fockspace, "_STORE", store)
-    space = JointSpace(3, 3)
     results = [[None] * len(jobs) for _ in range(8)]
 
     def work(row):
         for i, (k, state, t) in enumerate(jobs):
-            results[row][i] = evolve(state, space.hamiltonian(k, 0.7), t).amplitudes
+            h = interaction_hamiltonian(JointSpace(3, 3), k, 0.7)
+            results[row][i] = evolve(state, h, t).amplitudes
 
     run_threads(work, 8)
     for row in results:
@@ -380,7 +440,7 @@ def test_store_keeps_at_most_its_bound(monkeypatch):
     store = fockspace._Store(limit)
     monkeypatch.setattr(fockspace, "_STORE", store)
     small = JointSpace(2, 2)
-    evolve(random_state(small, 0), small.hamiltonian(0, 2.0), 0.5)
+    evolve(random_state(small, 0), interaction_hamiltonian(small, 0, 2.0), 0.5)
     kept = dict(store._entries)
     big = JointSpace(3, 3)  # each Hamiltonian alone is above the bound
     hams = [big.hamiltonian(k, 1.0) for k in range(3)]
@@ -388,7 +448,7 @@ def test_store_keeps_at_most_its_bound(monkeypatch):
     for k, h in enumerate(hams):
         assert h.nbytes > limit and not h.flags.writeable
         assert big.hamiltonian(k, 1.0) is h  # the space keeps what it built
-        evolve(random_state(big, k), h, 0.5)
+        evolve(random_state(big, k), interaction_hamiltonian(big, k, 1.0), 0.5)
         assert 0 < store.nbytes <= limit
     # an operator too large to store goes with the space that built it
     gone = weakref.ref(hams[0])
@@ -397,33 +457,44 @@ def test_store_keeps_at_most_its_bound(monkeypatch):
     assert gone() is None
 
 
-def test_evolve_rejects_sector_coupling():
-    space = JointSpace(2, 2)
-    state = random_state(space, 5)
-    with pytest.raises(ValueError, match="couples excitation sector"):
-        evolve(state, np.ones((space.dim, space.dim)), 0.4)
-    # one element, linking N = 1 to N = 2 in one direction only
-    h = interaction_hamiltonian(space, 0).copy()
-    h[space.index((E0, G), 0, 0), space.index((G, G), 1, 1)] = 0.1
-    with pytest.raises(ValueError, match="couples excitation sector"):
-        evolve(state, h, 0.4)
+def test_local_operator_rejects_non_hermitian_block():
+    block = JointSpace(1, 2).hamiltonian(0, 1.0).copy()
+    block[0, 3] += 0.1  # one element, in one direction only
+    with pytest.raises(ValueError, match="not Hermitian"):
+        LocalOperator(0, block)
+    with pytest.raises(ValueError, match="not Hermitian"):
+        LocalOperator(0, 1j * np.eye(3))
+    for shape in [(4, 4), (3, 6), (9,)]:
+        with pytest.raises(ValueError, match="square"):
+            LocalOperator(0, np.zeros(shape))
+    with pytest.raises(ValueError, match="atom_index"):
+        LocalOperator(-1, np.eye(3))
+    with pytest.raises(TypeError):
+        LocalOperator(0.0, np.eye(3))
+    # the operator keeps its own copy: a later write to the input is not seen
+    source = JointSpace(1, 2).hamiltonian(0, 1.0).copy()
+    op = LocalOperator(0, source)
+    source[0, 0] = 5.0
+    assert op.block[0, 0] == 0.0
 
 
-def test_evolve_skips_empty_sectors():
-    # coupling N = 0 to N = 1 is allowed while the state lives on N = 2 only
-    space = JointSpace(1, 2)
-    h = interaction_hamiltonian(space, 0).copy()
-    h[space.index((G,), 0, 0), space.index((G,), 1, 0)] = 1.0
-    h[space.index((G,), 1, 0), space.index((G,), 0, 0)] = 1.0
-    start = basis_state(space, (G,), 1, 1)
-    dense = evolution_operator(h, 0.6) @ start.amplitudes
-    np.testing.assert_allclose(evolve(start, h, 0.6).amplitudes, dense, rtol=0, atol=1e-12)
-
-
-def test_evolve_dimension_mismatch():
-    space = JointSpace(1, 1)
-    with pytest.raises(ValueError):
-        evolve(basis_state(space, (G,), 0, 0), np.eye(3), 1.0)
+def test_evolve_rejects_operator_of_another_space():
+    state = random_state(JointSpace(2, 2), 5)
+    for wrong in (
+        interaction_hamiltonian(JointSpace(2, 3), 0),  # n_max 3 on an n_max 2 state
+        interaction_hamiltonian(JointSpace(2, 1), 1),  # n_max 1
+        interaction_hamiltonian(JointSpace(3, 2), 2),  # atom 2 of a 2-atom state
+    ):
+        with pytest.raises(ValueError, match="does not fit"):
+            evolve(state, wrong, 0.4)
+    # atom 1 of a 3-atom space is also atom 1 of a 2-atom one
+    h = interaction_hamiltonian(JointSpace(3, 2), 1)
+    np.testing.assert_array_equal(
+        evolve(state, h, 0.4).amplitudes,
+        evolve(state, interaction_hamiltonian(state.space, 1), 0.4).amplitudes,
+    )
+    with pytest.raises(TypeError, match="LocalOperator"):
+        evolve(state, state.space.hamiltonian(0, 1.0), 0.4)
 
 
 # --- measurement ------------------------------------------------------------------
@@ -471,6 +542,20 @@ def test_measurement_requires_rng_xor_outcome():
         measure_atom_energy(
             state, 0, rng=np.random.default_rng(0), outcome=MeasurementOutcome.GROUND
         )
+
+
+def test_zero_norm_state_cannot_be_measured():
+    space = JointSpace(1, 1)
+    vacuum = annihilate(basis_state(space, (G,), 0, 0), 0)
+    assert vacuum.norm() == 0.0
+    for state in (vacuum, JointPureState(space, np.full(space.dim, np.nan))):
+        for outcome in MeasurementOutcome:
+            with pytest.raises(ValueError, match="norm"):
+                measure_atom_energy(state, 0, outcome=outcome)
+        with pytest.raises(ValueError, match="norm"):
+            measure_atom_energy(state, 0, rng=np.random.default_rng(0))
+        with pytest.raises(ValueError, match="norm"):
+            reduced_atom_state(state, 0)
 
 
 def test_measurement_branches_sum_to_one():

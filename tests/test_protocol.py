@@ -218,24 +218,26 @@ def _check_against_oracle(ens, states, atom, atoms, tau):
 
 
 def test_binomial_six_matches_oracle_on_every_outcome_path():
-    # fig2's config (binomial:6, tau = 0.825, gamma = 1) for three atoms,
-    # down every branch of the outcome tree; each photon-number branch starts
-    # in a random superposition of its two-mode Fock states |j, n - j>
-    started = time.perf_counter()
-    atoms, tau = 3, 0.825
-    rng = np.random.default_rng(6)
-    ground = (fockspace.AtomLevel.GROUND,) * atoms
-    states = {}
-    for n in range(1, 7):
-        space = fockspace.JointSpace(atoms, n)
-        coeffs = rng.normal(size=n + 1) + 1j * rng.normal(size=n + 1)
-        amps = np.zeros(space.dim, dtype=complex)
-        for j, c in enumerate(coeffs / np.linalg.norm(coeffs)):
-            amps[space.index(ground, j, n - j)] = c
-        states[n] = fockspace.JointPureState(space, amps)
-    ens = WeightedEnsemble.from_weights(binomial_distribution(6))
-    assert _check_against_oracle(ens, states, 0, atoms, tau) == 2**atoms - 1
-    assert time.perf_counter() - started < 3.0
+    # fig2's config (binomial:6, tau = 0.825, gamma = 1) for three atoms and
+    # for six, the paper's scale, down every branch of the outcome tree; each
+    # photon-number branch starts in a random superposition of its two-mode
+    # Fock states |j, n - j>
+    tau = 0.825
+    for atoms, seconds in [(3, 3.0), (6, 5.0)]:
+        started = time.perf_counter()
+        rng = np.random.default_rng(6)
+        ground = (fockspace.AtomLevel.GROUND,) * atoms
+        states = {}
+        for n in range(1, 7):
+            space = fockspace.JointSpace(atoms, n)
+            coeffs = rng.normal(size=n + 1) + 1j * rng.normal(size=n + 1)
+            amps = np.zeros(space.dim, dtype=complex)
+            for j, c in enumerate(coeffs / np.linalg.norm(coeffs)):
+                amps[space.index(ground, j, n - j)] = c
+            states[n] = fockspace.JointPureState(space, amps)
+        ens = WeightedEnsemble.from_weights(binomial_distribution(6))
+        assert _check_against_oracle(ens, states, 0, atoms, tau) == 2**atoms - 1
+        assert time.perf_counter() - started < seconds
 
 
 @settings(max_examples=100, deadline=None)
