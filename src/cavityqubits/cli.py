@@ -475,12 +475,13 @@ def _run_quality_cutoff(config: ExperimentConfig) -> Path:
     )
     qualities = np.where(final.transferred >= n_orig, f_atom / optimum[final.transferred], 0.0)
 
+    # every requested cutoff at once, graded along the runs axis: each row
+    # reduces in the same order as a 1-d array of its runs would
+    q = qualities[np.searchsorted(levels, config.cutoffs)]
+    means = q.mean(axis=1).tolist()
+    stderrs = (q.std(axis=1, ddof=1) / math.sqrt(runs)).tolist() if runs > 1 else [0.0] * len(q)
     n_max = config.distribution.max_photon_number()
-    rows: list[tuple] = []
-    for cutoff in config.cutoffs:
-        q = qualities[np.searchsorted(levels, cutoff)]
-        stderr = float(q.std(ddof=1) / math.sqrt(runs)) if runs > 1 else 0.0
-        rows.append((cutoff, float(q.mean()), stderr, n_max))
+    rows = [(c, mean, se, n_max) for c, mean, se in zip(config.cutoffs, means, stderrs)]
     metadata = config.metadata(__version__)
     metadata.append(("resolved_tau", repr(float(policy.tau))))
     metadata.append(("stream_layout", "(seed, run)"))
@@ -519,6 +520,16 @@ def _read_output(path: Path) -> tuple[dict[str, str], list[str], list[list[str]]
     return metadata, (rows[0] if rows else []), rows[1:]
 
 
+def _count(text: str, name: str) -> int:
+    """A metadata count: an int from 1 up to the largest float."""
+    count = int(text)
+    if count < 1:
+        raise ValueError(f"{name} must be >= 1, got {count}")
+    if count > sys.float_info.max:
+        raise ValueError(f"{name} must be at most {sys.float_info.max!r}")
+    return count
+
+
 def check_output(path: Path) -> list[str]:
     """Recompute whatever is recomputable in an output CSV; returns a list
     of problems (empty = file is consistent). An unreadable file, a missing
@@ -540,15 +551,24 @@ def check_output(path: Path) -> list[str]:
     if experiment is None:
         return [f"metadata: unknown experiment {metadata['experiment']!r}"]
     table = experiment.table
+    if table is QUALITY_TABLE:
+        problems = [
+            f"metadata key {required!r} missing"
+            for required in ("cutoffs", "runs")
+            if required not in metadata
+        ]
+        if problems:
+            return problems
     try:
         dist = DistributionSpec.parse(metadata["distribution"])
         configured, n_max = dist.resolve(), dist.max_photon_number()
         n_originals = int(metadata.get("n_originals", "1"))
-        trials = int(metadata.get("trials", "1"))
-        if trials < 1:
-            raise ValueError(f"trials must be >= 1, got {trials}")
-        if trials > sys.float_info.max:  # the Monte Carlo bound takes it as a float
-            raise ValueError(f"trials must be at most {sys.float_info.max!r}")
+        # the bounds take these counts as floats
+        trials = _count(metadata.get("trials", "1"), "trials")
+        if table is QUALITY_TABLE:
+            runs = _count(metadata["runs"], "runs")
+            # written as a comma list, so parsing it cannot expand a range
+            cutoffs = [int(c) for c in metadata["cutoffs"].split(",")]
     except ValueError as exc:
         return [f"metadata: {exc}"]
     if header != [name for name, _ in table]:
@@ -583,11 +603,22 @@ def check_output(path: Path) -> list[str]:
                     f"of {trials} trials around a_mean_closed {expected!r}"
                 )
     elif table is QUALITY_TABLE:
-        for i, (_, mean_quality, _, row_n_max) in parsed:
+        # the largest sample standard deviation of `runs` values in [0, 1.5],
+        # half at each end, over sqrt(runs)
+        stderr_max = 0.75 / math.sqrt(runs - 1) if runs > 1 else 0.0
+        if len(parsed) == len(rows) != len(cutoffs):
+            problems.append(f"{len(rows)} rows, but metadata lists {len(cutoffs)} cutoffs")
+        for i, (cutoff, mean_quality, stderr, row_n_max) in parsed:
+            if len(rows) == len(cutoffs) and cutoff != cutoffs[i]:
+                problems.append(f"row {i}: cutoff {cutoff} != metadata cutoff {cutoffs[i]}")
             if row_n_max != n_max:
                 problems.append(f"row {i}: n_max {row_n_max} != distribution maximum {n_max}")
             if not 0.0 <= mean_quality <= 1.5:
                 problems.append(f"row {i}: mean_quality {mean_quality!r} out of range")
+            if not 0.0 <= stderr <= stderr_max:  # a NaN fails too
+                problems.append(
+                    f"row {i}: stderr {stderr!r} outside [0, {stderr_max!r}] for {runs} runs"
+                )
     else:  # step table
         steps: dict[int, dict[int, float]] = {}
         f_atoms: dict[int, float] = {}

@@ -59,7 +59,7 @@ class WeightedEnsemble:
             raise ValueError("photon_numbers and weights must be aligned 1-d arrays")
         if len(set(ns.tolist())) != len(ns):  # np.unique would import numpy.ma
             raise ValueError("duplicate photon-number branches")
-        if np.any(ns < 0):
+        if (ns < 0).any():
             raise ValueError("photon numbers must be non-negative")
         _check_weights(ns, ws, self.transferred)
 
@@ -83,21 +83,30 @@ class WeightedEnsemble:
         return alive.sum() == 1 and int(self.photon_numbers[alive][0]) == self.transferred
 
 
+def _unchecked(ns: np.ndarray, weights: np.ndarray, transferred: int) -> WeightedEnsemble:
+    """A `WeightedEnsemble` without `__post_init__`'s checks, for arrays that
+    are valid by construction: the rules are checked once, where the
+    weights enter, not on every atom."""
+    ens = object.__new__(WeightedEnsemble)
+    ens.__dict__.update(photon_numbers=ns, weights=weights, transferred=transferred)
+    return ens
+
+
 def _check_weights(ns: np.ndarray, weights: np.ndarray, transferred) -> None:
     """The weight rules of `WeightedEnsemble`, for one (K,) row with its
     transferred count, or for a stack of rows (..., K) with one count per row."""
     transferred = np.asarray(transferred)
-    if np.any(transferred < 0):
+    if (transferred < 0).any():
         raise ValueError("transferred count must be non-negative")
     # written so that a NaN weight or total fails them
-    if not np.all(weights >= 0):
+    if not (weights >= 0).all():
         raise ValueError("weights must be non-negative numbers")
     sums = weights.sum(axis=-1)
     off = ~(np.abs(sums - 1.0) <= WEIGHT_TOL)
-    if np.any(off):
+    if off.any():
         raise ValueError(f"weights must sum to 1, got {float(np.ravel(sums)[np.argmax(off)])!r}")
-    dead = np.any((ns < transferred[..., None]) & (weights != 0), axis=-1)
-    if np.any(dead):
+    dead = ((ns < transferred[..., None]) & (weights != 0)).any(axis=-1)
+    if dead.any():
         raise ValueError(
             f"branches with n < transferred={int(np.ravel(transferred)[np.argmax(dead)])} "
             "must carry zero weight"
@@ -111,6 +120,14 @@ def _rabi_factors(remaining, gamma: float, tau):
     the same floats."""
     phase = np.sqrt(remaining) * (gamma * tau)
     return np.sin(phase) ** 2, np.cos(phase) ** 2
+
+
+def _factor_table(remaining, gamma: float, tau) -> np.ndarray:
+    """`_rabi_factors` stacked on a new second-to-last axis, indexed by the
+    outcome: [..., 0, :] is the ground factor cos^2, [..., 1, :] the
+    excitation factor sin^2."""
+    sin2, cos2 = _rabi_factors(remaining, gamma, tau)
+    return np.stack((cos2, sin2), axis=-2)
 
 
 def excite_prob(ens: WeightedEnsemble, gamma: float, tau) -> float | np.ndarray:
@@ -136,14 +153,17 @@ def update_weights(
     Ground multiplies each branch by cos^2, excited by sin^2 of its Rabi
     phase; excited also increments the transferred count, which kills the
     branch that had no photons left (its sin^2 factor is exactly zero).
+    The posterior of a valid ensemble is valid, so it is built unchecked:
+    the factors are non-negative, dead branches stay at zero, and the
+    normalized weights sum to 1 up to rounding.
     """
     sin2, cos2 = _rabi_factors(ens.remaining_photons(), gamma, tau)
     excited = outcome is MeasurementOutcome.EXCITED
     posterior = ens.weights * (sin2 if excited else cos2)
     total = posterior.sum()
-    if total <= 0.0:
+    if not total > 0.0:  # a NaN total (an infinite phase) fails too
         raise ValueError(f"cannot condition on zero-probability outcome {outcome.value}")
-    return WeightedEnsemble(ens.photon_numbers, posterior / total, ens.transferred + excited)
+    return _unchecked(ens.photon_numbers, posterior / total, ens.transferred + excited)
 
 
 # --- interaction-time policies -------------------------------------------
@@ -359,9 +379,8 @@ def run(config, rng: np.random.Generator) -> ProtocolTrace:
         initial, config.tau_policy(initial), config.gamma, [config.cutoff], config.atom_budget,
         [rng], observe,
     )
-    last = WeightedEnsemble(
-        initial.photon_numbers, final.weights[0, 0], int(final.transferred[0, 0])
-    )
+    # run_batch has checked every state it returns
+    last = _unchecked(initial.photon_numbers, final.weights[0, 0], int(final.transferred[0, 0]))
     return ProtocolTrace(events=events, reason=final.reasons[0, 0], final=last)
 
 
@@ -404,21 +423,23 @@ def run_batch(
     which is where a run with cutoff c on that stream stops; if the row
     stopped before that, it is the row's terminal state.
     All live rows pass their k-th atom as one B x K weight update. Under
-    `FixedTau` the factors come from one table row per transferred count and
-    uniforms `DRAW_BLOCK` at a time; under any other policy a row takes its
-    tau from `policy_tau`, then draws one uniform, in `step`'s order.
+    `FixedTau` both factors come from one (transferred count, outcome)
+    table and uniforms `DRAW_BLOCK` at a time; under any other policy a row
+    takes its tau from `policy_tau`, then draws one uniform, in `step`'s
+    order, and its factors are computed for that tau.
     `observe(rows, taus, excited, p_e, w, m)`, if given, gets the live rows'
     stream indices, taus, outcomes and p_excite before each pass, and their
-    weights and counts after it.
+    weights and counts after it; `m` is updated in place by the next pass,
+    so copy it to keep it.
     """
     levels = np.array(sorted({int(c) for c in cutoffs}), dtype=int)
     if not levels.size or levels[0] < 1:
         raise ValueError("need at least one cutoff, each >= 1")
     ns = initial.photon_numbers
     fixed = isinstance(policy, FixedTau)
-    if fixed:  # the factors depend only on (transferred m, branch n)
+    if fixed:  # the factors depend only on (transferred m, outcome, branch n)
         remaining = np.maximum(ns - np.arange(ns.max() + 1)[:, None], 0)
-        tables = _rabi_factors(remaining, gamma, policy.tau)
+        table = _factor_table(remaining, gamma, policy.tau)
 
     n_rows = len(rngs)
     shape = (len(levels), n_rows)
@@ -426,7 +447,9 @@ def run_batch(
     out_m = np.empty(shape, dtype=int)
     out_atoms = np.empty(shape, dtype=int)
     members = list(StopReason)
-    out_reasons = np.empty(shape, dtype=np.int8)  # index into `members`: a byte, not a pointer
+    # index into `members`, a byte rather than a pointer; a cutoff stop is the
+    # default, so only the other stops write it
+    out_reasons = np.full(shape, members.index(StopReason.CUTOFF), dtype=np.int8)
 
     # state of the live rows, compacted; `rows` maps them back to streams
     rows = np.arange(n_rows)
@@ -436,29 +459,37 @@ def run_batch(
     nxt = np.zeros(n_rows, dtype=int)  # index of the next cutoff the streak meets
     draws = np.empty((n_rows, DRAW_BLOCK))
     passed = 0  # every live row has passed this many atoms
+    # A vacuum-certain row has a lone nonzero weight, which equals its row's
+    # sum: within WEIGHT_TOL of 1 on entry, and exactly 1.0 after any pass.
+    # So only a row whose largest weight reaches this can be one.
+    near_one = 1.0 - WEIGHT_TOL
 
-    def store(level: np.ndarray, live: np.ndarray, reason: StopReason) -> None:
+    def store(level: np.ndarray, live: np.ndarray) -> None:
         ids = rows[live]
-        out_w[level, ids], out_m[level, ids] = w[live], m[live]
-        out_atoms[level, ids], out_reasons[level, ids] = passed, members.index(reason)
+        out_w[level, ids], out_m[level, ids], out_atoms[level, ids] = w[live], m[live], passed
+
+    def drop(keep: np.ndarray) -> None:
+        nonlocal rows, w, m, streak, nxt, draws
+        rows, w, m, streak, nxt, draws = (a[keep] for a in (rows, w, m, streak, nxt, draws))
 
     def retire(done: np.ndarray, reason: StopReason) -> None:
-        nonlocal rows, w, m, streak, nxt, draws
         if not done.any():
             return
         # the cutoffs a row's streak has not reached take its terminal state
         level, i = np.nonzero(np.arange(len(levels))[:, None] >= nxt[done])
-        store(level, np.flatnonzero(done)[i], reason)
-        keep = ~done
-        rows, w, m, streak, nxt, draws = (a[keep] for a in (rows, w, m, streak, nxt, draws))
+        live = np.flatnonzero(done)[i]
+        store(level, live)
+        out_reasons[level, rows[live]] = members.index(reason)
+        drop(~done)
 
     while rows.size:
         # stop checks in run's order: vacuum-certain, budget, then the step
-        alive = w > 0
-        retire(
-            (alive.sum(axis=1) == 1) & (ns[alive.argmax(axis=1)] == m),
-            StopReason.VACUUM_CERTAIN,
-        )
+        if (w.max(axis=1) >= near_one).any():
+            alive = w > 0
+            retire(
+                (alive.sum(axis=1) == 1) & (ns[alive.argmax(axis=1)] == m),
+                StopReason.VACUUM_CERTAIN,
+            )
         if passed >= atom_budget:
             retire(np.ones(rows.size, dtype=bool), StopReason.ATOM_BUDGET)
         if not rows.size:
@@ -468,41 +499,43 @@ def run_batch(
                 for i, r in enumerate(rows.tolist()):
                     draws[i] = rngs[r].random(DRAW_BLOCK)
             u = draws[:, passed % DRAW_BLOCK]
-            taus = np.full(rows.size, policy.tau)
-            sin2, cos2 = (t[m] for t in tables)
+            factors, at = table, m
         else:
             taus, u = np.empty(rows.size), np.empty(rows.size)
             for i, r in enumerate(rows.tolist()):
                 # the row as an ensemble, unchecked: the rows are checked once, at the end
-                ens = object.__new__(WeightedEnsemble)
-                ens.__dict__.update(photon_numbers=ns, weights=w[i], transferred=int(m[i]))
+                ens = _unchecked(ns, w[i], int(m[i]))
                 taus[i] = policy_tau(policy, ens, gamma, rngs[r])
                 u[i] = rngs[r].random()
-            sin2, cos2 = _rabi_factors(np.maximum(ns - m[:, None], 0), gamma, taus[:, None])
+            factors = _factor_table(np.maximum(ns - m[:, None], 0), gamma, taus[:, None])
+            at = np.arange(rows.size)
         # a stack of the vector-column products excite_prob makes, so the
         # sum runs in the same order and p_e keeps its exact bits
-        p_e = np.matmul(w[:, None, :], sin2[:, :, None])[:, 0, 0]
+        p_e = np.matmul(w[:, None, :], factors[at, 1, :, None])[:, 0, 0]
         excited = u < p_e
-        posterior = np.where(excited[:, None], sin2, cos2)
+        posterior = factors[at, excited.view(np.int8)]
         posterior *= w  # in place: one new (B, K) array per atom
         total = posterior.sum(axis=1)
-        if np.any(total <= 0.0):
-            outcome = "excited" if excited[np.argmax(total <= 0.0)] else "ground"
+        if not total.min() > 0.0:  # a NaN total fails too
+            outcome = "excited" if excited[np.argmin(total > 0.0)] else "ground"
             raise ValueError(f"cannot condition on zero-probability outcome {outcome}")
         posterior /= total[:, None]
         w = posterior
-        m = m + excited
-        streak = np.where(excited, 0, streak + 1)
+        m += excited
+        streak += 1
+        streak[excited] = 0
         passed += 1
         if observe is not None:
-            observe(rows, taus, excited, p_e, w, m)
+            observe(rows, np.full(rows.size, policy.tau) if fixed else taus, excited, p_e, w, m)
         # a streak grows by one, so it meets each cutoff it reaches; a live
         # row has not yet met the largest
         hit = streak == levels[nxt]
         if hit.any():
-            store(nxt[hit], hit, StopReason.CUTOFF)
-            nxt = nxt + hit
-        retire(nxt == len(levels), StopReason.CUTOFF)
+            store(nxt[hit], hit)
+            nxt += hit
+            done = nxt == len(levels)
+            if done.any():
+                drop(~done)
 
     _check_weights(ns, out_w, out_m)  # every returned state is a valid ensemble
     return BatchFinal(out_w, out_m, out_atoms, np.array(members, dtype=object)[out_reasons])

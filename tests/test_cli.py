@@ -1126,6 +1126,65 @@ def fig4_csv(tmp_path):
     return out
 
 
+def test_check_ties_fig4_cutoffs_and_stderr_to_the_metadata(fig4_csv, tmp_path):
+    assert check_output(fig4_csv) == []
+    lines = fig4_csv.read_text().splitlines()
+    first = len(lines) - 3  # three runs at cutoffs 1, 2, 3
+    stderr_max = 0.75 / math.sqrt(3 - 1)
+
+    def edited(edits: dict) -> list[str]:
+        out = list(lines)
+        for (row, column), text in edits.items():
+            fields = out[first + row].split(",")
+            fields[column] = text
+            out[first + row] = ",".join(fields)
+        path = tmp_path / "edited.csv"
+        path.write_text("\n".join(out) + "\n")
+        return check_output(path)
+
+    assert edited({(1, 0): "7", (2, 2): repr(stderr_max * 1.01)}) == [
+        "row 1: cutoff 7 != metadata cutoff 2",
+        f"row 2: stderr {stderr_max * 1.01!r} outside [0, {stderr_max!r}] for 3 runs",
+    ]
+    assert edited({(0, 0): "2", (1, 0): "1"}) == [  # two rows swapped
+        "row 0: cutoff 2 != metadata cutoff 1", "row 1: cutoff 1 != metadata cutoff 2"
+    ]
+    assert edited({(0, 2): repr(stderr_max)}) == []  # the bound itself passes
+    for bad in ("-0.001", "nan", "inf"):
+        assert edited({(0, 2): bad}) == [
+            f"row 0: stderr {float(bad)!r} outside [0, {stderr_max!r}] for 3 runs"
+        ]
+    path = tmp_path / "short.csv"
+    path.write_text("\n".join(lines[:-1]) + "\n")
+    assert check_output(path) == ["2 rows, but metadata lists 3 cutoffs"]
+    for key, value, problem in [
+        ("runs", None, "metadata key 'runs' missing"),
+        ("cutoffs", None, "metadata key 'cutoffs' missing"),
+        ("runs", "0", "metadata: runs must be >= 1, got 0"),
+        ("runs", "1" + "0" * 400, f"metadata: runs must be at most {sys.float_info.max!r}"),
+        ("cutoffs", "1..3", "metadata: invalid literal for int() with base 10: '1..3'"),
+    ]:
+        text = [line for line in lines if not line.startswith(f"# {key} =")]
+        if value is not None:
+            text.insert(1, f"# {key} = {value}")
+        path.write_text("\n".join(text) + "\n")
+        assert check_output(path) == [problem], key
+
+
+def test_check_wants_zero_stderr_from_one_run(tmp_path):
+    out = tmp_path / "fig4.csv"
+    main(["fig4", "--nmax", "4", "--runs", "1", "--cutoffs", "2,1,2", "--seed", "1",
+          "--out", str(out)])
+    assert check_output(out) == []
+    lines = out.read_text().splitlines()
+    assert [line.split(",")[0] for line in lines[-3:]] == ["2", "1", "2"]
+    fields = lines[-1].split(",")
+    assert fields[2] == "0.0"
+    fields[2] = "1e-300"
+    out.write_text("\n".join(lines[:-1] + [",".join(fields)]) + "\n")
+    assert check_output(out) == ["row 2: stderr 1e-300 outside [0, 0.0] for 1 runs"]
+
+
 def damaged_files(good: Path):
     """(name, text, expected problem) of files `check` cannot use."""
     text = good.read_text()
