@@ -123,6 +123,8 @@ def _trapping_work(trials: int, rabi_cycles_values, sigma_rels) -> tuple[float, 
         )
     except ZeroDivisionError:  # 1 - exp(-x) rounds to 0 for a tiny jitter
         means = math.inf
+    # capped below where an int's float conversion raises; far above any bound
+    trials = float(min(trials, 2**1023))
     return trials * means, (1.0 + math.log(trials)) * means
 
 

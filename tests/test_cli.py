@@ -7,7 +7,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from cavityqubits import __version__, cli, protocol, trapping
@@ -587,6 +587,19 @@ def test_huge_cutoffs_are_config_errors(argv, errors, tmp_path, capsys):
     assert not out.exists()
 
 
+def test_huge_trials_are_config_errors(tmp_path, capsys):
+    # an OverflowError traceback before, from the atom bound's int x float product
+    out = tmp_path / "x.csv"
+    with pytest.raises(SystemExit, match="invalid configuration"):
+        main(["fig3", "--trials", str(10**400), "--seed", "1", "--out", str(out)])
+    err = capsys.readouterr().err.splitlines()
+    assert [line for line in err if line.startswith("error")] == [
+        f"error: trials: {10**400} trials x the grid's mean escape counts = inf atoms "
+        "exceeds the maximum 1e+08"
+    ]
+    assert not out.exists()
+
+
 def test_the_cutoff_cap_is_inclusive():
     assert validate(make_config(cutoff=MAX_CUTOFF)) == []
     assert [str(d) for d in validate(make_config(cutoff=MAX_CUTOFF + 1))] == [
@@ -631,20 +644,34 @@ def test_jittered_configs_are_rejected_or_run_and_check(tau, sigma_rel, gamma, t
     assert _validated_run(config, tmp_path_factory.getbasetemp() / "jit.csv") in (None, [])
 
 
-@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(
     m=st.integers(-2, 10) | st.integers(1, 10**400),
     # a jitter below 0.01 is priced by the Monte Carlo round bound and can
-    # take seconds per example (test_fig3_rounds_are_bounded)
-    sigma_rel=st.floats(min_value=0.01) | st.sampled_from([0.0, -1.0, math.nan]),
-    gamma=any_float,
+    # take seconds per example (test_fig3_rounds_are_bounded); the bounded
+    # ranges make accepted cells common
+    sigma_rel=st.floats(0.01, 1.0) | st.floats(min_value=0.01)
+    | st.sampled_from([0.0, -1.0, math.nan]),
+    gamma=st.floats(0.1, 10.0) | any_float,
+    # an accepted cell runs 2000 trials in well under a second; from 10^9
+    # trials on, every cell's mean escape count of at least 1 passes the atom bound
+    trials=st.integers(-2, 2000) | st.integers(10**9, 10**400),
 )
-def test_fig3_cells_are_rejected_or_run_and_check(m, sigma_rel, gamma, tmp_path_factory):
+# the slowest accepted cell, about 0.1 s; and the same past the bounds
+@example(m=1, sigma_rel=0.01, gamma=1.0, trials=2000)
+@example(m=1, sigma_rel=0.01, gamma=1.0, trials=10**9)
+def test_fig3_cells_are_rejected_or_run_and_check(m, sigma_rel, gamma, trials, tmp_path_factory):
     config = make_config(
         experiment="trapping-curves", tau=None, rabi_cycles_values=(m,),
-        sigma_rel_values=(sigma_rel,), trials=3, gamma=gamma,
+        sigma_rel_values=(sigma_rel,), trials=trials, gamma=gamma,
     )
-    assert _validated_run(config, tmp_path_factory.getbasetemp() / "trap.csv") in (None, [])
+    if trials < 10**9:
+        assert _validated_run(config, tmp_path_factory.getbasetemp() / "trap.csv") in (None, [])
+        return
+    errors = {d.field for d in validate(config) if d.level == "error"}
+    assert errors  # refused, never run
+    if not any(d.level == "error" for d in validate(replace(config, trials=1))):
+        assert errors == {"trials"}
 
 
 def test_fig4_steps_all_streams_in_one_batch(tmp_path, monkeypatch):

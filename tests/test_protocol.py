@@ -1,5 +1,6 @@
 import math
 import time
+import weakref
 from dataclasses import replace
 
 import numpy as np
@@ -468,6 +469,7 @@ def test_optimal_each_step_builds_each_grid_row_once(tmp_path):
     from cavityqubits import cli, protocol
 
     protocol._grid_row.cache_clear()
+    protocol._optimum.cache_clear()  # a remembered optimum builds no row
     out = tmp_path / "run.csv"
     assert cli.main(["custom", "--nmax", "6", "--policy", "optimal-each-step", "--seed", "8",
                      "--out", str(out)]) == 0
@@ -475,6 +477,84 @@ def test_optimal_each_step_builds_each_grid_row_once(tmp_path):
     # one row per remaining photon count 0..6, however many atoms re-optimize
     assert info.misses <= 7
     assert info.hits > 10 * info.misses
+
+
+def memo_variants(ens):
+    """`ens`; its largest weight one float lower; the same with its zero
+    weights as -0.0 if it has any; and the same weights at up to three
+    other transferred counts they allow. Each is another memo key."""
+    ns, w = ens.photon_numbers, ens.weights
+    nudged = w.copy()
+    top = int(np.argmax(w))
+    nudged[top] = np.nextafter(w[top], 0.0)
+    variants = [ens, WeightedEnsemble(ns, nudged, ens.transferred)]
+    if (w == 0).any():
+        variants.append(WeightedEnsemble(ns, np.where(w == 0, -0.0, w), ens.transferred))
+    most = int(ns[w > 0].min())  # no live branch may have n < transferred
+    counts = sorted({0, most // 2, most} - {ens.transferred})
+    return variants + [WeightedEnsemble(ns, w, t) for t in counts]
+
+
+@settings(max_examples=40, deadline=None)
+@given(wide_ensembles(), st.floats(0.05, 5.0))
+@example(WeightedEnsemble.from_weights({0: 0.0, 1: 0.5, 3: 0.5}), 1.0)
+def test_a_remembered_optimum_is_the_searched_one(ens, gamma):
+    variants = memo_variants(ens)
+    cold = []
+    for v in variants:
+        protocol._optimum.cache_clear()
+        cold.append(optimal_tau(v, gamma))
+    # every variant in the memo at once, each looked up through fresh arrays
+    protocol._optimum.cache_clear()
+    for v in variants:
+        optimal_tau(v, gamma)
+    for v, searched in zip(reversed(variants), reversed(cold)):
+        copy = WeightedEnsemble(v.photon_numbers.copy(), v.weights.copy(), v.transferred)
+        warm = optimal_tau(copy, gamma)
+        assert warm.hex() == searched.hex() == reference_optimal_tau(v, gamma).hex()
+    info = protocol._optimum.cache_info()
+    assert (info.hits, info.misses) == (len(variants), len(variants))
+
+
+def test_a_warm_memo_writes_the_same_csv(tmp_path):
+    from cavityqubits import cli
+
+    out = tmp_path / "run.csv"
+    argv = ["custom", "--nmax", "6", "--policy", "optimal-each-step", "--out", str(out)]
+    protocol._optimum.cache_clear()
+    assert cli.main([*argv, "--seed", "8"]) == 0
+    cold = out.read_bytes()
+    for seed in range(20):
+        assert cli.main([*argv, "--seed", str(seed)]) == 0
+    before = protocol._optimum.cache_info()
+    assert cli.main([*argv, "--seed", "8"]) == 0
+    assert out.read_bytes() == cold
+    # every optimum of the second seed-8 run came from the memo
+    after = protocol._optimum.cache_info()
+    assert after.misses == before.misses and after.hits > before.hits
+
+
+def test_the_optimum_memo_is_bounded_and_keeps_no_array():
+    protocol._optimum.cache_clear()
+    # a run_batch row is a view of the whole weight stack, which must not outlive the run
+    stack = np.array([[0.25, 0.75], [0.5, 0.5]])
+    optimal_tau(WeightedEnsemble(np.array([1, 2]), stack[1]), 1.0)
+    alive = weakref.ref(stack)
+    del stack
+    assert alive() is None
+    protocol._optimum.cache_clear()
+    bound = protocol.OPTIMA_CACHED
+    assert protocol._optimum.cache_info().maxsize == bound
+    # bound + 2 distinct two-branch mixtures
+    for i in range(bound + 2):
+        p = (i + 1) / (bound + 3)
+        optimal_tau(WeightedEnsemble(np.array([1, 2]), np.array([p, 1.0 - p])), 1.0)
+    info = protocol._optimum.cache_info()
+    assert (info.misses, info.currsize) == (bound + 2, bound)
+    # the least recently used were dropped: the first mixture is searched again
+    first = WeightedEnsemble(np.array([1, 2]), np.array([1 / (bound + 3), 1.0 - 1 / (bound + 3)]))
+    optimal_tau(first, 1.0)
+    assert protocol._optimum.cache_info().misses == bound + 3
 
 
 def test_trapping_safe_tau_values():
