@@ -69,13 +69,19 @@ MAX_CUTOFF = 1_000_000
 # Most atoms one fig3 grid may send, as `trials` x the closed-form mean
 # escape counts of its cells: about 8x the script default (20000 trials x
 # 635 = 1.3e7). Each trial keeps drawing until it escapes, and the mean
-# escape count grows as 1/sigma_rel^2 for small jitter.
+# escape count grows as 1/sigma_rel^2 for small jitter. Atom blocks draw
+# some atoms no trial uses: 2 % more at the script default, up to about a
+# quarter more for a lone trial.
 MAX_TRAPPING_ATOMS = 100_000_000
 
 # Most Monte Carlo rounds one fig3 grid may take, about 100x the script
-# default (6900). A cell runs until its last trial escapes, about
-# mean x (1 + ln trials) rounds, and each round costs about 15 us however
-# few trials are left, so the bound is about 10 s.
+# default (6900). Giving each live trial one atom per round, a cell runs
+# until its last trial escapes, about mean x (1 + ln trials) rounds of
+# about 20 us each, so the bound is about 15 s. `monte_carlo_escape` gives
+# late rounds blocks of atoms and takes far fewer rounds (1761 at the
+# script default; a lone trial with a mean escape count of 2533 takes one
+# round per 570 atoms or so), so this count over-counts and the bound is
+# conservative.
 MAX_TRAPPING_ROUNDS = 700_000
 
 # Largest Rabi phase sqrt(n)*gamma*tau a run may reach. Below 2^40 adjacent
@@ -114,9 +120,11 @@ class Diagnostic:
 
 
 def _trapping_work(trials: int, rabi_cycles_values, sigma_rels) -> tuple[float, float]:
-    """Atoms the fig3 grid is expected to send and Monte Carlo rounds it is
-    expected to take: the closed-form mean escape counts of its
-    (m_rabi, sigma_rel) cells, summed, times `trials` and 1 + ln `trials`."""
+    """Atoms the fig3 grid is expected to send and Monte Carlo rounds it
+    would take at one atom per live trial per round: the closed-form mean
+    escape counts of its (m_rabi, sigma_rel) cells, summed, times `trials`
+    and 1 + ln `trials`. Atom blocks take fewer rounds, so the second is an
+    upper estimate."""
     try:
         means = math.fsum(
             trapping.mean_atoms_rel(m, s) for m in rabi_cycles_values for s in sigma_rels
@@ -442,7 +450,9 @@ def _run_trapping_curves(config: ExperimentConfig) -> Path:
         (m_rabi, sigma_rel, mean, estimate.mean, estimate.stderr)
         for (m_rabi, sigma_rel), mean, estimate in zip(cells, closed, estimates)
     ]
-    return _write_csv(config, config.metadata(__version__), rows)
+    metadata = config.metadata(__version__)
+    metadata.append(("stream_layout", "(seed, cell), atom blocks"))
+    return _write_csv(config, metadata, rows)
 
 
 def _run_quality_cutoff(config: ExperimentConfig) -> Path:

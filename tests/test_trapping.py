@@ -8,6 +8,8 @@ from scipy import integrate, stats
 
 from cavityqubits.config import split_rng
 from cavityqubits.trapping import (
+    MIN_ROUND_ATOMS,
+    EscapeEstimate,
     TrapSpec,
     escape_mean_rate,
     mean_atoms_rel,
@@ -190,6 +192,91 @@ def test_monte_carlo_rejects_degenerate_inputs():
         monte_carlo_escape(
             TrapSpec(photon_number=1, rabi_cycles=1, sigma_rel=0.1), 0, split_rng(0)
         )
+
+
+class CountingDraws:
+    """Forwards to a numpy Generator and counts the uniforms and the
+    truncation redraws (`normal` calls) drawn from it."""
+
+    def __init__(self, rng: np.random.Generator):
+        self.rng = rng
+        self.uniforms = 0
+        self.redraws = 0
+
+    def normal(self, *args, **kwargs):
+        out = self.rng.normal(*args, **kwargs)
+        self.redraws += out.size
+        return out
+
+    def random(self, *args, **kwargs):
+        out = self.rng.random(*args, **kwargs)
+        self.uniforms += out.size
+        return out
+
+    def __getattr__(self, name):
+        return getattr(self.rng, name)
+
+
+def escape_with_every_sin(spec: TrapSpec, trials: int, rng) -> EscapeEstimate:
+    """`monte_carlo_escape`'s rounds and draws, with sin^2 computed for every
+    draw: no filter decides any outcome."""
+    sqrt_n = math.sqrt(spec.photon_number)
+    theta_center = 2.0 * math.pi * spec.rabi_cycles / sqrt_n
+    theta_sigma = spec.sigma_rel * theta_center
+    capacity = max(trials, MIN_ROUND_ATOMS)
+    counts = np.zeros(trials, dtype=np.int64)
+    live = np.arange(trials)
+    atoms = drawn = 0
+    while live.size:
+        n = live.size
+        k = min(capacity // n, max(1, drawn // (2 * max(trials - n, 1))))
+        theta = rng.standard_normal(n * k) * theta_sigma + theta_center
+        while (theta <= 0).any():
+            bad = theta <= 0
+            theta[bad] = rng.normal(theta_center, theta_sigma, size=int(bad.sum()))
+        u = rng.random(n * k)
+        success = (u < np.square(np.sin(theta * sqrt_n))).reshape(n, k)
+        escaped = success.any(axis=1)
+        counts[live[escaped]] = atoms + 1 + success[escaped].argmax(axis=1)
+        live = live[~escaped]
+        atoms += k
+        drawn += n * k
+    stderr = float(counts.std(ddof=1) / math.sqrt(trials)) if trials > 1 else math.inf
+    return EscapeEstimate(mean=float(counts.mean()), stderr=stderr, trials=trials)
+
+
+@pytest.mark.parametrize("rabi_cycles", [1, 3, 10**9])
+@pytest.mark.parametrize("photon_number", [1, 4])
+@pytest.mark.parametrize("gamma", [1.0, 0.37])
+def test_sin_filter_changes_no_outcome(rabi_cycles, photon_number, gamma):
+    # a mean escape count near 29 at every m, for one trial (blocks grow with
+    # no escape seen) and for many; sigma_rel = 0.5 redraws about 2 % of taus
+    cases = ((0.03 / rabi_cycles, 1), (0.03 / rabi_cycles, 2000), (0.5, 2000))
+    for case, (sigma_rel, trials) in enumerate(cases):
+        spec = TrapSpec(photon_number, rabi_cycles, sigma_rel, gamma)
+        draws = CountingDraws(split_rng(rabi_cycles, photon_number, case))
+        estimate = monte_carlo_escape(spec, trials, draws)
+        assert estimate == escape_with_every_sin(
+            spec, trials, split_rng(rabi_cycles, photon_number, case)
+        )
+        assert (draws.redraws > 0) == (sigma_rel == 0.5)
+
+
+def test_block_counts_follow_the_geometric_law():
+    # mean 29: late rounds give each live trial a block of many atoms
+    spec = TrapSpec(photon_number=1, rabi_cycles=1, sigma_rel=0.03)
+    expected = mean_atoms_rel(1, 0.03)
+    trials, seeds = 2000, 50
+    atoms = uniforms = 0
+    for seed in range(seeds):
+        draws = CountingDraws(split_rng(404, seed))
+        atoms += round(monte_carlo_escape(spec, trials, draws).mean * trials)
+        uniforms += draws.uniforms
+    # a draw goes unused only after an escape early in a block of k > 1 atoms
+    assert uniforms > atoms
+    pooled = atoms / (trials * seeds)
+    # within the Chernoff bound that `check` puts on a_mean_mc, at 1e-6
+    assert trials * seeds * escape_mean_rate(expected, pooled) <= math.log(2 / 1e-6)
 
 
 def test_truncation_bias_is_negligible_in_range():
