@@ -1,0 +1,176 @@
+"""The `check` subcommand: re-ingest an output CSV and recompute every
+column it can, from its metadata and its other columns."""
+
+from __future__ import annotations
+
+import csv
+import math
+import sys
+from pathlib import Path
+
+from . import cloning, trapping
+from .config import EXPERIMENTS, QUALITY_TABLE, STEP_TABLE, TRAPPING_TABLE, DistributionSpec
+
+# False-alarm probability of `check`'s bound on a fig3 row's a_mean_mc,
+# split evenly between the two tails.
+MC_FALSE_ALARM = 1e-6
+
+
+def _read_output(path: Path) -> tuple[dict[str, str], list[str], list[list[str]]]:
+    metadata: dict[str, str] = {}
+    table: list[str] = []
+    for raw in path.read_text().splitlines():
+        if raw.startswith("#"):
+            key, _, value = raw.lstrip("# ").partition("=")
+            metadata[key.strip()] = value.strip()
+        elif raw.strip():
+            table.append(raw)
+    rows = list(csv.reader(table))
+    return metadata, (rows[0] if rows else []), rows[1:]
+
+
+def _count(text: str, name: str) -> int:
+    """A metadata count: an int from 1 up to the largest float."""
+    count = int(text)
+    if count < 1:
+        raise ValueError(f"{name} must be >= 1, got {count}")
+    if count > sys.float_info.max:
+        raise ValueError(f"{name} must be at most {sys.float_info.max!r}")
+    return count
+
+
+def check_output(path: Path) -> list[str]:
+    """Recompute whatever is recomputable in an output CSV; returns a list
+    of problems (empty = file is consistent). An unreadable file, a missing
+    table and rows that do not parse are problems too, never exceptions."""
+    try:
+        metadata, header, rows = _read_output(path)
+    except (OSError, UnicodeDecodeError, csv.Error) as exc:
+        return [f"cannot read: {exc}"]
+    if not metadata and not header:
+        return ["empty file"]
+    problems = [
+        f"metadata key {required!r} missing"
+        for required in ("version", "rng", "seed", "experiment", "distribution")
+        if required not in metadata
+    ]
+    if problems:
+        return problems
+    experiment = EXPERIMENTS.get(metadata["experiment"])
+    if experiment is None:
+        return [f"metadata: unknown experiment {metadata['experiment']!r}"]
+    table = experiment.table
+    required = {QUALITY_TABLE: ("cutoffs", "runs"), STEP_TABLE: ("transferred_total",)}
+    problems = [
+        f"metadata key {key!r} missing" for key in required.get(table, ()) if key not in metadata
+    ]
+    if problems:
+        return problems
+    try:
+        dist = DistributionSpec.parse(metadata["distribution"])
+        configured, n_max = dist.resolve(), dist.max_photon_number()
+        n_originals = int(metadata.get("n_originals", "1"))
+        # the bounds take these counts as floats
+        trials = _count(metadata.get("trials", "1"), "trials")
+        if table is QUALITY_TABLE:
+            runs = _count(metadata["runs"], "runs")
+            # written as a comma list, so parsing it cannot expand a range
+            cutoffs = [int(c) for c in metadata["cutoffs"].split(",")]
+        if table is STEP_TABLE:
+            transferred_total = int(metadata["transferred_total"])
+    except ValueError as exc:
+        return [f"metadata: {exc}"]
+    if header != [name for name, _ in table]:
+        return [f"unexpected header {header}" if header else "no header row"]
+    if not rows:
+        return ["no data rows"]
+    parsed: list[tuple[int, list]] = []
+    for i, row in enumerate(rows):
+        if len(row) != len(table):
+            problems.append(f"row {i}: {len(row)} fields, expected {len(table)}")
+            continue
+        try:
+            parsed.append((i, [kind(field) for (_, kind), field in zip(table, row)]))
+        except ValueError as exc:
+            problems.append(f"row {i}: {exc}")
+
+    if table is TRAPPING_TABLE:
+        # the sample mean of `trials` geometric escape counts: beyond the
+        # Chernoff bound of either tail with probability <= MC_FALSE_ALARM / 2
+        tail_exponent = math.log(2.0 / MC_FALSE_ALARM)
+        for i, (m_rabi, sigma_rel, closed, mc, _) in parsed:
+            try:
+                expected = trapping.mean_atoms_rel(m_rabi, sigma_rel)
+            except (ValueError, ArithmeticError) as exc:
+                problems.append(f"row {i}: cannot recompute a_mean_closed: {exc}")
+                continue
+            if not math.isclose(closed, expected, rel_tol=1e-12):
+                problems.append(f"row {i}: a_mean_closed {closed!r} != recomputed {expected!r}")
+            elif not trials * trapping.escape_mean_rate(expected, mc) <= tail_exponent:
+                problems.append(
+                    f"row {i}: a_mean_mc {mc!r} is outside the {MC_FALSE_ALARM:g} tail bound "
+                    f"of {trials} trials around a_mean_closed {expected!r}"
+                )
+    elif table is QUALITY_TABLE:
+        # the largest sample standard deviation of `runs` values in [0, 1.5],
+        # half at each end, over sqrt(runs)
+        stderr_max = 0.75 / math.sqrt(runs - 1) if runs > 1 else 0.0
+        if len(parsed) == len(rows) != len(cutoffs):
+            problems.append(f"{len(rows)} rows, but metadata lists {len(cutoffs)} cutoffs")
+        for i, (cutoff, mean_quality, stderr, row_n_max) in parsed:
+            if len(rows) == len(cutoffs) and cutoff != cutoffs[i]:
+                problems.append(f"row {i}: cutoff {cutoff} != metadata cutoff {cutoffs[i]}")
+            if row_n_max != n_max:
+                problems.append(f"row {i}: n_max {row_n_max} != distribution maximum {n_max}")
+            if not 0.0 <= mean_quality <= 1.5:
+                problems.append(f"row {i}: mean_quality {mean_quality!r} out of range")
+            if not 0.0 <= stderr <= stderr_max:  # a NaN fails too
+                problems.append(
+                    f"row {i}: stderr {stderr!r} outside [0, {stderr_max!r}] for {runs} runs"
+                )
+    else:  # step table
+        steps: dict[int, dict[int, float]] = {}
+        f_atoms: dict[int, float] = {}
+        counts: dict[int, set[int]] = {}
+        for _, (step, n, p, f_atom, transferred) in parsed:
+            steps.setdefault(step, {})[n] = p
+            f_atoms[step] = f_atom
+            counts.setdefault(step, set()).add(transferred)
+        if steps.get(0) != configured:
+            problems.append("step-0 weights differ from the configured distribution")
+        if sorted(steps) != list(range(len(steps))):
+            problems.append(f"step numbers are not 0..{len(steps) - 1}")
+        # one transferred count per step: 0 at step 0, then growing by 0 or 1
+        # per atom, with no weight left on a branch it has passed
+        m = None  # the step's transferred count, if it has exactly one
+        for step, weights in sorted(steps.items()):
+            previous, m = m, min(counts[step]) if len(counts[step]) == 1 else None
+            if m is None:
+                problems.append(f"step {step}: {len(counts[step])} transferred values, expected 1")
+            elif step == 0 and m != 0:
+                problems.append(f"step 0: transferred {m} != 0")
+            elif previous is not None and m - previous not in (0, 1):
+                problems.append(f"step {step}: transferred goes from {previous} to {m}")
+            total = cloning.ordered_sum(weights.values())
+            if not abs(total - 1.0) <= cloning.WEIGHT_TOL:  # a NaN total fails too
+                problems.append(f"step {step}: weights sum to {total!r}")
+                continue
+            dead = [n for n, p in weights.items() if m is not None and n < m and p != 0]
+            if dead:
+                problems.append(
+                    f"step {step}: p_n {weights[dead[0]]!r} at n = {dead[0]} < transferred {m}"
+                )
+            try:
+                expected = cloning.atom_fidelity(weights, n_originals)
+            except ValueError as exc:
+                problems.append(f"step {step}: cannot recompute F_atom: {exc}")
+                continue
+            if not math.isclose(f_atoms[step], expected, rel_tol=1e-12):
+                problems.append(
+                    f"step {step}: F_atom {f_atoms[step]!r} != recomputed {expected!r}"
+                )
+        if m is not None and m != transferred_total:
+            problems.append(
+                f"transferred {m} at the last step != transferred_total {transferred_total}"
+            )
+    return problems

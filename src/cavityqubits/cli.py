@@ -3,7 +3,7 @@
 Each experiment in `config.EXPERIMENTS` is a subcommand (fig2, fig3, fig4,
 custom) with the flags listed there; `validate` checks a configuration
 without running it, and `check` re-ingests an output CSV and confirms its
-closed-form columns.
+closed-form columns (`check.check_output`).
 
 Outputs are CSV with a `# key = value` metadata block (full config echo,
 seed, package version, RNG identity). No timestamps: identical
@@ -14,7 +14,6 @@ directory comes from $CAVITYQUBITS_OUTDIR.
 from __future__ import annotations
 
 import argparse
-import csv
 import functools
 import io
 import math
@@ -27,6 +26,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__, cloning, protocol, trapping
+from .check import check_output
 from .config import (
     EXPERIMENTS,
     HALF_RABI,
@@ -100,10 +100,6 @@ PHASE_KEYS = {
     "distribution", "gamma", "policy", "tau", "sigma_rel", "sigma_rel_values",
     "rabi_cycles_values", "trap_photon_number",
 }
-
-# False-alarm probability of `check`'s bound on a fig3 row's a_mean_mc,
-# split evenly between the two tails.
-MC_FALSE_ALARM = 1e-6
 
 # subcommand -> experiment
 COMMANDS = {e.command: name for name, e in EXPERIMENTS.items()}
@@ -514,146 +510,6 @@ def run_experiment(config: ExperimentConfig) -> Path:
     if table is QUALITY_TABLE:
         return _run_quality_cutoff(config)
     return _run_weights_evolution(config)
-
-
-# --- CSV checker ------------------------------------------------------------
-
-
-def _read_output(path: Path) -> tuple[dict[str, str], list[str], list[list[str]]]:
-    metadata: dict[str, str] = {}
-    table: list[str] = []
-    for raw in path.read_text().splitlines():
-        if raw.startswith("#"):
-            key, _, value = raw.lstrip("# ").partition("=")
-            metadata[key.strip()] = value.strip()
-        elif raw.strip():
-            table.append(raw)
-    rows = list(csv.reader(table))
-    return metadata, (rows[0] if rows else []), rows[1:]
-
-
-def _count(text: str, name: str) -> int:
-    """A metadata count: an int from 1 up to the largest float."""
-    count = int(text)
-    if count < 1:
-        raise ValueError(f"{name} must be >= 1, got {count}")
-    if count > sys.float_info.max:
-        raise ValueError(f"{name} must be at most {sys.float_info.max!r}")
-    return count
-
-
-def check_output(path: Path) -> list[str]:
-    """Recompute whatever is recomputable in an output CSV; returns a list
-    of problems (empty = file is consistent). An unreadable file, a missing
-    table and rows that do not parse are problems too, never exceptions."""
-    try:
-        metadata, header, rows = _read_output(path)
-    except (OSError, UnicodeDecodeError, csv.Error) as exc:
-        return [f"cannot read: {exc}"]
-    if not metadata and not header:
-        return ["empty file"]
-    problems = [
-        f"metadata key {required!r} missing"
-        for required in ("version", "rng", "seed", "experiment", "distribution")
-        if required not in metadata
-    ]
-    if problems:
-        return problems
-    experiment = EXPERIMENTS.get(metadata["experiment"])
-    if experiment is None:
-        return [f"metadata: unknown experiment {metadata['experiment']!r}"]
-    table = experiment.table
-    if table is QUALITY_TABLE:
-        problems = [
-            f"metadata key {required!r} missing"
-            for required in ("cutoffs", "runs")
-            if required not in metadata
-        ]
-        if problems:
-            return problems
-    try:
-        dist = DistributionSpec.parse(metadata["distribution"])
-        configured, n_max = dist.resolve(), dist.max_photon_number()
-        n_originals = int(metadata.get("n_originals", "1"))
-        # the bounds take these counts as floats
-        trials = _count(metadata.get("trials", "1"), "trials")
-        if table is QUALITY_TABLE:
-            runs = _count(metadata["runs"], "runs")
-            # written as a comma list, so parsing it cannot expand a range
-            cutoffs = [int(c) for c in metadata["cutoffs"].split(",")]
-    except ValueError as exc:
-        return [f"metadata: {exc}"]
-    if header != [name for name, _ in table]:
-        return [f"unexpected header {header}" if header else "no header row"]
-    if not rows:
-        return ["no data rows"]
-    parsed: list[tuple[int, list]] = []
-    for i, row in enumerate(rows):
-        if len(row) != len(table):
-            problems.append(f"row {i}: {len(row)} fields, expected {len(table)}")
-            continue
-        try:
-            parsed.append((i, [kind(field) for (_, kind), field in zip(table, row)]))
-        except ValueError as exc:
-            problems.append(f"row {i}: {exc}")
-
-    if table is TRAPPING_TABLE:
-        # the sample mean of `trials` geometric escape counts: beyond the
-        # Chernoff bound of either tail with probability <= MC_FALSE_ALARM / 2
-        tail_exponent = math.log(2.0 / MC_FALSE_ALARM)
-        for i, (m_rabi, sigma_rel, closed, mc, _) in parsed:
-            try:
-                expected = trapping.mean_atoms_rel(m_rabi, sigma_rel)
-            except (ValueError, ArithmeticError) as exc:
-                problems.append(f"row {i}: cannot recompute a_mean_closed: {exc}")
-                continue
-            if not math.isclose(closed, expected, rel_tol=1e-12):
-                problems.append(f"row {i}: a_mean_closed {closed!r} != recomputed {expected!r}")
-            elif not trials * trapping.escape_mean_rate(expected, mc) <= tail_exponent:
-                problems.append(
-                    f"row {i}: a_mean_mc {mc!r} is outside the {MC_FALSE_ALARM:g} tail bound "
-                    f"of {trials} trials around a_mean_closed {expected!r}"
-                )
-    elif table is QUALITY_TABLE:
-        # the largest sample standard deviation of `runs` values in [0, 1.5],
-        # half at each end, over sqrt(runs)
-        stderr_max = 0.75 / math.sqrt(runs - 1) if runs > 1 else 0.0
-        if len(parsed) == len(rows) != len(cutoffs):
-            problems.append(f"{len(rows)} rows, but metadata lists {len(cutoffs)} cutoffs")
-        for i, (cutoff, mean_quality, stderr, row_n_max) in parsed:
-            if len(rows) == len(cutoffs) and cutoff != cutoffs[i]:
-                problems.append(f"row {i}: cutoff {cutoff} != metadata cutoff {cutoffs[i]}")
-            if row_n_max != n_max:
-                problems.append(f"row {i}: n_max {row_n_max} != distribution maximum {n_max}")
-            if not 0.0 <= mean_quality <= 1.5:
-                problems.append(f"row {i}: mean_quality {mean_quality!r} out of range")
-            if not 0.0 <= stderr <= stderr_max:  # a NaN fails too
-                problems.append(
-                    f"row {i}: stderr {stderr!r} outside [0, {stderr_max!r}] for {runs} runs"
-                )
-    else:  # step table
-        steps: dict[int, dict[int, float]] = {}
-        f_atoms: dict[int, float] = {}
-        for _, (step, n, p, f_atom, _) in parsed:
-            steps.setdefault(step, {})[n] = p
-            f_atoms[step] = f_atom
-        if steps.get(0) != configured:
-            problems.append("step-0 weights differ from the configured distribution")
-        for step, weights in sorted(steps.items()):
-            total = cloning.ordered_sum(weights.values())
-            if not abs(total - 1.0) <= cloning.WEIGHT_TOL:  # a NaN total fails too
-                problems.append(f"step {step}: weights sum to {total!r}")
-                continue
-            try:
-                expected = cloning.atom_fidelity(weights, n_originals)
-            except ValueError as exc:
-                problems.append(f"step {step}: cannot recompute F_atom: {exc}")
-                continue
-            if not math.isclose(f_atoms[step], expected, rel_tol=1e-12):
-                problems.append(
-                    f"step {step}: F_atom {f_atoms[step]!r} != recomputed {expected!r}"
-                )
-    return problems
 
 
 # --- argument parsing -------------------------------------------------------

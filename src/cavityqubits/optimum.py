@@ -1,0 +1,101 @@
+"""The search behind `protocol.optimal_tau`: the interaction time in
+(0, pi/gamma] that maximizes the excitation probability of a mixture.
+
+A fixed grid scan, then golden-section refinement of the best bracket. Every
+value it compares is the float `protocol.excite_prob` returns, and each
+optimum is remembered per exact posterior.
+"""
+
+from __future__ import annotations
+
+import math
+from functools import lru_cache
+
+import numpy as np
+
+GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
+
+# Points of the scan grid over [0, pi/gamma], tau = 0 included.
+TAU_GRID_POINTS = 2000
+
+
+@lru_cache(maxsize=16)
+def tau_grid(gamma: float) -> np.ndarray:
+    """The positive points of the scan grid (read-only)."""
+    grid = np.linspace(0.0, math.pi / gamma, TAU_GRID_POINTS)
+    grid = grid[grid > 0]
+    grid.flags.writeable = False
+    return grid
+
+
+# A row holds one float per grid point, 16 KB, so a full cache is about 4 MB.
+@lru_cache(maxsize=256)
+def grid_row(remaining: int, gamma: float) -> np.ndarray:
+    """sin^2 of the Rabi phase of a branch with `remaining` photons at every
+    point of the scan grid (read-only): one row of excite_prob's table, from
+    `protocol._rabi_factors`' float expression. It does not depend on the
+    weights."""
+    row = np.sin(np.sqrt(remaining) * (gamma * tau_grid(gamma))) ** 2
+    row.flags.writeable = False
+    return row
+
+
+# Optima `search` remembers, least recently used dropped first. An entry
+# holds its key's two byte strings, 16 bytes per branch, and about 0.25 KB
+# besides, so a full memo takes about 1.5 MB at binomial:6 (7 branches) and at
+# worst, with `config.MAX_PHOTON_NUMBER`'s 1001 branches, about 67 MB.
+OPTIMA_CACHED = 4096
+
+
+@lru_cache(maxsize=OPTIMA_CACHED)
+def search(photon_numbers: bytes, weights: bytes, transferred: int, gamma: float) -> float:
+    """`protocol.optimal_tau`'s search, on fresh arrays made from its key's
+    bytes, so the memo keeps no reference to the caller's arrays."""
+    grid = tau_grid(gamma)
+    remaining = np.maximum(np.frombuffer(photon_numbers, dtype=int) - transferred, 0)
+    w = np.frombuffer(weights).copy()
+    # the (K, G) table excite_prob would build for the grid, from cached rows
+    table = np.array([grid_row(r, gamma) for r in remaining.tolist()])
+    values = w @ table
+    best = int(np.argmax(values))  # first max = smallest tau on ties
+
+    # excite_prob at one tau: its (K,) @ (K, 1) product reaches the same BLAS
+    # ddot as this 1-D dot, so every value keeps its bits
+    freq = np.sqrt(remaining)
+    buf = np.empty_like(freq)
+
+    def excite(tau) -> float:
+        np.multiply(freq, gamma * tau, out=buf)
+        np.sin(buf, out=buf)
+        np.square(buf, out=buf)
+        return float(w.dot(buf))
+
+    # Python floats: the same IEEE arithmetic as numpy scalars, but cheaper
+    a = float(grid[best - 1] if best > 0 else grid[0])
+    b = float(grid[best + 1] if best + 1 < len(grid) else grid[-1])
+    c = b - GOLDEN * (b - a)
+    d = a + GOLDEN * (b - a)
+    fc = excite(c)
+    fd = excite(d)
+    # The state (a, b, c, d, fc, fd) alone fixes the next iteration, so once
+    # it equals the state two iterations back it repeats with period 2 (or
+    # 1): stop there, on the state the last of the 80 iterations lands on.
+    prev = older = None
+    for i in range(80):
+        if fc >= fd:  # keep the left interval on ties
+            b, d, fd = d, c, fc
+            c = b - GOLDEN * (b - a)
+            fc = excite(c)
+        else:
+            a, c, fc = c, d, fd
+            d = a + GOLDEN * (b - a)
+            fd = excite(d)
+        state = (a, b, c, d, fc, fd)
+        if state == older:
+            if (79 - i) % 2:
+                a, b, c, d, fc, fd = prev
+            break
+        older, prev = prev, state
+    candidates = [(float(grid[best]), float(values[best])), (c, fc), (d, fd)]
+    best_value = max(v for _, v in candidates)
+    return min(t for t, v in candidates if v >= best_value)

@@ -15,15 +15,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from functools import lru_cache
 from typing import Callable, Mapping, Union
 
 import numpy as np
 
-from . import cloning
+from . import cloning, optimum, transitions
 from .cloning import WEIGHT_TOL
-
-GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
+from .transitions import AFTER, P_EXCITE, TAU, TRANSFERRED, VACUUM, WEIGHTS
 
 
 class MeasurementOutcome(Enum):
@@ -247,108 +245,24 @@ def step(
     return outcome, update_weights(ens, gamma, tau, outcome), tau, p_e
 
 
-# Points of `optimal_tau`'s scan grid over [0, pi/gamma], tau = 0 included.
-TAU_GRID_POINTS = 2000
-
-
-@lru_cache(maxsize=16)
-def _tau_grid(gamma: float) -> np.ndarray:
-    """The positive points of `optimal_tau`'s scan grid (read-only)."""
-    grid = np.linspace(0.0, math.pi / gamma, TAU_GRID_POINTS)
-    grid = grid[grid > 0]
-    grid.flags.writeable = False
-    return grid
-
-
-# A row holds one float per grid point, 16 KB, so a full cache is about 4 MB.
-@lru_cache(maxsize=256)
-def _grid_row(remaining: int, gamma: float) -> np.ndarray:
-    """sin^2 of the Rabi phase of a branch with `remaining` photons at every
-    point of the scan grid (read-only): one row of excite_prob's table,
-    from the same float expression. It does not depend on the weights."""
-    row = _rabi_factors(remaining, gamma, _tau_grid(gamma))[0]
-    row.flags.writeable = False
-    return row
-
-
-# Optima `optimal_tau` remembers, least recently used dropped first. An entry
-# holds its key's two byte strings, 16 bytes per branch, and about 0.25 KB
-# besides, so a full memo takes about 1.5 MB at binomial:6 (7 branches) and at
-# worst, with `config.MAX_PHOTON_NUMBER`'s 1001 branches, about 67 MB.
-OPTIMA_CACHED = 4096
-
-
 def optimal_tau(ens: WeightedEnsemble, gamma: float) -> float:
     """Interaction time in (0, pi/gamma] maximizing the excitation probability.
 
-    Grid scan of `TAU_GRID_POINTS` points followed by golden-section
-    refinement of the best bracket. Ties break toward the smaller tau. Each
-    value is the one `excite_prob` returns, bit for bit: the grid's sin^2
-    rows are cached per remaining photon count, and the refinement computes
-    `_rabi_factors`' phase sqrt(k) * (gamma * tau) in place.
+    `optimum.search`: a grid scan of `optimum.TAU_GRID_POINTS` points
+    followed by golden-section refinement of the best bracket. Ties break
+    toward the smaller tau. Each value is the one `excite_prob` returns, bit
+    for bit: the grid's sin^2 rows are cached per remaining photon count,
+    and the refinement computes `_rabi_factors`' phase sqrt(k) * (gamma *
+    tau) in place.
 
-    The result is remembered for the last `OPTIMA_CACHED` distinct inputs,
-    keyed on the exact bytes of the (int) photon numbers and (float)
+    The result is remembered for the last `optimum.OPTIMA_CACHED` distinct
+    inputs, keyed on the exact bytes of the (int) photon numbers and (float)
     weights, the transferred count and gamma; nothing is rounded, so a
-    remembered optimum is the float a new search would return. Runs from
-    one prior revisit the same posteriors, so a seed sweep searches each
-    once; a single run rarely sees one twice.
+    remembered optimum is the float a new search would return.
     """
-    return _optimum(ens.photon_numbers.tobytes(), ens.weights.tobytes(), ens.transferred, gamma)
-
-
-@lru_cache(maxsize=OPTIMA_CACHED)
-def _optimum(photon_numbers: bytes, weights: bytes, transferred: int, gamma: float) -> float:
-    """`optimal_tau`'s search, on fresh arrays made from its key's bytes, so
-    the memo keeps no reference to the caller's arrays."""
-    grid = _tau_grid(gamma)
-    remaining = np.maximum(np.frombuffer(photon_numbers, dtype=int) - transferred, 0)
-    w = np.frombuffer(weights).copy()
-    # the (K, G) table excite_prob would build for the grid, from cached rows
-    table = np.array([_grid_row(r, gamma) for r in remaining.tolist()])
-    values = w @ table
-    best = int(np.argmax(values))  # first max = smallest tau on ties
-
-    # excite_prob at one tau: its (K,) @ (K, 1) product reaches the same BLAS
-    # ddot as this 1-D dot, so every value keeps its bits
-    freq = np.sqrt(remaining)
-    buf = np.empty_like(freq)
-
-    def excite(tau) -> float:
-        np.multiply(freq, gamma * tau, out=buf)
-        np.sin(buf, out=buf)
-        np.square(buf, out=buf)
-        return float(w.dot(buf))
-
-    # Python floats: the same IEEE arithmetic as numpy scalars, but cheaper
-    a = float(grid[best - 1] if best > 0 else grid[0])
-    b = float(grid[best + 1] if best + 1 < len(grid) else grid[-1])
-    c = b - GOLDEN * (b - a)
-    d = a + GOLDEN * (b - a)
-    fc = excite(c)
-    fd = excite(d)
-    # The state (a, b, c, d, fc, fd) alone fixes the next iteration, so once
-    # it equals the state two iterations back it repeats with period 2 (or
-    # 1): stop there, on the state the last of the 80 iterations lands on.
-    prev = older = None
-    for i in range(80):
-        if fc >= fd:  # keep the left interval on ties
-            b, d, fd = d, c, fc
-            c = b - GOLDEN * (b - a)
-            fc = excite(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + GOLDEN * (b - a)
-            fd = excite(d)
-        state = (a, b, c, d, fc, fd)
-        if state == older:
-            if (79 - i) % 2:
-                a, b, c, d, fc, fd = prev
-            break
-        older, prev = prev, state
-    candidates = [(float(grid[best]), float(values[best])), (c, fc), (d, fd)]
-    best_value = max(v for _, v in candidates)
-    return min(t for t, v in candidates if v >= best_value)
+    return optimum.search(
+        ens.photon_numbers.tobytes(), ens.weights.tobytes(), ens.transferred, gamma
+    )
 
 
 # --- full runs -------------------------------------------------------------
@@ -375,8 +289,10 @@ class ProtocolTrace:
 
 def run(config, rng: np.random.Generator) -> ProtocolTrace:
     """Pass atoms until `cutoff` consecutive ground results, the atom
-    budget runs out, or the mixture is certainly down to the vacuum: one row
-    of `run_batch`, with a `TraceEvent` per atom from its `observe` callback.
+    budget runs out, or the mixture is certainly down to the vacuum: a
+    `run_batch` call with one stream, so it walks the transition tree of its
+    prior (or, under a jittered tau, computes every transition), with a
+    `TraceEvent` per atom from its `observe` callback.
 
     `config` is read by attribute: `initial_weights()`, `tau_policy(initial)`,
     `gamma`, `cutoff`, `atom_budget` and `n_originals`, as an
@@ -405,11 +321,11 @@ def run(config, rng: np.random.Generator) -> ProtocolTrace:
     return ProtocolTrace(events=events, reason=final.reasons[0, 0], final=last)
 
 
-# --- many runs in lockstep ----------------------------------------------------
+# --- many runs ------------------------------------------------------------------
 
-# Uniforms drawn per stream at a time under `FixedTau`. `Generator.random(k)`
-# returns the same values as k scalar draws, so the block size never changes
-# an outcome.
+# Uniforms drawn per stream at a time under a deterministic policy.
+# `Generator.random(k)` returns the same values as k scalar draws, so the
+# block size never changes an outcome.
 DRAW_BLOCK = 32
 
 
@@ -434,8 +350,7 @@ def run_batch(
     rngs: list[np.random.Generator],
     observe: Callable[..., None] | None = None,
 ) -> BatchFinal:
-    """Runs from `initial`, one per generator, in lockstep; their states at
-    every cutoff.
+    """Runs from `initial`, one per generator; their states at every cutoff.
 
     Row b draws from `rngs[b]` alone and stops when its mixture is certainly
     the vacuum or `atom_budget` atoms have passed (checked in that order
@@ -443,25 +358,29 @@ def run_batch(
     `cutoffs`. Its state at cutoff c is where that streak first equals c,
     which is where a run with cutoff c on that stream stops; if the row
     stopped before that, it is the row's terminal state.
-    All live rows pass their k-th atom as one B x K weight update. Under
-    `FixedTau` both factors come from one (transferred count, outcome)
-    table and uniforms `DRAW_BLOCK` at a time; under any other policy a row
-    takes its tau from `policy_tau`, then draws one uniform, in `step`'s
-    order, and its factors are computed for that tau.
-    `observe(rows, taus, excited, p_e, w, m)`, if given, gets the live rows'
+
+    Two loops step the rows, chosen by the stream count and the policy:
+    - `FixedTau` with more than one stream: all live rows pass their k-th
+      atom in lockstep, as one B x K weight update, with both factors from
+      one (transferred count, outcome) table.
+    - Otherwise each stream in turn walks from posterior to posterior, each
+      atom's tau, p_excite and posterior computed with `policy_tau`,
+      `excite_prob` and `update_weights`. Under a deterministic policy they
+      depend on the posterior alone, so the walk stores them in the
+      transition tree of (initial, policy, gamma), shared by every run from
+      it in this process, and a later run that reaches a stored posterior
+      follows its stored transitions. A `JitteredTau` run stores nothing:
+      each atom draws its tau from the stream, then one uniform.
+    Deterministic policies draw the uniforms `DRAW_BLOCK` at a time.
+    `observe(rows, taus, excited, p_e, w, m)`, if given, gets the rows'
     stream indices, taus, outcomes and p_excite before each pass, and their
-    weights and counts after it; `m` is updated in place by the next pass,
-    so copy it to keep it.
+    weights and counts after it. The lockstep updates `m` in place on the
+    next pass, so copy it to keep it; the walk passes fresh one-row arrays.
     """
     levels = np.array(sorted({int(c) for c in cutoffs}), dtype=int)
     if not levels.size or levels[0] < 1:
         raise ValueError("need at least one cutoff, each >= 1")
     ns = initial.photon_numbers
-    fixed = isinstance(policy, FixedTau)
-    if fixed:  # the factors depend only on (transferred m, outcome, branch n)
-        remaining = np.maximum(ns - np.arange(ns.max() + 1)[:, None], 0)
-        table = _factor_table(remaining, gamma, policy.tau)
-
     n_rows = len(rngs)
     shape = (len(levels), n_rows)
     out_w = np.empty((*shape, len(ns)))
@@ -472,102 +391,159 @@ def run_batch(
     # default, so only the other stops write it
     out_reasons = np.full(shape, members.index(StopReason.CUTOFF), dtype=np.int8)
 
-    # state of the live rows, compacted; `rows` maps them back to streams
-    rows = np.arange(n_rows)
-    w = np.tile(initial.weights, (n_rows, 1))
-    m = np.full(n_rows, initial.transferred)
-    streak = np.zeros(n_rows, dtype=int)
-    nxt = np.zeros(n_rows, dtype=int)  # index of the next cutoff the streak meets
-    draws = np.empty((n_rows, DRAW_BLOCK))
-    passed = 0  # every live row has passed this many atoms
-    # A vacuum-certain row has a lone nonzero weight, which equals its row's
-    # sum: within WEIGHT_TOL of 1 on entry, and exactly 1.0 after any pass.
-    # So only a row whose largest weight reaches this can be one.
-    near_one = 1.0 - WEIGHT_TOL
+    if isinstance(policy, FixedTau) and n_rows > 1:
+        # the factors depend only on (transferred m, outcome, branch n)
+        remaining = np.maximum(ns - np.arange(ns.max() + 1)[:, None], 0)
+        table = _factor_table(remaining, gamma, policy.tau)
+        # state of the live rows, compacted; `rows` maps them back to streams
+        rows = np.arange(n_rows)
+        w = np.tile(initial.weights, (n_rows, 1))
+        m = np.full(n_rows, initial.transferred)
+        streak = np.zeros(n_rows, dtype=int)
+        nxt = np.zeros(n_rows, dtype=int)  # index of the next cutoff the streak meets
+        draws = np.empty((n_rows, DRAW_BLOCK))
+        passed = 0  # every live row has passed this many atoms
+        # A vacuum-certain row has a lone nonzero weight, which equals its row's
+        # sum: within WEIGHT_TOL of 1 on entry, and exactly 1.0 after any pass.
+        # So only a row whose largest weight reaches this can be one.
+        near_one = 1.0 - WEIGHT_TOL
 
-    # (cutoff indices, stream ids, weights, counts, atoms passed) of each
-    # stored batch of states, scattered into the outputs once, at the end
-    stored = []
+        # (cutoff indices, stream ids, weights, counts, atoms passed) of each
+        # stored batch of states, scattered into the outputs once, at the end
+        stored = []
 
-    def store(level: np.ndarray, live: np.ndarray) -> None:
-        stored.append((level, rows[live], w[live], m[live], passed))
+        def store(level: np.ndarray, live: np.ndarray) -> None:
+            stored.append((level, rows[live], w[live], m[live], passed))
 
-    def drop(keep: np.ndarray) -> None:
-        nonlocal rows, w, m, streak, nxt, draws
-        rows, w, m, streak, nxt, draws = (a[keep] for a in (rows, w, m, streak, nxt, draws))
+        def drop(keep: np.ndarray) -> None:
+            nonlocal rows, w, m, streak, nxt, draws
+            rows, w, m, streak, nxt, draws = (a[keep] for a in (rows, w, m, streak, nxt, draws))
 
-    def retire(done: np.ndarray, reason: StopReason) -> None:
-        if not done.any():
-            return
-        # the cutoffs a row's streak has not reached take its terminal state
-        level, i = np.nonzero(np.arange(len(levels))[:, None] >= nxt[done])
-        live = np.flatnonzero(done)[i]
-        store(level, live)
-        out_reasons[level, rows[live]] = members.index(reason)
-        drop(~done)
+        def retire(done: np.ndarray, reason: StopReason) -> None:
+            if not done.any():
+                return
+            # the cutoffs a row's streak has not reached take its terminal state
+            level, i = np.nonzero(np.arange(len(levels))[:, None] >= nxt[done])
+            live = np.flatnonzero(done)[i]
+            store(level, live)
+            out_reasons[level, rows[live]] = members.index(reason)
+            drop(~done)
 
-    while rows.size:
-        # stop checks in run's order: vacuum-certain, budget, then the step
-        if (w.max(axis=1) >= near_one).any():
-            alive = w > 0
-            retire(
-                (alive.sum(axis=1) == 1) & (ns[alive.argmax(axis=1)] == m),
-                StopReason.VACUUM_CERTAIN,
-            )
-        if passed >= atom_budget:
-            retire(np.ones(rows.size, dtype=bool), StopReason.ATOM_BUDGET)
-        if not rows.size:
-            break
-        if fixed:
+        while rows.size:
+            # stop checks in run's order: vacuum-certain, budget, then the step
+            if (w.max(axis=1) >= near_one).any():
+                alive = w > 0
+                retire(
+                    (alive.sum(axis=1) == 1) & (ns[alive.argmax(axis=1)] == m),
+                    StopReason.VACUUM_CERTAIN,
+                )
+            if passed >= atom_budget:
+                retire(np.ones(rows.size, dtype=bool), StopReason.ATOM_BUDGET)
+            if not rows.size:
+                break
             if passed % DRAW_BLOCK == 0:
                 for i, r in enumerate(rows.tolist()):
                     draws[i] = rngs[r].random(DRAW_BLOCK)
             u = draws[:, passed % DRAW_BLOCK]
-            factors, at = table, m
-        else:
-            taus, u = np.empty(rows.size), np.empty(rows.size)
-            for i, r in enumerate(rows.tolist()):
-                # the row as an ensemble, unchecked: the rows are checked once, at the end
-                ens = _unchecked(ns, w[i], int(m[i]))
-                taus[i] = policy_tau(policy, ens, gamma, rngs[r])
-                u[i] = rngs[r].random()
-            factors = _factor_table(np.maximum(ns - m[:, None], 0), gamma, taus[:, None])
-            at = np.arange(rows.size)
-        # a stack of the vector-column products excite_prob makes, so the
-        # sum runs in the same order and p_e keeps its exact bits
-        p_e = np.matmul(w[:, None, :], factors[at, 1, :, None])[:, 0, 0]
-        excited = u < p_e
-        posterior = factors[at, excited.view(np.int8)]
-        posterior *= w  # in place: one new (B, K) array per atom
-        total = posterior.sum(axis=1)
-        if not total.min() > 0.0:  # a NaN total fails too
-            outcome = "excited" if excited[np.argmin(total > 0.0)] else "ground"
-            raise ValueError(f"cannot condition on zero-probability outcome {outcome}")
-        posterior /= total[:, None]
-        w = posterior
-        m += excited
-        streak += 1
-        streak[excited] = 0
-        passed += 1
-        if observe is not None:
-            observe(rows, np.full(rows.size, policy.tau) if fixed else taus, excited, p_e, w, m)
-        # a streak grows by one, so it meets each cutoff it reaches; a live
-        # row has not yet met the largest
-        hit = streak == levels[nxt]
-        if hit.any():
-            store(nxt[hit], hit)
-            nxt += hit
-            done = nxt == len(levels)
-            if done.any():
-                drop(~done)
+            # a stack of the vector-column products excite_prob makes, so the
+            # sum runs in the same order and p_e keeps its exact bits
+            p_e = np.matmul(w[:, None, :], table[m, 1, :, None])[:, 0, 0]
+            excited = u < p_e
+            posterior = table[m, excited.view(np.int8)]
+            posterior *= w  # in place: one new (B, K) array per atom
+            total = posterior.sum(axis=1)
+            if not total.min() > 0.0:  # a NaN total fails too
+                outcome = "excited" if excited[np.argmin(total > 0.0)] else "ground"
+                raise ValueError(f"cannot condition on zero-probability outcome {outcome}")
+            posterior /= total[:, None]
+            w = posterior
+            m += excited
+            streak += 1
+            streak[excited] = 0
+            passed += 1
+            if observe is not None:
+                observe(rows, np.full(rows.size, policy.tau), excited, p_e, w, m)
+            # a streak grows by one, so it meets each cutoff it reaches; a live
+            # row has not yet met the largest
+            hit = streak == levels[nxt]
+            if hit.any():
+                store(nxt[hit], hit)
+                nxt += hit
+                done = nxt == len(levels)
+                if done.any():
+                    drop(~done)
 
-    if stored:  # empty only when there are no streams
-        level, ids, weights, counts, atoms = zip(*stored)
-        # one flat (cutoff, stream) index takes numpy's single-index path,
-        # faster than a pair of index arrays
-        at = np.concatenate(level) * n_rows + np.concatenate(ids)
-        out_w.reshape(-1, len(ns))[at] = np.concatenate(weights)
-        out_m.reshape(-1)[at] = np.concatenate(counts)
-        out_atoms.reshape(-1)[at] = np.repeat(atoms, [len(i) for i in ids])
+        if stored:  # empty only when there are no streams
+            level, ids, weights, counts, atoms = zip(*stored)
+            # one flat (cutoff, stream) index takes numpy's single-index path,
+            # faster than a pair of index arrays
+            at = np.concatenate(level) * n_rows + np.concatenate(ids)
+            out_w.reshape(-1, len(ns))[at] = np.concatenate(weights)
+            out_m.reshape(-1)[at] = np.concatenate(counts)
+            out_atoms.reshape(-1)[at] = np.repeat(atoms, [len(i) for i in ids])
+    else:
+        jittered = isinstance(policy, JitteredTau)
+        tree = None if jittered else transitions.tree(initial, policy, gamma)
+        marks = levels.tolist()
+        for b, rng in enumerate(rngs):
+            # `kept`: the node is stored in the tree, so what is computed
+            # from it is stored too, while the tree has room
+            if tree is None:
+                node, kept = transitions.node(initial), False
+            else:
+                node, kept = tree.root, True
+            streak = nxt = passed = hits = 0
+            while True:
+                # stop checks in run's order: vacuum-certain, budget, then the step
+                if node[VACUUM] or passed >= atom_budget:
+                    # the cutoffs the streak has not reached take the terminal state
+                    reason = StopReason.VACUUM_CERTAIN if node[VACUUM] else StopReason.ATOM_BUDGET
+                    out_reasons[nxt:, b] = members.index(reason)
+                    out_w[nxt:, b], out_m[nxt:, b] = node[WEIGHTS], node[TRANSFERRED]
+                    out_atoms[nxt:, b] = passed
+                    break
+                p_e, tau = node[P_EXCITE], node[TAU]  # tau is written first
+                if p_e is None:
+                    ens = _unchecked(ns, node[WEIGHTS], node[TRANSFERRED])
+                    if kept and isinstance(policy, OptimalEachStep):
+                        # the node keeps its optimum, so optimal_tau's memo need not
+                        tau = optimum.search.__wrapped__(
+                            ns.tobytes(), ens.weights.tobytes(), ens.transferred, gamma
+                        )
+                    else:
+                        tau = policy_tau(policy, ens, gamma, rng)
+                    p_e = excite_prob(ens, gamma, tau)
+                    if kept:
+                        tree.record(node, tau, p_e)
+                if jittered:
+                    u = rng.random()
+                else:
+                    if passed % DRAW_BLOCK == 0:
+                        draws = rng.random(DRAW_BLOCK).tolist()
+                    u = draws[passed % DRAW_BLOCK]
+                excited = u < p_e
+                child = node[AFTER + excited]
+                if child is not None:
+                    hits += 1
+                else:
+                    outcome = MeasurementOutcome.EXCITED if excited else MeasurementOutcome.GROUND
+                    ens = _unchecked(ns, node[WEIGHTS], node[TRANSFERRED])
+                    child = transitions.node(update_weights(ens, gamma, tau, outcome))
+                    if kept:
+                        child, kept = tree.attach(node, excited, child)
+                node = child
+                passed += 1
+                streak = 0 if excited else streak + 1
+                if observe is not None:
+                    observe(np.array([b]), np.array([tau]), np.array([excited]), np.array([p_e]),
+                            node[WEIGHTS][None].copy(), np.array([node[TRANSFERRED]]))
+                if streak == marks[nxt]:
+                    out_w[nxt, b], out_m[nxt, b] = node[WEIGHTS], node[TRANSFERRED]
+                    out_atoms[nxt, b] = passed
+                    nxt += 1
+                    if nxt == len(marks):
+                        break
+            if tree is not None:
+                tree.count(hits, passed)
     _check_weights(ns, out_w, out_m)  # every returned state is a valid ensemble
     return BatchFinal(out_w, out_m, out_atoms, np.array(members, dtype=object)[out_reasons])

@@ -1138,6 +1138,55 @@ def test_checker_reports_nan_step_weights(tmp_path):
     assert check_output(out) == ["step 1: weights sum to nan"]
 
 
+def edit_step_rows(path: Path, edit) -> None:
+    """Rewrite each step-table row of `path` as `edit(step, n, p_n, F_atom,
+    transferred)` (a list of fields, or None to drop the row)."""
+    lines = []
+    for line in path.read_text().splitlines():
+        if line.startswith("#") or line.startswith("step,"):
+            lines.append(line)
+        elif (fields := edit(*line.split(","))) is not None:
+            lines.append(",".join(fields))
+    path.write_text("\n".join(lines) + "\n")
+
+
+def test_checker_verifies_the_transferred_column(tmp_path):
+    out = tmp_path / "custom.csv"
+    assert main(["custom", "--nmax", "4", "--seed", "3", "--out", str(out)]) == 0
+    assert check_output(out) == []
+    good = out.read_text()
+    edit_step_rows(out, lambda s, n, p, f, m: [s, n, p, f, str(int(m) + 3)])
+    problems = check_output(out)
+    assert problems[0] == "step 0: transferred 3 != 0"
+    assert "step 1: p_n 0.09235469214996152 at n = 1 < transferred 4" in problems
+    assert problems[-1] == "transferred 5 at the last step != transferred_total 2"
+    assert main(["check", str(out)]) == 1
+
+    def damaged(edit):
+        out.write_text(good)
+        edit_step_rows(out, edit)
+        return check_output(out)
+
+    # step 1 moved the first qubit; step 2 the second, onto branch 1's only photon
+    assert damaged(lambda s, n, p, f, m: None if s == "3" else [s, n, p, f, m]) == [
+        "step numbers are not 0..21"
+    ]
+    assert damaged(lambda s, n, p, f, m: [s, n, p, f, "0" if s == "1" else m]) == [
+        "step 2: transferred goes from 0 to 2"
+    ]
+    assert damaged(lambda s, n, p, f, m: [s, n, p, f, "1" if (s, n) == ("4", "4") else m]) == [
+        "step 4: 2 transferred values, expected 1",
+    ]
+    assert damaged(lambda s, n, p, f, m: [s, n, p, f, "3" if s == "3" else m]) == [
+        "step 3: p_n 0.6784615553180047 at n = 2 < transferred 3",
+        "step 4: transferred goes from 3 to 2",
+    ]
+    out.write_text(good.replace("# transferred_total = 2", "# transferred_total = 3"))
+    assert check_output(out) == ["transferred 2 at the last step != transferred_total 3"]
+    out.write_text(good.replace("# transferred_total = 2\n", ""))
+    assert check_output(out) == ["metadata key 'transferred_total' missing"]
+
+
 def test_check_command_reports_ok(tmp_path, capsys):
     out = tmp_path / "f.csv"
     main(["fig2", "--nmax", "4", "--tau", "0.7", "--seed", "5", "--out", str(out)])

@@ -1,5 +1,8 @@
 import math
+import sys
+import threading
 import time
+import tracemalloc
 import weakref
 from dataclasses import replace
 
@@ -8,7 +11,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from cavityqubits import fockspace, protocol
+from cavityqubits import fockspace, optimum, protocol, transitions
 from cavityqubits.cloning import binomial_distribution
 from cavityqubits.config import DistributionSpec, ExperimentConfig, split_rng
 from cavityqubits.protocol import (
@@ -465,15 +468,22 @@ def test_optimal_tau_stops_at_its_two_cycle_on_either_parity(n_max, parity):
     assert optimal_tau(ens, 1.0) == reference_optimal_tau(ens, 1.0)
 
 
-def test_optimal_each_step_builds_each_grid_row_once(tmp_path):
-    from cavityqubits import cli, protocol
+def stored_nodes() -> int:
+    """Nodes stored in every transition tree the process keeps."""
+    return sum(tree.nodes for tree in transitions.trees.values())
 
-    protocol._grid_row.cache_clear()
-    protocol._optimum.cache_clear()  # a remembered optimum builds no row
+
+def test_optimal_each_step_builds_each_grid_row_once(tmp_path):
+    from cavityqubits import cli
+
+    optimum.grid_row.cache_clear()
+    # neither a remembered optimum nor a stored transition builds a row
+    optimum.search.cache_clear()
+    transitions.trees.clear()
     out = tmp_path / "run.csv"
     assert cli.main(["custom", "--nmax", "6", "--policy", "optimal-each-step", "--seed", "8",
                      "--out", str(out)]) == 0
-    info = protocol._grid_row.cache_info()
+    info = optimum.grid_row.cache_info()
     # one row per remaining photon count 0..6, however many atoms re-optimize
     assert info.misses <= 7
     assert info.hits > 10 * info.misses
@@ -502,17 +512,17 @@ def test_a_remembered_optimum_is_the_searched_one(ens, gamma):
     variants = memo_variants(ens)
     cold = []
     for v in variants:
-        protocol._optimum.cache_clear()
+        optimum.search.cache_clear()
         cold.append(optimal_tau(v, gamma))
     # every variant in the memo at once, each looked up through fresh arrays
-    protocol._optimum.cache_clear()
+    optimum.search.cache_clear()
     for v in variants:
         optimal_tau(v, gamma)
     for v, searched in zip(reversed(variants), reversed(cold)):
         copy = WeightedEnsemble(v.photon_numbers.copy(), v.weights.copy(), v.transferred)
         warm = optimal_tau(copy, gamma)
         assert warm.hex() == searched.hex() == reference_optimal_tau(v, gamma).hex()
-    info = protocol._optimum.cache_info()
+    info = optimum.search.cache_info()
     assert (info.hits, info.misses) == (len(variants), len(variants))
 
 
@@ -521,40 +531,41 @@ def test_a_warm_memo_writes_the_same_csv(tmp_path):
 
     out = tmp_path / "run.csv"
     argv = ["custom", "--nmax", "6", "--policy", "optimal-each-step", "--out", str(out)]
-    protocol._optimum.cache_clear()
+    optimum.search.cache_clear()
+    transitions.trees.clear()
     assert cli.main([*argv, "--seed", "8"]) == 0
     cold = out.read_bytes()
     for seed in range(20):
         assert cli.main([*argv, "--seed", str(seed)]) == 0
-    before = protocol._optimum.cache_info()
+    (tree,) = transitions.trees.values()
+    nodes, misses, hits = tree.nodes, tree.misses, tree.hits
     assert cli.main([*argv, "--seed", "8"]) == 0
     assert out.read_bytes() == cold
-    # every optimum of the second seed-8 run came from the memo
-    after = protocol._optimum.cache_info()
-    assert after.misses == before.misses and after.hits > before.hits
+    # the second seed-8 run followed stored transitions only
+    assert (tree.nodes, tree.misses) == (nodes, misses) and tree.hits > hits
 
 
 def test_the_optimum_memo_is_bounded_and_keeps_no_array():
-    protocol._optimum.cache_clear()
+    optimum.search.cache_clear()
     # a run_batch row is a view of the whole weight stack, which must not outlive the run
     stack = np.array([[0.25, 0.75], [0.5, 0.5]])
     optimal_tau(WeightedEnsemble(np.array([1, 2]), stack[1]), 1.0)
     alive = weakref.ref(stack)
     del stack
     assert alive() is None
-    protocol._optimum.cache_clear()
-    bound = protocol.OPTIMA_CACHED
-    assert protocol._optimum.cache_info().maxsize == bound
+    optimum.search.cache_clear()
+    bound = optimum.OPTIMA_CACHED
+    assert optimum.search.cache_info().maxsize == bound
     # bound + 2 distinct two-branch mixtures
     for i in range(bound + 2):
         p = (i + 1) / (bound + 3)
         optimal_tau(WeightedEnsemble(np.array([1, 2]), np.array([p, 1.0 - p])), 1.0)
-    info = protocol._optimum.cache_info()
+    info = optimum.search.cache_info()
     assert (info.misses, info.currsize) == (bound + 2, bound)
     # the least recently used were dropped: the first mixture is searched again
     first = WeightedEnsemble(np.array([1, 2]), np.array([1 / (bound + 3), 1.0 - 1 / (bound + 3)]))
     optimal_tau(first, 1.0)
-    assert protocol._optimum.cache_info().misses == bound + 3
+    assert optimum.search.cache_info().misses == bound + 3
 
 
 def test_trapping_safe_tau_values():
@@ -753,7 +764,22 @@ def run_rows(initial, policy, cutoffs, atom_budget, rngs, gamma=1.0):
 def assert_batch_matches_run(weights, policy, cutoffs, n_rows, atom_budget, seed, gamma=1.0):
     """Row r of the batch, at each cutoff, equals the step loop with that
     cutoff on stream `split_rng(seed, r)`, atom by atom; under `FixedTau`
-    that stream run alone as a batch of one also equals its row."""
+    that stream run alone as a batch of one also equals its row. All of it
+    twice: from an empty transition tree, then from the tree the first pass
+    left, which must then store no new node."""
+    transitions.trees.clear()
+    reasons = assert_batch_matches_run_once(
+        weights, policy, cutoffs, n_rows, atom_budget, seed, gamma
+    )
+    nodes = stored_nodes()
+    assert assert_batch_matches_run_once(
+        weights, policy, cutoffs, n_rows, atom_budget, seed, gamma
+    ) == reasons
+    assert stored_nodes() == nodes
+    return reasons
+
+
+def assert_batch_matches_run_once(weights, policy, cutoffs, n_rows, atom_budget, seed, gamma):
     initial = WeightedEnsemble.from_weights(weights)
     levels = sorted(set(cutoffs))
     final, records = run_rows(
@@ -905,3 +931,73 @@ def test_batch_matches_run_property(
         "jittered": JitteredTau(tau, sigma_rel * tau),
     }[name]
     assert_batch_matches_run(weights, policy, cutoffs, n_rows, atom_budget, seed, gamma)
+
+
+def test_concurrent_runs_from_one_prior_match_serial_runs():
+    config = make_config(policy="optimal-each-step", tau=None)
+    seeds = range(60)
+
+    def traces(rngs):
+        return [
+            (t.events, t.reason, t.final.weights.tolist(), t.final.transferred)
+            for t in (run(config, rng) for rng in rngs)
+        ]
+
+    transitions.trees.clear()
+    serial = traces(split_rng(s) for s in seeds)
+    (tree,) = transitions.trees.values()
+    stored = (tree.nodes, tree.nbytes, tree.hits + tree.misses)
+    assert stored[2] == sum(len(events) for events, *_ in serial)
+
+    transitions.trees.clear()
+    results = {}
+    # four threads on the same seeds, so they race to store the same nodes
+    threads = [
+        threading.Thread(target=lambda k: results.__setitem__(k, traces(map(split_rng, seeds))),
+                         args=(k,))
+        for k in range(4)
+    ]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # switch threads often, mid-walk
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert all(results[k] == serial for k in range(4))
+    # every posterior the runs reach is stored once, and every pass counted
+    (tree,) = transitions.trees.values()
+    assert (tree.nodes, tree.nbytes, tree.hits + tree.misses) == (*stored[:2], 4 * stored[2])
+
+def test_a_full_tree_stays_within_its_bound():
+    # binomial:1000: a node is about 8.3 KB, so a run of 1500 atoms passes
+    # the bound; its rows must still equal a lockstep row
+    initial = WeightedEnsemble.from_weights(binomial_distribution(1000))
+    policy, budget, cutoffs = FixedTau(0.05), 1500, [3, 10**6]
+    transitions.trees.clear()
+    for seed in (0, 1):
+        alone = run_batch(initial, policy, 1.0, cutoffs, budget, [split_rng(seed, 0)])
+        lockstep = run_batch(
+            initial, policy, 1.0, cutoffs, budget, [split_rng(seed, 0), split_rng(seed, 1)]
+        )
+        assert np.array_equal(alone.weights[:, 0], lockstep.weights[:, 0])
+        assert np.array_equal(alone.transferred[:, 0], lockstep.transferred[:, 0])
+        assert np.array_equal(alone.atoms[:, 0], lockstep.atoms[:, 0])
+        assert alone.reasons[:, 0].tolist() == lockstep.reasons[:, 0].tolist()
+        assert alone.reasons[-1, 0] is StopReason.ATOM_BUDGET
+        (tree,) = transitions.trees.values()
+        assert tree.nbytes <= transitions.TREE_BYTES
+        assert tree.nodes < budget
+    # past the bound the walk holds only its current posterior: a third run
+    # allocates far less than the 12 MB its 1500 posteriors take
+    tracemalloc.start()
+    try:
+        run_batch(initial, policy, 1.0, cutoffs, budget, [split_rng(2, 0)])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert tree.nbytes <= transitions.TREE_BYTES
+    assert peak < 0.5e6
