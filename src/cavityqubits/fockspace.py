@@ -5,42 +5,41 @@ space truncated at n0 + n1 <= n_max). Everything here is exact. Each
 atom-cavity interaction conserves the total excitation number
 N = (# excited atoms) + n0 + n1, so the truncation costs nothing.
 
+Position i of the basis is level code x F + Fock position: the level code
+reads the atoms' levels as base-3 digits, atom 0 most significant, and the
+F = (n_max + 1)(n_max + 2) / 2 Fock labels run n0-major, n1 fastest. So
+`JointSpace.index` is arithmetic, and the per-element tables `levels`, `n0`
+and `n1` are numpy arrays, built once per (atoms, n_max) and read-only.
+
 Atom k couples only to the cavity, so its Hamiltonian is local: a
-`LocalOperator` holding one 3F x 3F block over (atom k's level, Fock label),
-F = (n_max + 1)(n_max + 2) / 2 Fock labels, with its eigensystem. `evolve`
-and `measure_atom_energy` work on the state reshaped to
+`LocalOperator` holding one 3F x 3F block over (atom k's level, Fock label)
+with its eigensystem. The block depends on n_max and gamma alone, and the
+last LOCAL_OPERATORS_CACHED of them are kept. `evolve` and
+`measure_atom_energy` work on the state reshaped to
 (3**k, 3, 3**(atoms - k - 1), F), so no d x d array is formed: one `evolve`
 at 6 atoms x 6 photons (d = 20412) needs an 84 x 84 `eigh`, where a dense
 Hamiltonian would take 3.3 GB. The dense `JointSpace.hamiltonian`,
-`annihilation_matrix` and `evolution_operator` stay as the reference.
-
-Work is done once and shared. The basis tables of each (atoms, n_max) are
-built once per process and kept. Operators, dense and local, are shared by
-every JointSpace of the same shape through one least-recently-used store of
-at most CACHE_BYTES; an operator larger than that is not stored, and only
-the JointSpace that built it holds it. Tables and operators are read-only.
+`annihilation_matrix` and `evolution_operator` are the tests' reference and
+are built afresh on every call.
 """
 
 from __future__ import annotations
 
 import functools
-import itertools
 import math
 import operator
-import threading
-from collections import OrderedDict
 from dataclasses import dataclass, field
 from enum import IntEnum
-from types import MappingProxyType
-from typing import NamedTuple
 
 import numpy as np
 
 from .protocol import MeasurementOutcome
 
 NORM_TOL = 1e-10
-# Bytes the shared store of operators may hold.
-CACHE_BYTES = 64 * 2**20
+# Local operators kept, one per (n_max, atom, gamma). One holds 16 (3F)^2
+# bytes, about 0.6 MB at n_max = 10, so the cache holds at most about 40 MB
+# at n_max = 10.
+LOCAL_OPERATORS_CACHED = 64
 
 
 class AtomLevel(IntEnum):
@@ -52,75 +51,37 @@ class AtomLevel(IntEnum):
     EXC1 = 2  # excited level representing qubit |1>
 
 
-class FockLabel(NamedTuple):
-    n0: int
-    n1: int
-
-
 def _read_only(array: np.ndarray) -> np.ndarray:
     array.flags.writeable = False
     return array
 
 
-class _Store:
-    """Least-recently-used map from keys to read-only values with an
-    `nbytes`, holding at most `limit` of those bytes. `fetch` builds a
-    missing entry outside the lock, so concurrent callers may build the same
-    entry twice; the results are equal and either one is kept."""
-
-    def __init__(self, limit: int):
-        self.limit = limit
-        self.nbytes = 0
-        self._entries: OrderedDict = OrderedDict()  # key -> (value, nbytes)
-        self._lock = threading.Lock()
-
-    def fetch(self, key: tuple, build):
-        """The value under `key`, from `build()` on a miss; a value larger
-        than the limit is returned and not kept."""
-        with self._lock:
-            entry = self._entries.get(key)
-            if entry is not None:
-                self._entries.move_to_end(key)
-                return entry[0]
-        value = build()
-        nbytes = value.nbytes
-        if nbytes <= self.limit:
-            with self._lock:
-                old = self._entries.pop(key, None)
-                self.nbytes += nbytes - (old[1] if old else 0)
-                self._entries[key] = (value, nbytes)
-                while self.nbytes > self.limit:
-                    _, (_, evicted) = self._entries.popitem(last=False)
-                    self.nbytes -= evicted
-        return value
-
-
-_STORE = _Store(CACHE_BYTES)
+def _fock_position(n0, n1, n_max: int):
+    """Position of the Fock label (n0, n1): row n0, holding n_max + 1 - n0
+    labels, starts at n0 (n_max + 1) - n0 (n0 - 1) / 2."""
+    return n0 * (n_max + 1) - n0 * (n0 - 1) // 2 + n1
 
 
 @functools.cache
 def _basis_tables(atom_count: int, n_max: int) -> tuple:
-    """(basis, index, levels, n0, n1, level_stride) of every
-    JointSpace(atom_count, n_max), built once."""
-    fock = [FockLabel(n0, n1) for n0 in range(n_max + 1) for n1 in range(n_max + 1 - n0)]
-    level_rows = list(itertools.product(tuple(AtomLevel), repeat=atom_count))
-    basis = tuple((lv, f.n0, f.n1) for lv in level_rows for f in fock)
-    levels = np.repeat(np.array(level_rows, dtype=int), len(fock), axis=0)
-    n0, n1 = np.tile(np.array(fock, dtype=int).T, len(level_rows))
-    # position = level code * len(fock) + Fock position, the level code
-    # reading the atoms' levels as base-3 digits, atom 0 most significant
-    level_stride = 3 ** np.arange(atom_count - 1, -1, -1) * len(fock)
-    index = MappingProxyType({b: i for i, b in enumerate(basis)})
-    return (basis, index, *map(_read_only, (levels, n0, n1, level_stride)))
+    """(levels, n0, n1, level_stride) of every JointSpace(atom_count, n_max),
+    built once and read-only."""
+    rows = np.arange(n_max + 1)
+    fock_n0 = np.repeat(rows, n_max + 1 - rows)
+    fock_n1 = np.arange(len(fock_n0)) - _fock_position(fock_n0, 0, n_max)
+    powers = 3 ** np.arange(atom_count - 1, -1, -1)
+    level_codes = np.arange(3**atom_count)
+    levels = np.repeat(level_codes[:, None] // powers % 3, len(fock_n0), axis=0)
+    n0, n1 = np.tile(fock_n0, len(level_codes)), np.tile(fock_n1, len(level_codes))
+    return tuple(map(_read_only, (levels, n0, n1, powers * len(fock_n0))))
 
 
 class JointSpace:
     """Basis bookkeeping for `atom_count` atoms and a two-mode cavity.
 
-    `basis[i]` is (levels, n0, n1), levels a tuple of AtomLevel and
-    n0 + n1 <= n_max; `index()` inverts it. As arrays it is (levels[i], n0[i],
-    n1[i]). All of these are read-only and shared by every space of the same
-    shape."""
+    Element i is (levels[i], n0[i], n1[i]), one AtomLevel per atom and
+    n0 + n1 <= n_max; `index()` inverts it. The arrays are read-only and
+    shared by every space of the same shape."""
 
     def __init__(self, atom_count: int, n_max: int):
         # integers before any lookup: (3, 2.0) would find the tables of (3, 2)
@@ -131,28 +92,26 @@ class JointSpace:
             raise ValueError(f"n_max must be >= 0, got {n_max}")
         self.atom_count = atom_count
         self.n_max = n_max
-        (self.basis, self._index, self.levels, self.n0, self.n1,
-         self._level_stride) = _basis_tables(atom_count, n_max)
-        self.dim = len(self.basis)
-        # operators this space has handed out, including any too large to store
-        self._operators: dict[tuple, object] = {}
+        self.levels, self.n0, self.n1, self._level_stride = _basis_tables(atom_count, n_max)
+        self.dim = len(self.n0)
 
     def index(self, levels, n0: int, n1: int) -> int:
-        return self._index[(tuple(AtomLevel(l) for l in levels), n0, n1)]
+        """Position of (levels, n0, n1). A level that is not an AtomLevel
+        raises ValueError, a label outside the space KeyError."""
+        levels = tuple(AtomLevel(level) for level in levels)
+        n0, n1 = operator.index(n0), operator.index(n1)
+        if len(levels) != self.atom_count or min(n0, n1) < 0 or n0 + n1 > self.n_max:
+            raise KeyError((levels, n0, n1))
+        code = 0
+        for level in levels:
+            code = 3 * code + level
+        return code * (self.dim // 3**self.atom_count) + _fock_position(n0, n1, self.n_max)
 
     def _lowered(self, src: np.ndarray, mode: int) -> np.ndarray:
         """Positions of elements `src` with one photon fewer in `mode`. In the
         Fock order (n1 fastest, row n0 holding n_max + 1 - n0 labels) that is
         1 step back for mode 1 and n_max + 2 - n0 steps back for mode 0."""
         return src - (self.n_max + 2 - self.n0[src] if mode == 0 else 1)
-
-    def _operator(self, key: tuple, build):
-        """Operator `key`, shared through the store by every space of this
-        shape and kept by this space; `build()` makes it on a miss."""
-        op = self._operators.get(key)
-        if op is None:
-            op = self._operators[key] = _STORE.fetch((self.atom_count, self.n_max, *key), build)
-        return op
 
     def excitation_numbers(self) -> np.ndarray:
         """Total excitation N = (# atoms not in ground) + n0 + n1, per basis
@@ -161,26 +120,22 @@ class JointSpace:
 
     def annihilation_matrix(self, mode: int) -> np.ndarray:
         """Dense matrix of the ladder operator for cavity mode 0 or 1."""
-        mode = operator.index(mode)  # 0.0 must not find the operator of 0
+        mode = operator.index(mode)
         if mode not in (0, 1):
             raise ValueError(f"mode must be 0 or 1, got {mode}")
-
-        def build():
-            n = (self.n0, self.n1)[mode]
-            src = np.flatnonzero(n > 0)
-            op = np.zeros((self.dim, self.dim))
-            op[self._lowered(src, mode), src] = np.sqrt(n[src])
-            return _read_only(op)
-
-        return self._operator(("mode", mode), build)
+        n = (self.n0, self.n1)[mode]
+        src = np.flatnonzero(n > 0)
+        op = np.zeros((self.dim, self.dim))
+        op[self._lowered(src, mode), src] = np.sqrt(n[src])
+        return op
 
     def _coupling(self, atom_index: int, gamma: float) -> int:
         """`atom_index` as an int, after checking it and `gamma`."""
         atom_index = operator.index(atom_index)  # 0.0 must not find the operator of 0
         if not 0 <= atom_index < self.atom_count:
             raise IndexError(f"atom_index {atom_index} out of range [0, {self.atom_count})")
-        if not gamma > 0:
-            raise ValueError(f"gamma must be positive, got {gamma}")
+        if not 0 < gamma < math.inf:
+            raise ValueError(f"gamma must be positive and finite, got {gamma}")
         return atom_index
 
     def hamiltonian(self, atom_index: int, gamma: float) -> np.ndarray:
@@ -189,18 +144,14 @@ class JointSpace:
         Coupling `gamma` (units 1/time, hbar = 1) is shared by both
         excited-to-ground transitions."""
         atom_index = self._coupling(atom_index, gamma)
-
-        def build():
-            h = np.zeros((self.dim, self.dim))
-            ground = self.levels[:, atom_index] == AtomLevel.GROUND
-            # a0 |e0><g| and a1 |e1><g| on the addressed atom, plus h.c.
-            for mode, n in enumerate((self.n0, self.n1)):
-                src = np.flatnonzero(ground & (n > 0))
-                tgt = self._lowered(src, mode) + (1 + mode) * self._level_stride[atom_index]
-                h[tgt, src] = h[src, tgt] = gamma * np.sqrt(n[src])
-            return _read_only(h)
-
-        return self._operator(("hamiltonian", atom_index, gamma), build)
+        h = np.zeros((self.dim, self.dim))
+        ground = self.levels[:, atom_index] == AtomLevel.GROUND
+        # a0 |e0><g| and a1 |e1><g| on the addressed atom, plus h.c.
+        for mode, n in enumerate((self.n0, self.n1)):
+            src = np.flatnonzero(ground & (n > 0))
+            tgt = self._lowered(src, mode) + (1 + mode) * self._level_stride[atom_index]
+            h[tgt, src] = h[src, tgt] = gamma * np.sqrt(n[src])
+        return h
 
 
 @dataclass(frozen=True, eq=False)
@@ -307,12 +258,15 @@ def interaction_hamiltonian(
 ) -> LocalOperator:
     """gamma*(a0 |e0><g| + a1 |e1><g| + h.c.) on the addressed atom, as a
     LocalOperator whose block is JointSpace(1, n_max).hamiltonian(0, gamma).
-    Every JointSpace of the same shape gets the same object."""
+    Every space with the same n_max gets the same object for the same
+    atom_index and gamma."""
     atom_index = space._coupling(atom_index, gamma)
-    return space._operator(
-        ("local", atom_index, gamma),
-        lambda: LocalOperator(atom_index, JointSpace(1, space.n_max).hamiltonian(0, gamma)),
-    )
+    return _local_operator(space.n_max, atom_index, gamma)
+
+
+@functools.lru_cache(maxsize=LOCAL_OPERATORS_CACHED)
+def _local_operator(n_max: int, atom_index: int, gamma: float) -> LocalOperator:
+    return LocalOperator(atom_index, JointSpace(1, n_max).hamiltonian(0, gamma))
 
 
 def evolution_operator(hamiltonian: np.ndarray, t: float) -> np.ndarray:
@@ -338,10 +292,12 @@ def _apply_local(
 def evolve(state: JointPureState, hamiltonian: LocalOperator, t: float) -> JointPureState:
     """exp(-i H t) of a local operator, V exp(-i w t) V^dagger from its
     eigensystem, applied to atom H.atom_index and the cavity. An operator
-    whose Fock truncation or atom does not fit the state's space raises
-    ValueError."""
+    whose Fock truncation or atom does not fit the state's space, or a time
+    that is not finite, raises ValueError."""
     if not isinstance(hamiltonian, LocalOperator):
         raise TypeError(f"hamiltonian must be a LocalOperator, got {type(hamiltonian).__name__}")
+    if not math.isfinite(t):
+        raise ValueError(f"t must be finite, got {t}")
     space = state.space
     k, side = hamiltonian.atom_index, len(hamiltonian.block)
     if side != 3 * (space.dim // 3**space.atom_count) or k >= space.atom_count:

@@ -151,9 +151,7 @@ def test_criterion_04_weight_updates_match_state_vector_oracle():
                 h = interaction_hamiltonian(space, k)
                 evolved = evolve(state, h, float(tau))
                 branch_states[n] = evolved
-                mask = np.array(
-                    [lv[k] == G for lv, _, _ in space.basis]
-                )
+                mask = space.levels[:, k] == G
                 p_ground = float(np.sum(np.abs(evolved.amplitudes[mask]) ** 2))
                 ground_probs[n] = min(max(p_ground, 0.0), 1.0)
                 p_excited_oracle += oracle_weights[n] * (1.0 - ground_probs[n])

@@ -1,4 +1,4 @@
-import gc
+import itertools
 import math
 import sys
 import threading
@@ -25,7 +25,7 @@ from cavityqubits.fockspace import (
     reduced_atom_state,
 )
 from cavityqubits.protocol import MeasurementOutcome
-from cavityqubits.symstate import SymLabel, symmetric_basis_state
+from cavityqubits.symstate import SymLabel, decompose, symmetric_basis_state
 
 G = AtomLevel.GROUND
 E0 = AtomLevel.EXC0
@@ -36,6 +36,17 @@ def random_state(space, seed):
     rng = np.random.default_rng(seed)
     amps = rng.normal(size=space.dim) + 1j * rng.normal(size=space.dim)
     return JointPureState(space, amps / np.linalg.norm(amps))
+
+
+def reference_basis(atoms, n_max):
+    """Every (levels, n0, n1) in basis order, one at a time: the atoms'
+    levels in `itertools.product` order, then the Fock labels n0-major."""
+    fock = [(n0, n1) for n0 in range(n_max + 1) for n1 in range(n_max + 1 - n0)]
+    return [
+        (levels, n0, n1)
+        for levels in itertools.product(AtomLevel, repeat=atoms)
+        for n0, n1 in fock
+    ]
 
 
 def one_excitation_target(space, zeros, total):
@@ -55,9 +66,62 @@ def one_excitation_target(space, zeros, total):
 def test_space_dimensions():
     space = JointSpace(2, 3)
     assert space.dim == 9 * 10  # 3^2 atom levels, C(5,2) fock labels
-    for i, (lv, n0, n1) in enumerate(space.basis):
+    assert len(reference_basis(2, 3)) == space.dim
+    for i, (lv, n0, n1) in enumerate(reference_basis(2, 3)):
         assert n0 + n1 <= 3
         assert space.index(lv, n0, n1) == i
+
+
+def test_basis_matches_reference_enumeration():
+    for atoms in range(4):
+        for n_max in range(5):
+            space = JointSpace(atoms, n_max)
+            reference = reference_basis(atoms, n_max)
+            assert space.dim == len(reference)
+            assert space.levels.shape == (space.dim, atoms)
+            for i, (lv, n0, n1) in enumerate(reference):
+                assert tuple(space.levels[i]) == lv
+                assert (space.n0[i], space.n1[i]) == (n0, n1)
+                position = space.index(lv, n0, n1)
+                assert position == i and type(position) is int
+
+
+def test_index_refuses_labels_outside_the_space():
+    space = JointSpace(2, 3)
+    # level code 2 * 3 + 1 = 7 of F = 10 labels; |2, 1> follows row 0's 4 and row 1's 3
+    assert space.index((E1, E0), 2, 1) == 7 * 10 + 4 + 3 + 1
+    for levels, n0, n1 in [
+        ((G,), 0, 0),  # too few levels
+        ((G, G, G), 0, 0),  # too many
+        ((G, G), -1, 1),
+        ((G, G), 1, -1),
+        ((G, G), 2, 2),  # n0 + n1 > n_max
+        ((G, G), 4, 0),
+    ]:
+        with pytest.raises(KeyError):
+            space.index(levels, n0, n1)
+        with pytest.raises(KeyError):
+            basis_state(space, levels, n0, n1)
+    for levels in [(G, 3), (-1, G)]:
+        with pytest.raises(ValueError):
+            space.index(levels, 0, 0)
+    with pytest.raises(KeyError):
+        JointSpace(0, 2).index((), 3, 0)
+    assert JointSpace(0, 0).index((), 0, 0) == 0
+
+
+def test_basis_tables_take_little_more_than_their_arrays():
+    # no Python object per element: building the 7 x 7 tables (d = 78732)
+    # peaks near the bytes of the arrays they return
+    tracemalloc.start()
+    try:
+        tables = fockspace._basis_tables.__wrapped__(7, 7)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    nbytes = sum(table.nbytes for table in tables)
+    assert tables[0].shape == (3**7 * 36, 7)
+    assert peak <= 1.25 * nbytes
 
 
 def test_space_sizes_must_be_integers():
@@ -79,7 +143,7 @@ def test_space_sizes_must_be_integers():
 
 def test_coupling_params_validation():
     space = JointSpace(2, 2)
-    for gamma in (0.0, -1.0, math.nan):
+    for gamma in (0.0, -1.0, math.nan, math.inf):
         with pytest.raises(ValueError, match="gamma must be positive"):
             interaction_hamiltonian(space, 0, gamma)
         with pytest.raises(ValueError, match="gamma must be positive"):
@@ -170,7 +234,7 @@ def reference_operators(space, gamma):
     """Mode ladders and per-atom Hamiltonians built one element at a time."""
     ladders = [np.zeros((space.dim, space.dim)) for _ in range(2)]
     hams = [np.zeros((space.dim, space.dim)) for _ in range(space.atom_count)]
-    for src, (lv, n0, n1) in enumerate(space.basis):
+    for src, (lv, n0, n1) in enumerate(reference_basis(space.atom_count, space.n_max)):
         for mode, (level, n, lower) in enumerate(
             [(E0, n0, (n0 - 1, n1)), (E1, n1, (n0, n1 - 1))]
         ):
@@ -186,38 +250,25 @@ def reference_operators(space, gamma):
 
 @pytest.mark.parametrize("atoms,n_max", [(0, 3), (1, 4), (2, 3), (3, 2)])
 def test_operators_match_element_by_element_reference(atoms, n_max):
-    space, twin = JointSpace(atoms, n_max), JointSpace(atoms, n_max)
+    space = JointSpace(atoms, n_max)
     ladders, hams = reference_operators(space, 1.3)
     ops = [space.annihilation_matrix(mode) for mode in (0, 1)]
     ops += [space.hamiltonian(k, 1.3) for k in range(atoms)]
     for op, reference in zip(ops, ladders + hams):
         np.testing.assert_array_equal(op, reference)
-    # built once, shared by every space of the shape, and read-only
-    twins = [twin.annihilation_matrix(mode) for mode in (0, 1)]
-    twins += [twin.hamiltonian(k, 1.3) for k in range(atoms)]
-    for op, shared in zip(ops, twins):
-        assert shared is op
-        with pytest.raises(ValueError, match="read-only"):
-            op[0, 0] = 1.0
 
 
 def test_basis_arrays_and_sectors():
     space = JointSpace(2, 3)
     twin = JointSpace(2, 3)
-    assert twin.basis is space.basis and twin.levels is space.levels
+    assert twin.levels is space.levels and twin.n0 is space.n0 and twin.n1 is space.n1
     for table in (space.levels, space.n0, space.n1, space._level_stride):
         with pytest.raises(ValueError, match="read-only"):
             table[0] = 1
-    with pytest.raises(TypeError):
-        space.basis[0] = space.basis[1]
-    with pytest.raises(TypeError):
-        space._index[space.basis[0]] = 1
-    for i, (lv, n0, n1) in enumerate(space.basis):
-        assert tuple(space.levels[i]) == lv
-        assert (space.n0[i], space.n1[i]) == (n0, n1)
+    np.testing.assert_array_equal(space._level_stride, [30, 10])
     # the excitation sectors: N = (atoms not in ground) + n0 + n1
     excitations = space.excitation_numbers()
-    for i, (lv, n0, n1) in enumerate(space.basis):
+    for i, (lv, n0, n1) in enumerate(reference_basis(2, 3)):
         assert excitations[i] == sum(level != G for level in lv) + n0 + n1
 
 
@@ -230,8 +281,10 @@ def test_interaction_hamiltonian_is_one_shared_local_block(atoms, n_max):
         h = interaction_hamiltonian(space, k, 1.3)
         assert h.atom_index == k
         np.testing.assert_array_equal(h.block, reference)
-        # built once per shape, shared by a second space, read-only
+        # built once per (n_max, k, gamma), shared by spaces of any atom count,
+        # read-only
         assert interaction_hamiltonian(JointSpace(atoms, n_max), k, 1.3) is h
+        assert interaction_hamiltonian(JointSpace(atoms + 1, n_max), k, 1.3) is h
         assert weakref.ref(h)() is h
         assert h.nbytes == h.block.nbytes + h.eigenvalues.nbytes + h.eigenvectors.nbytes
         for array in (h.block, h.eigenvalues, h.eigenvectors):
@@ -401,60 +454,39 @@ def run_threads(target, count):
     assert not any(thread.is_alive() for thread in threads)
 
 
-def test_evolve_from_many_threads_matches_serial(monkeypatch):
-    # more threads than cores, each call on a new space so that every lookup
-    # goes to a store small enough that entries are evicted while others are
-    # being added
+def test_evolve_from_many_threads_matches_serial():
+    # more threads than cores, each call on a new space, while one more thread
+    # keeps clearing the operator cache, so operators are rebuilt while other
+    # threads look them up
     space = JointSpace(3, 3)
     jobs = [(k, random_state(space, k), t) for k in range(3) for t in (0.4, 1.9)]
     serial = [evolve(state, interaction_hamiltonian(space, k, 0.7), t).amplitudes
               for k, state, t in jobs]
-    store = fockspace._Store(30_000)
-    monkeypatch.setattr(fockspace, "_STORE", store)
     results = [[None] * len(jobs) for _ in range(8)]
+    stop = threading.Event()
+    clears = [0]
+
+    def clear():
+        while not stop.is_set():
+            fockspace._local_operator.cache_clear()
+            clears[0] += 1
 
     def work(row):
         for i, (k, state, t) in enumerate(jobs):
             h = interaction_hamiltonian(JointSpace(3, 3), k, 0.7)
             results[row][i] = evolve(state, h, t).amplitudes
 
-    run_threads(work, 8)
+    clearer = threading.Thread(target=clear)
+    clearer.start()
+    try:
+        run_threads(work, 8)
+    finally:
+        stop.set()
+        clearer.join(timeout=60)
+    assert not clearer.is_alive() and clears[0] > 0
     for row in results:
         for got, expected in zip(row, serial):
             np.testing.assert_allclose(got, expected, rtol=0, atol=1e-12)
-
-    # many small entries: a lost update would leave the byte count off
-    def churn(seed):
-        for size in np.random.default_rng(seed).integers(1, 40, size=3000).tolist():
-            assert store.fetch(("churn", size), lambda: np.zeros(size)).shape == (size,)
-
-    store = fockspace._Store(4000)
-    run_threads(churn, 8)
-    assert store.nbytes == sum(size for _, size in store._entries.values()) <= store.limit
-
-
-def test_store_keeps_at_most_its_bound(monkeypatch):
-    assert fockspace._STORE.limit == fockspace.CACHE_BYTES
-    small = JointSpace(2, 2)
-    limit = 2 * small.hamiltonian(0, 1.0).nbytes
-    store = fockspace._Store(limit)
-    monkeypatch.setattr(fockspace, "_STORE", store)
-    small = JointSpace(2, 2)
-    evolve(random_state(small, 0), interaction_hamiltonian(small, 0, 2.0), 0.5)
-    kept = dict(store._entries)
-    big = JointSpace(3, 3)  # each Hamiltonian alone is above the bound
-    hams = [big.hamiltonian(k, 1.0) for k in range(3)]
-    assert store._entries.keys() == kept.keys()  # not stored, and nothing evicted for them
-    for k, h in enumerate(hams):
-        assert h.nbytes > limit and not h.flags.writeable
-        assert big.hamiltonian(k, 1.0) is h  # the space keeps what it built
-        evolve(random_state(big, k), interaction_hamiltonian(big, k, 1.0), 0.5)
-        assert 0 < store.nbytes <= limit
-    # an operator too large to store goes with the space that built it
-    gone = weakref.ref(hams[0])
-    del big, h, hams
-    gc.collect()
-    assert gone() is None
 
 
 def test_local_operator_rejects_non_hermitian_block():
@@ -495,6 +527,17 @@ def test_evolve_rejects_operator_of_another_space():
     )
     with pytest.raises(TypeError, match="LocalOperator"):
         evolve(state, state.space.hamiltonian(0, 1.0), 0.4)
+
+
+def test_evolve_rejects_a_time_that_is_not_finite():
+    state = random_state(JointSpace(2, 2), 5)
+    h = interaction_hamiltonian(state.space, 1)
+    for t in (math.nan, math.inf, -math.inf, np.float64("nan")):
+        with pytest.raises(ValueError, match="t must be finite"):
+            evolve(state, h, t)
+    # an infinite coupling is refused before any eigensystem is computed
+    with pytest.raises(ValueError, match="gamma must be positive"):
+        interaction_hamiltonian(JointSpace(1, 2), 0, math.inf)
 
 
 # --- measurement ------------------------------------------------------------------
@@ -604,7 +647,7 @@ def test_reduced_state_matches_grouping_reference(atoms, n_max):
     state = random_state(space, atoms)
     for k in range(atoms):
         groups = {}
-        for amp, (lv, n0, n1) in zip(state.amplitudes, space.basis):
+        for amp, (lv, n0, n1) in zip(state.amplitudes, reference_basis(atoms, n_max)):
             vec = groups.setdefault((lv[:k] + lv[k + 1 :], n0, n1), np.zeros(3, dtype=complex))
             vec[lv[k]] += amp
         expected = sum(np.outer(vec, vec.conj()) for vec in groups.values())
@@ -634,3 +677,75 @@ def test_partially_transferred_validation():
         partially_transferred_state(space, 1, 3, 1)  # exceeds truncation
     with pytest.raises(ValueError):
         partially_transferred_state(space, 1, 2, 2)  # more transfers than atoms
+
+
+# --- coherence of the transfer -----------------------------------------------------
+
+
+def split_terms(zeros, total, moved):
+    """|S(zeros, total)> with its first `moved` qubits split off, as
+    (coefficient, register amplitudes of the moved qubits, (n0, n1) of the
+    rest in the cavity) per term, from `decompose`."""
+    if moved == 0:
+        return [(1.0, np.ones(1), (zeros, total - zeros))]
+    if moved == total:
+        return [(1.0, symmetric_basis_state(SymLabel(zeros, total)).amplitudes, (0, 0))]
+    return [
+        (t.coefficient, symmetric_basis_state(t.left).amplitudes, (t.right.zeros, t.right.ones))
+        for t in decompose(SymLabel(zeros, total), moved)
+    ]
+
+
+def ideal_split(space, coeffs, excited):
+    """sum_j c_j |S(j, n)> with qubit q of the first m = len(excited) on atom
+    excited[q] (|0> as EXC0, |1> as EXC1), the other n - m qubits in the
+    cavity and every other atom in |g>."""
+    n, m = len(coeffs) - 1, len(excited)
+    amps = np.zeros(space.dim, dtype=complex)
+    for j, c in enumerate(coeffs):
+        for coefficient, register, (n0, n1) in split_terms(j, n, m):
+            for bits in np.flatnonzero(register):
+                levels = [G] * space.atom_count
+                for q, atom in enumerate(excited):
+                    levels[atom] = AtomLevel.EXC0 + (int(bits) >> (m - 1 - q) & 1)
+                amps[space.index(levels, n0, n1)] += c * coefficient * register[bits]
+    return JointPureState(space, amps)
+
+
+def walk_coherence(state, coeffs, taus, atom=0, excited=()):
+    """Pass atoms `atom`.. down every outcome path of nonzero probability,
+    checking each post-measurement state against `ideal_split`; returns the
+    number of paths."""
+    if atom == len(taus):
+        return 1
+    evolved = evolve(state, interaction_hamiltonian(state.space, atom), taus[atom])
+    p_ground = reduced_atom_state(evolved, atom)[G, G].real
+    paths = 0
+    for outcome, p in ((MeasurementOutcome.GROUND, p_ground), (MeasurementOutcome.EXCITED, 1 - p_ground)):
+        if p < 1e-14:
+            continue
+        post = measure_atom_energy(evolved, atom, outcome=outcome).post_state
+        moved = excited + (atom,) if outcome is MeasurementOutcome.EXCITED else excited
+        ideal = ideal_split(state.space, coeffs, moved)
+        assert ideal.norm() == pytest.approx(1.0, abs=1e-12)
+        assert abs(ideal.overlap(post)) == pytest.approx(1.0, abs=1e-12)
+        paths += walk_coherence(post, coeffs, taus, atom + 1, moved)
+    return paths
+
+
+@pytest.mark.parametrize("atoms", [1, 2, 3])
+def test_transfer_is_coherent_on_every_outcome_path(atoms):
+    # the paper's claim: at fixed n every label j of the cavity's qubit state
+    # moves with the same amplitude, so a superposition over j stays one state,
+    # whatever tau each atom sees
+    rng = np.random.default_rng(atoms)
+    for n in range(1, 4):
+        space = JointSpace(atoms, n)
+        for _ in range(3):
+            coeffs = rng.normal(size=n + 1) + 1j * rng.normal(size=n + 1)
+            coeffs /= np.linalg.norm(coeffs)
+            start = ideal_split(space, coeffs, ())
+            taus = rng.uniform(0.1, 2.5, size=atoms)
+            paths = walk_coherence(start, coeffs, taus)
+            # every path that excites at most n atoms
+            assert paths == sum(math.comb(atoms, e) for e in range(min(n, atoms) + 1))

@@ -11,7 +11,9 @@ from __future__ import annotations
 
 import argparse
 import ast
+import importlib
 import os
+import re
 import subprocess
 import sys
 from dataclasses import fields
@@ -194,6 +196,23 @@ def test_readme_library_example_runs():
     assert namespace["post"].transferred == 1
     excited = namespace["outcome"] is MeasurementOutcome.EXCITED
     assert namespace["after"].transferred == excited
+
+
+def test_readme_module_references_resolve():
+    # each `<module>.<name>` in README, the module one under src/, names
+    # something that module has; `<module>.py` names the file
+    modules = {path.stem for path in SRC.glob("*.py")} - {"__init__"}
+    refs = re.findall(r"`([a-z_]+)\.([A-Za-z_][A-Za-z_0-9.]*)`", (ROOT / "README.md").read_text())
+    checked = [(module, name) for module, name in refs if module in modules and name != "py"]
+    assert len(checked) > 20
+    missing = []
+    for module, name in checked:
+        obj = importlib.import_module(f"cavityqubits.{module}")
+        for part in name.split("."):
+            obj = getattr(obj, part, missing)
+        if obj is missing:
+            missing.append(f"{module}.{name}")
+    assert missing == []
 
 
 def _stop_reason_users(path: Path) -> dict[str, set[str]]:
