@@ -217,8 +217,8 @@ class ExperimentConfig:
 
     def resolved_tau(self, initial: protocol.WeightedEnsemble) -> float:
         """The configured interaction time, or (tau = None) the optimum for
-        the initial mixture."""
-        return self.tau if self.tau is not None else protocol.optimal_tau(initial, self.gamma)
+        the initial mixture, from the root of its optimal-each-step tree."""
+        return self.tau if self.tau is not None else protocol.prior_optimal_tau(initial, self.gamma)
 
     def tau_policy(self, initial: protocol.WeightedEnsemble) -> protocol.TauPolicy:
         """The configured policy for a run that starts from `initial`."""

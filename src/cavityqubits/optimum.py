@@ -2,8 +2,8 @@
 (0, pi/gamma] that maximizes the excitation probability of a mixture.
 
 A fixed grid scan, then golden-section refinement of the best bracket. Every
-value it compares is the float `protocol.excite_prob` returns, and each
-optimum is remembered per exact posterior.
+value it compares is the float `protocol.excite_prob` returns. Optima are
+stored only in the transition trees (`transitions`), not here.
 """
 
 from __future__ import annotations
@@ -28,8 +28,10 @@ def tau_grid(gamma: float) -> np.ndarray:
     return grid
 
 
-# A row holds one float per grid point, 16 KB, so a full cache is about 4 MB.
-@lru_cache(maxsize=256)
+# A row holds one float per grid point, 16 KB. One search needs a row per
+# remaining photon count, up to 1001 at `config.MAX_PHOTON_NUMBER`, so the
+# cache keeps 1024 rows: at most 16 MB.
+@lru_cache(maxsize=1024)
 def grid_row(remaining: int, gamma: float) -> np.ndarray:
     """sin^2 of the Rabi phase of a branch with `remaining` photons at every
     point of the scan grid (read-only): one row of excite_prob's table, from
@@ -40,20 +42,10 @@ def grid_row(remaining: int, gamma: float) -> np.ndarray:
     return row
 
 
-# Optima `search` remembers, least recently used dropped first. An entry
-# holds its key's two byte strings, 16 bytes per branch, and about 0.25 KB
-# besides, so a full memo takes about 1.5 MB at binomial:6 (7 branches) and at
-# worst, with `config.MAX_PHOTON_NUMBER`'s 1001 branches, about 67 MB.
-OPTIMA_CACHED = 4096
-
-
-@lru_cache(maxsize=OPTIMA_CACHED)
-def search(photon_numbers: bytes, weights: bytes, transferred: int, gamma: float) -> float:
-    """`protocol.optimal_tau`'s search, on fresh arrays made from its key's
-    bytes, so the memo keeps no reference to the caller's arrays."""
+def search(remaining: np.ndarray, w: np.ndarray, gamma: float) -> float:
+    """`protocol.optimal_tau`'s search for a mixture with weights `w` and
+    `remaining` (int) photons per branch."""
     grid = tau_grid(gamma)
-    remaining = np.maximum(np.frombuffer(photon_numbers, dtype=int) - transferred, 0)
-    w = np.frombuffer(weights).copy()
     # the (K, G) table excite_prob would build for the grid, from cached rows
     table = np.array([grid_row(r, gamma) for r in remaining.tolist()])
     values = w @ table

@@ -255,14 +255,24 @@ def optimal_tau(ens: WeightedEnsemble, gamma: float) -> float:
     and the refinement computes `_rabi_factors`' phase sqrt(k) * (gamma *
     tau) in place.
 
-    The result is remembered for the last `optimum.OPTIMA_CACHED` distinct
-    inputs, keyed on the exact bytes of the (int) photon numbers and (float)
-    weights, the transferred count and gamma; nothing is rounded, so a
-    remembered optimum is the float a new search would return.
+    Every call searches. The walk in `run_batch` stores the optima it
+    computes in its transition tree, and `prior_optimal_tau` reads a prior's
+    optimum from the root of that tree.
     """
-    return optimum.search(
-        ens.photon_numbers.tobytes(), ens.weights.tobytes(), ens.transferred, gamma
-    )
+    return optimum.search(ens.remaining_photons(), ens.weights, gamma)
+
+
+def prior_optimal_tau(initial: WeightedEnsemble, gamma: float) -> float:
+    """`optimal_tau(initial, gamma)`, kept at the root of the optimal-each-step
+    transition tree from `initial`: the first call stores it there, with its
+    p_excite, as a walk from that root would."""
+    tree = transitions.tree(initial, OptimalEachStep(), gamma)
+    root = tree.root
+    if root[P_EXCITE] is None:
+        ens = _unchecked(initial.photon_numbers, root[WEIGHTS], root[TRANSFERRED])
+        tau = optimal_tau(ens, gamma)
+        tree.record(root, tau, excite_prob(ens, gamma, tau))
+    return root[TAU]
 
 
 # --- full runs -------------------------------------------------------------
@@ -277,7 +287,6 @@ class TraceEvent:
     weights_after: dict[int, float]
     transferred_after: int
     atom_fidelity_after: float
-    quality_after: float | None
 
 
 @dataclass(frozen=True)
@@ -306,10 +315,9 @@ def run(config, rng: np.random.Generator) -> ProtocolTrace:
     def observe(rows, taus, excited, p_e, w, m) -> None:
         weights, transferred = dict(zip(ns, w[0].tolist())), int(m[0])
         f_atom = cloning.atom_fidelity(weights, n_orig)
-        q = cloning.quality(f_atom, n_orig, transferred) if transferred >= n_orig else None
         outcome = MeasurementOutcome.EXCITED if excited[0] else MeasurementOutcome.GROUND
         events.append(TraceEvent(
-            len(events), float(taus[0]), outcome, float(p_e[0]), weights, transferred, f_atom, q
+            len(events), float(taus[0]), outcome, float(p_e[0]), weights, transferred, f_atom
         ))
 
     final = run_batch(
@@ -505,13 +513,7 @@ def run_batch(
                 p_e, tau = node[P_EXCITE], node[TAU]  # tau is written first
                 if p_e is None:
                     ens = _unchecked(ns, node[WEIGHTS], node[TRANSFERRED])
-                    if kept and isinstance(policy, OptimalEachStep):
-                        # the node keeps its optimum, so optimal_tau's memo need not
-                        tau = optimum.search.__wrapped__(
-                            ns.tobytes(), ens.weights.tobytes(), ens.transferred, gamma
-                        )
-                    else:
-                        tau = policy_tau(policy, ens, gamma, rng)
+                    tau = policy_tau(policy, ens, gamma, rng)
                     p_e = excite_prob(ens, gamma, tau)
                     if kept:
                         tree.record(node, tau, p_e)

@@ -19,7 +19,7 @@ from pathlib import Path
 
 import pytest
 
-from cavityqubits import cli
+from cavityqubits import cli, config, optimum, protocol, transitions
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
 SRC = Path(__file__).parents[1] / "src"
@@ -83,6 +83,26 @@ def test_golden_bytes(name, tmp_path):
         (GOLDEN_DIR / name).read_text()
     )
     assert cli.check_output(out) == []
+
+
+def test_a_fixed_tau_prior_optimum_seeds_the_optimal_each_step_tree(tmp_path, monkeypatch):
+    # the jittered run stores its prior's optimum at the root of the
+    # optimal-each-step tree, which the next run walks from
+    transitions.trees.clear()
+    for name in ("custom_jittered.csv", "custom_optimal_each_step.csv"):
+        out = tmp_path / name
+        generate(name, out)
+        assert _without_out_line(out.read_text()) == _without_out_line(
+            (GOLDEN_DIR / name).read_text()
+        )
+    searches = []
+    search = optimum.search
+    monkeypatch.setattr(optimum, "search", lambda *args: searches.append(args) or search(*args))
+    cfg = config.ExperimentConfig(distribution=config.DistributionSpec("binomial", n_max=6))
+    initial = protocol.WeightedEnsemble.from_weights(cfg.initial_weights())
+    tau = cfg.resolved_tau(initial)
+    assert searches == []
+    assert tau == protocol.optimal_tau(initial, cfg.gamma)
 
 
 def test_alternating_commands_share_one_parser(tmp_path, capsys):

@@ -12,8 +12,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cavityqubits import fockspace, optimum, protocol, transitions
-from cavityqubits.cloning import binomial_distribution
-from cavityqubits.config import DistributionSpec, ExperimentConfig, split_rng
+from cavityqubits.cloning import atom_fidelity, binomial_distribution, quality
+from cavityqubits.config import MAX_PHOTON_NUMBER, DistributionSpec, ExperimentConfig, split_rng
 from cavityqubits.protocol import (
     FixedTau,
     HalfRabiTau,
@@ -426,6 +426,12 @@ def wide_ensembles(draw):
 @given(wide_ensembles(), st.floats(0.05, 5.0))
 # vacuum-certain: the curve is all zeros, so the best grid point is the first
 @example(WeightedEnsemble.from_weights({1: 1.0}, transferred=1), 1.0)
+# an empty branch; the same as a -0.0 weight, with the top weight one float
+# lower, and at another transferred count
+@example(WeightedEnsemble.from_weights({0: 0.0, 1: 0.5, 3: 0.5}), 1.0)
+@example(WeightedEnsemble(np.array([0, 1, 3]), np.array([-0.0, 0.5, 0.5])), 1.0)
+@example(WeightedEnsemble(np.array([0, 1, 3]), np.array([0.0, np.nextafter(0.5, 0.0), 0.5])), 1.0)
+@example(WeightedEnsemble.from_weights({0: 0.0, 1: 0.5, 3: 0.5}, transferred=1), 1.0)
 def test_optimal_tau_equals_the_plain_excite_prob_reference(ens, gamma):
     assert optimal_tau(ens, gamma) == reference_optimal_tau(ens, gamma)
 
@@ -477,8 +483,7 @@ def test_optimal_each_step_builds_each_grid_row_once(tmp_path):
     from cavityqubits import cli
 
     optimum.grid_row.cache_clear()
-    # neither a remembered optimum nor a stored transition builds a row
-    optimum.search.cache_clear()
+    # a stored transition builds no row
     transitions.trees.clear()
     out = tmp_path / "run.csv"
     assert cli.main(["custom", "--nmax", "6", "--policy", "optimal-each-step", "--seed", "8",
@@ -489,49 +494,22 @@ def test_optimal_each_step_builds_each_grid_row_once(tmp_path):
     assert info.hits > 10 * info.misses
 
 
-def memo_variants(ens):
-    """`ens`; its largest weight one float lower; the same with its zero
-    weights as -0.0 if it has any; and the same weights at up to three
-    other transferred counts they allow. Each is another memo key."""
-    ns, w = ens.photon_numbers, ens.weights
-    nudged = w.copy()
-    top = int(np.argmax(w))
-    nudged[top] = np.nextafter(w[top], 0.0)
-    variants = [ens, WeightedEnsemble(ns, nudged, ens.transferred)]
-    if (w == 0).any():
-        variants.append(WeightedEnsemble(ns, np.where(w == 0, -0.0, w), ens.transferred))
-    most = int(ns[w > 0].min())  # no live branch may have n < transferred
-    counts = sorted({0, most // 2, most} - {ens.transferred})
-    return variants + [WeightedEnsemble(ns, w, t) for t in counts]
+def test_grid_rows_of_one_search_at_the_photon_cap_stay_cached():
+    assert optimum.grid_row.cache_info().maxsize >= MAX_PHOTON_NUMBER + 1
+    optimum.grid_row.cache_clear()
+    ens = WeightedEnsemble.from_weights(binomial_distribution(MAX_PHOTON_NUMBER))
+    optimal_tau(ens, 1.0)
+    optimal_tau(update_weights(ens, 1.0, 0.05, EXCITED), 1.0)
+    info = optimum.grid_row.cache_info()
+    # rows 1..1000, then 0..999 one photon down: each row is built once
+    assert (info.misses, info.hits) == (MAX_PHOTON_NUMBER + 1, MAX_PHOTON_NUMBER - 1)
 
 
-@settings(max_examples=40, deadline=None)
-@given(wide_ensembles(), st.floats(0.05, 5.0))
-@example(WeightedEnsemble.from_weights({0: 0.0, 1: 0.5, 3: 0.5}), 1.0)
-def test_a_remembered_optimum_is_the_searched_one(ens, gamma):
-    variants = memo_variants(ens)
-    cold = []
-    for v in variants:
-        optimum.search.cache_clear()
-        cold.append(optimal_tau(v, gamma))
-    # every variant in the memo at once, each looked up through fresh arrays
-    optimum.search.cache_clear()
-    for v in variants:
-        optimal_tau(v, gamma)
-    for v, searched in zip(reversed(variants), reversed(cold)):
-        copy = WeightedEnsemble(v.photon_numbers.copy(), v.weights.copy(), v.transferred)
-        warm = optimal_tau(copy, gamma)
-        assert warm.hex() == searched.hex() == reference_optimal_tau(v, gamma).hex()
-    info = optimum.search.cache_info()
-    assert (info.hits, info.misses) == (len(variants), len(variants))
-
-
-def test_a_warm_memo_writes_the_same_csv(tmp_path):
+def test_a_warm_tree_writes_the_same_csv(tmp_path):
     from cavityqubits import cli
 
     out = tmp_path / "run.csv"
     argv = ["custom", "--nmax", "6", "--policy", "optimal-each-step", "--out", str(out)]
-    optimum.search.cache_clear()
     transitions.trees.clear()
     assert cli.main([*argv, "--seed", "8"]) == 0
     cold = out.read_bytes()
@@ -545,27 +523,16 @@ def test_a_warm_memo_writes_the_same_csv(tmp_path):
     assert (tree.nodes, tree.misses) == (nodes, misses) and tree.hits > hits
 
 
-def test_the_optimum_memo_is_bounded_and_keeps_no_array():
-    optimum.search.cache_clear()
+def test_a_stored_prior_optimum_keeps_no_array():
+    transitions.trees.clear()
     # a run_batch row is a view of the whole weight stack, which must not outlive the run
     stack = np.array([[0.25, 0.75], [0.5, 0.5]])
-    optimal_tau(WeightedEnsemble(np.array([1, 2]), stack[1]), 1.0)
+    prior = WeightedEnsemble(np.array([1, 2]), stack[1])
+    tau = protocol.prior_optimal_tau(prior, 1.0)
+    assert tau == optimal_tau(WeightedEnsemble(np.array([1, 2]), np.array([0.5, 0.5])), 1.0)
     alive = weakref.ref(stack)
-    del stack
+    del stack, prior
     assert alive() is None
-    optimum.search.cache_clear()
-    bound = optimum.OPTIMA_CACHED
-    assert optimum.search.cache_info().maxsize == bound
-    # bound + 2 distinct two-branch mixtures
-    for i in range(bound + 2):
-        p = (i + 1) / (bound + 3)
-        optimal_tau(WeightedEnsemble(np.array([1, 2]), np.array([p, 1.0 - p])), 1.0)
-    info = optimum.search.cache_info()
-    assert (info.misses, info.currsize) == (bound + 2, bound)
-    # the least recently used were dropped: the first mixture is searched again
-    first = WeightedEnsemble(np.array([1, 2]), np.array([1 / (bound + 3), 1.0 - 1 / (bound + 3)]))
-    optimal_tau(first, 1.0)
-    assert optimum.search.cache_info().misses == bound + 3
 
 
 def test_trapping_safe_tau_values():
@@ -637,7 +604,8 @@ def test_run_half_rabi_reaches_vacuum():
     assert all(e.outcome is EXCITED for e in trace.events)
     assert trace.reason is StopReason.VACUUM_CERTAIN
     assert trace.final.transferred == 2
-    assert trace.events[-1].quality_after == pytest.approx(1.0, abs=1e-12)
+    f_atom = atom_fidelity(trace.final.as_dict())
+    assert quality(f_atom, 1, trace.final.transferred) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_run_trapped_terminates_at_cutoff():
