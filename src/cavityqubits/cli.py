@@ -359,10 +359,11 @@ def _run_weights_evolution(config: ExperimentConfig) -> Path:
 
     rows: list[tuple] = []
     f_atom0 = cloning.atom_fidelity(initial, config.n_originals)
-    for n, p in sorted(initial.items()):
+    # the initial weights and every event's come in ascending n
+    for n, p in initial.items():
         rows.append((0, n, p, f_atom0, 0))
     for event in trace.events:
-        for n, p in sorted(event.weights_after.items()):
+        for n, p in event.weights_after.items():
             rows.append(
                 (event.atom_index + 1, n, p, event.atom_fidelity_after, event.transferred_after)
             )

@@ -15,7 +15,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Callable, Mapping, Union
+from typing import Mapping, Union
 
 import numpy as np
 
@@ -255,9 +255,9 @@ def optimal_tau(ens: WeightedEnsemble, gamma: float) -> float:
     and the refinement computes `_rabi_factors`' phase sqrt(k) * (gamma *
     tau) in place.
 
-    Every call searches. The walk in `run_batch` stores the optima it
-    computes in its transition tree, and `prior_optimal_tau` reads a prior's
-    optimum from the root of that tree.
+    Every call searches. The walk in `run` stores the optima it computes in
+    its transition tree, and `prior_optimal_tau` reads a prior's optimum
+    from the root of that tree.
     """
     return optimum.search(ens.remaining_photons(), ens.weights, gamma)
 
@@ -276,6 +276,11 @@ def prior_optimal_tau(initial: WeightedEnsemble, gamma: float) -> float:
 
 
 # --- full runs -------------------------------------------------------------
+
+# Uniforms drawn per stream at a time under a deterministic policy.
+# `Generator.random(k)` returns the same values as k scalar draws, so the
+# block size never changes an outcome.
+DRAW_BLOCK = 32
 
 
 @dataclass(frozen=True)
@@ -297,44 +302,87 @@ class ProtocolTrace:
 
 
 def run(config, rng: np.random.Generator) -> ProtocolTrace:
-    """Pass atoms until `cutoff` consecutive ground results, the atom
-    budget runs out, or the mixture is certainly down to the vacuum: a
-    `run_batch` call with one stream, so it walks the transition tree of its
-    prior (or, under a jittered tau, computes every transition), with a
-    `TraceEvent` per atom from its `observe` callback.
+    """Pass atoms until the mixture is certainly down to the vacuum or the
+    atom budget runs out (checked in that order before each atom), or until
+    `cutoff` consecutive ground results, with a `TraceEvent` per atom.
+
+    The run walks from posterior to posterior, each atom's tau, p_excite and
+    posterior computed with `policy_tau`, `excite_prob` and
+    `update_weights`. Under a deterministic policy they depend on the
+    posterior alone, so the walk stores them in the transition tree of
+    (initial, policy, gamma), shared by every run from it in this process,
+    and a later run that reaches a stored posterior follows its stored
+    transitions; the uniforms are drawn `DRAW_BLOCK` at a time. A
+    `JitteredTau` run stores nothing: each atom draws its tau from the
+    stream, then one uniform.
 
     `config` is read by attribute: `initial_weights()`, `tau_policy(initial)`,
     `gamma`, `cutoff`, `atom_budget` and `n_originals`, as an
     `ExperimentConfig` provides them.
     """
     initial = WeightedEnsemble.from_weights(config.initial_weights())
-    ns = initial.photon_numbers.tolist()
-    n_orig = config.n_originals
+    policy, gamma, cutoff = config.tau_policy(initial), config.gamma, config.cutoff
+    if cutoff < 1:
+        raise ValueError(f"cutoff must be >= 1, got {cutoff}")
+    ns = initial.photon_numbers
+    keys, n_orig = ns.tolist(), config.n_originals
+    jittered = isinstance(policy, JitteredTau)
+    tree = None if jittered else transitions.tree(initial, policy, gamma)
+    node = transitions.node(initial) if tree is None else tree.root
+    # `kept`: the node is stored in the tree, so what is computed from it is
+    # stored too, while the tree has room
+    kept = tree is not None
     events: list[TraceEvent] = []
-
-    def observe(rows, taus, excited, p_e, w, m) -> None:
-        weights, transferred = dict(zip(ns, w[0].tolist())), int(m[0])
-        f_atom = cloning.atom_fidelity(weights, n_orig)
-        outcome = MeasurementOutcome.EXCITED if excited[0] else MeasurementOutcome.GROUND
+    streak = hits = 0
+    while True:
+        passed = len(events)
+        if node[VACUUM]:
+            reason = StopReason.VACUUM_CERTAIN
+            break
+        if passed >= config.atom_budget:
+            reason = StopReason.ATOM_BUDGET
+            break
+        p_e, tau = node[P_EXCITE], node[TAU]  # tau is written first
+        if p_e is None:
+            ens = _unchecked(ns, node[WEIGHTS], node[TRANSFERRED])
+            tau = policy_tau(policy, ens, gamma, rng)
+            p_e = excite_prob(ens, gamma, tau)
+            if kept:
+                tree.record(node, tau, p_e)
+        if jittered:
+            u = rng.random()
+        else:
+            if passed % DRAW_BLOCK == 0:
+                draws = rng.random(DRAW_BLOCK).tolist()
+            u = draws[passed % DRAW_BLOCK]
+        excited = u < p_e
+        outcome = MeasurementOutcome.EXCITED if excited else MeasurementOutcome.GROUND
+        child = node[AFTER + excited]
+        if child is not None:
+            hits += 1
+        else:
+            ens = _unchecked(ns, node[WEIGHTS], node[TRANSFERRED])
+            child = transitions.node(update_weights(ens, gamma, tau, outcome))
+            if kept:
+                child, kept = tree.attach(node, excited, child)
+        node = child
+        weights = dict(zip(keys, node[WEIGHTS].tolist()))
         events.append(TraceEvent(
-            len(events), float(taus[0]), outcome, float(p_e[0]), weights, transferred, f_atom
+            passed, float(tau), outcome, p_e, weights, node[TRANSFERRED],
+            cloning.atom_fidelity(weights, n_orig),
         ))
-
-    final = run_batch(
-        initial, config.tau_policy(initial), config.gamma, [config.cutoff], config.atom_budget,
-        [rng], observe,
-    )
-    # run_batch has checked every state it returns
-    last = _unchecked(initial.photon_numbers, final.weights[0, 0], int(final.transferred[0, 0]))
-    return ProtocolTrace(events=events, reason=final.reasons[0, 0], final=last)
+        streak = 0 if excited else streak + 1
+        if streak == cutoff:
+            reason = StopReason.CUTOFF
+            break
+    if tree is not None:
+        tree.count(hits, len(events))
+    _check_weights(ns, node[WEIGHTS], node[TRANSFERRED])  # the returned state is valid
+    # a copy: the tree's own array must not leave it
+    return ProtocolTrace(events, reason, _unchecked(ns, node[WEIGHTS].copy(), node[TRANSFERRED]))
 
 
 # --- many runs ------------------------------------------------------------------
-
-# Uniforms drawn per stream at a time under a deterministic policy.
-# `Generator.random(k)` returns the same values as k scalar draws, so the
-# block size never changes an outcome.
-DRAW_BLOCK = 32
 
 
 @dataclass(frozen=True)
@@ -351,40 +399,29 @@ class BatchFinal:
 
 def run_batch(
     initial: WeightedEnsemble,
-    policy: TauPolicy,
+    policy: FixedTau,
     gamma: float,
     cutoffs,
     atom_budget: int,
     rngs: list[np.random.Generator],
-    observe: Callable[..., None] | None = None,
 ) -> BatchFinal:
-    """Runs from `initial`, one per generator; their states at every cutoff.
+    """Fixed-tau runs from `initial`, one per generator, stepped in lockstep;
+    their states at every cutoff.
 
     Row b draws from `rngs[b]` alone and stops when its mixture is certainly
     the vacuum or `atom_budget` atoms have passed (checked in that order
     before each atom), or once its ground streak reaches the largest of
     `cutoffs`. Its state at cutoff c is where that streak first equals c,
-    which is where a run with cutoff c on that stream stops; if the row
+    which is where `run` with cutoff c on that stream stops; if the row
     stopped before that, it is the row's terminal state.
 
-    Two loops step the rows, chosen by the stream count and the policy:
-    - `FixedTau` with more than one stream: all live rows pass their k-th
-      atom in lockstep, as one B x K weight update, with both factors from
-      one (transferred count, outcome) table.
-    - Otherwise each stream in turn walks from posterior to posterior, each
-      atom's tau, p_excite and posterior computed with `policy_tau`,
-      `excite_prob` and `update_weights`. Under a deterministic policy they
-      depend on the posterior alone, so the walk stores them in the
-      transition tree of (initial, policy, gamma), shared by every run from
-      it in this process, and a later run that reaches a stored posterior
-      follows its stored transitions. A `JitteredTau` run stores nothing:
-      each atom draws its tau from the stream, then one uniform.
-    Deterministic policies draw the uniforms `DRAW_BLOCK` at a time.
-    `observe(rows, taus, excited, p_e, w, m)`, if given, gets the rows'
-    stream indices, taus, outcomes and p_excite before each pass, and their
-    weights and counts after it. The lockstep updates `m` in place on the
-    next pass, so copy it to keep it; the walk passes fresh one-row arrays.
+    All live rows pass their k-th atom together, as one B x K weight update,
+    with both factors from one (transferred count, outcome) table, and draw
+    their uniforms `DRAW_BLOCK` at a time, so each row passes the atoms
+    `run` would. Any policy other than `FixedTau` raises `TypeError`.
     """
+    if not isinstance(policy, FixedTau):
+        raise TypeError(f"run_batch steps fixed-tau runs only, got {policy!r}")
     levels = np.array(sorted({int(c) for c in cutoffs}), dtype=int)
     if not levels.size or levels[0] < 1:
         raise ValueError("need at least one cutoff, each >= 1")
@@ -399,153 +436,92 @@ def run_batch(
     # default, so only the other stops write it
     out_reasons = np.full(shape, members.index(StopReason.CUTOFF), dtype=np.int8)
 
-    if isinstance(policy, FixedTau) and n_rows > 1:
-        # the factors depend only on (transferred m, outcome, branch n)
-        remaining = np.maximum(ns - np.arange(ns.max() + 1)[:, None], 0)
-        table = _factor_table(remaining, gamma, policy.tau)
-        # state of the live rows, compacted; `rows` maps them back to streams
-        rows = np.arange(n_rows)
-        w = np.tile(initial.weights, (n_rows, 1))
-        m = np.full(n_rows, initial.transferred)
-        streak = np.zeros(n_rows, dtype=int)
-        nxt = np.zeros(n_rows, dtype=int)  # index of the next cutoff the streak meets
-        draws = np.empty((n_rows, DRAW_BLOCK))
-        passed = 0  # every live row has passed this many atoms
-        # A vacuum-certain row has a lone nonzero weight, which equals its row's
-        # sum: within WEIGHT_TOL of 1 on entry, and exactly 1.0 after any pass.
-        # So only a row whose largest weight reaches this can be one.
-        near_one = 1.0 - WEIGHT_TOL
+    # the factors depend only on (transferred m, outcome, branch n)
+    remaining = np.maximum(ns - np.arange(ns.max() + 1)[:, None], 0)
+    table = _factor_table(remaining, gamma, policy.tau)
+    # state of the live rows, compacted; `rows` maps them back to streams
+    rows = np.arange(n_rows)
+    w = np.tile(initial.weights, (n_rows, 1))
+    m = np.full(n_rows, initial.transferred)
+    streak = np.zeros(n_rows, dtype=int)
+    nxt = np.zeros(n_rows, dtype=int)  # index of the next cutoff the streak meets
+    draws = np.empty((n_rows, DRAW_BLOCK))
+    passed = 0  # every live row has passed this many atoms
+    # A vacuum-certain row has a lone nonzero weight, which equals its row's
+    # sum: within WEIGHT_TOL of 1 on entry, and exactly 1.0 after any pass.
+    # So only a row whose largest weight reaches this can be one.
+    near_one = 1.0 - WEIGHT_TOL
 
-        # (cutoff indices, stream ids, weights, counts, atoms passed) of each
-        # stored batch of states, scattered into the outputs once, at the end
-        stored = []
+    # (cutoff indices, stream ids, weights, counts, atoms passed) of each
+    # stored batch of states, scattered into the outputs once, at the end
+    stored = []
 
-        def store(level: np.ndarray, live: np.ndarray) -> None:
-            stored.append((level, rows[live], w[live], m[live], passed))
+    def store(level: np.ndarray, live: np.ndarray) -> None:
+        stored.append((level, rows[live], w[live], m[live], passed))
 
-        def drop(keep: np.ndarray) -> None:
-            nonlocal rows, w, m, streak, nxt, draws
-            rows, w, m, streak, nxt, draws = (a[keep] for a in (rows, w, m, streak, nxt, draws))
+    def drop(keep: np.ndarray) -> None:
+        nonlocal rows, w, m, streak, nxt, draws
+        rows, w, m, streak, nxt, draws = (a[keep] for a in (rows, w, m, streak, nxt, draws))
 
-        def retire(done: np.ndarray, reason: StopReason) -> None:
-            if not done.any():
-                return
-            # the cutoffs a row's streak has not reached take its terminal state
-            level, i = np.nonzero(np.arange(len(levels))[:, None] >= nxt[done])
-            live = np.flatnonzero(done)[i]
-            store(level, live)
-            out_reasons[level, rows[live]] = members.index(reason)
-            drop(~done)
+    def retire(done: np.ndarray, reason: StopReason) -> None:
+        if not done.any():
+            return
+        # the cutoffs a row's streak has not reached take its terminal state
+        level, i = np.nonzero(np.arange(len(levels))[:, None] >= nxt[done])
+        live = np.flatnonzero(done)[i]
+        store(level, live)
+        out_reasons[level, rows[live]] = members.index(reason)
+        drop(~done)
 
-        while rows.size:
-            # stop checks in run's order: vacuum-certain, budget, then the step
-            if (w.max(axis=1) >= near_one).any():
-                alive = w > 0
-                retire(
-                    (alive.sum(axis=1) == 1) & (ns[alive.argmax(axis=1)] == m),
-                    StopReason.VACUUM_CERTAIN,
-                )
-            if passed >= atom_budget:
-                retire(np.ones(rows.size, dtype=bool), StopReason.ATOM_BUDGET)
-            if not rows.size:
-                break
-            if passed % DRAW_BLOCK == 0:
-                for i, r in enumerate(rows.tolist()):
-                    draws[i] = rngs[r].random(DRAW_BLOCK)
-            u = draws[:, passed % DRAW_BLOCK]
-            # a stack of the vector-column products excite_prob makes, so the
-            # sum runs in the same order and p_e keeps its exact bits
-            p_e = np.matmul(w[:, None, :], table[m, 1, :, None])[:, 0, 0]
-            excited = u < p_e
-            posterior = table[m, excited.view(np.int8)]
-            posterior *= w  # in place: one new (B, K) array per atom
-            total = posterior.sum(axis=1)
-            if not total.min() > 0.0:  # a NaN total fails too
-                outcome = "excited" if excited[np.argmin(total > 0.0)] else "ground"
-                raise ValueError(f"cannot condition on zero-probability outcome {outcome}")
-            posterior /= total[:, None]
-            w = posterior
-            m += excited
-            streak += 1
-            streak[excited] = 0
-            passed += 1
-            if observe is not None:
-                observe(rows, np.full(rows.size, policy.tau), excited, p_e, w, m)
-            # a streak grows by one, so it meets each cutoff it reaches; a live
-            # row has not yet met the largest
-            hit = streak == levels[nxt]
-            if hit.any():
-                store(nxt[hit], hit)
-                nxt += hit
-                done = nxt == len(levels)
-                if done.any():
-                    drop(~done)
+    while rows.size:
+        # stop checks in run's order: vacuum-certain, budget, then the step
+        if (w.max(axis=1) >= near_one).any():
+            alive = w > 0
+            retire(
+                (alive.sum(axis=1) == 1) & (ns[alive.argmax(axis=1)] == m),
+                StopReason.VACUUM_CERTAIN,
+            )
+        if passed >= atom_budget:
+            retire(np.ones(rows.size, dtype=bool), StopReason.ATOM_BUDGET)
+        if not rows.size:
+            break
+        if passed % DRAW_BLOCK == 0:
+            for i, r in enumerate(rows.tolist()):
+                draws[i] = rngs[r].random(DRAW_BLOCK)
+        u = draws[:, passed % DRAW_BLOCK]
+        # a stack of the vector-column products excite_prob makes, so the
+        # sum runs in the same order and p_e keeps its exact bits
+        p_e = np.matmul(w[:, None, :], table[m, 1, :, None])[:, 0, 0]
+        excited = u < p_e
+        posterior = table[m, excited.view(np.int8)]
+        posterior *= w  # in place: one new (B, K) array per atom
+        total = posterior.sum(axis=1)
+        if not total.min() > 0.0:  # a NaN total fails too
+            outcome = "excited" if excited[np.argmin(total > 0.0)] else "ground"
+            raise ValueError(f"cannot condition on zero-probability outcome {outcome}")
+        posterior /= total[:, None]
+        w = posterior
+        m += excited
+        streak += 1
+        streak[excited] = 0
+        passed += 1
+        # a streak grows by one, so it meets each cutoff it reaches; a live
+        # row has not yet met the largest
+        hit = streak == levels[nxt]
+        if hit.any():
+            store(nxt[hit], hit)
+            nxt += hit
+            done = nxt == len(levels)
+            if done.any():
+                drop(~done)
 
-        if stored:  # empty only when there are no streams
-            level, ids, weights, counts, atoms = zip(*stored)
-            # one flat (cutoff, stream) index takes numpy's single-index path,
-            # faster than a pair of index arrays
-            at = np.concatenate(level) * n_rows + np.concatenate(ids)
-            out_w.reshape(-1, len(ns))[at] = np.concatenate(weights)
-            out_m.reshape(-1)[at] = np.concatenate(counts)
-            out_atoms.reshape(-1)[at] = np.repeat(atoms, [len(i) for i in ids])
-    else:
-        jittered = isinstance(policy, JitteredTau)
-        tree = None if jittered else transitions.tree(initial, policy, gamma)
-        marks = levels.tolist()
-        for b, rng in enumerate(rngs):
-            # `kept`: the node is stored in the tree, so what is computed
-            # from it is stored too, while the tree has room
-            if tree is None:
-                node, kept = transitions.node(initial), False
-            else:
-                node, kept = tree.root, True
-            streak = nxt = passed = hits = 0
-            while True:
-                # stop checks in run's order: vacuum-certain, budget, then the step
-                if node[VACUUM] or passed >= atom_budget:
-                    # the cutoffs the streak has not reached take the terminal state
-                    reason = StopReason.VACUUM_CERTAIN if node[VACUUM] else StopReason.ATOM_BUDGET
-                    out_reasons[nxt:, b] = members.index(reason)
-                    out_w[nxt:, b], out_m[nxt:, b] = node[WEIGHTS], node[TRANSFERRED]
-                    out_atoms[nxt:, b] = passed
-                    break
-                p_e, tau = node[P_EXCITE], node[TAU]  # tau is written first
-                if p_e is None:
-                    ens = _unchecked(ns, node[WEIGHTS], node[TRANSFERRED])
-                    tau = policy_tau(policy, ens, gamma, rng)
-                    p_e = excite_prob(ens, gamma, tau)
-                    if kept:
-                        tree.record(node, tau, p_e)
-                if jittered:
-                    u = rng.random()
-                else:
-                    if passed % DRAW_BLOCK == 0:
-                        draws = rng.random(DRAW_BLOCK).tolist()
-                    u = draws[passed % DRAW_BLOCK]
-                excited = u < p_e
-                child = node[AFTER + excited]
-                if child is not None:
-                    hits += 1
-                else:
-                    outcome = MeasurementOutcome.EXCITED if excited else MeasurementOutcome.GROUND
-                    ens = _unchecked(ns, node[WEIGHTS], node[TRANSFERRED])
-                    child = transitions.node(update_weights(ens, gamma, tau, outcome))
-                    if kept:
-                        child, kept = tree.attach(node, excited, child)
-                node = child
-                passed += 1
-                streak = 0 if excited else streak + 1
-                if observe is not None:
-                    observe(np.array([b]), np.array([tau]), np.array([excited]), np.array([p_e]),
-                            node[WEIGHTS][None].copy(), np.array([node[TRANSFERRED]]))
-                if streak == marks[nxt]:
-                    out_w[nxt, b], out_m[nxt, b] = node[WEIGHTS], node[TRANSFERRED]
-                    out_atoms[nxt, b] = passed
-                    nxt += 1
-                    if nxt == len(marks):
-                        break
-            if tree is not None:
-                tree.count(hits, passed)
+    if stored:  # empty only when there are no streams
+        level, ids, weights, counts, atoms = zip(*stored)
+        # one flat (cutoff, stream) index takes numpy's single-index path,
+        # faster than a pair of index arrays
+        at = np.concatenate(level) * n_rows + np.concatenate(ids)
+        out_w.reshape(-1, len(ns))[at] = np.concatenate(weights)
+        out_m.reshape(-1)[at] = np.concatenate(counts)
+        out_atoms.reshape(-1)[at] = np.repeat(atoms, [len(i) for i in ids])
     _check_weights(ns, out_w, out_m)  # every returned state is a valid ensemble
     return BatchFinal(out_w, out_m, out_atoms, np.array(members, dtype=object)[out_reasons])

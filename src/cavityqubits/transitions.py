@@ -1,4 +1,4 @@
-"""Stored transitions for the walk in `protocol.run_batch`.
+"""Stored transitions for the walk in `protocol.run`.
 
 Runs from one prior under a deterministic interaction-time policy walk the
 same narrow tree of posteriors. A `Tree` keeps that tree as runs reach it:

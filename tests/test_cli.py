@@ -681,9 +681,9 @@ def test_fig4_steps_all_streams_in_one_batch(tmp_path, monkeypatch):
     def no_scalar_runs(*args, **kwargs):
         raise AssertionError("fig4 must not call protocol.run")
 
-    def counted_run_batch(initial, policy, gamma, cutoffs, atom_budget, rngs, observe=None):
-        calls.append((list(cutoffs), len(rngs), observe))
-        return run_batch(initial, policy, gamma, cutoffs, atom_budget, rngs, observe)
+    def counted_run_batch(initial, policy, gamma, cutoffs, atom_budget, rngs):
+        calls.append((list(cutoffs), len(rngs)))
+        return run_batch(initial, policy, gamma, cutoffs, atom_budget, rngs)
 
     monkeypatch.setattr(protocol, "run", no_scalar_runs)
     monkeypatch.setattr(protocol, "run_batch", counted_run_batch)
@@ -692,35 +692,35 @@ def test_fig4_steps_all_streams_in_one_batch(tmp_path, monkeypatch):
         calls.clear()
         assert main(["fig4", "--nmax", "4", "--cutoffs", cutoffs, "--runs", "4", "--seed", "3",
                      "--out", str(out)]) == 0
-        # one stream per run and the sorted distinct cutoffs; run_batch owns
-        # the stop rule, so fig4 watches no atom
-        assert calls == [(levels, 4, None)]
+        # one stream per run and the sorted distinct cutoffs
+        assert calls == [(levels, 4)]
         assert check_output(out) == []
 
 
 def assert_fig4_rows_equal_separate_runs(out: Path) -> set:
-    """Every row of the fig4 file `out` equals a separate one-cutoff batch on
-    the same split_rng(seed, run) streams, graded run by run with
+    """Every row of the fig4 file `out` equals separate `protocol.run` calls
+    at that cutoff alone, run r on split_rng(seed, r), graded run by run with
     `quality(atom_fidelity(...))`. Returns the stop reasons seen."""
     meta = read_metadata(out)
-    initial = protocol.WeightedEnsemble.from_weights(
-        DistributionSpec.parse(meta["distribution"]).resolve()
-    )
-    ns = initial.photon_numbers.tolist()
+    weights = DistributionSpec.parse(meta["distribution"]).resolve()
     runs, n_orig, budget = int(meta["runs"]), int(meta["n_originals"]), int(meta["atom_budget"])
+    base = ExperimentConfig(
+        experiment="custom", distribution=DistributionSpec("explicit", weights=weights),
+        gamma=float(meta["gamma"]), tau=float(meta["resolved_tau"]), atom_budget=budget,
+        n_originals=n_orig,
+    )
     expected, reasons = [], set()
     for cutoff in parse_int_list(meta["cutoffs"]):
-        final = protocol.run_batch(
-            initial, protocol.FixedTau(float(meta["resolved_tau"])), float(meta["gamma"]),
-            [cutoff], budget, [split_rng(int(meta["seed"]), r) for r in range(runs)],
-        )
-        reasons.update(final.reasons[0])
+        config = replace(base, cutoff=cutoff)
+        traces = [protocol.run(config, split_rng(int(meta["seed"]), r)) for r in range(runs)]
+        reasons.update(t.reason for t in traces)
         q = np.array([
-            quality(atom_fidelity(dict(zip(ns, w)), n_orig), n_orig, m) if m >= n_orig else 0.0
-            for w, m in zip(final.weights[0].tolist(), final.transferred[0].tolist())
+            quality(atom_fidelity(t.final.as_dict(), n_orig), n_orig, t.final.transferred)
+            if t.final.transferred >= n_orig else 0.0
+            for t in traces
         ])
         stderr = float(q.std(ddof=1) / math.sqrt(runs)) if runs > 1 else 0.0
-        expected.append([str(cutoff), repr(float(q.mean())), repr(stderr), str(max(ns))])
+        expected.append([str(cutoff), repr(float(q.mean())), repr(stderr), str(max(weights))])
     assert read_rows(out)[1] == expected
     return reasons
 

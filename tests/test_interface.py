@@ -237,13 +237,35 @@ def _stop_reason_users(path: Path) -> dict[str, set[str]]:
 
 
 def test_one_stepping_loop_applies_the_stop_rules():
-    # a second loop over atoms would need the stop reasons too
+    # a loop over atoms needs the stop reasons: `run` walks one run under
+    # any policy, `run_batch` steps many fixed-tau runs in lockstep, and a
+    # third loop would name them too
     found: dict[str, set[str]] = {}
     for path in sorted(SRC.glob("*.py")):
         for member, owners in _stop_reason_users(path).items():
             found.setdefault(member, set()).update(f"{path.stem}.{o}" for o in owners)
     for member in ("CUTOFF", "ATOM_BUDGET", "VACUUM_CERTAIN"):
-        assert found.get(member) == {"protocol.run_batch"}, member
+        assert found.get(member) == {"protocol.run", "protocol.run_batch"}, member
+
+
+def _unused_imports(path: Path) -> list[str]:
+    """Each name a source file imports and never reads."""
+    tree = ast.parse(path.read_text())
+    imported = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                imported[alias.asname or alias.name.split(".")[0]] = node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                imported[alias.asname or alias.name] = node.lineno
+    read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return [f"{path.name}:{line}: {name}" for name, line in imported.items() if name not in read]
+
+
+def test_no_module_imports_a_name_it_never_reads():
+    paths = sorted(SRC.glob("*.py")) + sorted((ROOT / "tests").glob("*.py"))
+    assert [hit for path in paths for hit in _unused_imports(path)] == []
 
 
 def _private(name: str) -> bool:
