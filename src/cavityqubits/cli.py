@@ -15,13 +15,13 @@ from __future__ import annotations
 
 import argparse
 import functools
-import io
 import math
 import os
 import sys
 import threading
 from dataclasses import dataclass, replace
 from pathlib import Path
+from typing import Iterable
 
 import numpy as np
 
@@ -56,10 +56,9 @@ MAX_STREAMS = 100_000
 MAX_STREAM_WEIGHTS = 1_000_000
 
 # Most rows one fig2 or custom table may hold, (atoms + 1) x photon numbers:
-# the default budget's table at photon numbers 0..1000. The CLI keeps every
-# weight of every atom until it writes the CSV; at binomial:1000 that
-# measured 343, 572 and 1087 MB RSS at 1000, 2000 and 4000 atoms, so about
-# 2.6 GB at this bound (10^4 atoms) by linear extrapolation.
+# the default budget's table at photon numbers 0..1000. A run keeps its
+# weights in one stack and the CSV streams to its file: at binomial:1000
+# that measured 67 and 115 MB peak RSS at 1000 and 4000 atoms.
 MAX_STEP_ROWS = 10_011_001
 
 # Largest cutoff a run may take. It keeps every cutoff well inside int64,
@@ -326,20 +325,17 @@ def _output_path(config: ExperimentConfig) -> Path:
 
 
 def _write_csv(
-    config: ExperimentConfig, metadata: list[tuple[str, str]], rows: list[tuple]
+    config: ExperimentConfig, metadata: list[tuple[str, str]], rows: Iterable[tuple]
 ) -> Path:
-    """Write the metadata block, the experiment's header and `rows`; returns
-    the path."""
+    """Write the metadata block, the experiment's header and `rows` straight
+    to the file, one row at a time; returns the path."""
     path = _output_path(config)
-    buf = io.StringIO()
-    for key, value in metadata:
-        buf.write(f"# {key} = {value}\n")
-    buf.write(",".join(name for name, _ in EXPERIMENTS[config.experiment].table) + "\n")
-    for row in rows:
-        buf.write(",".join(_fmt(v) for v in row) + "\n")
     try:
         path.parent.mkdir(parents=True, exist_ok=True)
-        path.write_text(buf.getvalue())
+        with path.open("w") as out:
+            out.writelines(f"# {key} = {value}\n" for key, value in metadata)
+            out.write(",".join(name for name, _ in EXPERIMENTS[config.experiment].table) + "\n")
+            out.writelines(",".join(_fmt(v) for v in row) + "\n" for row in rows)
     except OSError as exc:
         raise SystemExit(f"cannot write {path}: {exc}")
     return path
@@ -350,23 +346,15 @@ def _write_csv(
 
 def _run_weights_evolution(config: ExperimentConfig) -> Path:
     rng = split_rng(config.seed)
-    initial = config.initial_weights()
     if config.policy in TIMED_POLICIES:  # echo the tau the run uses
-        config = replace(
-            config, tau=config.resolved_tau(protocol.WeightedEnsemble.from_weights(initial))
-        )
+        initial = protocol.WeightedEnsemble.from_weights(config.initial_weights())
+        config = replace(config, tau=config.resolved_tau(initial))
     trace = protocol.run(config, rng)
-
-    rows: list[tuple] = []
-    f_atom0 = cloning.atom_fidelity(initial, config.n_originals)
-    # the initial weights and every event's come in ascending n
-    for n, p in initial.items():
-        rows.append((0, n, p, f_atom0, 0))
-    for event in trace.events:
-        for n, p in event.weights_after.items():
-            rows.append(
-                (event.atom_index + 1, n, p, event.atom_fidelity_after, event.transferred_after)
-            )
+    ns = trace.final.photon_numbers.tolist()
+    f_atoms = cloning.atom_fidelity(ns, trace.weights, config.n_originals).tolist()
+    steps = enumerate(zip(trace.weights, f_atoms, trace.transferred.tolist()))
+    # one stack row at a time: the prior's, then each atom's posterior's
+    rows = ((step, n, p, f, m) for step, (w, f, m) in steps for n, p in zip(ns, w.tolist()))
     metadata = config.metadata(__version__)
     metadata.append(("terminal_reason", trace.reason.value))
     metadata.append(("transferred_total", str(trace.final.transferred)))
@@ -472,13 +460,9 @@ def _run_quality_cutoff(config: ExperimentConfig) -> Path:
         [split_rng(config.seed, r) for r in range(runs)],
     )
 
-    # atom_fidelity and quality over the whole stack, in their float order:
-    # F_atom accumulates left to right over the nonzero weights in ascending n
+    # F_atom of the whole stack, and each state's quality as `cloning.quality` divides it
     n_orig = config.n_originals
-    f_atom = np.zeros(final.transferred.shape)
-    for k, n in enumerate(ns.tolist()):
-        if n >= n_orig:  # lower branches carry no weight once validated
-            f_atom += final.weights[..., k] * cloning.clone_fidelity(n_orig, n)
+    f_atom = cloning.atom_fidelity(ns, final.weights, n_orig)
     optimum = np.array(
         [cloning.clone_fidelity(n_orig, max(m, n_orig)) for m in range(int(ns.max()) + 1)]
     )

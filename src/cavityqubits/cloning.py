@@ -9,7 +9,8 @@ average against the optimum for the number of clones actually produced.
 from __future__ import annotations
 
 import math
-from typing import Iterable, Mapping
+
+import numpy as np
 
 # Allowed distance of a weight total from 1, shared by the ensemble, the
 # fidelity bookkeeping and the config validator.
@@ -28,24 +29,28 @@ def clone_fidelity(n_originals: int, m_clones: int) -> float:
     return (n * m + n + m) / (m * (n + 2))
 
 
-def ordered_sum(values: Iterable[float]) -> float:
-    """Float sum accumulated left to right, as `sum()` does up to Python
-    3.11. From 3.12 on `sum()` compensates its rounding, which would change
-    the printed F_atom and quality values."""
-    total = 0.0
-    for value in values:
-        total += value
-    return total
-
-
-def atom_fidelity(clone_weights: Mapping[int, float], n_originals: int = 1) -> float:
-    """Average clone fidelity of a mixture over clone counts."""
-    total = ordered_sum(clone_weights.values())
-    if not abs(total - 1.0) <= WEIGHT_TOL:  # a NaN total fails too
-        raise ValueError(f"weights must sum to 1, got {total!r}")
-    return ordered_sum(
-        p * clone_fidelity(n_originals, m) for m, p in clone_weights.items() if p != 0
-    )
+def atom_fidelity(photon_numbers, weights, n_originals: int = 1):
+    """F_atom, the average clone fidelity, of each row of `weights`, a (..., K)
+    stack of mixtures over the K clone counts `photon_numbers`: an array of
+    the leading shape, a float for one row. A row's total and F_atom
+    accumulate left to right from 0.0, so a zero weight adds exactly 0.0
+    (from Python 3.12 on, `sum()` would compensate the rounding). Raises
+    `ValueError` for a total more than `WEIGHT_TOL` from 1, NaN included,
+    and for a nonzero weight on fewer clones than `n_originals`."""
+    weights = np.asarray(weights, dtype=float)
+    columns = list(zip(map(int, photon_numbers), np.moveaxis(weights, -1, 0), strict=True))
+    total, f_atom = np.zeros(weights.shape[:-1]), np.zeros(weights.shape[:-1])
+    for _, w in columns:
+        total += w
+    off = total[~(np.abs(total - 1.0) <= WEIGHT_TOL)]  # a NaN total fails too
+    if off.size:
+        raise ValueError(f"weights must sum to 1, got {float(off[0])!r}")
+    for m, w in columns:
+        if m >= n_originals:
+            f_atom += w * clone_fidelity(n_originals, m)
+        elif (w != 0).any():
+            clone_fidelity(n_originals, m)  # raises: the cloner cannot shrink
+    return f_atom[()]
 
 
 def quality(f_atom: float, n_originals: int, m_transferred: int) -> float:

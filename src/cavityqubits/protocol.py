@@ -19,7 +19,7 @@ from typing import Mapping, Union
 
 import numpy as np
 
-from . import cloning, optimum, transitions
+from . import optimum, transitions
 from .cloning import WEIGHT_TOL
 from .transitions import AFTER, P_EXCITE, TAU, TRANSFERRED, VACUUM, WEIGHTS
 
@@ -115,17 +115,12 @@ def _rabi_factors(remaining, gamma: float, tau):
     """sin^2 and cos^2 of each branch's Rabi phase sqrt(remaining) * (gamma * tau):
     the excitation and ground factors of one atom pass. Every use takes them
     from this one phase expression, so p_excite and the weight update see
-    the same floats."""
+    the same floats. They are squared in place, cos^2 in the phase's array."""
     phase = np.sqrt(remaining) * (gamma * tau)
-    return np.sin(phase) ** 2, np.cos(phase) ** 2
-
-
-def _factor_table(remaining, gamma: float, tau) -> np.ndarray:
-    """`_rabi_factors` stacked on a new second-to-last axis, indexed by the
-    outcome: [..., 0, :] is the ground factor cos^2, [..., 1, :] the
-    excitation factor sin^2."""
-    sin2, cos2 = _rabi_factors(remaining, gamma, tau)
-    return np.stack((cos2, sin2), axis=-2)
+    sin2, cos2 = np.sin(phase), np.cos(phase, out=phase)
+    sin2 *= sin2
+    cos2 *= cos2
+    return sin2, cos2
 
 
 def excite_prob(ens: WeightedEnsemble, gamma: float, tau) -> float | np.ndarray:
@@ -289,9 +284,6 @@ class TraceEvent:
     tau: float
     outcome: MeasurementOutcome
     p_excite_before: float
-    weights_after: dict[int, float]
-    transferred_after: int
-    atom_fidelity_after: float
 
 
 @dataclass(frozen=True)
@@ -299,12 +291,15 @@ class ProtocolTrace:
     events: list[TraceEvent]
     reason: StopReason
     final: WeightedEnsemble
+    weights: np.ndarray  # (atoms + 1, K): the prior, then the posterior after each atom
+    transferred: np.ndarray  # (atoms + 1,): the transferred count of each row of `weights`
 
 
 def run(config, rng: np.random.Generator) -> ProtocolTrace:
     """Pass atoms until the mixture is certainly down to the vacuum or the
     atom budget runs out (checked in that order before each atom), or until
-    `cutoff` consecutive ground results, with a `TraceEvent` per atom.
+    `cutoff` consecutive ground results, with a `TraceEvent` per atom and
+    every posterior in one fresh array.
 
     The run walks from posterior to posterior, each atom's tau, p_excite and
     posterior computed with `policy_tau`, `excite_prob` and
@@ -317,15 +312,14 @@ def run(config, rng: np.random.Generator) -> ProtocolTrace:
     stream, then one uniform.
 
     `config` is read by attribute: `initial_weights()`, `tau_policy(initial)`,
-    `gamma`, `cutoff`, `atom_budget` and `n_originals`, as an
-    `ExperimentConfig` provides them.
+    `gamma`, `cutoff` and `atom_budget`, as an `ExperimentConfig` provides
+    them.
     """
     initial = WeightedEnsemble.from_weights(config.initial_weights())
     policy, gamma, cutoff = config.tau_policy(initial), config.gamma, config.cutoff
     if cutoff < 1:
         raise ValueError(f"cutoff must be >= 1, got {cutoff}")
     ns = initial.photon_numbers
-    keys, n_orig = ns.tolist(), config.n_originals
     jittered = isinstance(policy, JitteredTau)
     tree = None if jittered else transitions.tree(initial, policy, gamma)
     node = transitions.node(initial) if tree is None else tree.root
@@ -333,6 +327,7 @@ def run(config, rng: np.random.Generator) -> ProtocolTrace:
     # stored too, while the tree has room
     kept = tree is not None
     events: list[TraceEvent] = []
+    path = [node]  # the node after each atom, the initial one first
     streak = hits = 0
     while True:
         passed = len(events)
@@ -366,11 +361,8 @@ def run(config, rng: np.random.Generator) -> ProtocolTrace:
             if kept:
                 child, kept = tree.attach(node, excited, child)
         node = child
-        weights = dict(zip(keys, node[WEIGHTS].tolist()))
-        events.append(TraceEvent(
-            passed, float(tau), outcome, p_e, weights, node[TRANSFERRED],
-            cloning.atom_fidelity(weights, n_orig),
-        ))
+        path.append(node)
+        events.append(TraceEvent(passed, float(tau), outcome, p_e))
         streak = 0 if excited else streak + 1
         if streak == cutoff:
             reason = StopReason.CUTOFF
@@ -378,8 +370,10 @@ def run(config, rng: np.random.Generator) -> ProtocolTrace:
     if tree is not None:
         tree.count(hits, len(events))
     _check_weights(ns, node[WEIGHTS], node[TRANSFERRED])  # the returned state is valid
-    # a copy: the tree's own array must not leave it
-    return ProtocolTrace(events, reason, _unchecked(ns, node[WEIGHTS].copy(), node[TRANSFERRED]))
+    # a copy: the tree's own arrays must not leave it
+    weights = np.stack([at[WEIGHTS] for at in path])
+    final = _unchecked(ns, weights[-1], node[TRANSFERRED])
+    return ProtocolTrace(events, reason, final, weights, np.array([at[TRANSFERRED] for at in path]))
 
 
 # --- many runs ------------------------------------------------------------------
@@ -436,9 +430,12 @@ def run_batch(
     # default, so only the other stops write it
     out_reasons = np.full(shape, members.index(StopReason.CUTOFF), dtype=np.int8)
 
-    # the factors depend only on (transferred m, outcome, branch n)
-    remaining = np.maximum(ns - np.arange(ns.max() + 1)[:, None], 0)
-    table = _factor_table(remaining, gamma, policy.tau)
+    # the factors depend only on (transferred m, outcome, branch n); outcome 0
+    # is the ground factor cos^2, 1 the excitation factor sin^2. The remaining
+    # photon counts are a temporary, freed before the stack is built.
+    table = np.stack(_rabi_factors(
+        np.maximum(ns - np.arange(ns.max() + 1)[:, None], 0), gamma, policy.tau
+    )[::-1], axis=-2)
     # state of the live rows, compacted; `rows` maps them back to streams
     rows = np.arange(n_rows)
     w = np.tile(initial.weights, (n_rows, 1))

@@ -8,6 +8,7 @@ import math
 import time
 
 import numpy as np
+from fidelity_reference import atom_fidelity
 from scipy import integrate
 
 from cavityqubits import cli, fockspace, protocol, trapping
@@ -271,9 +272,9 @@ def test_criterion_09_weight_evolution_run():
     trace = protocol.run(config, split_rng(config.seed))
     final = trace.final.as_dict()
     n_star, p_star = max(final.items(), key=lambda kv: kv[1])
-    transfers = [e.transferred_after for e in trace.events]
+    transfers = trace.transferred.tolist()
     staircase = transfers == sorted(transfers) and trace.final.transferred == n_star
-    f_err = abs(trace.events[-1].atom_fidelity_after - clone_fidelity(1, n_star))
+    f_err = abs(atom_fidelity(final) - clone_fidelity(1, n_star))
     ok = p_star > 0.99 and staircase and f_err < 1e-9
     report(
         9,

@@ -2,15 +2,17 @@ import math
 import sys
 import threading
 import time
+import tracemalloc
 from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
+from fidelity_reference import atom_fidelity
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from cavityqubits import __version__, cli, protocol, trapping
+from cavityqubits import __version__, cli, protocol, transitions, trapping
 from cavityqubits.cli import (
     MAX_CUTOFF,
     MAX_STEP_ROWS,
@@ -23,7 +25,7 @@ from cavityqubits.cli import (
     run_experiment,
     validate,
 )
-from cavityqubits.cloning import atom_fidelity, binomial_distribution, quality
+from cavityqubits.cloning import binomial_distribution, quality
 from cavityqubits.config import (
     MAX_PHOTON_NUMBER,
     MAX_RANGE_VALUES,
@@ -845,7 +847,35 @@ def test_fig2_output(tmp_path):
     assert header == ["step", "n", "p_n", "F_atom", "transferred"]
     step0 = {int(r[1]): float(r[2]) for r in rows if r[0] == "0"}
     assert step0 == binomial_distribution(6)
+    # each step's F_atom is the dict reference's, bit for bit
+    steps: dict[str, dict[int, float]] = {}
+    for step, n, p, _, _ in rows:
+        steps.setdefault(step, {})[int(n)] = float(p)
+    for step, n, p, f_atom, _ in rows:
+        assert f_atom == repr(atom_fidelity(steps[step]))
     assert check_output(out) == []
+
+
+def test_step_table_memory_grows_by_its_rows_alone(tmp_path):
+    # binomial:1000: an atom adds one row of 1001 weights (8 KB) to the run's
+    # stack and one node to the transition tree, and the CSV is written row
+    # by row; holding the weights as dicts, row tuples and one string of the
+    # whole file took about 250 KB per atom
+    def peak(budget: int) -> int:
+        transitions.trees.clear()
+        tracemalloc.start()
+        try:
+            assert main(["custom", "--dist", "binomial:1000", "--tau", "0.05",
+                         "--cutoff", "1000000", "--budget", str(budget), "--seed", "1",
+                         "--out", str(tmp_path / "custom.csv")]) == 0
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    # the first call in a process also keeps what it builds once, which can
+    # only lower the difference, by far less than the 250 KB per atom
+    small = peak(5)
+    assert (peak(25) - small) / 20 < 64e3
 
 
 def test_fig3_output(tmp_path):

@@ -7,11 +7,12 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from fidelity_reference import atom_fidelity
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cavityqubits import fockspace, optimum, protocol, transitions
-from cavityqubits.cloning import atom_fidelity, binomial_distribution, quality
+from cavityqubits.cloning import binomial_distribution, quality
 from cavityqubits.config import MAX_PHOTON_NUMBER, DistributionSpec, ExperimentConfig, split_rng
 from cavityqubits.protocol import (
     FixedTau,
@@ -636,25 +637,25 @@ def test_run_seeded_traces_identical():
     config = make_config(policy="jittered", sigma_rel=0.05, cutoff=20)
     t1 = run(config, split_rng(11))
     t2 = run(config, split_rng(11))
-    assert [(e.outcome, e.tau, e.weights_after) for e in t1.events] == [
-        (e.outcome, e.tau, e.weights_after) for e in t2.events
-    ]
+    assert t1.events == t2.events
+    assert np.array_equal(t1.weights, t2.weights)
     assert t1.reason is t2.reason
 
 
 def test_run_events_stay_normalized():
     config = make_config(policy="optimal-each-step", tau=None, cutoff=12)
     trace = run(config, split_rng(21))
+    assert trace.weights.shape == (len(trace.events) + 1, 6)
+    assert np.allclose(trace.weights.sum(axis=1), 1.0, rtol=0, atol=1e-12)
+    assert trace.transferred.max() <= 6
     for event in trace.events:
-        assert sum(event.weights_after.values()) == pytest.approx(1.0, abs=1e-12)
-        assert event.transferred_after <= 6
         assert 0.0 <= event.p_excite_before <= 1.0
 
 
 def test_run_staircase_and_collapse():
     config = make_config(cutoff=20, seed=7)
     trace = run(config, split_rng(7))
-    transfers = [e.transferred_after for e in trace.events]
+    transfers = trace.transferred.tolist()
     assert transfers == sorted(transfers)
     top_n, top_p = max(trace.final.as_dict().items(), key=lambda kv: kv[1])
     assert top_p > 0.99
@@ -728,16 +729,15 @@ def run_config(weights, policy, cutoff, atom_budget, gamma=1.0):
     """What `run` reads of a config, for any policy object."""
     return SimpleNamespace(
         initial_weights=lambda: weights, tau_policy=lambda initial: policy, gamma=gamma,
-        cutoff=cutoff, atom_budget=atom_budget, n_originals=1,
+        cutoff=cutoff, atom_budget=atom_budget,
     )
 
 
 def event_records(trace):
-    """`trace`'s events as `reference_run` records them."""
+    """`trace`'s events and posteriors as `reference_run` records them."""
     return [
-        (e.tau, e.outcome is EXCITED, e.p_excite_before, tuple(e.weights_after.values()),
-         e.transferred_after)
-        for e in trace.events
+        (e.tau, e.outcome is EXCITED, e.p_excite_before, tuple(w), m)
+        for e, w, m in zip(trace.events, trace.weights[1:].tolist(), trace.transferred[1:].tolist())
     ]
 
 
@@ -781,10 +781,12 @@ def assert_batch_matches_run_once(weights, policy, cutoffs, n_rows, atom_budget,
                         split_rng(seed, row))
             assert event_records(trace) == expected
             assert trace.reason is reason
+            assert np.array_equal(trace.weights[0], initial.weights)
+            assert trace.transferred[0] == initial.transferred
             assert np.array_equal(trace.final.weights, ens.weights)
             assert trace.final.transferred == ens.transferred
-            # the run returns a copy: writing to it must not reach the tree
-            trace.final.weights[:] = np.nan
+            # the run returns copies: writing to them must not reach the tree
+            trace.weights[:] = np.nan
             if lockstep:
                 assert final.atoms[level, row] == len(expected)
                 assert final.transferred[level, row] == ens.transferred
@@ -927,7 +929,7 @@ def test_concurrent_runs_from_one_prior_match_serial_runs():
 
     def traces(rngs):
         return [
-            (t.events, t.reason, t.final.weights.tolist(), t.final.transferred)
+            (t.events, t.reason, t.weights.tolist(), t.transferred.tolist())
             for t in (run(config, rng) for rng in rngs)
         ]
 
