@@ -1,14 +1,15 @@
 """The `check` subcommand: re-ingest an output CSV and recompute every
-column it can, from its metadata and its other columns."""
+column it can, from its metadata and its other columns. It reads the file
+once, front to back, as the CLI writes it: the metadata block, the header,
+then the rows, holding one step of a step table at a time."""
 
 from __future__ import annotations
 
 import csv
+import itertools
 import math
 import sys
 from pathlib import Path
-
-import numpy as np
 
 from . import cloning, trapping
 from .config import EXPERIMENTS, QUALITY_TABLE, STEP_TABLE, TRAPPING_TABLE, DistributionSpec
@@ -16,19 +17,6 @@ from .config import EXPERIMENTS, QUALITY_TABLE, STEP_TABLE, TRAPPING_TABLE, Dist
 # False-alarm probability of `check`'s bound on a fig3 row's a_mean_mc,
 # split evenly between the two tails.
 MC_FALSE_ALARM = 1e-6
-
-
-def _read_output(path: Path) -> tuple[dict[str, str], list[str], list[list[str]]]:
-    metadata: dict[str, str] = {}
-    table: list[str] = []
-    for raw in path.read_text().splitlines():
-        if raw.startswith("#"):
-            key, _, value = raw.lstrip("# ").partition("=")
-            metadata[key.strip()] = value.strip()
-        elif raw.strip():
-            table.append(raw)
-    rows = list(csv.reader(table))
-    return metadata, (rows[0] if rows else []), rows[1:]
 
 
 def _count(text: str, name: str) -> int:
@@ -43,30 +31,40 @@ def _count(text: str, name: str) -> int:
 
 def check_output(path: Path) -> list[str]:
     """Recompute whatever is recomputable in an output CSV; returns a list
-    of problems (empty = file is consistent). An unreadable file, a missing
-    table and rows that do not parse are problems too, never exceptions."""
+    of problems (empty = file is consistent), in the order the file holds
+    what they are about. An unreadable file, a missing table and rows that
+    do not parse are problems too, never exceptions."""
     try:
-        metadata, header, rows = _read_output(path)
+        with path.open() as file:
+            return _check(file)
     except (OSError, UnicodeDecodeError, csv.Error) as exc:
         return [f"cannot read: {exc}"]
+
+
+def _check(file) -> list[str]:
+    """`check_output` of an open file."""
+    lines = (line for line in file if line.strip())
+    metadata: dict[str, str] = {}
+    line = next(lines, "")
+    while line.startswith("#"):
+        key, _, value = line.lstrip("# ").partition("=")
+        metadata[key.strip()] = value.strip()
+        line = next(lines, "")
+    rows = csv.reader(itertools.chain([line], lines))
+    header = next(rows, [])
     if not metadata and not header:
         return ["empty file"]
-    problems = [
-        f"metadata key {required!r} missing"
-        for required in ("version", "rng", "seed", "experiment", "distribution")
-        if required not in metadata
-    ]
-    if problems:
+    required = ("version", "rng", "seed", "experiment", "distribution")
+    if problems := [f"metadata key {key!r} missing" for key in required if key not in metadata]:
         return problems
     experiment = EXPERIMENTS.get(metadata["experiment"])
     if experiment is None:
         return [f"metadata: unknown experiment {metadata['experiment']!r}"]
     table = experiment.table
     required = {QUALITY_TABLE: ("cutoffs", "runs"), STEP_TABLE: ("transferred_total",)}
-    problems = [
+    if problems := [
         f"metadata key {key!r} missing" for key in required.get(table, ()) if key not in metadata
-    ]
-    if problems:
+    ]:
         return problems
     try:
         dist = DistributionSpec.parse(metadata["distribution"])
@@ -84,23 +82,28 @@ def check_output(path: Path) -> list[str]:
         return [f"metadata: {exc}"]
     if header != [name for name, _ in table]:
         return [f"unexpected header {header}" if header else "no header row"]
-    if not rows:
+    if (first := next(rows, None)) is None:
         return ["no data rows"]
-    parsed: list[tuple[int, list]] = []
-    for i, row in enumerate(rows):
-        if len(row) != len(table):
-            problems.append(f"row {i}: {len(row)} fields, expected {len(table)}")
-            continue
-        try:
-            parsed.append((i, [kind(field) for (_, kind), field in zip(table, row)]))
-        except ValueError as exc:
-            problems.append(f"row {i}: {exc}")
+    rows = itertools.chain([first], rows)
+
+    def parsed(rows):
+        """(index, fields by the table's column types) of each row that parses."""
+        for i, row in enumerate(rows):
+            if row and row[0].startswith("#"):
+                problems.append(f"row {i}: a '#' line after the header")
+            elif len(row) != len(table):
+                problems.append(f"row {i}: {len(row)} fields, expected {len(table)}")
+            else:
+                try:  # a ValueError can only come from the field types
+                    yield i, [kind(field) for (_, kind), field in zip(table, row)]
+                except ValueError as exc:
+                    problems.append(f"row {i}: {exc}")
 
     if table is TRAPPING_TABLE:
         # the sample mean of `trials` geometric escape counts: beyond the
         # Chernoff bound of either tail with probability <= MC_FALSE_ALARM / 2
         tail_exponent = math.log(2.0 / MC_FALSE_ALARM)
-        for i, (m_rabi, sigma_rel, closed, mc, _) in parsed:
+        for i, (m_rabi, sigma_rel, closed, mc, _) in parsed(rows):
             try:
                 expected = trapping.mean_atoms_rel(m_rabi, sigma_rel)
             except (ValueError, ArithmeticError) as exc:
@@ -117,9 +120,10 @@ def check_output(path: Path) -> list[str]:
         # the largest sample standard deviation of `runs` values in [0, 1.5],
         # half at each end, over sqrt(runs)
         stderr_max = 0.75 / math.sqrt(runs - 1) if runs > 1 else 0.0
-        if len(parsed) == len(rows) != len(cutoffs):
-            problems.append(f"{len(rows)} rows, but metadata lists {len(cutoffs)} cutoffs")
-        for i, (cutoff, mean_quality, stderr, row_n_max) in parsed:
+        rows = list(rows)  # one per cutoff: at most cli.MAX_STREAMS
+        good = 0
+        for i, (cutoff, mean_quality, stderr, row_n_max) in parsed(rows):
+            good += 1
             if len(rows) == len(cutoffs) and cutoff != cutoffs[i]:
                 problems.append(f"row {i}: cutoff {cutoff} != metadata cutoff {cutoffs[i]}")
             if row_n_max != n_max:
@@ -130,58 +134,49 @@ def check_output(path: Path) -> list[str]:
                 problems.append(
                     f"row {i}: stderr {stderr!r} outside [0, {stderr_max!r}] for {runs} runs"
                 )
-    else:  # step table
-        steps: dict[int, dict[int, float]] = {}
-        f_atoms: dict[int, float] = {}
-        counts: dict[int, set[int]] = {}
-        for _, (step, n, p, f_atom, transferred) in parsed:
-            steps.setdefault(step, {})[n] = p
-            f_atoms[step] = f_atom
-            counts.setdefault(step, set()).add(transferred)
-        if steps.get(0) != configured:
-            problems.append("step-0 weights differ from the configured distribution")
-        if sorted(steps) != list(range(len(steps))):
-            problems.append(f"step numbers are not 0..{len(steps) - 1}")
+        if good == len(rows) != len(cutoffs):
+            problems.append(f"{len(rows)} rows, but metadata lists {len(cutoffs)} cutoffs")
+    else:  # step table, one group of consecutive same-step rows at a time
+        step0 = "step-0 weights differ from the configured distribution"
+        groups = itertools.groupby((fields for _, fields in parsed(rows)), lambda f: f[0])
         # one transferred count per step: 0 at step 0, then growing by 0 or 1
         # per atom, with no weight left on a branch it has passed
         m = None  # the step's transferred count, if it has exactly one
-        branches = list(configured)
-        graded: list[int] = []  # the steps whose F_atom is recomputed, in one stack
-        for step, weights in sorted(steps.items()):
-            previous, m = m, min(counts[step]) if len(counts[step]) == 1 else None
+        last, ordered = -1, True  # the index of the last group; steps 0, 1, ... so far
+        for last, (step, group) in enumerate(groups):
+            _, ns, ps, f_atoms, counts = zip(*group)
+            if last == 0 and (step != 0 or dict(zip(ns, ps)) != configured):
+                problems.append(step0)
+            ordered = ordered and step == last
+            counts = set(counts)
+            previous, m = m, min(counts) if len(counts) == 1 else None
             if m is None:
-                problems.append(f"step {step}: {len(counts[step])} transferred values, expected 1")
+                problems.append(f"step {step}: {len(counts)} transferred values, expected 1")
             elif step == 0 and m != 0:
                 problems.append(f"step 0: transferred {m} != 0")
             elif previous is not None and m - previous not in (0, 1):
                 problems.append(f"step {step}: transferred goes from {previous} to {m}")
-            if list(weights) != branches:
+            if ns != tuple(configured):
                 problems.append(f"step {step}: photon numbers differ from the distribution's")
                 continue
-            total = sum(weights.values())
+            total = sum(ps)
             if not abs(total - 1.0) <= cloning.WEIGHT_TOL:  # a NaN total fails too
                 problems.append(f"step {step}: weights sum to {total!r}")
                 continue
-            low = next(n for n, p in weights.items() if p != 0)  # the fewest clones
+            low, p_low = next((n, p) for n, p in zip(ns, ps) if p != 0)  # the fewest clones
             if m is not None and low < m:
-                problems.append(f"step {step}: p_n {weights[low]!r} at n = {low} < transferred {m}")
+                problems.append(f"step {step}: p_n {p_low!r} at n = {low} < transferred {m}")
             try:
-                cloning.clone_fidelity(n_originals, low)
+                expected = float(cloning.atom_fidelity(ns, ps, n_originals))
             except ValueError as exc:
                 problems.append(f"step {step}: cannot recompute F_atom: {exc}")
                 continue
-            graded.append(step)
-        try:  # only a total within rounding of WEIGHT_TOL can still be refused
-            stack = [list(steps[step].values()) for step in graded]
-            expected = cloning.atom_fidelity(
-                branches, np.reshape(stack, (len(graded), len(branches))), n_originals
-            ).tolist()
-        except ValueError as exc:
-            problems.append(f"cannot recompute F_atom: {exc}")
-            expected = []
-        for step, f_atom in zip(graded, expected):
-            if not math.isclose(f_atoms[step], f_atom, rel_tol=1e-12):
-                problems.append(f"step {step}: F_atom {f_atoms[step]!r} != recomputed {f_atom!r}")
+            if not math.isclose(f_atoms[-1], expected, rel_tol=1e-12):
+                problems.append(f"step {step}: F_atom {f_atoms[-1]!r} != recomputed {expected!r}")
+        if last < 0:
+            problems.append(step0)
+        if not ordered:
+            problems.append(f"step numbers are not 0..{last}")
         if m is not None and m != transferred_total:
             problems.append(
                 f"transferred {m} at the last step != transferred_total {transferred_total}"

@@ -17,11 +17,13 @@ import numpy as np
 WEIGHT_TOL = 1e-12
 
 
-def clone_fidelity(n_originals: int, m_clones: int) -> float:
-    """Best single-copy fidelity of an n -> m universal cloner."""
+def clone_fidelity(n_originals: int, m_clones):
+    """Best single-copy fidelity of an n -> m universal cloner, for an int
+    or an int array of clone counts. An int64 array divides as Python's ints
+    do: both sides are below 2^53, so the quotient is correctly rounded."""
     if n_originals < 1:
         raise ValueError(f"need at least one original, got {n_originals}")
-    if m_clones < n_originals:
+    if np.any(m_clones < n_originals):
         raise ValueError(
             f"cloner cannot shrink: m_clones={m_clones} < n_originals={n_originals}"
         )
@@ -46,21 +48,23 @@ def atom_fidelity(photon_numbers, weights, n_originals: int = 1):
     if off.size:
         raise ValueError(f"weights must sum to 1, got {float(off[0])!r}")
     for m, w in columns:
-        if m >= n_originals:
-            f_atom += w * clone_fidelity(n_originals, m)
-        elif (w != 0).any():
+        if m < n_originals and (w != 0).any():
             clone_fidelity(n_originals, m)  # raises: the cloner cannot shrink
+    fidelity = clone_fidelity(n_originals, np.maximum([m for m, _ in columns], n_originals))
+    for (_, w), f in zip(columns, fidelity.tolist()):
+        f_atom += w * f  # below n_originals w is zero, and adds exactly 0.0
     return f_atom[()]
 
 
-def quality(f_atom: float, n_originals: int, m_transferred: int) -> float:
-    """Achieved fidelity relative to the optimum for m_transferred clones.
+def quality(f_atom, n_originals: int, m_transferred):
+    """Achieved fidelity relative to the optimum for m_transferred clones,
+    for a float and an int or for arrays of them.
 
     May exceed 1 mid-run: the mixture average can sit above the optimal
     fidelity of the clones eventually produced. Undefined before the first
     transfer.
     """
-    if m_transferred < 1:
+    if np.any(m_transferred < 1):
         raise ValueError("quality is undefined before any qubit has been transferred")
     return f_atom / clone_fidelity(n_originals, m_transferred)
 

@@ -1,9 +1,11 @@
 """The search behind `protocol.optimal_tau`: the interaction time in
 (0, pi/gamma] that maximizes the excitation probability of a mixture.
 
-A fixed grid scan, then golden-section refinement of the best bracket. Every
-value it compares is the float `protocol.excite_prob` returns. Optima are
-stored only in the transition trees (`transitions`), not here.
+A fixed grid scan, then golden-section refinement of the best bracket. The
+scan's values are `protocol.excite_prob`'s for the grid as a tau array, the
+refinement's its values for one tau; the two forms sum in different orders,
+so they can differ in the last bit. Optima are stored only in the transition
+trees (`transitions`), not here.
 """
 
 from __future__ import annotations
@@ -46,7 +48,7 @@ def search(remaining: np.ndarray, w: np.ndarray, gamma: float) -> float:
     """`protocol.optimal_tau`'s search for a mixture with weights `w` and
     `remaining` (int) photons per branch."""
     grid = tau_grid(gamma)
-    # the (K, G) table excite_prob would build for the grid, from cached rows
+    # the (K, G) table excite_prob builds for the grid as a tau array, from cached rows
     table = np.array([grid_row(r, gamma) for r in remaining.tolist()])
     values = w @ table
     best = int(np.argmax(values))  # first max = smallest tau on ties

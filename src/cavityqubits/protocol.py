@@ -128,7 +128,9 @@ def excite_prob(ens: WeightedEnsemble, gamma: float, tau) -> float | np.ndarray:
 
     Branch n oscillates at sqrt(n - m) gamma, m being the transferred
     count; empty branches (n = m) contribute nothing. `tau` may be an
-    array, in which case the curve is returned.
+    array, in which case the curve is returned. The curve is a matrix-vector
+    product and one tau's value a dot product, so a curve point can differ
+    from the scalar call at its tau in the last bit.
     """
     tau_arr = np.asarray(tau, dtype=float)
     factors = _rabi_factors(ens.remaining_photons()[:, None], gamma, tau_arr.ravel())[0]
@@ -245,10 +247,9 @@ def optimal_tau(ens: WeightedEnsemble, gamma: float) -> float:
 
     `optimum.search`: a grid scan of `optimum.TAU_GRID_POINTS` points
     followed by golden-section refinement of the best bracket. Ties break
-    toward the smaller tau. Each value is the one `excite_prob` returns, bit
-    for bit: the grid's sin^2 rows are cached per remaining photon count,
-    and the refinement computes `_rabi_factors`' phase sqrt(k) * (gamma *
-    tau) in place.
+    toward the smaller tau. The scan's values are `excite_prob`'s curve at
+    the grid, from sin^2 rows cached per remaining photon count; each
+    refinement value is `excite_prob` at one tau, bit for bit.
 
     Every call searches. The walk in `run` stores the optima it computes in
     its transition tree, and `prior_optimal_tau` reads a prior's optimum

@@ -860,22 +860,32 @@ def test_step_table_memory_grows_by_its_rows_alone(tmp_path):
     # binomial:1000: an atom adds one row of 1001 weights (8 KB) to the run's
     # stack and one node to the transition tree, and the CSV is written row
     # by row; holding the weights as dicts, row tuples and one string of the
-    # whole file took about 250 KB per atom
-    def peak(budget: int) -> int:
-        transitions.trees.clear()
+    # whole file took about 250 KB per atom. `check` reads the file once and
+    # holds one step's rows at a time; holding the file as text, lines, rows
+    # and parsed rows took about 734 KB per step
+    def peak(call) -> int:
         tracemalloc.start()
         try:
-            assert main(["custom", "--dist", "binomial:1000", "--tau", "0.05",
-                         "--cutoff", "1000000", "--budget", str(budget), "--seed", "1",
-                         "--out", str(tmp_path / "custom.csv")]) == 0
+            call()
             return tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
 
+    def run(budget: int) -> None:
+        transitions.trees.clear()
+        assert main(["custom", "--dist", "binomial:1000", "--tau", "0.05",
+                     "--cutoff", "1000000", "--budget", str(budget), "--seed", "1",
+                     "--out", str(tmp_path / f"custom-{budget}.csv")]) == 0
+
+    def check(budget: int) -> None:
+        assert check_output(tmp_path / f"custom-{budget}.csv") == []
+
     # the first call in a process also keeps what it builds once, which can
     # only lower the difference, by far less than the 250 KB per atom
-    small = peak(5)
-    assert (peak(25) - small) / 20 < 64e3
+    small = peak(lambda: run(5))
+    assert (peak(lambda: run(25)) - small) / 20 < 64e3
+    small = peak(lambda: check(5))
+    assert (peak(lambda: check(25)) - small) / 20 < 64e3
 
 
 def test_fig3_output(tmp_path):
@@ -1220,6 +1230,54 @@ def test_checker_verifies_the_transferred_column(tmp_path):
     assert check_output(out) == ["metadata key 'transferred_total' missing"]
 
 
+def test_check_reads_step_groups_in_the_order_they_are_written(tmp_path):
+    out = tmp_path / "custom.csv"
+    assert main(["custom", "--nmax", "4", "--seed", "3", "--out", str(out)]) == 0
+    good = out.read_text()
+    lines = good.splitlines()
+    header = lines.index("step,n,p_n,F_atom,transferred")
+
+    def problems(text: str) -> list[str]:
+        out.write_text(text)
+        return check_output(out)
+
+    # steps 3 and 4 swapped, each block of rows kept whole: both carry
+    # transferred 2, so only their order is wrong
+    at = lines.index("3,1,0.0,0.8151641068239354,2")  # four rows per step
+    swapped = lines[:at] + lines[at + 4 : at + 8] + lines[at : at + 4] + lines[at + 8 :]
+    assert problems("\n".join(swapped) + "\n") == ["step numbers are not 0..22"]
+
+    # a '#' line after the header is a row that does not parse; its value
+    # is not applied, and the block's transferred_total still holds
+    late = lines[: header + 1] + ["# transferred_total = 3"] + lines[header + 1 :]
+    assert problems("\n".join(late) + "\n") == ["row 0: a '#' line after the header"]
+    late = lines + ["# transferred_total = 3"]
+    assert problems("\n".join(late) + "\n") == [
+        f"row {len(lines) - header - 1}: a '#' line after the header"
+    ]
+
+    # a table without its step-0 rows
+    out.write_text(good)
+    edit_step_rows(out, lambda s, n, p, f, m: None if s == "0" else [s, n, p, f, m])
+    assert check_output(out) == [
+        "step-0 weights differ from the configured distribution",
+        "step numbers are not 0..21",
+    ]
+
+    # problems come in file order: step 1's F_atom before step 2's transferred
+    # count (earlier versions graded F_atom after every other step check)
+    out.write_text(good)
+    f_atom = float(lines[header + 5].split(",")[3])  # step 1
+    edit_step_rows(out, lambda s, n, p, f, m: [
+        s, n, p, repr(f_atom + 1e-6) if s == "1" else f, "0" if s == "2" else m
+    ])
+    assert check_output(out) == [
+        f"step 1: F_atom {f_atom + 1e-6!r} != recomputed {f_atom!r}",
+        "step 2: transferred goes from 1 to 0",
+        "step 3: transferred goes from 0 to 2",
+    ]
+
+
 def test_check_command_reports_ok(tmp_path, capsys):
     out = tmp_path / "f.csv"
     main(["fig2", "--nmax", "4", "--tau", "0.7", "--seed", "5", "--out", str(out)])
@@ -1295,7 +1353,7 @@ def test_check_wants_zero_stderr_from_one_run(tmp_path):
 
 
 def damaged_files(good: Path):
-    """(name, text, expected problem) of files `check` cannot use."""
+    """(name, text, expected problems) of files `check` cannot use or must flag."""
     text = good.read_text()
     meta = "".join(l + "\n" for l in text.splitlines() if l.startswith("#"))
     header = "cutoff,mean_quality,stderr,n_max\n"
@@ -1309,6 +1367,8 @@ def damaged_files(good: Path):
          ["row 0: invalid literal for int() with base 10: 'four'"]),
         ("short-row", meta + header + "1,0.9\n" + rows[1] + "\n",
          ["row 0: 2 fields, expected 4"]),
+        ("file-order", meta + header + "7," + rows[0].partition(",")[2] + "\n1,0.9\n" + rows[2]
+         + "\n", ["row 0: cutoff 7 != metadata cutoff 1", "row 1: 2 fields, expected 4"]),
         ("bad-distribution", meta.replace("binomial:4", "binomial:x") + header + rows[0] + "\n",
          ["metadata: invalid literal for int() with base 10: 'x'"]),
     ]

@@ -480,6 +480,35 @@ def test_optimal_tau_stops_at_its_two_cycle_on_either_parity(n_max, parity):
     assert optimal_tau(ens, 1.0) == reference_optimal_tau(ens, 1.0)
 
 
+@pytest.mark.parametrize("n_max", [6, 10])
+def test_the_search_compares_excite_probs_curve_and_scalar_forms(n_max, monkeypatch):
+    # excite_prob sums a tau array's curve with a matrix-vector product and
+    # one tau's value with a dot product; the two orders can round apart (at
+    # 604 and 983 of the 1999 grid points of binomial:6 and :10 on one x86
+    # OpenBLAS). The scan's values are the curve form, the refinement's the
+    # scalar form.
+    ens = WeightedEnsemble.from_weights(binomial_distribution(n_max))
+    scans, taus, values = [], [], []  # the scan, and each refinement's gamma * tau and value
+
+    class Recording(np.ndarray):
+        def __matmul__(self, table):
+            scans.append(np.asarray(self) @ table)
+            return scans[-1]
+
+        def dot(self, factors):
+            values.append(float(np.asarray(self).dot(factors)))
+            return values[-1]
+
+    multiply = np.multiply
+    monkeypatch.setattr(np, "multiply", lambda x, y, out: taus.append(y) or multiply(x, y, out=out))
+    optimum.search(ens.remaining_photons(), ens.weights.view(Recording), 1.0)
+    monkeypatch.undo()
+    (scan,) = scans
+    assert scan.tolist() == excite_prob(ens, 1.0, optimum.tau_grid(1.0)).tolist()
+    assert len(values) == len(taus) > 60
+    assert values == [excite_prob(ens, 1.0, tau) for tau in taus]
+
+
 def stored_nodes() -> int:
     """Nodes stored in every transition tree the process keeps."""
     return sum(tree.nodes for tree in transitions.trees.values())
