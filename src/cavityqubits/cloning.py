@@ -31,29 +31,38 @@ def clone_fidelity(n_originals: int, m_clones):
     return (n * m + n + m) / (m * (n + 2))
 
 
+def ordered_sum(terms: np.ndarray) -> np.ndarray:
+    """Each row's total of `terms`, a fresh (..., K) array, added left to right
+    over its last axis in place: the one order of every weighted total here,
+    so a row has the same bits alone or in any stack, on any BLAS."""
+    return np.add.accumulate(terms, axis=-1, out=terms)[..., -1].copy()
+
+
 def atom_fidelity(photon_numbers, weights, n_originals: int = 1):
     """F_atom, the average clone fidelity, of each row of `weights`, a (..., K)
     stack of mixtures over the K clone counts `photon_numbers`: an array of
-    the leading shape, a float for one row. A row's total and F_atom
-    accumulate left to right from 0.0, so a zero weight adds exactly 0.0
-    (from Python 3.12 on, `sum()` would compensate the rounding). Raises
-    `ValueError` for a total more than `WEIGHT_TOL` from 1, NaN included,
-    and for a nonzero weight on fewer clones than `n_originals`."""
+    the leading shape, a float for one row. A row's total and F_atom are
+    `ordered_sum`s, where a zero weight adds exactly 0.0. Raises `ValueError`
+    for a total more than `WEIGHT_TOL` from 1, NaN included, and for a
+    nonzero weight on fewer clones than `n_originals`."""
     weights = np.asarray(weights, dtype=float)
-    columns = list(zip(map(int, photon_numbers), np.moveaxis(weights, -1, 0), strict=True))
-    total, f_atom = np.zeros(weights.shape[:-1]), np.zeros(weights.shape[:-1])
-    for _, w in columns:
-        total += w
+    ms = np.array(photon_numbers, dtype=int)
+    if ms.shape != weights.shape[-1:]:
+        raise ValueError(f"{ms.size} clone counts for {weights.shape[-1]} weight columns")
+    fidelity = clone_fidelity(n_originals, np.maximum(ms, n_originals))
+    rows = weights.reshape(-1, ms.size)
+    total, f_atom = np.empty(len(rows)), np.empty(len(rows))
+    block = max(1, 2**16 // ms.size)  # rows at a time: 512 KB temporaries at most
+    for i in range(0, len(rows), block):
+        total[i : i + block] = ordered_sum(rows[i : i + block].copy())
+        f_atom[i : i + block] = ordered_sum(rows[i : i + block] * fidelity)
     off = total[~(np.abs(total - 1.0) <= WEIGHT_TOL)]  # a NaN total fails too
     if off.size:
         raise ValueError(f"weights must sum to 1, got {float(off[0])!r}")
-    for m, w in columns:
-        if m < n_originals and (w != 0).any():
-            clone_fidelity(n_originals, m)  # raises: the cloner cannot shrink
-    fidelity = clone_fidelity(n_originals, np.maximum([m for m, _ in columns], n_originals))
-    for (_, w), f in zip(columns, fidelity.tolist()):
-        f_atom += w * f  # below n_originals w is zero, and adds exactly 0.0
-    return f_atom[()]
+    for k in np.flatnonzero(ms < n_originals).tolist():
+        if (weights[..., k] != 0).any():
+            clone_fidelity(n_originals, int(ms[k]))  # raises: the cloner cannot shrink
+    return f_atom.reshape(weights.shape[:-1])[()]
 
 
 def quality(f_atom, n_originals: int, m_transferred):

@@ -1,11 +1,9 @@
 """The search behind `protocol.optimal_tau`: the interaction time in
 (0, pi/gamma] that maximizes the excitation probability of a mixture.
 
-A fixed grid scan, then golden-section refinement of the best bracket. The
-scan's values are `protocol.excite_prob`'s for the grid as a tau array, the
-refinement's its values for one tau; the two forms sum in different orders,
-so they can differ in the last bit. Optima are stored only in the transition
-trees (`transitions`), not here.
+A fixed grid scan, then golden-section refinement of the best bracket; every
+value compared is `protocol.excite_prob`'s at its tau, bit for bit. Optima
+are stored only in the transition trees (`transitions`), not here.
 """
 
 from __future__ import annotations
@@ -14,6 +12,8 @@ import math
 from functools import lru_cache
 
 import numpy as np
+
+from .cloning import ordered_sum
 
 GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
@@ -48,29 +48,22 @@ def search(remaining: np.ndarray, w: np.ndarray, gamma: float) -> float:
     """`protocol.optimal_tau`'s search for a mixture with weights `w` and
     `remaining` (int) photons per branch."""
     grid = tau_grid(gamma)
-    # the (K, G) table excite_prob builds for the grid as a tau array, from cached rows
-    table = np.array([grid_row(r, gamma) for r in remaining.tolist()])
-    values = w @ table
+    # excite_prob's curve at the grid from the cached rows, as 0.0 + x == x
+    values = np.zeros(len(grid))
+    for r, w_r in zip(remaining.tolist(), w.tolist()):
+        values += grid_row(r, gamma) * w_r
     best = int(np.argmax(values))  # first max = smallest tau on ties
 
-    # excite_prob at one tau: its (K,) @ (K, 1) product reaches the same BLAS
-    # ddot as this 1-D dot, so every value keeps its bits
     freq = np.sqrt(remaining)
-    buf = np.empty_like(freq)
 
-    def excite(tau) -> float:
-        np.multiply(freq, gamma * tau, out=buf)
-        np.sin(buf, out=buf)
-        np.square(buf, out=buf)
-        return float(w.dot(buf))
+    def excite(tau) -> float:  # excite_prob at one tau
+        return float(ordered_sum(np.sin(freq * (gamma * tau)) ** 2 * w))
 
     # Python floats: the same IEEE arithmetic as numpy scalars, but cheaper
     a = float(grid[best - 1] if best > 0 else grid[0])
     b = float(grid[best + 1] if best + 1 < len(grid) else grid[-1])
-    c = b - GOLDEN * (b - a)
-    d = a + GOLDEN * (b - a)
-    fc = excite(c)
-    fd = excite(d)
+    c, d = b - GOLDEN * (b - a), a + GOLDEN * (b - a)
+    fc, fd = excite(c), excite(d)
     # The state (a, b, c, d, fc, fd) alone fixes the next iteration, so once
     # it equals the state two iterations back it repeats with period 2 (or
     # 1): stop there, on the state the last of the 80 iterations lands on.

@@ -20,7 +20,7 @@ from typing import Mapping, Union
 import numpy as np
 
 from . import optimum, transitions
-from .cloning import WEIGHT_TOL
+from .cloning import WEIGHT_TOL, ordered_sum
 from .transitions import AFTER, P_EXCITE, TAU, TRANSFERRED, VACUUM, WEIGHTS
 
 
@@ -128,13 +128,13 @@ def excite_prob(ens: WeightedEnsemble, gamma: float, tau) -> float | np.ndarray:
 
     Branch n oscillates at sqrt(n - m) gamma, m being the transferred
     count; empty branches (n = m) contribute nothing. `tau` may be an
-    array, in which case the curve is returned. The curve is a matrix-vector
-    product and one tau's value a dot product, so a curve point can differ
-    from the scalar call at its tau in the last bit.
+    array, in which case the curve is returned; each value is an
+    `ordered_sum`, so a curve point equals the scalar call at its tau.
     """
     tau_arr = np.asarray(tau, dtype=float)
-    factors = _rabi_factors(ens.remaining_photons()[:, None], gamma, tau_arr.ravel())[0]
-    probs = ens.weights @ factors
+    factors = _rabi_factors(ens.remaining_photons(), gamma, tau_arr.reshape(-1, 1))[0]
+    factors *= ens.weights  # (T, K): one row per tau
+    probs = ordered_sum(factors)
     if tau_arr.ndim == 0:
         return float(probs[0])
     return probs.reshape(tau_arr.shape)
@@ -247,9 +247,9 @@ def optimal_tau(ens: WeightedEnsemble, gamma: float) -> float:
 
     `optimum.search`: a grid scan of `optimum.TAU_GRID_POINTS` points
     followed by golden-section refinement of the best bracket. Ties break
-    toward the smaller tau. The scan's values are `excite_prob`'s curve at
-    the grid, from sin^2 rows cached per remaining photon count; each
-    refinement value is `excite_prob` at one tau, bit for bit.
+    toward the smaller tau. Every value it compares is `excite_prob`'s at
+    its tau, bit for bit; the scan reads sin^2 rows cached per remaining
+    photon count.
 
     Every call searches. The walk in `run` stores the optima it computes in
     its transition tree, and `prior_optimal_tau` reads a prior's optimum
@@ -487,9 +487,7 @@ def run_batch(
             for i, r in enumerate(rows.tolist()):
                 draws[i] = rngs[r].random(DRAW_BLOCK)
         u = draws[:, passed % DRAW_BLOCK]
-        # a stack of the vector-column products excite_prob makes, so the
-        # sum runs in the same order and p_e keeps its exact bits
-        p_e = np.matmul(w[:, None, :], table[m, 1, :, None])[:, 0, 0]
+        p_e = ordered_sum(table[m, 1] * w)  # excite_prob's products and sum, bit for bit
         excited = u < p_e
         posterior = table[m, excited.view(np.int8)]
         posterior *= w  # in place: one new (B, K) array per atom

@@ -1195,7 +1195,7 @@ def test_checker_verifies_the_transferred_column(tmp_path):
     assert main(["custom", "--nmax", "4", "--seed", "3", "--out", str(out)]) == 0
     assert check_output(out) == []
     good = out.read_text()
-    # a message quotes p_n as the file holds it, whose last digits move with the BLAS kernel
+    # a message quotes p_n as the file holds it, so the expected text comes from the file
     rows = [line.split(",") for line in good.splitlines() if line[:1].isdigit()]
     p_n = {(s, n): repr(float(p)) for s, n, p, _, _ in rows}
     edit_step_rows(out, lambda s, n, p, f, m: [s, n, p, f, str(int(m) + 3)])
@@ -1243,9 +1243,11 @@ def test_check_reads_step_groups_in_the_order_they_are_written(tmp_path):
 
     # steps 3 and 4 swapped, each block of rows kept whole: both carry
     # transferred 2, so only their order is wrong
-    at = lines.index("3,1,0.0,0.8151641068239354,2")  # four rows per step
+    steps = [line.split(",", 1)[0] for line in lines[header + 1 :]]
+    at = header + 1 + steps.index("3")  # four rows per step
+    last = int(steps[-1])
     swapped = lines[:at] + lines[at + 4 : at + 8] + lines[at : at + 4] + lines[at + 8 :]
-    assert problems("\n".join(swapped) + "\n") == ["step numbers are not 0..22"]
+    assert problems("\n".join(swapped) + "\n") == [f"step numbers are not 0..{last}"]
 
     # a '#' line after the header is a row that does not parse; its value
     # is not applied, and the block's transferred_total still holds
@@ -1261,7 +1263,7 @@ def test_check_reads_step_groups_in_the_order_they_are_written(tmp_path):
     edit_step_rows(out, lambda s, n, p, f, m: None if s == "0" else [s, n, p, f, m])
     assert check_output(out) == [
         "step-0 weights differ from the configured distribution",
-        "step numbers are not 0..21",
+        f"step numbers are not 0..{last - 1}",
     ]
 
     # problems come in file order: step 1's F_atom before step 2's transferred

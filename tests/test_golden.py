@@ -12,11 +12,13 @@ To regenerate a golden file on purpose (after a documented output change):
 
 from __future__ import annotations
 
+import json
 import os
 import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from cavityqubits import cli, config, optimum, protocol, transitions
@@ -83,6 +85,50 @@ def test_golden_bytes(name, tmp_path):
         (GOLDEN_DIR / name).read_text()
     )
     assert cli.check_output(out) == []
+
+
+def _dynamic_openblas() -> bool:
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    return "openblas" in blas["name"] and "DYNAMIC_ARCH" in blas.get("openblas configuration", "")
+
+
+# Every case in a fresh process, which reads OPENBLAS_CORETYPE as it loads
+# the library: argv[1] is the output directory, argv[2] the cases as JSON.
+CHILD = """
+import json, sys
+from pathlib import Path
+from cavityqubits import cli
+for name, argv in json.loads(sys.argv[2]).items():
+    assert cli.main([*argv, "--out", str(Path(sys.argv[1]) / name)]) == 0
+"""
+
+
+@pytest.mark.skipif(
+    not _dynamic_openblas(),
+    reason="numpy's BLAS is not a DYNAMIC_ARCH OpenBLAS, so OPENBLAS_CORETYPE picks no kernel",
+)
+def test_golden_bytes_on_every_x86_blas_kernel(tmp_path):
+    # the SSE3, AVX2 and AVX-512 kernels: every golden keeps its bytes
+    # on each, since no weighted total is summed by the BLAS
+    children = {}
+    for kernel in ("Prescott", "Haswell", "SkylakeX"):
+        out = tmp_path / kernel
+        out.mkdir()
+        env = {**os.environ, "PYTHONPATH": str(SRC), "OPENBLAS_CORETYPE": kernel}
+        children[kernel] = subprocess.Popen(
+            [sys.executable, "-c", CHILD, str(out), json.dumps(CASES)],
+            env=env, stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, text=True,
+        )
+    moved = []
+    for kernel, child in children.items():
+        _, err = child.communicate(timeout=120)
+        assert child.returncode == 0, f"{kernel}: {err}"
+        moved += [
+            f"{kernel}: {name}" for name in sorted(CASES)
+            if _without_out_line((tmp_path / kernel / name).read_text())
+            != _without_out_line((GOLDEN_DIR / name).read_text())
+        ]
+    assert moved == []
 
 
 def test_a_fixed_tau_prior_optimum_seeds_the_optimal_each_step_tree(tmp_path, monkeypatch):
