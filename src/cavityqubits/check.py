@@ -101,7 +101,11 @@ def _check(file) -> list[str]:
 
     if table is TRAPPING_TABLE:
         # the sample mean of `trials` geometric escape counts: beyond the
-        # Chernoff bound of either tail with probability <= MC_FALSE_ALARM / 2
+        # Chernoff bound of either tail with probability <= MC_FALSE_ALARM / 2.
+        # The closed form ignores the truncation to theta > 0, of mass p0, so
+        # the escape probability lies in [(p - p0) / (1 - p0), p / (1 - p0)]
+        # for the closed form's p; a row is flagged only beyond the bound of
+        # every mean in that range, that is of the one nearest to a_mean_mc.
         tail_exponent = math.log(2.0 / MC_FALSE_ALARM)
         for i, (m_rabi, sigma_rel, closed, mc, _) in parsed(rows):
             try:
@@ -111,7 +115,12 @@ def _check(file) -> list[str]:
                 continue
             if not math.isclose(closed, expected, rel_tol=1e-12):
                 problems.append(f"row {i}: a_mean_closed {closed!r} != recomputed {expected!r}")
-            elif not trials * trapping.escape_mean_rate(expected, mc) <= tail_exponent:
+                continue
+            p = 1.0 / expected
+            p0 = math.erfc(1.0 / (sigma_rel * math.sqrt(2.0))) / 2 if sigma_rel else 0.0
+            lo, hi = expected * (1.0 - p0), (1.0 - p0) / (p - p0) if p > p0 else math.inf
+            nearest = min(mc, hi) if mc > lo else lo  # lo for a NaN
+            if not trials * trapping.escape_mean_rate(nearest, mc) <= tail_exponent:
                 problems.append(
                     f"row {i}: a_mean_mc {mc!r} is outside the {MC_FALSE_ALARM:g} tail bound "
                     f"of {trials} trials around a_mean_closed {expected!r}"

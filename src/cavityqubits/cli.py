@@ -55,6 +55,16 @@ MAX_STREAMS = 100_000
 # about 3x the script default (330000): 8 MB of floats.
 MAX_STREAM_WEIGHTS = 1_000_000
 
+# Most work one fig4 call may take, in weight updates: runs x the atoms a run
+# can pass, min(atom_budget, (n_max + 1) x the largest cutoff), x photon
+# numbers 0..n_max, plus QUALITY_ATOM_UNITS per lockstep atom. On a 2-vCPU
+# host a unit takes about 0.13 us at 2 or 3 photon numbers, the costliest per
+# unit (0.02 us at 101), and a lockstep atom about 50 us however few streams
+# are left, so the bound is about 5 s. It is about 10x the script default
+# (330 x (1000 x 11 + 400) = 3.8e6).
+MAX_QUALITY_WORK = 40_000_000
+QUALITY_ATOM_UNITS = 400
+
 # Most rows one fig2 or custom table may hold, (atoms + 1) x photon numbers:
 # the default budget's table at photon numbers 0..1000. A run keeps its
 # weights in one stack and the CSV streams to its file: at binomial:1000
@@ -69,19 +79,19 @@ MAX_CUTOFF = 1_000_000
 # Most atoms one fig3 grid may send, as `trials` x the closed-form mean
 # escape counts of its cells: about 8x the script default (20000 trials x
 # 635 = 1.3e7). Each trial keeps drawing until it escapes, and the mean
-# escape count grows as 1/sigma_rel^2 for small jitter. Atom blocks draw
-# some atoms no trial uses: 2 % more at the script default, up to about a
-# quarter more for a lone trial.
+# escape count grows as 1/sigma_rel^2 for small jitter. The bound is
+# conservative: `monte_carlo_escape` draws only candidate atoms, at the
+# script default 2.1e6 proposals for 1.3e7 atoms.
 MAX_TRAPPING_ATOMS = 100_000_000
 
 # Most Monte Carlo rounds one fig3 grid may take, about 100x the script
 # default (6900). Giving each live trial one atom per round, a cell runs
 # until its last trial escapes, about mean x (1 + ln trials) rounds of
-# about 20 us each, so the bound is about 15 s. `monte_carlo_escape` gives
-# late rounds blocks of atoms and takes far fewer rounds (1761 at the
-# script default; a lone trial with a mean escape count of 2533 takes one
-# round per 570 atoms or so), so this count over-counts and the bound is
-# conservative.
+# about 20 us each, so the bound is about 15 s. The bound is conservative:
+# each round of `monte_carlo_escape` gives each live trial one proposal,
+# which escapes with probability about p / (alpha + beta): above 0.2 at
+# small m, above 0.14 in any accepted cell, where the phase's slack is at
+# most 1.7x the jitter c (749 rounds in all at the script default).
 MAX_TRAPPING_ROUNDS = 700_000
 
 # Largest Rabi phase sqrt(n)*gamma*tau a run may reach. Below 2^40 adjacent
@@ -119,8 +129,8 @@ def _trapping_work(trials: int, rabi_cycles_values, sigma_rels) -> tuple[float, 
     """Atoms the fig3 grid is expected to send and Monte Carlo rounds it
     would take at one atom per live trial per round: the closed-form mean
     escape counts of its (m_rabi, sigma_rel) cells, summed, times `trials`
-    and 1 + ln `trials`. Atom blocks take fewer rounds, so the second is an
-    upper estimate."""
+    and 1 + ln `trials`. The thinned sampler draws a proposal per candidate,
+    not per atom, and takes fewer rounds, so both over-count its work."""
     try:
         means = math.fsum(
             trapping.mean_atoms_rel(m, s) for m in rabi_cycles_values for s in sigma_rels
@@ -270,6 +280,9 @@ def validate(config: ExperimentConfig) -> list[Diagnostic]:
             error("cutoffs", f"{max(config.cutoffs)} exceeds the maximum {MAX_CUTOFF}")
         streams = len(config.cutoffs) * config.runs
         branches = config.distribution.max_photon_number() + 1
+        # each excitation ends a ground streak, so a run ends within n_max + 1 streaks
+        atoms = min(config.atom_budget, branches * max(config.cutoffs, default=0))
+        work = atoms * (config.runs * branches + QUALITY_ATOM_UNITS)
         if streams > MAX_STREAMS:
             error(
                 "runs",
@@ -281,6 +294,14 @@ def validate(config: ExperimentConfig) -> list[Diagnostic]:
                 "runs",
                 f"{streams} streams x {branches} photon numbers = {streams * branches} "
                 f"weights exceeds the maximum {MAX_STREAM_WEIGHTS}",
+            )
+        # priced once the counts it is computed from are valid
+        elif work > MAX_QUALITY_WORK and not any(d.level == "error" for d in diags):
+            error(
+                "atom_budget",
+                f"{config.runs} runs x {atoms} atoms x {branches} photon numbers, plus "
+                f"{QUALITY_ATOM_UNITS} per atom, = {work} weight updates exceeds the maximum "
+                f"{MAX_QUALITY_WORK}",
             )
 
     if table is STEP_TABLE and weights and config.cutoff >= 1 and config.atom_budget >= 1:
@@ -432,7 +453,7 @@ def _run_trapping_curves(config: ExperimentConfig) -> Path:
         for (m_rabi, sigma_rel), mean, estimate in zip(cells, closed, estimates)
     ]
     metadata = config.metadata(__version__)
-    metadata.append(("stream_layout", "(seed, cell), atom blocks"))
+    metadata.append(("stream_layout", "(seed, cell), thinned candidates"))
     return _write_csv(config, metadata, rows)
 
 

@@ -37,7 +37,7 @@ def tau_grid(gamma: float) -> np.ndarray:
 def grid_row(remaining: int, gamma: float) -> np.ndarray:
     """sin^2 of the Rabi phase of a branch with `remaining` photons at every
     point of the scan grid (read-only): one row of excite_prob's table, from
-    `protocol._rabi_factors`' float expression. It does not depend on the
+    `protocol._rabi_factor`'s float expression. It does not depend on the
     weights."""
     row = np.sin(np.sqrt(remaining) * (gamma * tau_grid(gamma))) ** 2
     row.flags.writeable = False

@@ -111,16 +111,15 @@ def _check_weights(ns: np.ndarray, weights: np.ndarray, transferred) -> None:
         )
 
 
-def _rabi_factors(remaining, gamma: float, tau):
-    """sin^2 and cos^2 of each branch's Rabi phase sqrt(remaining) * (gamma * tau):
-    the excitation and ground factors of one atom pass. Every use takes them
-    from this one phase expression, so p_excite and the weight update see
-    the same floats. They are squared in place, cos^2 in the phase's array."""
+def _rabi_factor(remaining, gamma: float, tau, excited: bool):
+    """sin^2 (`excited`) or cos^2 of each branch's Rabi phase sqrt(remaining)
+    * (gamma * tau): the excitation or ground factor of one atom pass. Every
+    use takes it from this one phase expression, so p_excite and the weight
+    update see the same floats. It is squared in place, in the phase's array."""
     phase = np.sqrt(remaining) * (gamma * tau)
-    sin2, cos2 = np.sin(phase), np.cos(phase, out=phase)
-    sin2 *= sin2
-    cos2 *= cos2
-    return sin2, cos2
+    factor = np.sin(phase, out=phase) if excited else np.cos(phase, out=phase)
+    factor *= factor
+    return factor
 
 
 def excite_prob(ens: WeightedEnsemble, gamma: float, tau) -> float | np.ndarray:
@@ -132,7 +131,7 @@ def excite_prob(ens: WeightedEnsemble, gamma: float, tau) -> float | np.ndarray:
     `ordered_sum`, so a curve point equals the scalar call at its tau.
     """
     tau_arr = np.asarray(tau, dtype=float)
-    factors = _rabi_factors(ens.remaining_photons(), gamma, tau_arr.reshape(-1, 1))[0]
+    factors = _rabi_factor(ens.remaining_photons(), gamma, tau_arr.reshape(-1, 1), True)
     factors *= ens.weights  # (T, K): one row per tau
     probs = ordered_sum(factors)
     if tau_arr.ndim == 0:
@@ -152,9 +151,8 @@ def update_weights(
     the factors are non-negative, dead branches stay at zero, and the
     normalized weights sum to 1 up to rounding.
     """
-    sin2, cos2 = _rabi_factors(ens.remaining_photons(), gamma, tau)
     excited = outcome is MeasurementOutcome.EXCITED
-    posterior = ens.weights * (sin2 if excited else cos2)
+    posterior = ens.weights * _rabi_factor(ens.remaining_photons(), gamma, tau, excited)
     total = posterior.sum()
     if not total > 0.0:  # a NaN total (an infinite phase) fails too
         raise ValueError(f"cannot condition on zero-probability outcome {outcome.value}")
@@ -432,11 +430,9 @@ def run_batch(
     out_reasons = np.full(shape, members.index(StopReason.CUTOFF), dtype=np.int8)
 
     # the factors depend only on (transferred m, outcome, branch n); outcome 0
-    # is the ground factor cos^2, 1 the excitation factor sin^2. The remaining
-    # photon counts are a temporary, freed before the stack is built.
-    table = np.stack(_rabi_factors(
-        np.maximum(ns - np.arange(ns.max() + 1)[:, None], 0), gamma, policy.tau
-    )[::-1], axis=-2)
+    # is the ground factor cos^2, 1 the excitation factor sin^2
+    remaining = np.maximum(ns - np.arange(ns.max() + 1)[:, None], 0)
+    table = np.stack([_rabi_factor(remaining, gamma, policy.tau, e) for e in (False, True)], -2)
     # state of the live rows, compacted; `rows` maps them back to streams
     rows = np.arange(n_rows)
     w = np.tile(initial.weights, (n_rows, 1))

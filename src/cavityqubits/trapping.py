@@ -13,10 +13,11 @@ escape count collapses onto a single n-independent curve,
 2 / (1 - exp(-8 pi^2 m^2 sigma_rel^2)).
 
 `monte_carlo_escape` samples that law exactly. It draws the dimensionless
-dwell time theta = gamma tau, takes the Rabi phase as sqrt(n) theta, as
-`protocol` does, and hands late rounds blocks of atoms per trial. It
-computes sin^2 only for draws whose uniform the bound
-sin^2 phi <= (phi - 2 pi m)^2 leaves undecided.
+dwell time theta = gamma tau and takes the Rabi phase as sqrt(n) theta, as
+`protocol` does, but it draws only candidate atoms: a bound g(z) >= sin^2
+on an atom's normal draw z thins the atoms (Lewis and Shedler, Naval Res.
+Logist. Q. 26, 403 (1979)), so a trial skips a geometric count of atoms
+that cannot succeed and draws the next candidate's z from phi(z) g(z).
 """
 
 from __future__ import annotations
@@ -109,10 +110,30 @@ class EscapeEstimate:
     trials: int
 
 
-# Fewest atoms a Monte Carlo round may draw when it needs them: a round
-# costs about 30 us of numpy calls however few atoms it draws, so a handful
-# of live trials still take blocks of atoms.
-MIN_ROUND_ATOMS = 1024
+def thinning(spec: TrapSpec) -> tuple[float, float, float, float, float, float]:
+    """`monte_carlo_escape`'s draw and bound: (theta_center, theta_sigma,
+    sqrt_n, alpha, beta, q). An atom's theta = z * theta_sigma +
+    theta_center, z normal and truncated to theta > 0, has the phase theta *
+    sqrt_n. As |sin phi| <= |phi - 2 pi m| <= c |z| + slack, c = sqrt_n *
+    theta_sigma and the slack covering the rounding of 2 pi m and of phi and
+    the error of `np.sin`, sin^2 phi <= g(z) = min(1, alpha + beta z^2), as
+    2 |z| <= 1 + z^2. An atom is a candidate with probability q = E[g(z) |
+    theta > 0]; if alpha + beta >= 1, all are: (alpha, beta, q) = (1, 0, 1)."""
+    center, sqrt_n = 2.0 * math.pi * spec.rabi_cycles, math.sqrt(spec.photon_number)
+    theta_center = center / sqrt_n
+    theta_sigma, slack = spec.sigma_rel * theta_center, 1e-9 + 16.0 * math.ulp(center)
+    c = sqrt_n * theta_sigma
+    alpha, beta = slack * (slack + c), c * (c + slack)
+    if alpha + beta >= 1.0:
+        return theta_center, theta_sigma, sqrt_n, 1.0, 0.0, 1.0
+    # g = alpha + beta z^2 on (-min(a, z0), z0), whose integral of z^2 phi(z)
+    # is [Phi(z) - z phi(z)], and 1 elsewhere on z > -a; all doubled
+    a, z0, r2 = 1.0 / spec.sigma_rel, math.sqrt((1.0 - alpha) / beta), math.sqrt(2.0)
+    lo = min(a, z0)
+    zphi = (z0 * math.exp(-z0 * z0 / 2) + lo * math.exp(-lo * lo / 2)) / math.sqrt(2 * math.pi)
+    inner = (alpha + beta) * (math.erf(z0 / r2) + math.erf(lo / r2)) - 2.0 * beta * zphi
+    outer = 2.0 * math.erfc(z0 / r2) - min(math.erfc(z0 / r2), math.erfc(a / r2))
+    return theta_center, theta_sigma, sqrt_n, alpha, beta, (inner + outer) / math.erfc(-a / r2)
 
 
 def monte_carlo_escape(spec: TrapSpec, trials: int, rng: np.random.Generator) -> EscapeEstimate:
@@ -120,82 +141,57 @@ def monte_carlo_escape(spec: TrapSpec, trials: int, rng: np.random.Generator) ->
     time theta = gamma tau ~ Normal(gamma tau0, gamma sigma) truncated to
     theta > 0, and succeeds with probability sin^2(sqrt(n) theta).
 
-    The trials run together in rounds. Round r gives each of its n live
-    trials k_r consecutive atoms, in trial order: n k_r normals, then the
-    redraws of any theta <= 0, then n k_r uniforms. A trial's count is the
-    index of its first success in its block; the draws after it go unused.
-    k_r is fixed from the rounds before: half the draws so far per escape
-    so far, capped so that n k_r <= max(trials, MIN_ROUND_ATOMS). Each
-    trial's atoms are i.i.d. whatever k_r is, so its count is exactly
-    geometric.
+    Only `thinning`'s candidates are drawn: a trial passes a Geometric(q)
+    gap of atoms up to and including its next candidate, whose z has density
+    proportional to phi(z) g(z) on theta > 0 and which succeeds with
+    probability sin^2 phi / g(z), so the count stays exactly geometric.
 
-    Since |sin phi| <= |phi - 2 pi m|, a draw whose uniform is at least
-    (|phi - 2 pi m| + slack)^2 cannot succeed, and sin^2 is computed only
-    for the others. The slack covers the rounding of 2 pi m and of the bound
-    and the error of `np.sin`, so skipping those draws changes no outcome.
+    Each round, each live trial proposes z with density proportional to
+    phi(z) (alpha + beta z^2): a signed chi_3, sign(x) sqrt(x^2 + 2 E), with
+    probability beta / (alpha + beta), else x (x normal, E exponential).
+    For a uniform u, t = u (alpha + beta z^2) < 1 with probability
+    min(1, 1 / (alpha + beta z^2)); then a z with theta > 0 is a candidate,
+    t is uniform on [0, g(z)), and the trial adds a gap and escapes iff t <
+    sin^2 phi. A round of n live trials draws n normals, (beta > 0) n
+    exponentials and n uniforms for the chi_3 share, n uniforms u, then
+    (q < 1) one gap per candidate, in trial order.
     """
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
     if spec.sigma == 0:
         raise ValueError("sigma = 0 never escapes; the mean is infinite")
-    # the phase's trapping point 2 pi m, and gamma tau0 = 2 pi m / sqrt(n):
-    # gamma drops out of the dimensionless draw
-    center = 2.0 * math.pi * spec.rabi_cycles
-    sqrt_n = math.sqrt(spec.photon_number)
-    theta_center = center / sqrt_n
-    theta_sigma = spec.sigma_rel * theta_center
-    slack = 1e-9 + 16.0 * float(np.spacing(center))
-    capacity = max(trials, MIN_ROUND_ATOMS)
-    counts = np.empty(trials, dtype=np.int64)
-    live = np.arange(trials, dtype=np.min_scalar_type(trials))  # smallest type for the indices
-    # per-round buffers, reused: at fig3's 20000 trials a fresh array is
-    # above glibc's mmap threshold, so every round would map and unmap it
-    phases = np.empty(capacity)
-    uniforms = np.empty(capacity)
-    bounds = np.empty(capacity)
-    below = np.empty(capacity, dtype=bool)
-    atoms = drawn = 0  # atoms each live trial has passed; draws so far
-    while live.size:
-        n = live.size
-        # draws per escape so far estimate the mean escape count
-        k = min(capacity // n, max(1, drawn // (2 * max(trials - n, 1))))
-        size = n * k
-        phase = phases[:size]
-        rng.standard_normal(size, out=phase)
-        phase *= theta_sigma
-        phase += theta_center
-        while phase.min() <= 0:
-            bad = phase <= 0
-            phase[bad] = rng.normal(theta_center, theta_sigma, size=int(bad.sum()))
-        u = rng.random(size, out=uniforms[:size])
-        phase *= sqrt_n
-        bound = np.subtract(phase, center, out=bounds[:size])
-        np.abs(bound, out=bound)
-        bound += slack
-        np.square(bound, out=bound)
-        candidates = np.less(u, bound, out=below[:size]).nonzero()[0]
-        # the bounds, then the phases, are free again: the candidates' sin^2
-        # and uniforms go there (mode="clip" takes straight into `out`; the
-        # indices are in range)
-        nc = candidates.size
-        p = np.take(phase, candidates, out=bounds[:nc], mode="clip")
-        np.square(np.sin(p, out=p), out=p)
-        success = np.less(np.take(u, candidates, out=phases[:nc], mode="clip"), p, out=below[:nc])
-        hit = candidates[success]
-        offset = 0
-        if k > 1:  # each trial's first success in its block
-            hit, offset = np.divmod(hit, k)
-            first = np.empty(hit.size, dtype=bool)
-            first[:1] = True
-            np.not_equal(hit[1:], hit[:-1], out=first[1:])
-            hit, offset = hit[first], offset[first]
-        counts[live[hit]] = atoms + 1 + offset
-        keep = below[:n]
-        keep.fill(True)
-        keep[hit] = False
-        live = live[keep]
-        atoms += k
-        drawn += size
-    mean = float(counts.mean())
+    theta_center, theta_sigma, sqrt_n, alpha, beta, q = thinning(spec)
+    share = beta / (alpha + beta)
+    # escaped trials' counts as they escape, then live trials' atoms so far;
+    # reused round buffers (a fresh one per round would be mmapped anew)
+    counts = np.zeros(trials, dtype=np.int64)
+    zs, ts, ss, oks, hits = (np.empty(trials, dtype=d) for d in (float, float, float, bool, bool))
+    done = 0
+    while done < trials:
+        n = trials - done
+        z, t, s, ok = zs[:n], ts[:n], ss[:n], oks[:n]
+        rng.standard_normal(n, out=z)
+        if beta:
+            t += rng.standard_exponential(n, out=t)
+            t += np.square(z, out=s)
+            np.copysign(np.sqrt(t, out=t), z, out=t)
+            np.copyto(z, t, where=np.less(rng.random(n, out=s), share, out=ok))
+        np.add(np.multiply(np.square(z, out=s), beta, out=s), alpha, out=s)
+        np.less(np.multiply(rng.random(n, out=t), s, out=t), 1.0, out=ok)
+        np.add(np.multiply(z, theta_sigma, out=z), theta_center, out=z)  # theta
+        if z.min() <= 0:
+            ok &= z > 0
+        z *= sqrt_n
+        np.square(np.sin(z, out=z), out=z)
+        live = counts[done:]
+        if q < 1.0:
+            cand = np.flatnonzero(ok)
+            live[cand] += rng.geometric(q, size=cand.size)
+        else:
+            live += ok
+        escaped = np.logical_and(np.less(t, z, out=hits[:n]), ok, out=hits[:n])
+        hit, rest = np.flatnonzero(escaped), np.flatnonzero(np.logical_not(escaped, out=ok))
+        live[:hit.size], live[hit.size:] = live[hit], live[rest]
+        done += hit.size
     stderr = float(counts.std(ddof=1) / math.sqrt(trials)) if trials > 1 else math.inf
-    return EscapeEstimate(mean=mean, stderr=stderr, trials=trials)
+    return EscapeEstimate(mean=float(counts.mean()), stderr=stderr, trials=trials)

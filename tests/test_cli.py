@@ -15,11 +15,13 @@ from hypothesis import strategies as st
 from cavityqubits import __version__, cli, protocol, transitions, trapping
 from cavityqubits.cli import (
     MAX_CUTOFF,
+    MAX_QUALITY_WORK,
     MAX_STEP_ROWS,
     MAX_STREAM_WEIGHTS,
     MAX_STREAMS,
     MAX_TRAPPING_ATOMS,
     MAX_TRAPPING_ROUNDS,
+    QUALITY_ATOM_UNITS,
     check_output,
     main,
     run_experiment,
@@ -37,7 +39,7 @@ from cavityqubits.config import (
     parse_int_list,
     split_rng,
 )
-from cavityqubits.trapping import mean_atoms_rel
+from cavityqubits.trapping import escape_mean_rate, mean_atoms_rel
 
 
 def read_rows(path: Path):
@@ -338,7 +340,8 @@ def test_fig4_weight_count_is_bounded(tmp_path, capsys):
     for n_max, runs in ((10, 1000), (10, 20), (10, 10)):
         assert validate(quality_cutoff(n_max, tuple(range(1, 31)), runs)) == []
     limit = MAX_STREAM_WEIGHTS // (MAX_PHOTON_NUMBER + 1)
-    assert validate(quality_cutoff(MAX_PHOTON_NUMBER, (1,), limit)) == []
+    # a budget of 30 atoms keeps its work (MAX_QUALITY_WORK) within bounds
+    assert validate(replace(quality_cutoff(MAX_PHOTON_NUMBER, (1,), limit), atom_budget=30)) == []
     streams = limit + 1
     weights = streams * (MAX_PHOTON_NUMBER + 1)
     message = (
@@ -352,6 +355,54 @@ def test_fig4_weight_count_is_bounded(tmp_path, capsys):
               "--seed", "1", "--out", str(out)])
     assert capsys.readouterr().err.strip().splitlines() == [message]
     assert not out.exists()
+
+
+# fig4 at a tau that traps the n = 1 branch of binomial:2, so every run
+# ends on its cutoff, not on certainty: the costliest fig4 per weight update
+FIG4_TRAPPED = (
+    "experiment = quality-cutoff\ndistribution = binomial:2\natom_budget = 1000000000\n"
+    "tau = 3.14159\nseed = 1\n"
+)
+TRAP_WARNING = (
+    "warning: tau: tau = 3.14159 puts sqrt(2)*gamma*tau at 4.442879185415692 >= pi; "
+    "a trapping point is reachable for some branch"
+)
+
+
+# runs x the atoms each run may pass, 3 x cutoff, x 3 photon numbers, plus
+# 400 per atom: 9.0e11 (hours) and just past the bound
+@pytest.mark.parametrize("runs, cutoff", [(100_000, 1_000_000), (1000, 3922)])
+def test_fig4_work_is_bounded(runs, cutoff, tmp_path, capsys):
+    conf = tmp_path / "exp.conf"
+    conf.write_text(f"{FIG4_TRAPPED}runs = {runs}\ncutoffs = {cutoff}\n")
+    work = 3 * cutoff * (3 * runs + QUALITY_ATOM_UNITS)
+    assert work > MAX_QUALITY_WORK
+    message = (
+        f"error: atom_budget: {runs} runs x {3 * cutoff} atoms x 3 photon numbers, plus "
+        f"{QUALITY_ATOM_UNITS} per atom, = {work} weight updates exceeds the maximum "
+        f"{MAX_QUALITY_WORK}"
+    )
+    assert main(["validate", "--config", str(conf)]) == 1
+    assert capsys.readouterr().out.splitlines() == [message, TRAP_WARNING]
+    out = tmp_path / "q.csv"
+    with pytest.raises(SystemExit, match="invalid configuration"):
+        main(["fig4", "--config", str(conf), "--out", str(out)])
+    assert not out.exists()  # refused, never run
+
+
+def test_fig4_just_inside_the_work_bound_runs_in_seconds(tmp_path, capsys):
+    # 5800 weight updates short of the bound; about 1.6 s on a 2-vCPU host,
+    # where the bound's worst case, a run passing all 3 x cutoff atoms, is
+    # about 5 s
+    conf = tmp_path / "exp.conf"
+    conf.write_text(f"{FIG4_TRAPPED}runs = 1000\ncutoffs = 3921\n")
+    assert MAX_QUALITY_WORK - 5800 == 3 * 3921 * (3 * 1000 + QUALITY_ATOM_UNITS)
+    assert main(["validate", "--config", str(conf)]) == 0
+    out = tmp_path / "q.csv"
+    start = time.perf_counter()
+    assert main(["fig4", "--config", str(conf), "--out", str(out)]) == 0
+    assert time.perf_counter() - start < 30
+    assert check_output(out) == []
 
 
 @pytest.mark.parametrize(
@@ -1102,6 +1153,20 @@ def test_checker_catches_tampering(tmp_path):
     problems = check_output(out)
     assert problems and "a_mean_closed" in problems[0]
     assert main(["check", str(out)]) == 1
+
+
+def test_check_allows_for_the_truncation_at_large_jitter(tmp_path):
+    # sigma_rel = 0.5 truncates Phi(-2), 2.3 %, of the dwell times to
+    # theta > 0, which moves the mean escape count off the closed form's 2
+    # by more than the tail bound of 5e6 trials: only a bound over the
+    # truncation's range of means passes the file
+    out = tmp_path / "fig3.csv"
+    assert main(["fig3", "--sigma-rel", "0.5", "--m", "1", "--trials", "5000000", "--seed", "1",
+                 "--out", str(out)]) == 0
+    _, rows = read_rows(out)
+    mc = float(rows[0][3])
+    assert 5_000_000 * escape_mean_rate(mean_atoms_rel(1, 0.5), mc) > math.log(2 / 1e-6)
+    assert check_output(out) == []
 
 
 @pytest.mark.parametrize("row", [0, 59])  # mean escape counts near 253 and 2

@@ -8,13 +8,13 @@ from scipy import integrate, stats
 
 from cavityqubits.config import split_rng
 from cavityqubits.trapping import (
-    MIN_ROUND_ATOMS,
     EscapeEstimate,
     TrapSpec,
     escape_mean_rate,
     mean_atoms_rel,
     mean_success_prob,
     monte_carlo_escape,
+    thinning,
 )
 
 
@@ -194,53 +194,151 @@ def test_monte_carlo_rejects_degenerate_inputs():
         )
 
 
+@pytest.mark.parametrize("rabi_cycles", [1, 3, 10**9])
+@pytest.mark.parametrize("photon_number", [1, 4])
+@pytest.mark.parametrize("gamma", [1.0, 0.37])
+def test_sin_filter_changes_no_outcome(rabi_cycles, photon_number, gamma):
+    # the thinning skips every atom that is not a candidate, without its
+    # sin^2; that changes no outcome because g bounds the sampler's sin^2.
+    # Thinned cells with c = 2 pi m sigma_rel from small to just below 1,
+    # z densest near 0, where g is smallest
+    tail = np.geomspace(1e-12, 13.0, 400_001)
+    z = np.concatenate((-tail, [0.0], tail))
+    for c in (0.02, 0.2, 0.999):
+        spec = TrapSpec(photon_number, rabi_cycles, c / (2 * math.pi * rabi_cycles), gamma)
+        theta_center, theta_sigma, sqrt_n, alpha, beta, q = thinning(spec)
+        assert beta > 0 and q < 1  # thinned
+        # the truncation edge, where theta crosses 0, and its neighbours
+        edge = -theta_center / theta_sigma
+        edge = np.array([np.nextafter(edge, 0.0), edge, np.nextafter(edge, -np.inf)])
+        for zs in (z, edge):
+            theta = zs * theta_sigma + theta_center  # the sampler's float expressions
+            sin2 = np.square(np.sin(theta * sqrt_n))
+            g = np.minimum(1.0, np.square(zs) * beta + alpha)
+            assert np.all(g[theta > 0] >= sin2[theta > 0])
+
+
+def candidate_share_by_quadrature(spec: TrapSpec) -> float:
+    """E[min(1, alpha + beta z^2) | theta > 0] for `thinning`'s alpha and
+    beta, by quadrature over z > -1/sigma_rel, split where g reaches 1."""
+    *_, alpha, beta, _ = thinning(spec)
+    a = 1.0 / spec.sigma_rel
+    z0 = math.sqrt((1.0 - alpha) / beta) if beta else 0.0
+
+    def density(z):
+        return math.exp(-z * z / 2) / math.sqrt(2 * math.pi)
+
+    def integral(f, lo, hi):
+        value, err = integrate.quad(f, lo, hi, epsabs=0.0, epsrel=1e-13, limit=500)
+        assert err <= 1e-13 * abs(value)
+        return value
+
+    # nothing beyond 40 of either edge counts at double precision
+    edges = [max(-a, -z0 - 40.0), *(e for e in (-z0, z0) if e > -a), z0 + 40.0]
+    candidates = sum(
+        integral(lambda z: min(1.0, alpha + beta * z * z) * density(z), lo, hi)
+        for lo, hi in zip(edges, edges[1:]) if hi > lo
+    )
+    return candidates / integral(density, max(-a, -40.0), 40.0)
+
+
+@pytest.mark.parametrize(
+    "rabi_cycles, sigma_rel",
+    [
+        (1, 0.01),
+        (1, 0.03),
+        (3, 0.05),
+        # c just below 1: g reaches 1 near |z| = 1, and at m = 1 the
+        # truncation drops 1.7e-10 of the mass, more than the tolerance
+        (1, (1 - 2e-6) / (2 * math.pi)),
+        (2, (1 - 2e-6) / (4 * math.pi)),
+        (10**9, 1e-12),  # a slack of 1.5e-5 (16 ulp of 2 pi m) next to c = 6.3e-3
+        (1, 0.5),  # g = 1: every atom is a candidate
+    ],
+)
+@pytest.mark.parametrize("photon_number", [1, 4])
+def test_candidate_share_matches_quadrature(rabi_cycles, sigma_rel, photon_number):
+    spec = TrapSpec(photon_number, rabi_cycles, sigma_rel)
+    q = thinning(spec)[-1]
+    assert q == pytest.approx(candidate_share_by_quadrature(spec), rel=1e-12, abs=0.0)
+
+
 class CountingDraws:
-    """Forwards to a numpy Generator and counts the uniforms and the
-    truncation redraws (`normal` calls) drawn from it."""
+    """Forwards to a numpy Generator and counts the normals drawn from it,
+    one per proposal, and the calls that draw them, one per round."""
 
     def __init__(self, rng: np.random.Generator):
         self.rng = rng
-        self.uniforms = 0
-        self.redraws = 0
+        self.normals = self.rounds = 0
 
-    def normal(self, *args, **kwargs):
-        out = self.rng.normal(*args, **kwargs)
-        self.redraws += out.size
-        return out
-
-    def random(self, *args, **kwargs):
-        out = self.rng.random(*args, **kwargs)
-        self.uniforms += out.size
+    def standard_normal(self, *args, **kwargs):
+        out = self.rng.standard_normal(*args, **kwargs)
+        self.normals += out.size
+        self.rounds += 1
         return out
 
     def __getattr__(self, name):
         return getattr(self.rng, name)
 
 
-def escape_with_every_sin(spec: TrapSpec, trials: int, rng) -> EscapeEstimate:
-    """`monte_carlo_escape`'s rounds and draws, with sin^2 computed for every
-    draw: no filter decides any outcome."""
+def test_thinned_counts_follow_the_geometric_law():
+    # 10^6 trials each of mean mu = 254 and 29: the pooled mean within the
+    # Chernoff bound that `check` puts on a_mean_mc, the pooled variance
+    # within the normal bound of the sample variance of geometric counts,
+    # both at 1e-6 false-alarm probability
+    trials, seeds = 20_000, 50
+    pooled = trials * seeds
+    for sigma_rel in (0.01, 0.03):
+        spec = TrapSpec(photon_number=1, rabi_cycles=1, sigma_rel=sigma_rel)
+        mu = mean_atoms_rel(1, sigma_rel)
+        total = squares = proposals = 0.0
+        for seed in range(seeds):
+            draws = CountingDraws(split_rng(404, seed))
+            estimate = monte_carlo_escape(spec, trials, draws)
+            total += estimate.mean * trials
+            squares += estimate.stderr**2 * trials * (trials - 1) + trials * estimate.mean**2
+            proposals += draws.normals
+        mean = total / pooled
+        variance = (squares - pooled * mean**2) / (pooled - 1)
+        assert pooled * escape_mean_rate(mu, mean) <= math.log(2 / 1e-6)
+        # the geometric law's variance mu (mu - 1), excess kurtosis 6 + p^2 / (1 - p)
+        p = 1 / mu
+        spread = mu * (mu - 1) * math.sqrt((8 + p * p / (1 - p)) / pooled)
+        assert abs(variance - mu * (mu - 1)) <= stats.norm.isf(0.5e-6) * spread
+        # far fewer proposals than atoms: about q mu per trial, against mu
+        assert proposals < 1.1 * thinning(spec)[-1] * mu * pooled < 0.1 * mean * pooled
+
+
+def test_a_slack_near_the_jitter_keeps_the_bound_tight():
+    # at m = 10^11 the slack, 16 ulp of 2 pi m = 2e-3, is a fifth of c =
+    # 0.01 (mean escape count 10^4): alpha + beta = (c + slack)^2 stays near
+    # c^2, so 20 trials take a few rounds, not about 10^4 x (1 + ln 20)
+    spec = TrapSpec(1, 10**11, 0.01 / (2 * math.pi * 10**11))
+    *_, alpha, beta, _ = thinning(spec)
+    assert mean_atoms_rel(10**11, spec.sigma_rel) == pytest.approx(1e4, rel=1e-3)
+    assert alpha + beta < 1.5e-4
+    draws = CountingDraws(split_rng(11))
+    monte_carlo_escape(spec, 20, draws)
+    assert draws.rounds < 50
+
+
+def one_atom_per_round(spec: TrapSpec, trials: int, rng) -> EscapeEstimate:
+    """Every atom drawn, one per live trial per round: a normal, then a
+    uniform; an atom with theta <= 0 is drawn again next round, and any
+    other counts and succeeds iff its uniform is below sin^2(sqrt(n) theta).
+    The escape counts in the order the trials escape."""
     sqrt_n = math.sqrt(spec.photon_number)
     theta_center = 2.0 * math.pi * spec.rabi_cycles / sqrt_n
     theta_sigma = spec.sigma_rel * theta_center
-    capacity = max(trials, MIN_ROUND_ATOMS)
-    counts = np.zeros(trials, dtype=np.int64)
-    live = np.arange(trials)
-    atoms = drawn = 0
+    counts, live, escaped = np.zeros(trials, dtype=np.int64), np.arange(trials), []
     while live.size:
-        n = live.size
-        k = min(capacity // n, max(1, drawn // (2 * max(trials - n, 1))))
-        theta = rng.standard_normal(n * k) * theta_sigma + theta_center
-        while (theta <= 0).any():
-            bad = theta <= 0
-            theta[bad] = rng.normal(theta_center, theta_sigma, size=int(bad.sum()))
-        u = rng.random(n * k)
-        success = (u < np.square(np.sin(theta * sqrt_n))).reshape(n, k)
-        escaped = success.any(axis=1)
-        counts[live[escaped]] = atoms + 1 + success[escaped].argmax(axis=1)
-        live = live[~escaped]
-        atoms += k
-        drawn += n * k
+        theta = rng.standard_normal(live.size) * theta_sigma + theta_center
+        u = rng.random(live.size)
+        counts[live[theta > 0]] += 1
+        success = (theta > 0) & (u < np.square(np.sin(theta * sqrt_n)))
+        escaped.append(counts[live[success]])
+        live = live[~success]
+    counts = np.concatenate(escaped)
     stderr = float(counts.std(ddof=1) / math.sqrt(trials)) if trials > 1 else math.inf
     return EscapeEstimate(mean=float(counts.mean()), stderr=stderr, trials=trials)
 
@@ -248,35 +346,15 @@ def escape_with_every_sin(spec: TrapSpec, trials: int, rng) -> EscapeEstimate:
 @pytest.mark.parametrize("rabi_cycles", [1, 3, 10**9])
 @pytest.mark.parametrize("photon_number", [1, 4])
 @pytest.mark.parametrize("gamma", [1.0, 0.37])
-def test_sin_filter_changes_no_outcome(rabi_cycles, photon_number, gamma):
-    # a mean escape count near 29 at every m, for one trial (blocks grow with
-    # no escape seen) and for many; sigma_rel = 0.5 redraws about 2 % of taus
-    cases = ((0.03 / rabi_cycles, 1), (0.03 / rabi_cycles, 2000), (0.5, 2000))
-    for case, (sigma_rel, trials) in enumerate(cases):
-        spec = TrapSpec(photon_number, rabi_cycles, sigma_rel, gamma)
-        draws = CountingDraws(split_rng(rabi_cycles, photon_number, case))
-        estimate = monte_carlo_escape(spec, trials, draws)
-        assert estimate == escape_with_every_sin(
-            spec, trials, split_rng(rabi_cycles, photon_number, case)
+def test_every_atom_is_a_candidate_when_the_bound_is_one(rabi_cycles, photon_number, gamma):
+    # c >= 1 makes g = 1: no gaps, and the sampler is the plain one, draw
+    # for draw; sigma_rel = 0.5 truncates about 2 % of the draws
+    for case, (c, trials) in enumerate(((1.0, 1), (1.0, 2000), (math.pi, 2000))):
+        spec = TrapSpec(photon_number, rabi_cycles, c / (2 * math.pi * rabi_cycles), gamma)
+        assert thinning(spec)[3:] == (1.0, 0.0, 1.0)
+        assert monte_carlo_escape(spec, trials, split_rng(rabi_cycles, case)) == (
+            one_atom_per_round(spec, trials, split_rng(rabi_cycles, case))
         )
-        assert (draws.redraws > 0) == (sigma_rel == 0.5)
-
-
-def test_block_counts_follow_the_geometric_law():
-    # mean 29: late rounds give each live trial a block of many atoms
-    spec = TrapSpec(photon_number=1, rabi_cycles=1, sigma_rel=0.03)
-    expected = mean_atoms_rel(1, 0.03)
-    trials, seeds = 2000, 50
-    atoms = uniforms = 0
-    for seed in range(seeds):
-        draws = CountingDraws(split_rng(404, seed))
-        atoms += round(monte_carlo_escape(spec, trials, draws).mean * trials)
-        uniforms += draws.uniforms
-    # a draw goes unused only after an escape early in a block of k > 1 atoms
-    assert uniforms > atoms
-    pooled = atoms / (trials * seeds)
-    # within the Chernoff bound that `check` puts on a_mean_mc, at 1e-6
-    assert trials * seeds * escape_mean_rate(expected, pooled) <= math.log(2 / 1e-6)
 
 
 def test_truncation_bias_is_negligible_in_range():
