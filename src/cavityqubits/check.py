@@ -12,21 +12,11 @@ import sys
 from pathlib import Path
 
 from . import cloning, trapping
-from .config import EXPERIMENTS, QUALITY_TABLE, STEP_TABLE, TRAPPING_TABLE, DistributionSpec
+from .config import EXPERIMENTS, QUALITY_TABLE, STEP_TABLE, TRAPPING_TABLE, read_echo
 
 # False-alarm probability of `check`'s bound on a fig3 row's a_mean_mc,
 # split evenly between the two tails.
 MC_FALSE_ALARM = 1e-6
-
-
-def _count(text: str, name: str) -> int:
-    """A metadata count: an int from 1 up to the largest float."""
-    count = int(text)
-    if count < 1:
-        raise ValueError(f"{name} must be >= 1, got {count}")
-    if count > sys.float_info.max:
-        raise ValueError(f"{name} must be at most {sys.float_info.max!r}")
-    return count
 
 
 def check_output(path: Path) -> list[str]:
@@ -54,32 +44,19 @@ def _check(file) -> list[str]:
     header = next(rows, [])
     if not metadata and not header:
         return ["empty file"]
-    required = ("version", "rng", "seed", "experiment", "distribution")
-    if problems := [f"metadata key {key!r} missing" for key in required if key not in metadata]:
-        return problems
-    experiment = EXPERIMENTS.get(metadata["experiment"])
-    if experiment is None:
-        return [f"metadata: unknown experiment {metadata['experiment']!r}"]
-    table = experiment.table
-    required = {QUALITY_TABLE: ("cutoffs", "runs"), STEP_TABLE: ("transferred_total",)}
-    if problems := [
-        f"metadata key {key!r} missing" for key in required.get(table, ()) if key not in metadata
-    ]:
-        return problems
+    config, problems = read_echo(metadata)
+    if problems:
+        return [f"metadata: {problem}" for problem in problems]
+    table = EXPERIMENTS[config.experiment].table
+    if table is STEP_TABLE and "transferred_total" not in metadata:
+        return ["metadata: transferred_total: missing"]
     try:
-        dist = DistributionSpec.parse(metadata["distribution"])
-        configured, n_max = dist.resolve(), dist.max_photon_number()
-        n_originals = int(metadata.get("n_originals", "1"))
-        # the bounds take these counts as floats
-        trials = _count(metadata.get("trials", "1"), "trials")
-        if table is QUALITY_TABLE:
-            runs = _count(metadata["runs"], "runs")
-            # written as a comma list, so parsing it cannot expand a range
-            cutoffs = [int(c) for c in metadata["cutoffs"].split(",")]
-        if table is STEP_TABLE:
+        configured = config.initial_weights()
+        if table is STEP_TABLE:  # the run's count of transfers, not a config key
             transferred_total = int(metadata["transferred_total"])
     except ValueError as exc:
         return [f"metadata: {exc}"]
+    n_max, runs, cutoffs = config.distribution.max_photon_number(), config.runs, config.cutoffs
     if header != [name for name, _ in table]:
         return [f"unexpected header {header}" if header else "no header row"]
     if (first := next(rows, None)) is None:
@@ -120,15 +97,15 @@ def _check(file) -> list[str]:
             p0 = math.erfc(1.0 / (sigma_rel * math.sqrt(2.0))) / 2 if sigma_rel else 0.0
             lo, hi = expected * (1.0 - p0), (1.0 - p0) / (p - p0) if p > p0 else math.inf
             nearest = min(mc, hi) if mc > lo else lo  # lo for a NaN
-            if not trials * trapping.escape_mean_rate(nearest, mc) <= tail_exponent:
+            if not config.trials * trapping.escape_mean_rate(nearest, mc) <= tail_exponent:
                 problems.append(
                     f"row {i}: a_mean_mc {mc!r} is outside the {MC_FALSE_ALARM:g} tail bound "
-                    f"of {trials} trials around a_mean_closed {expected!r}"
+                    f"of {config.trials} trials around a_mean_closed {expected!r}"
                 )
     elif table is QUALITY_TABLE:
         # the largest sample standard deviation of `runs` values in [0, 1.5],
-        # half at each end, over sqrt(runs)
-        stderr_max = 0.75 / math.sqrt(runs - 1) if runs > 1 else 0.0
+        # half at each end, over sqrt(runs), or over sqrt(the largest float)
+        stderr_max = 0.75 / math.sqrt(min(runs - 1, sys.float_info.max)) if runs > 1 else 0.0
         rows = list(rows)  # one per cutoff: at most cli.MAX_STREAMS
         good = 0
         for i, (cutoff, mean_quality, stderr, row_n_max) in parsed(rows):
@@ -176,7 +153,7 @@ def _check(file) -> list[str]:
             if m is not None and low < m:
                 problems.append(f"step {step}: p_n {p_low!r} at n = {low} < transferred {m}")
             try:
-                expected = float(cloning.atom_fidelity(ns, ps, n_originals))
+                expected = float(cloning.atom_fidelity(ns, ps, config.n_originals))
             except ValueError as exc:
                 problems.append(f"step {step}: cannot recompute F_atom: {exc}")
                 continue

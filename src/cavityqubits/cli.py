@@ -33,9 +33,7 @@ from .config import (
     JITTERED,
     KEYS,
     OUTDIR_ENV,
-    POLICIES,
     QUALITY_TABLE,
-    STEP_TABLE,
     TIMED_POLICIES,
     TRAPPING_TABLE,
     DistributionSpec,
@@ -43,6 +41,7 @@ from .config import (
     parse_config_file,
     parse_float_list,
     split_rng,
+    value_problem,
 )
 
 DEFAULT_SIGMA_REL_GRID = tuple(parse_float_list("0.01:0.20:0.01"))
@@ -71,10 +70,6 @@ QUALITY_ATOM_UNITS = 400
 # that measured 51 and 99 MB peak RSS at 1000 and 4000 atoms, and `check`
 # reads either file in 30 MB.
 MAX_STEP_ROWS = 10_011_001
-
-# Largest cutoff a run may take. It keeps every cutoff well inside int64,
-# and it stays where it was, so the set of accepted configs does not change.
-MAX_CUTOFF = 1_000_000
 
 # Most atoms one fig3 grid may send, as `trials` x the closed-form mean
 # escape counts of its cells: about 8x the script default (20000 trials x
@@ -105,12 +100,6 @@ MAX_PHASE = 2**40
 # uniform); `validate` bounds the Rabi phase out to this many.
 NORMAL_DRAW_SPAN = 16.0
 
-# the config keys the largest Rabi phase is computed from
-PHASE_KEYS = {
-    "distribution", "gamma", "policy", "tau", "sigma_rel", "sigma_rel_values",
-    "rabi_cycles_values", "trap_photon_number",
-}
-
 # subcommand -> experiment
 COMMANDS = {e.command: name for name, e in EXPERIMENTS.items()}
 
@@ -137,8 +126,6 @@ def _trapping_work(trials: int, rabi_cycles_values, sigma_rels) -> tuple[float, 
         )
     except ZeroDivisionError:  # 1 - exp(-x) rounds to 0 for a tiny jitter
         means = math.inf
-    # capped below where an int's float conversion raises; far above any bound
-    trials = float(min(trials, 2**1023))
     return trials * means, (1.0 + math.log(trials)) * means
 
 
@@ -162,8 +149,11 @@ def _largest_phase(config: ExperimentConfig, table, n: int) -> float:
 
 
 def validate(config: ExperimentConfig) -> list[Diagnostic]:
-    """Pure configuration check; never runs anything."""
-    diags: list[Diagnostic] = []
+    """Pure configuration check; never runs anything. Each key's own range
+    is `config.value_problem`'s; the rules here involve more than one key."""
+    problems = ((key, value_problem(key, getattr(config, key))) for key in KEYS)
+    diags = [Diagnostic("error", key, problem) for key, problem in problems if problem]
+    invalid = {d.field for d in diags}  # the keys whose own value is wrong
 
     def error(field: str, msg: str) -> None:
         diags.append(Diagnostic("error", field, msg))
@@ -171,12 +161,6 @@ def validate(config: ExperimentConfig) -> list[Diagnostic]:
     def warn(field: str, msg: str) -> None:
         diags.append(Diagnostic("warning", field, msg))
 
-    for key, meta in KEYS.items():
-        value = getattr(config, key)
-        if meta["choices"] and value not in meta["choices"]:
-            error(key, f"unknown {key} {value!r}")
-        elif meta["parse"] is float and value is not None and not math.isfinite(value):
-            error(key, f"must be finite, got {value!r}")
     experiment = EXPERIMENTS.get(config.experiment)
     table = experiment.table if experiment else None
     try:
@@ -191,16 +175,12 @@ def validate(config: ExperimentConfig) -> list[Diagnostic]:
         n_min = min(occupied)
         if n_min < 1:
             error("distribution", "clone-fidelity tracking needs every branch at n >= 1")
-        elif config.n_originals > n_min:
+        elif "n_originals" not in invalid and config.n_originals > n_min:
             error(
                 "n_originals",
                 f"{config.n_originals} exceeds the smallest occupied photon number {n_min}",
             )
-    if not config.gamma > 0:
-        error("gamma", f"must be positive, got {config.gamma}")
-    if config.sigma_rel < 0:
-        error("sigma_rel", f"must be non-negative, got {config.sigma_rel}")
-    if experiment and config.policy in POLICIES and config.policy not in experiment.policies:
+    if experiment and "policy" not in invalid and config.policy not in experiment.policies:
         error(
             "policy",
             f"{config.experiment} runs only {', '.join(experiment.policies)}, "
@@ -212,52 +192,24 @@ def validate(config: ExperimentConfig) -> list[Diagnostic]:
             f"{config.policy} needs a single known photon number, the distribution has "
             f"{len(occupied)} occupied branches",
         )
-    if config.tau is not None and not config.tau > 0:
-        error("tau", f"must be positive, got {config.tau}")
-    if config.cutoff < 1:
-        error("cutoff", f"must be >= 1, got {config.cutoff}")
-    elif config.cutoff > MAX_CUTOFF:
-        error("cutoff", f"{config.cutoff} exceeds the maximum {MAX_CUTOFF}")
-    if config.atom_budget < 1:
-        error("atom_budget", f"must be >= 1, got {config.atom_budget}")
-    if config.trials < 1:
-        error("trials", f"must be >= 1, got {config.trials}")
-    if config.runs < 1:
-        error("runs", f"must be >= 1, got {config.runs}")
-    if config.n_originals < 1:
-        error("n_originals", f"must be >= 1, got {config.n_originals}")
-    if config.seed is None:
-        error("seed", "a master seed is required for reproducible runs")
-    elif config.seed < 0:
-        error("seed", f"must be non-negative, got {config.seed}")
-    if table is TRAPPING_TABLE:
-        cycles = config.rabi_cycles_values
-        sigma_rels = config.sigma_rel_values or DEFAULT_SIGMA_REL_GRID
-        if not all(0 < s < math.inf for s in sigma_rels):  # NaN or inf never escapes
-            error("sigma_rel_values", "jitter values must be positive and finite")
-        if not cycles:
-            error("rabi_cycles_values", "needs at least one Rabi cycle count")
-        elif not all(m >= 1 for m in cycles):
-            error("rabi_cycles_values", "Rabi cycle counts must be >= 1")
-        if config.trap_photon_number < 1:
-            error("trap_photon_number", f"must be >= 1, got {config.trap_photon_number}")
 
     # one bound covers every overflow of the Rabi phase, and its resolution;
-    # it is checked once nothing it is computed from has an error
-    n = config.trap_photon_number if table is TRAPPING_TABLE else max(occupied, default=0)
-    phase_ok = False
-    if table and not any(d.field in PHASE_KEYS for d in diags):
-        phase = _largest_phase(config, table, n)
-        phase_ok = phase <= MAX_PHASE
-        if not phase_ok:
-            error(
-                "Rabi phase",
-                f"sqrt({n})*gamma*tau can reach {phase:.3g}, above the maximum 2^40, "
-                "where adjacent floats are 2^-12 apart",
-            )
-    if table is TRAPPING_TABLE and phase_ok and config.trials >= 1:
+    # it and the prices of the work are computed once the config has no error
+    if diags:
+        return diags
+    n = config.trap_photon_number if table is TRAPPING_TABLE else max(occupied)
+    phase = _largest_phase(config, table, n)
+    if phase > MAX_PHASE:
+        error(
+            "Rabi phase",
+            f"sqrt({n})*gamma*tau can reach {phase:.3g}, above the maximum 2^40, "
+            "where adjacent floats are 2^-12 apart",
+        )
+        return diags
+    if table is TRAPPING_TABLE:
         # the phase bound keeps each cycle count and jitter squarable as a float
-        atoms, rounds = _trapping_work(config.trials, cycles, sigma_rels)
+        sigma_rels = config.sigma_rel_values or DEFAULT_SIGMA_REL_GRID
+        atoms, rounds = _trapping_work(config.trials, config.rabi_cycles_values, sigma_rels)
         if atoms > MAX_TRAPPING_ATOMS:
             error(
                 "trials",
@@ -271,17 +223,12 @@ def validate(config: ExperimentConfig) -> list[Diagnostic]:
                 f"{rounds:.3g} Monte Carlo rounds exceeds the maximum "
                 f"{MAX_TRAPPING_ROUNDS:.3g}",
             )
+        return diags
+    # each excitation ends a ground streak, so a run ends within n_max + 1 streaks
+    branches = max(weights) + 1
     if table is QUALITY_TABLE:
-        if not config.cutoffs:
-            error("cutoffs", "needs at least one cutoff")
-        elif any(c < 1 for c in config.cutoffs):
-            error("cutoffs", "cutoff values must be >= 1")
-        elif max(config.cutoffs) > MAX_CUTOFF:
-            error("cutoffs", f"{max(config.cutoffs)} exceeds the maximum {MAX_CUTOFF}")
         streams = len(config.cutoffs) * config.runs
-        branches = config.distribution.max_photon_number() + 1
-        # each excitation ends a ground streak, so a run ends within n_max + 1 streaks
-        atoms = min(config.atom_budget, branches * max(config.cutoffs, default=0))
+        atoms = min(config.atom_budget, branches * max(config.cutoffs))
         work = atoms * (config.runs * branches + QUALITY_ATOM_UNITS)
         if streams > MAX_STREAMS:
             error(
@@ -295,18 +242,15 @@ def validate(config: ExperimentConfig) -> list[Diagnostic]:
                 f"{streams} streams x {branches} photon numbers = {streams * branches} "
                 f"weights exceeds the maximum {MAX_STREAM_WEIGHTS}",
             )
-        # priced once the counts it is computed from are valid
-        elif work > MAX_QUALITY_WORK and not any(d.level == "error" for d in diags):
+        elif work > MAX_QUALITY_WORK:
             error(
                 "atom_budget",
                 f"{config.runs} runs x {atoms} atoms x {branches} photon numbers, plus "
                 f"{QUALITY_ATOM_UNITS} per atom, = {work} weight updates exceeds the maximum "
                 f"{MAX_QUALITY_WORK}",
             )
-
-    if table is STEP_TABLE and weights and config.cutoff >= 1 and config.atom_budget >= 1:
-        # each excitation ends a ground streak, so a run ends within n_max + 1 streaks
-        steps = min(config.atom_budget, (max(weights) + 1) * config.cutoff) + 1
+    else:
+        steps = min(config.atom_budget, branches * config.cutoff) + 1
         rows = steps * len(weights)
         if rows > MAX_STEP_ROWS:
             error(
@@ -317,7 +261,7 @@ def validate(config: ExperimentConfig) -> list[Diagnostic]:
 
     # a fixed tau that puts the top branch's phase at pi or beyond can hit a
     # trapping point of some occupied branch and stall the run
-    if phase_ok and table is not TRAPPING_TABLE and config.policy in TIMED_POLICIES and config.tau:
+    if config.policy in TIMED_POLICIES and config.tau:
         top = math.sqrt(n) * config.gamma * config.tau
         if top >= math.pi:
             warn(
@@ -532,13 +476,10 @@ def _add_subcommand(subs, command: str, help: str, keys) -> None:
     sub.add_argument("--config", help="key = value config file; flags override it")
     sub.add_argument("--nmax", type=int, help="shorthand for --dist binomial:NMAX")
     for key in [*(k for k, meta in KEYS.items() if meta["common"]), *keys]:
-        parse = KEYS[key]["parse"]
+        meta = KEYS[key]
+        parse = meta["parse"] if isinstance(meta["parse"], type) else _flag_type(meta["parse"])
         sub.add_argument(
-            KEYS[key]["flag"],
-            dest=key,
-            type=parse if isinstance(parse, type) else _flag_type(parse),
-            choices=KEYS[key]["choices"],
-            help=KEYS[key]["help"],
+            meta["flag"], dest=key, type=parse, choices=meta["choices"], help=meta["help"]
         )
 
 

@@ -2,7 +2,7 @@
 
 `EXPERIMENTS`, `POLICIES` and the `ExperimentConfig` fields (`KEYS`) are
 the one table of experiment names, policy names and config keys that the
-CLI's flags, config-file parsers, name checks and dispatch derive from.
+CLI's flags, parsers, range checks, dispatch and `check`'s echo reader use.
 
 Config files are plain text, one `key = value` per line, `#` comments;
 command-line flags override file values. Every stochastic experiment
@@ -12,6 +12,7 @@ requires an explicit master seed, and derived streams always come from
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, fields
 from pathlib import Path
 from typing import Mapping
@@ -34,6 +35,19 @@ MAX_PHOTON_NUMBER = 1000
 # more: fig4 takes at most `cli.MAX_STREAMS` cutoffs, and each fig3 cell
 # costs at least 2 of `cli.MAX_TRAPPING_ROUNDS` Monte Carlo rounds.
 MAX_RANGE_VALUES = 1_000_000
+
+# Largest cutoff a run may take. It keeps every cutoff well inside int64,
+# and it stays where it was, so the set of accepted configs does not change.
+MAX_CUTOFF = 1_000_000
+
+# Most Monte Carlo trials of one fig3 cell, about 48 bytes each in
+# `trapping.monte_carlo_escape`: `fig3 --sigma-rel 0.5 --m 1 --trials 5000000`
+# peaks at 274 MB RSS on a 2-vCPU x86 host, and two such cells at once at 508 MB.
+MAX_TRIALS = 5_000_000
+
+# lower bounds of a config key's number, or of each number of its tuple:
+# (least value, whether it is allowed, the rule's text); a count is >= 1
+POSITIVE, NON_NEGATIVE, COUNT = (0, False, "positive"), (0, True, "non-negative"), (1, True, ">= 1")
 
 
 def split_rng(seed: int, *stream: int) -> np.random.Generator:
@@ -159,11 +173,14 @@ EXPERIMENTS = {
 }
 
 
-def _key(default, parse, flag: str, help: str, choices=None, common: bool = False):
+def _key(default, parse, flag, help, choices=None, common=False, low=None, high=None, missing=None):
     """An `ExperimentConfig` field that is a config key, with the parser of
-    its text value, its CLI flag and help, its allowed values, and whether
-    every subcommand takes it."""
-    meta = {"parse": parse, "flag": flag, "help": help, "choices": choices, "common": common}
+    its text value, its CLI flag and help, its allowed values, whether every
+    subcommand takes it, and its range: the lower bound `low` and maximum
+    `high` of a number, or of each number of a tuple, and the problem with a
+    None or an empty tuple, if that is one."""
+    meta = dict(default=default, parse=parse, flag=flag, help=help, choices=choices)
+    meta.update(common=common, low=low, high=high, missing=missing)
     return field(default=default, metadata=meta)
 
 
@@ -182,35 +199,54 @@ class ExperimentConfig:
     )
     # taus are in units of 1/gamma
     gamma: float = _key(
-        1.0, float, "--gamma", "coupling constant, defines the time unit", common=True
+        1.0, float, "--gamma", "coupling constant, defines the time unit", common=True, low=POSITIVE
     )
     policy: str = _key(FIXED, str, "--policy", "interaction-time policy", POLICIES)
     # None -> optimum for the initial mixture
-    tau: float | None = _key(None, float, "--tau", "fixed interaction time (default: optimal)")
-    sigma_rel: float = _key(0.0, float, "--sigma-rel", "relative jitter of the jittered policy")
-    cutoff: int = _key(20, int, "--cutoff", "consecutive ground measurements before stopping")
-    atom_budget: int = _key(10_000, int, "--budget", "maximum atoms to send per run")
-    seed: int | None = _key(None, int, "--seed", "master RNG seed (required to run)", common=True)
+    tau: float | None = _key(
+        None, float, "--tau", "fixed interaction time (default: optimal)", low=POSITIVE
+    )
+    sigma_rel: float = _key(
+        0.0, float, "--sigma-rel", "relative jitter of the jittered policy", low=NON_NEGATIVE
+    )
+    cutoff: int = _key(
+        20, int, "--cutoff", "consecutive ground measurements before stopping", low=COUNT,
+        high=MAX_CUTOFF,
+    )
+    atom_budget: int = _key(10_000, int, "--budget", "maximum atoms to send per run", low=COUNT)
+    seed: int | None = _key(
+        None, int, "--seed", "master RNG seed (required to run)", common=True, low=NON_NEGATIVE,
+        missing="a master seed is required for reproducible runs",
+    )
     out: str | None = _key(
         None, str, "--out", f"output CSV path (default ${OUTDIR_ENV}/<experiment>.csv)",
         common=True,
     )
-    n_originals: int = _key(1, int, "--n-originals", "cloner input count")
-    # trapping-curve grid
+    # never above the smallest occupied photon number
+    n_originals: int = _key(
+        1, int, "--n-originals", "cloner input count", low=COUNT, high=MAX_PHOTON_NUMBER
+    )
+    # trapping-curve grid; no jitter values means the default grid
     sigma_rel_values: tuple[float, ...] = _key(
-        (), lambda s: tuple(parse_float_list(s)), "--sigma-rel", "jitter grid, e.g. 0.01:0.20:0.01"
+        (), lambda s: tuple(parse_float_list(s)), "--sigma-rel", "jitter grid, e.g. 0.01:0.20:0.01",
+        low=POSITIVE,
     )
     rabi_cycles_values: tuple[int, ...] = _key(
-        (1, 2, 3), lambda s: tuple(parse_int_list(s)), "--m", "Rabi-cycle counts, e.g. 1,2,3"
+        (1, 2, 3), lambda s: tuple(parse_int_list(s)), "--m", "Rabi-cycle counts, e.g. 1,2,3",
+        low=COUNT, missing="needs at least one Rabi cycle count",
     )
-    trap_photon_number: int = _key(1, int, "--n", "photon number for the Monte Carlo")
-    trials: int = _key(10_000, int, "--trials", "Monte Carlo trials per grid cell")
+    trap_photon_number: int = _key(
+        1, int, "--n", "photon number for the Monte Carlo", low=COUNT, high=MAX_PHOTON_NUMBER
+    )
+    trials: int = _key(
+        10_000, int, "--trials", "Monte Carlo trials per grid cell", low=COUNT, high=MAX_TRIALS
+    )
     # quality-cutoff grid
     cutoffs: tuple[int, ...] = _key(
         tuple(range(1, 31)), lambda s: tuple(parse_int_list(s)), "--cutoffs",
-        "cutoff grid, e.g. 1..30",
+        "cutoff grid, e.g. 1..30", low=COUNT, high=MAX_CUTOFF, missing="needs at least one cutoff",
     )
-    runs: int = _key(1000, int, "--runs", "repetitions per cutoff")
+    runs: int = _key(1000, int, "--runs", "repetitions per cutoff", low=COUNT)
 
     def initial_weights(self) -> dict[int, float]:
         return self.distribution.resolve()
@@ -238,21 +274,65 @@ class ExperimentConfig:
 
     def metadata(self, version: str) -> list[tuple[str, str]]:
         """Config echo for the CSV header block (deterministic order)."""
-        items: list[tuple[str, str]] = [("version", version), ("rng", RNG_DESCRIPTION)]
-        for f in fields(self):
-            value = getattr(self, f.name)
-            if isinstance(value, DistributionSpec):
-                value = value.describe()
-            elif isinstance(value, tuple):
-                value = ",".join(repr(v) if isinstance(v, float) else str(v) for v in value)
-            elif isinstance(value, float):
-                value = repr(value)
-            items.append((f.name, str(value)))
-        return items
+        keys = [(f.name, _echo(getattr(self, f.name))) for f in fields(self)]
+        return [("version", version), ("rng", RNG_DESCRIPTION), *keys]
 
 
-# config key -> its parser, flag, help, choices and whether it is common
+# config key -> its default, parser, flag, help, choices, commonness and range
 KEYS = {f.name: f.metadata for f in fields(ExperimentConfig)}
+
+
+def _echo(value) -> str:
+    """A config value as the metadata block writes it."""
+    if isinstance(value, DistributionSpec):
+        return value.describe()
+    if isinstance(value, tuple):
+        return ",".join(map(_echo, value))
+    return repr(value) if isinstance(value, float) else str(value)
+
+
+def value_problem(key: str, value) -> str | None:
+    """What is wrong with `value` as config key `key`, or None: a value not
+    among its choices, a None or empty tuple it does not allow, or a number
+    (or a tuple's number) that is not finite or not in its range."""
+    meta = KEYS[key]
+    if meta["choices"]:
+        return None if value in meta["choices"] else f"unknown {key} {value!r}"
+    if value is None or value == ():
+        return meta["missing"]
+    if meta["low"] is None:
+        return None
+    (least, allowed, rule), high = meta["low"], meta["high"]
+    for v in value if isinstance(value, tuple) else (value,):
+        if isinstance(v, float) and not math.isfinite(v):
+            return f"must be finite, got {v!r}"
+        if v < least or v == least and not allowed:
+            return f"must be {rule}, got {v!r}"
+        if high is not None and v > high:
+            return f"{v} exceeds the maximum {high}"
+    return None
+
+
+def read_echo(echo: Mapping[str, str]) -> tuple[ExperimentConfig | None, list[str]]:
+    """The config a CSV's metadata block echoes, None if it has problems,
+    and its problems as 'key: message'. Each key is read by its parser, or
+    as its unset default (None, the empty tuple) where it echoes that, is
+    checked by `value_problem`, and must echo back to its own text."""
+    problems = [f"{key}: missing" for key in ("version", "rng", *KEYS) if key not in echo]
+    values = {}
+    for key, text in [(key, echo[key]) for key in KEYS if key in echo]:
+        default = KEYS[key]["default"]
+        try:
+            unset = default in (None, ()) and text == _echo(default)
+            values[key] = value = default if unset else KEYS[key]["parse"](text)
+            problem = value_problem(key, value)
+            if problem is None and _echo(value) != text:
+                problem = f"{text!r} echoes back as {_echo(value)!r}"
+        except ValueError as exc:
+            problem = str(exc)
+        if problem:
+            problems.append(f"{key}: {problem}")
+    return (None if problems else ExperimentConfig(**values)), problems
 
 
 def parse_config_file(path: str | Path) -> dict[str, str]:

@@ -14,7 +14,6 @@ from hypothesis import strategies as st
 
 from cavityqubits import __version__, cli, protocol, transitions, trapping
 from cavityqubits.cli import (
-    MAX_CUTOFF,
     MAX_QUALITY_WORK,
     MAX_STEP_ROWS,
     MAX_STREAM_WEIGHTS,
@@ -29,8 +28,10 @@ from cavityqubits.cli import (
 )
 from cavityqubits.cloning import binomial_distribution, quality
 from cavityqubits.config import (
+    MAX_CUTOFF,
     MAX_PHOTON_NUMBER,
     MAX_RANGE_VALUES,
+    MAX_TRIALS,
     POLICIES,
     DistributionSpec,
     ExperimentConfig,
@@ -536,7 +537,7 @@ def test_fig3_jitter_must_be_finite(value, tmp_path, capsys):
     conf.write_text(f"experiment = trapping-curves\nseed = 1\nsigma_rel_values = {value}\n")
     assert main(["validate", "--config", str(conf)]) == 1
     assert capsys.readouterr().out.splitlines() == [
-        "error: sigma_rel_values: jitter values must be positive and finite"
+        f"error: sigma_rel_values: must be finite, got {float(value)!r}"
     ]
 
 
@@ -554,7 +555,7 @@ def phase_error(n, phase):
         (["fig2", "--gamma", "inf"], ["error: gamma: must be finite, got inf"]),
         (
             ["fig2", "--gamma", "nan"],
-            ["error: gamma: must be finite, got nan", "error: gamma: must be positive, got nan"],
+            ["error: gamma: must be finite, got nan"],
         ),
         # these three ran and wrote NaN weights or all-zero qualities
         (["fig2", "--tau", "inf"], ["error: tau: must be finite, got inf"]),
@@ -563,7 +564,7 @@ def phase_error(n, phase):
         (["fig4", "--tau", "inf", "--runs", "2"], ["error: tau: must be finite, got inf"]),
         (
             ["custom", "--tau", "nan"],
-            ["error: tau: must be finite, got nan", "error: tau: must be positive, got nan"],
+            ["error: tau: must be finite, got nan"],
         ),
         # finite values whose time scale or Rabi frequency overflows: pi/gamma
         # = inf emptied optimal_tau's grid (a traceback), an infinite
@@ -647,8 +648,7 @@ def test_huge_trials_are_config_errors(tmp_path, capsys):
         main(["fig3", "--trials", str(10**400), "--seed", "1", "--out", str(out)])
     err = capsys.readouterr().err.splitlines()
     assert [line for line in err if line.startswith("error")] == [
-        f"error: trials: {10**400} trials x the grid's mean escape counts = inf atoms "
-        "exceeds the maximum 1e+08"
+        f"error: trials: {10**400} exceeds the maximum {MAX_TRIALS}"
     ]
     assert not out.exists()
 
@@ -1191,8 +1191,8 @@ def test_checker_bounds_the_monte_carlo_escape_mean(row, shift, tmp_path):
 
 @pytest.mark.parametrize(
     "trials, problem",
-    [("0", "trials must be >= 1, got 0"),
-     ("9" * 401, f"trials must be at most {sys.float_info.max!r}")],  # no float holds it
+    [("0", "trials: must be >= 1, got 0"),
+     ("9" * 401, f"trials: {'9' * 401} exceeds the maximum {MAX_TRIALS}")],  # no float holds it
     ids=["zero", "401-digits"],
 )
 def test_check_reports_an_unusable_trials_count(trials, problem, tmp_path, capsys):
@@ -1292,7 +1292,7 @@ def test_checker_verifies_the_transferred_column(tmp_path):
     out.write_text(good.replace("# transferred_total = 2", "# transferred_total = 3"))
     assert check_output(out) == ["transferred 2 at the last step != transferred_total 3"]
     out.write_text(good.replace("# transferred_total = 2\n", ""))
-    assert check_output(out) == ["metadata key 'transferred_total' missing"]
+    assert check_output(out) == ["metadata: transferred_total: missing"]
 
 
 def test_check_reads_step_groups_in_the_order_they_are_written(tmp_path):
@@ -1391,18 +1391,23 @@ def test_check_ties_fig4_cutoffs_and_stderr_to_the_metadata(fig4_csv, tmp_path):
     path = tmp_path / "short.csv"
     path.write_text("\n".join(lines[:-1]) + "\n")
     assert check_output(path) == ["2 rows, but metadata lists 3 cutoffs"]
-    for key, value, problem in [
-        ("runs", None, "metadata key 'runs' missing"),
-        ("cutoffs", None, "metadata key 'cutoffs' missing"),
-        ("runs", "0", "metadata: runs must be >= 1, got 0"),
-        ("runs", "1" + "0" * 400, f"metadata: runs must be at most {sys.float_info.max!r}"),
-        ("cutoffs", "1..3", "metadata: invalid literal for int() with base 10: '1..3'"),
+    huge = 10**400  # beyond the float range: bounded at the largest float, no traceback
+    bound = 0.75 / math.sqrt(sys.float_info.max)
+    for key, value, problems in [
+        ("runs", None, ["metadata: runs: missing"]),
+        ("cutoffs", None, ["metadata: cutoffs: missing"]),
+        ("runs", "0", ["metadata: runs: must be >= 1, got 0"]),
+        ("runs", str(huge), [
+            f"row {i}: stderr {float(line.split(',')[2])!r} outside [0, {bound!r}] for {huge} runs"
+            for i, line in enumerate(lines[first:])
+        ]),
+        ("cutoffs", "1..3", ["metadata: cutoffs: '1..3' echoes back as '1,2,3'"]),
     ]:
         text = [line for line in lines if not line.startswith(f"# {key} =")]
         if value is not None:
             text.insert(1, f"# {key} = {value}")
         path.write_text("\n".join(text) + "\n")
-        assert check_output(path) == [problem], key
+        assert check_output(path) == problems, key
 
 
 def test_check_wants_zero_stderr_from_one_run(tmp_path):
@@ -1437,7 +1442,7 @@ def damaged_files(good: Path):
         ("file-order", meta + header + "7," + rows[0].partition(",")[2] + "\n1,0.9\n" + rows[2]
          + "\n", ["row 0: cutoff 7 != metadata cutoff 1", "row 1: 2 fields, expected 4"]),
         ("bad-distribution", meta.replace("binomial:4", "binomial:x") + header + rows[0] + "\n",
-         ["metadata: invalid literal for int() with base 10: 'x'"]),
+         ["metadata: distribution: invalid literal for int() with base 10: 'x'"]),
     ]
 
 
