@@ -72,22 +72,16 @@ QUALITY_ATOM_UNITS = 400
 MAX_STEP_ROWS = 10_011_001
 
 # Most atoms one fig3 grid may send, as `trials` x the closed-form mean
-# escape counts of its cells: about 8x the script default (20000 trials x
-# 635 = 1.3e7). Each trial keeps drawing until it escapes, and the mean
-# escape count grows as 1/sigma_rel^2 for small jitter. The bound is
-# conservative: `monte_carlo_escape` draws only candidate atoms, at the
-# script default 2.1e6 proposals for 1.3e7 atoms.
+# escape counts of its cells (1/sigma_rel^2 at small jitter): about 8x the
+# script default (20000 x 635 = 1.3e7), and far inside int64.
 MAX_TRAPPING_ATOMS = 100_000_000
 
-# Most Monte Carlo rounds one fig3 grid may take, about 100x the script
-# default (6900). Giving each live trial one atom per round, a cell runs
-# until its last trial escapes, about mean x (1 + ln trials) rounds of
-# about 20 us each, so the bound is about 15 s. The bound is conservative:
-# each round of `monte_carlo_escape` gives each live trial one proposal,
-# which escapes with probability about p / (alpha + beta): above 0.2 at
-# small m, above 0.14 in any accepted cell, where the phase's slack is at
-# most 1.7x the jitter c (749 rounds in all at the script default).
-MAX_TRAPPING_ROUNDS = 700_000
+# Most Monte Carlo proposals one fig3 grid may draw, per cell trials x its
+# mean escape count x `thinning`'s alpha + beta, plus TRAPPING_CELL_PROPOSALS:
+# 22x the script default (2.11e6 + 60 x 2000). On one worker of a 2-vCPU host
+# a proposal takes 40 to 80 ns and a one-trial cell 80 us: the bound is 2-4 s.
+MAX_TRAPPING_PROPOSALS = 50_000_000
+TRAPPING_CELL_PROPOSALS = 2000
 
 # Largest Rabi phase sqrt(n)*gamma*tau a run may reach. Below 2^40 adjacent
 # floats are at most 2^-12 apart, small next to the period pi of sin^2;
@@ -114,19 +108,21 @@ class Diagnostic:
         return f"{self.level}: {self.field}: {self.message}"
 
 
-def _trapping_work(trials: int, rabi_cycles_values, sigma_rels) -> tuple[float, float]:
-    """Atoms the fig3 grid is expected to send and Monte Carlo rounds it
-    would take at one atom per live trial per round: the closed-form mean
-    escape counts of its (m_rabi, sigma_rel) cells, summed, times `trials`
-    and 1 + ln `trials`. The thinned sampler draws a proposal per candidate,
-    not per atom, and takes fewer rounds, so both over-count its work."""
+def _trapping_work(config: ExperimentConfig, sigma_rels) -> tuple[float, float]:
+    """Atoms the fig3 grid is expected to send and Monte Carlo proposals it is
+    expected to draw, as MAX_TRAPPING_ATOMS and MAX_TRAPPING_PROPOSALS price
+    them; a grid of more cells than the proposal bound pays for is not summed."""
+    calls = len(config.rabi_cycles_values) * len(sigma_rels) * TRAPPING_CELL_PROPOSALS
+    if calls > MAX_TRAPPING_PROPOSALS:
+        return 0.0, float(calls)
+    n = config.trap_photon_number
+    specs = [trapping.TrapSpec(n, m, s) for m in config.rabi_cycles_values for s in sigma_rels]
     try:
-        means = math.fsum(
-            trapping.mean_atoms_rel(m, s) for m in rabi_cycles_values for s in sigma_rels
-        )
+        means = [trapping.mean_atoms_rel(spec.rabi_cycles, spec.sigma_rel) for spec in specs]
     except ZeroDivisionError:  # 1 - exp(-x) rounds to 0 for a tiny jitter
-        means = math.inf
-    return trials * means, (1.0 + math.log(trials)) * means
+        return math.inf, math.inf
+    proposals = math.fsum(mu * sum(trapping.thinning(sp)[3:5]) for mu, sp in zip(means, specs))
+    return config.trials * math.fsum(means), calls + config.trials * proposals
 
 
 def _largest_phase(config: ExperimentConfig, table, n: int) -> float:
@@ -209,19 +205,19 @@ def validate(config: ExperimentConfig) -> list[Diagnostic]:
     if table is TRAPPING_TABLE:
         # the phase bound keeps each cycle count and jitter squarable as a float
         sigma_rels = config.sigma_rel_values or DEFAULT_SIGMA_REL_GRID
-        atoms, rounds = _trapping_work(config.trials, config.rabi_cycles_values, sigma_rels)
+        atoms, proposals = _trapping_work(config, sigma_rels)
         if atoms > MAX_TRAPPING_ATOMS:
             error(
                 "trials",
                 f"{config.trials} trials x the grid's mean escape counts = {atoms:.3g} "
                 f"atoms exceeds the maximum {MAX_TRAPPING_ATOMS:.3g}",
             )
-        elif rounds > MAX_TRAPPING_ROUNDS:
+        elif proposals > MAX_TRAPPING_PROPOSALS:
             error(
                 "trials",
-                f"the grid's mean escape counts x (1 + ln {config.trials} trials) = "
-                f"{rounds:.3g} Monte Carlo rounds exceeds the maximum "
-                f"{MAX_TRAPPING_ROUNDS:.3g}",
+                f"{config.trials} trials x the grid's mean escape counts x alpha + beta, plus "
+                f"{TRAPPING_CELL_PROPOSALS} per cell, = {proposals:.3g} Monte Carlo proposals "
+                f"exceeds the maximum {MAX_TRAPPING_PROPOSALS:.3g}",
             )
         return diags
     # each excitation ends a ground streak, so a run ends within n_max + 1 streaks
@@ -397,7 +393,7 @@ def _run_trapping_curves(config: ExperimentConfig) -> Path:
         for (m_rabi, sigma_rel), mean, estimate in zip(cells, closed, estimates)
     ]
     metadata = config.metadata(__version__)
-    metadata.append(("stream_layout", "(seed, cell), thinned candidates"))
+    metadata.append(("stream_layout", "(seed, cell), thinned candidates in blocks"))
     return _write_csv(config, metadata, rows)
 
 

@@ -33,16 +33,16 @@ MAX_PHOTON_NUMBER = 1000
 
 # Most values an 'a:b:step' or 'a..b' range may hold. No accepted config has
 # more: fig4 takes at most `cli.MAX_STREAMS` cutoffs, and each fig3 cell
-# costs at least 2 of `cli.MAX_TRAPPING_ROUNDS` Monte Carlo rounds.
+# costs `cli.TRAPPING_CELL_PROPOSALS` of `cli.MAX_TRAPPING_PROPOSALS`.
 MAX_RANGE_VALUES = 1_000_000
 
 # Largest cutoff a run may take. It keeps every cutoff well inside int64,
 # and it stays where it was, so the set of accepted configs does not change.
 MAX_CUTOFF = 1_000_000
 
-# Most Monte Carlo trials of one fig3 cell, about 48 bytes each in
-# `trapping.monte_carlo_escape`: `fig3 --sigma-rel 0.5 --m 1 --trials 5000000`
-# peaks at 274 MB RSS on a 2-vCPU x86 host, and two such cells at once at 508 MB.
+# Most Monte Carlo trials of one fig3 cell, 8 bytes each in `monte_carlo_escape`
+# (16 while it takes their spread): `fig3 --sigma-rel 0.5 --m 1 --trials 5000000`
+# peaks at 113 MB RSS on a 2-vCPU x86 host, and `--m 1,2` (two at once) at 152 MB.
 MAX_TRIALS = 5_000_000
 
 # lower bounds of a config key's number, or of each number of its tuple:

@@ -19,8 +19,9 @@ from cavityqubits.cli import (
     MAX_STREAM_WEIGHTS,
     MAX_STREAMS,
     MAX_TRAPPING_ATOMS,
-    MAX_TRAPPING_ROUNDS,
+    MAX_TRAPPING_PROPOSALS,
     QUALITY_ATOM_UNITS,
+    TRAPPING_CELL_PROPOSALS,
     check_output,
     main,
     run_experiment,
@@ -505,26 +506,60 @@ def test_fig3_work_is_bounded(lines, message, tmp_path, capsys):
     ]
 
 
-def test_fig3_rounds_are_bounded(tmp_path, capsys):
-    # one trial of a cell with a mean escape count near 10^8 passes the atom
-    # bound, but it takes about that many Monte Carlo rounds
+def test_fig3_proposals_are_bounded_or_run(tmp_path, capsys):
+    # 50 cells at sigma_rel 0.5, where every atom is a proposal: the most
+    # trials within the proposal bound run within 10 s (about 1.5 s on two
+    # workers of a 2-vCPU host; at most 3 s on one), and one more is refused
+    grid = dict(experiment="trapping-curves", rabi_cycles_values=tuple(range(1, 51)),
+                sigma_rel_values=(0.5,))
+    mean = mean_atoms_rel(1, 0.5)
+    trials = math.floor((MAX_TRAPPING_PROPOSALS / 50 - TRAPPING_CELL_PROPOSALS) / mean)
+    assert [d.field for d in validate(make_config(**grid, trials=trials + 1))] == ["trials"]
+    assert validate(make_config(**grid, trials=trials)) == []
+    start = time.perf_counter()
+    assert main(["fig3", "--m", "1..50", "--sigma-rel", "0.5", "--trials", str(trials),
+                 "--seed", "1", "--out", str(tmp_path / "bound.csv")]) == 0
+    assert time.perf_counter() - start < 10.0
+    capsys.readouterr()
     conf = tmp_path / "exp.conf"
-    conf.write_text("experiment = trapping-curves\nseed = 1\nrabi_cycles_values = 1\n"
-                    "sigma_rel_values = 0.0000168\ntrials = 1\n")
-    assert mean_atoms_rel(1, 0.0000168) < MAX_TRAPPING_ATOMS
+    conf.write_text(f"experiment = trapping-curves\nseed = 1\nrabi_cycles_values = 1..50\n"
+                    f"sigma_rel_values = 0.5\ntrials = {trials + 1}\n")
     assert main(["validate", "--config", str(conf)]) == 1
     assert capsys.readouterr().out.splitlines() == [
-        "error: trials: the grid's mean escape counts x (1 + ln 1 trials) = 8.97e+07 Monte Carlo "
-        f"rounds exceeds the maximum {MAX_TRAPPING_ROUNDS:.3g}"
+        f"error: trials: {trials + 1} trials x the grid's mean escape counts x alpha + beta, "
+        f"plus 2000 per cell, = 5e+07 Monte Carlo proposals exceeds the maximum "
+        f"{MAX_TRAPPING_PROPOSALS:.3g}"
     ]
+    # a lone trial with a mean escape count near 10^8 draws about one proposal
+    conf.write_text("experiment = trapping-curves\nseed = 1\nrabi_cycles_values = 1\n"
+                    "sigma_rel_values = 0.0000168\ntrials = 1\n")
+    assert main(["validate", "--config", str(conf)]) == 0
+    start = time.perf_counter()
+    assert main(["fig3", "--config", str(conf), "--out", str(tmp_path / "lone.csv")]) == 0
+    assert time.perf_counter() - start < 0.5
+    assert check_output(tmp_path / "lone.csv") == []
+    # 1.9e6 cells are refused by their calls alone, without a sum over them
+    config = make_config(experiment="trapping-curves", rabi_cycles_values=tuple(range(1, 1001)),
+                         sigma_rel_values=tuple(parse_float_list("0.01:0.2:0.0001")), trials=1)
+    start = time.perf_counter()
+    assert [str(d) for d in validate(config)] == [
+        "error: trials: 1 trials x the grid's mean escape counts x alpha + beta, plus 2000 per "
+        f"cell, = 3.8e+09 Monte Carlo proposals exceeds the maximum {MAX_TRAPPING_PROPOSALS:.3g}"
+    ]
+    assert time.perf_counter() - start < 0.5
 
 
 def test_fig3_script_grid_is_within_the_work_bound():
     grid = tuple(parse_float_list("0.01:0.20:0.01"))
     work = 20_000 * sum(mean_atoms_rel(m, s) for m in (1, 2, 3) for s in grid)
     assert 1.2e7 < work < MAX_TRAPPING_ATOMS / 5
-    rounds = (1 + math.log(20_000)) * sum(mean_atoms_rel(m, s) for m in (1, 2, 3) for s in grid)
-    assert 6800 < rounds < MAX_TRAPPING_ROUNDS / 50
+    # the proposals the sampler draws, about 2.11e6, and one cell's call each
+    proposals = 20_000 * sum(
+        mean_atoms_rel(m, s) * sum(trapping.thinning(trapping.TrapSpec(1, m, s))[3:5])
+        for m in (1, 2, 3) for s in grid
+    )
+    assert 2.1e6 < proposals < 2.12e6
+    assert proposals + 60 * TRAPPING_CELL_PROPOSALS < MAX_TRAPPING_PROPOSALS / 20
     for values in (grid, ()):  # explicit and default jitter grid
         config = make_config(experiment="trapping-curves", sigma_rel_values=values, trials=20_000)
         assert validate(config) == []
@@ -700,10 +735,10 @@ def test_jittered_configs_are_rejected_or_run_and_check(tau, sigma_rel, gamma, t
 @settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(
     m=st.integers(-2, 10) | st.integers(1, 10**400),
-    # a jitter below 0.01 is priced by the Monte Carlo round bound and can
-    # take seconds per example (test_fig3_rounds_are_bounded); the bounded
-    # ranges make accepted cells common
-    sigma_rel=st.floats(0.01, 1.0) | st.floats(min_value=0.01)
+    # the thinned Monte Carlo draws about one proposal per trial at a small
+    # jitter, and below 0.0016 the atom bound refuses 2000 trials; the
+    # bounded ranges make accepted cells common
+    sigma_rel=st.floats(0.001, 1.0) | st.floats(min_value=0.01)
     | st.sampled_from([0.0, -1.0, math.nan]),
     gamma=st.floats(0.1, 10.0) | any_float,
     # an accepted cell runs 2000 trials in well under a second; from 10^9

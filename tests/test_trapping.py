@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import integrate, stats
 
+from cavityqubits import trapping
 from cavityqubits.config import split_rng
 from cavityqubits.trapping import (
     EscapeEstimate,
@@ -199,9 +200,10 @@ def test_monte_carlo_rejects_degenerate_inputs():
 @pytest.mark.parametrize("gamma", [1.0, 0.37])
 def test_sin_filter_changes_no_outcome(rabi_cycles, photon_number, gamma):
     # the thinning skips every atom that is not a candidate, without its
-    # sin^2; that changes no outcome because g bounds the sampler's sin^2.
-    # Thinned cells with c = 2 pi m sigma_rel from small to just below 1,
-    # z densest near 0, where g is smallest
+    # sin^2; that changes no outcome because g bounds the sampler's sin^2 of
+    # the phase's deviation c z from 2 pi m. Thinned cells with c = 2 pi m
+    # sigma_rel from small to just below 1, z densest near 0, where g is
+    # smallest
     tail = np.geomspace(1e-12, 13.0, 400_001)
     z = np.concatenate((-tail, [0.0], tail))
     for c in (0.02, 0.2, 0.999):
@@ -210,12 +212,13 @@ def test_sin_filter_changes_no_outcome(rabi_cycles, photon_number, gamma):
         assert beta > 0 and q < 1  # thinned
         # the truncation edge, where theta crosses 0, and its neighbours
         edge = -theta_center / theta_sigma
-        edge = np.array([np.nextafter(edge, 0.0), edge, np.nextafter(edge, -np.inf)])
-        for zs in (z, edge):
-            theta = zs * theta_sigma + theta_center  # the sampler's float expressions
-            sin2 = np.square(np.sin(theta * sqrt_n))
+        near = np.array([np.nextafter(edge, 0.0), edge, np.nextafter(edge, -np.inf)])
+        for zs in (z, near):
+            kept = zs > edge  # the sampler's float expressions
+            sin2 = np.square(np.sin(np.multiply(zs, sqrt_n * theta_sigma)))
             g = np.minimum(1.0, np.square(zs) * beta + alpha)
-            assert np.all(g[theta > 0] >= sin2[theta > 0])
+            assert np.all(g[kept] >= sin2[kept])
+        assert list(near > edge) == [True, False, False]
 
 
 def candidate_share_by_quadrature(spec: TrapSpec) -> float:
@@ -264,29 +267,33 @@ def test_candidate_share_matches_quadrature(rabi_cycles, sigma_rel, photon_numbe
 
 
 class CountingDraws:
-    """Forwards to a numpy Generator and counts the normals drawn from it,
-    one per proposal, and the calls that draw them, one per round."""
+    """Forwards to a numpy Generator and records the normals drawn from it,
+    one per proposal, by the call that draws them, one per block."""
 
     def __init__(self, rng: np.random.Generator):
         self.rng = rng
-        self.normals = self.rounds = 0
+        self.sizes = []
 
-    def standard_normal(self, *args, **kwargs):
-        out = self.rng.standard_normal(*args, **kwargs)
-        self.normals += out.size
-        self.rounds += 1
-        return out
+    @property
+    def normals(self) -> int:
+        return sum(self.sizes)
+
+    @property
+    def rounds(self) -> int:
+        return len(self.sizes)
+
+    def standard_normal(self, size, *args, **kwargs):
+        self.sizes.append(size)
+        return self.rng.standard_normal(size, *args, **kwargs)
 
     def __getattr__(self, name):
         return getattr(self.rng, name)
 
 
-def test_thinned_counts_follow_the_geometric_law():
-    # 10^6 trials each of mean mu = 254 and 29: the pooled mean within the
-    # Chernoff bound that `check` puts on a_mean_mc, the pooled variance
-    # within the normal bound of the sample variance of geometric counts,
-    # both at 1e-6 false-alarm probability
-    trials, seeds = 20_000, 50
+def assert_geometric_law(trials: int, seeds: int):
+    # the pooled mean within the Chernoff bound that `check` puts on
+    # a_mean_mc, the pooled variance within the normal bound of the sample
+    # variance of geometric counts, both at 1e-6 false-alarm probability
     pooled = trials * seeds
     for sigma_rel in (0.01, 0.03):
         spec = TrapSpec(photon_number=1, rabi_cycles=1, sigma_rel=sigma_rel)
@@ -309,10 +316,16 @@ def test_thinned_counts_follow_the_geometric_law():
         assert proposals < 1.1 * thinning(spec)[-1] * mu * pooled < 0.1 * mean * pooled
 
 
+def test_thinned_counts_follow_the_geometric_law():
+    # 10^6 trials each of mean mu = 254 and 29
+    assert_geometric_law(trials=20_000, seeds=50)
+
+
 def test_a_slack_near_the_jitter_keeps_the_bound_tight():
     # at m = 10^11 the slack, 16 ulp of 2 pi m = 2e-3, is a fifth of c =
     # 0.01 (mean escape count 10^4): alpha + beta = (c + slack)^2 stays near
-    # c^2, so 20 trials take a few rounds, not about 10^4 x (1 + ln 20)
+    # c^2, so 20 trials take a few blocks of about 20 x 1.5 proposals, not
+    # about 20 x 10^4
     spec = TrapSpec(1, 10**11, 0.01 / (2 * math.pi * 10**11))
     *_, alpha, beta, _ = thinning(spec)
     assert mean_atoms_rel(10**11, spec.sigma_rel) == pytest.approx(1e4, rel=1e-3)
@@ -322,25 +335,59 @@ def test_a_slack_near_the_jitter_keeps_the_bound_tight():
     assert draws.rounds < 50
 
 
-def one_atom_per_round(spec: TrapSpec, trials: int, rng) -> EscapeEstimate:
-    """Every atom drawn, one per live trial per round: a normal, then a
-    uniform; an atom with theta <= 0 is drawn again next round, and any
-    other counts and succeeds iff its uniform is below sin^2(sqrt(n) theta).
-    The escape counts in the order the trials escape."""
-    sqrt_n = math.sqrt(spec.photon_number)
-    theta_center = 2.0 * math.pi * spec.rabi_cycles / sqrt_n
-    theta_sigma = spec.sigma_rel * theta_center
-    counts, live, escaped = np.zeros(trials, dtype=np.int64), np.arange(trials), []
-    while live.size:
-        theta = rng.standard_normal(live.size) * theta_sigma + theta_center
-        u = rng.random(live.size)
-        counts[live[theta > 0]] += 1
-        success = (theta > 0) & (u < np.square(np.sin(theta * sqrt_n)))
-        escaped.append(counts[live[success]])
-        live = live[~success]
-    counts = np.concatenate(escaped)
+def test_a_lone_trial_takes_a_handful_of_blocks():
+    # mean escape count 254, about one proposal per escape: the first block
+    # holds one proposal, and a block doubles while nothing has escaped
+    spec = TrapSpec(1, 1, 0.01)
+    assert mean_atoms_rel(1, 0.01) == pytest.approx(254.3, abs=0.1)
+    for seed in range(200):
+        draws = CountingDraws(split_rng(12, seed))
+        monte_carlo_escape(spec, 1, draws)
+        assert draws.rounds <= 3 and draws.sizes[0] == 1
+
+
+def per_atom_stream(spec: TrapSpec, trials: int, rng, sizes) -> EscapeEstimate:
+    """`monte_carlo_escape` atom by atom, drawing what it draws in blocks of
+    `sizes` proposals: per block of n, n normals x, (beta > 0) n
+    exponentials E and n uniforms b, n uniforms u, then (q < 1) one
+    Geometric(q) gap per candidate, else gaps of one. A proposal is z =
+    sign(x) sqrt(x^2 + 2 E) if b < beta / (alpha + beta), else x; with t = u
+    (alpha + beta z^2), it is a candidate iff t < 1 and z > -theta_center /
+    theta_sigma, and it escapes iff also t < sin^2(c z). A trial's count is
+    the gaps since the last escape, and each block but the last ends before
+    the last trial escapes."""
+    theta_center, theta_sigma, sqrt_n, alpha, beta, q = thinning(spec)
+    share, c, edge = beta / (alpha + beta), sqrt_n * theta_sigma, -theta_center / theta_sigma
+    counts, atoms = [], 0
+    for n in sizes:
+        assert len(counts) < trials
+        x = rng.standard_normal(n)
+        e, b = (rng.standard_exponential(n), rng.random(n)) if beta else ([0.0] * n, [1.0] * n)
+        u = rng.random(n)
+        z = [math.copysign(math.sqrt(xi * xi + 2 * ei), xi) if bi < share else xi
+             for xi, ei, bi in zip(x.tolist(), e, b)]
+        sin2 = np.square(np.sin(np.multiply(z, c))).tolist()
+        escapes = [
+            t < s2 for zi, ui, s2 in zip(z, u, sin2)
+            if (t := ui * (zi * zi * beta + alpha)) < 1.0 and zi > edge
+        ]
+        gaps = rng.geometric(q, len(escapes)).tolist() if q < 1.0 else [1] * len(escapes)
+        for gap, escaped in zip(gaps, escapes):
+            atoms += gap
+            if escaped and len(counts) < trials:
+                counts.append(atoms)
+                atoms = 0
+    assert len(counts) == trials
+    counts = np.array(counts)
     stderr = float(counts.std(ddof=1) / math.sqrt(trials)) if trials > 1 else math.inf
     return EscapeEstimate(mean=float(counts.mean()), stderr=stderr, trials=trials)
+
+
+def assert_per_atom_stream(spec: TrapSpec, trials: int, seed: tuple):
+    draws = CountingDraws(split_rng(*seed))
+    assert monte_carlo_escape(spec, trials, draws) == (
+        per_atom_stream(spec, trials, split_rng(*seed), draws.sizes)
+    )
 
 
 @pytest.mark.parametrize("rabi_cycles", [1, 3, 10**9])
@@ -352,9 +399,32 @@ def test_every_atom_is_a_candidate_when_the_bound_is_one(rabi_cycles, photon_num
     for case, (c, trials) in enumerate(((1.0, 1), (1.0, 2000), (math.pi, 2000))):
         spec = TrapSpec(photon_number, rabi_cycles, c / (2 * math.pi * rabi_cycles), gamma)
         assert thinning(spec)[3:] == (1.0, 0.0, 1.0)
-        assert monte_carlo_escape(spec, trials, split_rng(rabi_cycles, case)) == (
-            one_atom_per_round(spec, trials, split_rng(rabi_cycles, case))
-        )
+        assert_per_atom_stream(spec, trials, (rabi_cycles, case))
+
+
+THINNED_CELLS = [(1, 0.03), (3, 0.05), (1, 0.15), (10**9, 0.03e-9)]
+
+
+@pytest.mark.parametrize("rabi_cycles, sigma_rel", THINNED_CELLS)
+def test_thinned_cells_are_the_per_atom_stream(rabi_cycles, sigma_rel):
+    # candidates after geometric gaps, carried across blocks
+    spec = TrapSpec(1, rabi_cycles, sigma_rel)
+    assert thinning(spec)[-1] < 1
+    for case, trials in enumerate((1, 2000)):
+        assert_per_atom_stream(spec, trials, (rabi_cycles, case))
+
+
+def test_blocks_of_seven_keep_the_law_and_the_stream(monkeypatch):
+    # most trials' atoms now span blocks, so a count carried wrongly from
+    # one block to the next shows, in the stream and in the law
+    monkeypatch.setattr(trapping, "BLOCK", 7)
+    for rabi_cycles, sigma_rel in [*THINNED_CELLS, (1, 0.5)]:
+        spec = TrapSpec(1, rabi_cycles, sigma_rel)
+        draws = CountingDraws(split_rng(rabi_cycles, 7))
+        monte_carlo_escape(spec, 300, draws)
+        assert max(draws.sizes) == 7 and draws.rounds > 40
+        assert_per_atom_stream(spec, 300, (rabi_cycles, 7))
+    assert_geometric_law(trials=2000, seeds=50)
 
 
 def test_truncation_bias_is_negligible_in_range():
