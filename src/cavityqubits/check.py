@@ -84,7 +84,16 @@ def _check(file) -> list[str]:
         # for the closed form's p; a row is flagged only beyond the bound of
         # every mean in that range, that is of the one nearest to a_mean_mc.
         tail_exponent = math.log(2.0 / MC_FALSE_ALARM)
-        for i, (m_rabi, sigma_rel, closed, mc, _) in parsed(rows):
+        for i, (m_rabi, sigma_rel, closed, mc, stderr) in parsed(rows):
+            # escape counts are ints >= 1 with mean a_mean_mc, so their standard
+            # error is at most a_mean_mc - 1, all the excess in one count, up to
+            # a rounding of 1e-12 a_mean_mc; one trial has none (inf)
+            if config.trials == 1:
+                ok, want = stderr == math.inf, "inf"
+            else:  # a NaN fails too
+                ok, want = 0.0 <= stderr <= mc - 1.0 + 1e-12 * mc, f"in [0, {mc!r} - 1]"
+            if not ok:
+                problems.append(f"row {i}: mc_stderr {stderr!r} is not {want}")
             try:
                 expected = trapping.mean_atoms_rel(m_rabi, sigma_rel)
             except (ValueError, ArithmeticError) as exc:
@@ -149,6 +158,9 @@ def _check(file) -> list[str]:
             if not abs(total - 1.0) <= cloning.WEIGHT_TOL:  # a NaN total fails too
                 problems.append(f"step {step}: weights sum to {total!r}")
                 continue
+            problems.extend(
+                f"step {step}: p_n {p!r} < 0 at n = {n}" for n, p in zip(ns, ps) if p < 0
+            )
             low, p_low = next((n, p) for n, p in zip(ns, ps) if p != 0)  # the fewest clones
             if m is not None and low < m:
                 problems.append(f"step {step}: p_n {p_low!r} at n = {low} < transferred {m}")

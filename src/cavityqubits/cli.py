@@ -32,6 +32,7 @@ from .config import (
     HALF_RABI,
     JITTERED,
     KEYS,
+    MAX_TRIALS,
     OUTDIR_ENV,
     QUALITY_TABLE,
     TIMED_POLICIES,
@@ -326,14 +327,14 @@ def _usable_cpus() -> int:
         return os.cpu_count() or 1
 
 
-def _parallel_map(fn, jobs: list[tuple]) -> list:
+def _parallel_map(fn, jobs: list[tuple], most: int) -> list:
     """`[fn(*job) for job in jobs]`, run by one worker per usable CPU (never
-    more workers than jobs): the calling thread and plain threads, which take
-    the jobs in order from one shared queue. With one worker that is the
-    plain loop on the calling thread. Only calls that release the
-    interpreter lock gain from this. Once a call raises, no worker starts
-    another job, and its exception is raised here after every thread has
-    ended."""
+    more workers than jobs, nor than `most`): the calling thread and plain
+    threads, which take the jobs in order from one shared queue. With one
+    worker that is the plain loop on the calling thread. Only calls that
+    release the interpreter lock gain from this. Once a call raises, no
+    worker starts another job, and its exception is raised here after every
+    thread has ended."""
     queue = iter(range(len(jobs)))
     results: list = [None] * len(jobs)
     errors: list[BaseException] = []
@@ -351,7 +352,7 @@ def _parallel_map(fn, jobs: list[tuple]) -> list:
             with lock:
                 errors.append(exc)
 
-    workers = min(_usable_cpus(), len(jobs))
+    workers = min(_usable_cpus(), len(jobs), most)
     threads = [threading.Thread(target=work) for _ in range(workers - 1)]
     try:
         for thread in threads:
@@ -387,7 +388,8 @@ def _run_trapping_curves(config: ExperimentConfig) -> Path:
         for cell, (m_rabi, sigma_rel) in enumerate(cells)
     ]
     closed = [trapping.mean_atoms_rel(m_rabi, sigma_rel) for m_rabi, sigma_rel in cells]
-    estimates = _parallel_map(trapping.monte_carlo_escape, jobs)
+    # the cells that run at once hold at most 2 x MAX_TRIALS trials
+    estimates = _parallel_map(trapping.monte_carlo_escape, jobs, 2 * MAX_TRIALS // config.trials)
     rows = [
         (m_rabi, sigma_rel, mean, estimate.mean, estimate.stderr)
         for (m_rabi, sigma_rel), mean, estimate in zip(cells, closed, estimates)

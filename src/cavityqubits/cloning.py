@@ -8,8 +8,6 @@ average against the optimum for the number of clones actually produced.
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
 # Allowed distance of a weight total from 1, shared by the ensemble, the
@@ -79,11 +77,16 @@ def quality(f_atom, n_originals: int, m_transferred):
 
 
 def binomial_distribution(n_max: int) -> dict[int, float]:
-    """Binomial weights p_n = C(n_max-1, n-1) / 2**(n_max-1) for n = 1..n_max."""
+    """Binomial weights p_n = C(n_max-1, n-1) / 2**(n_max-1) for n = 1..n_max,
+    each binomial coefficient an exact int from the one before."""
     if n_max < 1:
         raise ValueError(f"n_max must be >= 1, got {n_max}")
     scale = 2 ** (n_max - 1)
-    return {n: math.comb(n_max - 1, n - 1) / scale for n in range(1, n_max + 1)}
+    weights, c = {}, 1
+    for k in range(n_max):  # c = C(n_max-1, k)
+        weights[k + 1] = c / scale
+        c = c * (n_max - 1 - k) // (k + 1)
+    return weights
 
 
 def uniform_distribution(n_min: int, n_max: int) -> dict[int, float]:

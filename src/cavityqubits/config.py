@@ -41,8 +41,10 @@ MAX_RANGE_VALUES = 1_000_000
 MAX_CUTOFF = 1_000_000
 
 # Most Monte Carlo trials of one fig3 cell, 8 bytes each in `monte_carlo_escape`
-# (16 while it takes their spread): `fig3 --sigma-rel 0.5 --m 1 --trials 5000000`
-# peaks at 113 MB RSS on a 2-vCPU x86 host, and `--m 1,2` (two at once) at 152 MB.
+# (16 while it takes their spread); the cells run at once hold at most twice
+# that: `fig3 --sigma-rel 0.5 --m 1 --trials 5000000` peaks at 113 MB RSS on a
+# 2-vCPU x86 host, `--m 1,2` at 152 to 156 MB, and `--m 1,2,3,4` with 8 CPUs
+# (two cells at once) at 190 MB, against 219 to 320 MB with all four at once.
 MAX_TRIALS = 5_000_000
 
 # lower bounds of a config key's number, or of each number of its tuple:

@@ -8,20 +8,25 @@ the weights Bayes-style. Within a fixed-n branch every term shares one
 Rabi frequency, so the weight dynamics are independent of the branch's
 internal state -- which is why this module never touches a state vector.
 `fockspace` provides the brute-force cross-check.
+
+Also here: the search behind `optimal_tau`, and the transition trees in which
+`run`'s walk stores what it computes.
 """
 
 from __future__ import annotations
 
 import math
+import sys
+import threading
+from collections import OrderedDict
 from dataclasses import dataclass
 from enum import Enum
+from functools import lru_cache
 from typing import Mapping, Union
 
 import numpy as np
 
-from . import optimum, transitions
 from .cloning import WEIGHT_TOL, ordered_sum
-from .transitions import AFTER, P_EXCITE, TAU, TRANSFERRED, VACUUM, WEIGHTS
 
 
 class MeasurementOutcome(Enum):
@@ -111,12 +116,14 @@ def _check_weights(ns: np.ndarray, weights: np.ndarray, transferred) -> None:
         )
 
 
-def _rabi_factor(remaining, gamma: float, tau, excited: bool):
+def _rabi_factor(remaining, gamma: float, tau, excited: bool, freq=None):
     """sin^2 (`excited`) or cos^2 of each branch's Rabi phase sqrt(remaining)
     * (gamma * tau): the excitation or ground factor of one atom pass. Every
-    use takes it from this one phase expression, so p_excite and the weight
-    update see the same floats. It is squared in place, in the phase's array."""
-    phase = np.sqrt(remaining) * (gamma * tau)
+    use takes it from this one phase expression, so p_excite, the weight
+    update, the lockstep and the search see the same floats. A caller that
+    evaluates many taus passes `freq`, sqrt(remaining), computed once. It is
+    squared in place, in the phase's array."""
+    phase = (np.sqrt(remaining) if freq is None else freq) * (gamma * tau)
     factor = np.sin(phase, out=phase) if excited else np.cos(phase, out=phase)
     factor *= factor
     return factor
@@ -153,10 +160,19 @@ def update_weights(
     """
     excited = outcome is MeasurementOutcome.EXCITED
     posterior = ens.weights * _rabi_factor(ens.remaining_photons(), gamma, tau, excited)
-    total = posterior.sum()
-    if not total > 0.0:  # a NaN total (an infinite phase) fails too
-        raise ValueError(f"cannot condition on zero-probability outcome {outcome.value}")
-    return _unchecked(ens.photon_numbers, posterior / total, ens.transferred + excited)
+    return _unchecked(ens.photon_numbers, _condition(posterior, excited), ens.transferred + excited)
+
+
+def _condition(posterior: np.ndarray, excited) -> np.ndarray:
+    """Normalize in place `posterior`, the prior weights times the factors of
+    the outcome `excited`: one (K,) row, or a (B, K) stack with one outcome
+    per row. Refuses an outcome of zero probability, or a NaN total."""
+    total = posterior.sum(axis=-1, keepdims=True)
+    if not total.min() > 0.0:
+        outcome = "excited" if np.ravel(excited)[np.argmin(total > 0.0)] else "ground"
+        raise ValueError(f"cannot condition on zero-probability outcome {outcome}")
+    posterior /= total
+    return posterior
 
 
 # --- interaction-time policies -------------------------------------------
@@ -240,33 +256,196 @@ def step(
     return outcome, update_weights(ens, gamma, tau, outcome), tau, p_e
 
 
+# --- the optimum search ------------------------------------------------------
+
+GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
+
+# Points of the scan grid over [0, pi/gamma], tau = 0 included.
+TAU_GRID_POINTS = 2000
+
+
+@lru_cache(maxsize=16)
+def tau_grid(gamma: float) -> np.ndarray:
+    """The positive points of the scan grid (read-only)."""
+    grid = np.linspace(0.0, math.pi / gamma, TAU_GRID_POINTS)
+    grid = grid[grid > 0]
+    grid.flags.writeable = False
+    return grid
+
+
+# A row holds one float per grid point, 16 KB. One search needs a row per
+# remaining photon count, up to 1001 at `config.MAX_PHOTON_NUMBER`, so the
+# cache keeps 1024 rows: at most 16 MB.
+@lru_cache(maxsize=1024)
+def grid_row(remaining: int, gamma: float) -> np.ndarray:
+    """The excitation factor of a branch with `remaining` photons at every
+    point of the scan grid (read-only): one row of excite_prob's table. It
+    does not depend on the weights."""
+    row = _rabi_factor(remaining, gamma, tau_grid(gamma), True)
+    row.flags.writeable = False
+    return row
+
+
 def optimal_tau(ens: WeightedEnsemble, gamma: float) -> float:
     """Interaction time in (0, pi/gamma] maximizing the excitation probability.
 
-    `optimum.search`: a grid scan of `optimum.TAU_GRID_POINTS` points
-    followed by golden-section refinement of the best bracket. Ties break
-    toward the smaller tau. Every value it compares is `excite_prob`'s at
-    its tau, bit for bit; the scan reads sin^2 rows cached per remaining
-    photon count.
+    A grid scan of `TAU_GRID_POINTS` points followed by golden-section
+    refinement of the best bracket. Ties break toward the smaller tau. Every
+    value it compares is `excite_prob`'s at its tau, bit for bit; the scan
+    reads `grid_row`s, cached per remaining photon count.
 
     Every call searches. The walk in `run` stores the optima it computes in
     its transition tree, and `prior_optimal_tau` reads a prior's optimum
     from the root of that tree.
     """
-    return optimum.search(ens.remaining_photons(), ens.weights, gamma)
+    remaining, w = ens.remaining_photons(), ens.weights
+    grid = tau_grid(gamma)
+    # excite_prob's curve at the grid from the cached rows, as 0.0 + x == x
+    values = np.zeros(len(grid))
+    for r, w_r in zip(remaining.tolist(), w.tolist()):
+        values += grid_row(r, gamma) * w_r
+    best = int(np.argmax(values))  # first max = smallest tau on ties
+
+    freq = np.sqrt(remaining)
+
+    def excite(tau) -> float:  # excite_prob at one tau
+        factors = _rabi_factor(remaining, gamma, tau, True, freq)
+        factors *= w
+        return float(ordered_sum(factors))
+
+    # Python floats: the same IEEE arithmetic as numpy scalars, but cheaper
+    a = float(grid[best - 1] if best > 0 else grid[0])
+    b = float(grid[best + 1] if best + 1 < len(grid) else grid[-1])
+    c, d = b - GOLDEN * (b - a), a + GOLDEN * (b - a)
+    fc, fd = excite(c), excite(d)
+    # The state (a, b, c, d, fc, fd) alone fixes the next iteration, so once
+    # it equals the state two iterations back it repeats with period 2 (or
+    # 1): stop there, on the state the last of the 80 iterations lands on.
+    prev = older = None
+    for i in range(80):
+        if fc >= fd:  # keep the left interval on ties
+            b, d, fd = d, c, fc
+            c = b - GOLDEN * (b - a)
+            fc = excite(c)
+        else:
+            a, c, fc = c, d, fd
+            d = a + GOLDEN * (b - a)
+            fd = excite(d)
+        state = (a, b, c, d, fc, fd)
+        if state == older:
+            if (79 - i) % 2:
+                a, b, c, d, fc, fd = prev
+            break
+        older, prev = prev, state
+    candidates = [(float(grid[best]), float(values[best])), (c, fc), (d, fd)]
+    best_value = max(v for _, v in candidates)
+    return min(t for t, v in candidates if v >= best_value)
+
+
+# --- transition trees: runs from one prior under a deterministic policy walk
+# the same narrow tree of posteriors, which a `Tree` keeps as runs reach it
+
+# Bytes of nodes one tree stores at most; a run that reaches a node past the
+# bound computes it and goes on without storing it. A node takes its weights'
+# 8 bytes per branch plus `NODE_BYTES`: 360 bytes at binomial:6 and 8.3 KB
+# at `config.MAX_PHOTON_NUMBER`'s 1001 branches.
+TREE_BYTES = 4 << 20
+# Trees kept, least recently used dropped first.
+TREES_CACHED = 4
+
+# A node is a list: its posterior's weights and transferred count, whether
+# that posterior is vacuum-certain, then the tau and p_excite of the atom
+# that passes next and, at AFTER + outcome (0 ground, 1 excited), the node
+# after it; the last four stay None until a run steps from the node.
+WEIGHTS, TRANSFERRED, VACUUM, TAU, P_EXCITE, AFTER = range(6)
+# A stored node besides its weights' data: the list and its entries (an
+# array header, two floats and a count; True and False are shared objects).
+NODE_BYTES = (
+    sys.getsizeof([None] * (AFTER + 2)) + sys.getsizeof(np.empty(0))
+    + 2 * sys.getsizeof(0.5) + sys.getsizeof(2**40)
+)
+
+
+def _node(ens: WeightedEnsemble) -> list:
+    """A node for the posterior `ens`, with nothing computed from it yet."""
+    return [ens.weights, ens.transferred, ens.is_vacuum_certain(), None, None, None, None]
+
+
+class Tree:
+    """The posteriors that runs from one initial ensemble reach under one
+    deterministic policy and gamma, each stored the first time a run reaches
+    it, while the tree holds at most `TREE_BYTES`. Every write to a stored
+    node, or to the counts, is made under `lock`. Reads take no lock: a
+    stored value never changes once written, and a node's tau is written
+    before its p_excite. `hits` and `misses` count the atom passes that
+    followed a stored transition and those that computed one."""
+
+    def __init__(self, root: list):
+        self.root = root
+        self.lock = threading.Lock()
+        self.nbytes = NODE_BYTES + root[WEIGHTS].nbytes
+        self.nodes = 1
+        self.hits = self.misses = 0
+
+    def attach(self, parent: list, excited: bool, child: list) -> tuple[list, bool]:
+        """Store `child` as the node after `parent` and the outcome, if none
+        is stored there yet and the tree has room. Returns the node to go on
+        with and whether it is stored: another thread may have stored an
+        equal node there first."""
+        size = NODE_BYTES + child[WEIGHTS].nbytes
+        with self.lock:
+            slot = AFTER + excited
+            if parent[slot] is None and self.nbytes + size <= TREE_BYTES:
+                parent[slot] = child
+                self.nbytes += size
+                self.nodes += 1
+            stored = parent[slot]
+        return (child, False) if stored is None else (stored, True)
+
+
+# The trees this process keeps, most recently used last.
+trees: OrderedDict = OrderedDict()
+_trees_lock = threading.Lock()
+
+
+def _tree(initial: WeightedEnsemble, policy: TauPolicy, gamma: float) -> Tree:
+    """The tree of runs from `initial` under `policy` and `gamma`, keyed on
+    the ensemble's exact bytes; its root holds a copy of the weights."""
+    key = (initial.photon_numbers.tobytes(), initial.weights.tobytes(), initial.transferred,
+           policy, gamma)
+    with _trees_lock:
+        found = trees.pop(key, None)
+        if found is None:
+            root = _node(initial)
+            root[WEIGHTS] = root[WEIGHTS].copy()
+            found = Tree(root)
+        trees[key] = found
+        while len(trees) > TREES_CACHED:
+            trees.popitem(last=False)
+    return found
+
+
+def _next_pass(node: list, ns: np.ndarray, policy: TauPolicy, gamma: float, rng, tree):
+    """(tau, p_excite) of the atom that passes next from `node`: the stored
+    ones, or those `policy_tau` and `excite_prob` give, stored in `tree`
+    unless it is None."""
+    p_e, tau = node[P_EXCITE], node[TAU]  # tau is written first
+    if p_e is None:
+        ens = _unchecked(ns, node[WEIGHTS], node[TRANSFERRED])
+        tau = policy_tau(policy, ens, gamma, rng)
+        p_e = excite_prob(ens, gamma, tau)
+        if tree is not None:
+            with tree.lock:
+                node[TAU], node[P_EXCITE] = tau, p_e
+    return tau, p_e
 
 
 def prior_optimal_tau(initial: WeightedEnsemble, gamma: float) -> float:
     """`optimal_tau(initial, gamma)`, kept at the root of the optimal-each-step
     transition tree from `initial`: the first call stores it there, with its
     p_excite, as a walk from that root would."""
-    tree = transitions.tree(initial, OptimalEachStep(), gamma)
-    root = tree.root
-    if root[P_EXCITE] is None:
-        ens = _unchecked(initial.photon_numbers, root[WEIGHTS], root[TRANSFERRED])
-        tau = optimal_tau(ens, gamma)
-        tree.record(root, tau, excite_prob(ens, gamma, tau))
-    return root[TAU]
+    tree = _tree(initial, OptimalEachStep(), gamma)
+    return _next_pass(tree.root, initial.photon_numbers, OptimalEachStep(), gamma, None, tree)[0]
 
 
 # --- full runs -------------------------------------------------------------
@@ -320,8 +499,8 @@ def run(config, rng: np.random.Generator) -> ProtocolTrace:
         raise ValueError(f"cutoff must be >= 1, got {cutoff}")
     ns = initial.photon_numbers
     jittered = isinstance(policy, JitteredTau)
-    tree = None if jittered else transitions.tree(initial, policy, gamma)
-    node = transitions.node(initial) if tree is None else tree.root
+    tree = None if jittered else _tree(initial, policy, gamma)
+    node = _node(initial) if tree is None else tree.root
     # `kept`: the node is stored in the tree, so what is computed from it is
     # stored too, while the tree has room
     kept = tree is not None
@@ -336,13 +515,7 @@ def run(config, rng: np.random.Generator) -> ProtocolTrace:
         if passed >= config.atom_budget:
             reason = StopReason.ATOM_BUDGET
             break
-        p_e, tau = node[P_EXCITE], node[TAU]  # tau is written first
-        if p_e is None:
-            ens = _unchecked(ns, node[WEIGHTS], node[TRANSFERRED])
-            tau = policy_tau(policy, ens, gamma, rng)
-            p_e = excite_prob(ens, gamma, tau)
-            if kept:
-                tree.record(node, tau, p_e)
+        tau, p_e = _next_pass(node, ns, policy, gamma, rng, tree if kept else None)
         if jittered:
             u = rng.random()
         else:
@@ -356,7 +529,7 @@ def run(config, rng: np.random.Generator) -> ProtocolTrace:
             hits += 1
         else:
             ens = _unchecked(ns, node[WEIGHTS], node[TRANSFERRED])
-            child = transitions.node(update_weights(ens, gamma, tau, outcome))
+            child = _node(update_weights(ens, gamma, tau, outcome))
             if kept:
                 child, kept = tree.attach(node, excited, child)
         node = child
@@ -367,7 +540,8 @@ def run(config, rng: np.random.Generator) -> ProtocolTrace:
             reason = StopReason.CUTOFF
             break
     if tree is not None:
-        tree.count(hits, len(events))
+        with tree.lock:
+            tree.hits, tree.misses = tree.hits + hits, tree.misses + len(events) - hits
     _check_weights(ns, node[WEIGHTS], node[TRANSFERRED])  # the returned state is valid
     # a copy: the tree's own arrays must not leave it
     weights = np.stack([at[WEIGHTS] for at in path])
@@ -487,12 +661,7 @@ def run_batch(
         excited = u < p_e
         posterior = table[m, excited.view(np.int8)]
         posterior *= w  # in place: one new (B, K) array per atom
-        total = posterior.sum(axis=1)
-        if not total.min() > 0.0:  # a NaN total fails too
-            outcome = "excited" if excited[np.argmin(total > 0.0)] else "ground"
-            raise ValueError(f"cannot condition on zero-probability outcome {outcome}")
-        posterior /= total[:, None]
-        w = posterior
+        w = _condition(posterior, excited)
         m += excited
         streak += 1
         streak[excited] = 0

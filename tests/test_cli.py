@@ -12,7 +12,7 @@ from fidelity_reference import atom_fidelity
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from cavityqubits import __version__, cli, protocol, transitions, trapping
+from cavityqubits import __version__, cli, protocol, trapping
 from cavityqubits.cli import (
     MAX_QUALITY_WORK,
     MAX_STEP_ROWS,
@@ -958,7 +958,7 @@ def test_step_table_memory_grows_by_its_rows_alone(tmp_path):
             tracemalloc.stop()
 
     def run(budget: int) -> None:
-        transitions.trees.clear()
+        protocol.trees.clear()
         assert main(["custom", "--dist", "binomial:1000", "--tau", "0.05",
                      "--cutoff", "1000000", "--budget", str(budget), "--seed", "1",
                      "--out", str(tmp_path / f"custom-{budget}.csv")]) == 0
@@ -1062,6 +1062,21 @@ def test_fig3_with_one_cell_runs_on_the_calling_thread(tmp_path, monkeypatch):
     assert main(["fig3", "--sigma-rel", "0.1", "--m", "1", "--trials", "100", "--seed", "1",
                  "--out", str(out)]) == 0
     assert [ident for _, _, ident in started] == [threading.get_ident()]
+
+
+@pytest.mark.parametrize("trials, workers", [(MAX_TRIALS, 2), (MAX_TRIALS // 4, 4)])
+def test_fig3_cells_at_once_hold_at_most_twice_max_trials(trials, workers, tmp_path, monkeypatch):
+    # eight CPUs, but the cells that run at once hold at most 2 x MAX_TRIALS
+    # trials. A stand-in for the Monte Carlo holds each cell long enough for
+    # every worker to take one.
+    monkeypatch.setattr(cli, "_usable_cpus", lambda: 8)
+    monkeypatch.setattr(trapping, "monte_carlo_escape",
+                        lambda spec, trials, rng: trapping.EscapeEstimate(2.0, 0.5, trials))
+    started = record_cells(monkeypatch, before=lambda spec: time.sleep(0.1))
+    assert main(["fig3", "--sigma-rel", "0.5", "--m", "1..4", "--trials", str(trials),
+                 "--seed", "1", "--out", str(tmp_path / "fig3.csv")]) == 0
+    assert sorted(m for m, _, _ in started) == [1, 2, 3, 4]
+    assert len({ident for _, _, ident in started}) == workers
 
 
 @pytest.mark.parametrize(
@@ -1249,11 +1264,49 @@ def test_checker_bound_holds_at_one_trial(tmp_path):
     lines = out.read_text().splitlines()
     fields = lines[-1].split(",")
     fields[3] = "0.5"  # no escape count is below 1
-    zero_jitter = ["1", "0.0", "inf", "7.0", "0.0"]  # escape never happens
+    zero_jitter = ["1", "0.0", "inf", "7.0", "inf"]  # escape never happens
     out.write_text("\n".join(lines[:-1] + [",".join(fields), ",".join(zero_jitter)]) + "\n")
     assert [p.partition(" is ")[0] for p in check_output(out)] == [
         "row 59: a_mean_mc 0.5", "row 60: a_mean_mc 7.0"
     ]
+
+
+def edit_fig3_row(path: Path, row: int, column: int, value: str) -> None:
+    """Write `value` into `column` of data row `row` of golden fig3.csv, at `path`."""
+    lines = (Path(__file__).parent / "golden" / "fig3.csv").read_text().splitlines()
+    index = next(i for i, line in enumerate(lines) if line[:1].isdigit()) + row
+    fields = lines[index].split(",")
+    fields[column] = value
+    lines[index] = ",".join(fields)
+    path.write_text("\n".join(lines) + "\n")
+
+
+def test_checker_bounds_the_monte_carlo_stderr(tmp_path):
+    # escape counts are ints >= 1, so mc_stderr lies in [0, a_mean_mc - 1]
+    golden = Path(__file__).parent / "golden" / "fig3.csv"
+    _, rows = read_rows(golden)
+    mc, trials = float(rows[0][3]), read_metadata(golden)["trials"]
+    out = tmp_path / "fig3.csv"
+    for value in ["-1.0", "nan", "inf", repr((mc - 1.0) * (1 + 1e-9))]:
+        edit_fig3_row(out, 0, 4, value)
+        assert check_output(out) == [
+            f"row 0: mc_stderr {float(value)!r} is not in [0, {mc!r} - 1]"
+        ], value
+    for value in ["0.0", repr(mc - 1.0)]:  # the two ends of the range
+        edit_fig3_row(out, 0, 4, value)
+        assert check_output(out) == [], value
+    assert int(trials) > 1
+    # a fresh script-default grid passes, and one trial has no standard error
+    fresh = tmp_path / "fresh.csv"
+    assert main(["fig3", "--trials", "20000", "--seed", "1", "--out", str(fresh)]) == 0
+    assert check_output(fresh) == []
+    assert main(["fig3", "--sigma-rel", "0.1", "--m", "1", "--trials", "1", "--seed", "4",
+                 "--out", str(out)]) == 0
+    assert check_output(out) == []
+    lines = out.read_text().splitlines()
+    assert lines[-1].endswith(",inf")
+    out.write_text("\n".join(lines[:-1] + [lines[-1][: -len("inf")] + "0.0"]) + "\n")
+    assert check_output(out) == ["row 0: mc_stderr 0.0 is not inf"]
 
 
 def test_checker_catches_wrong_step0(tmp_path):
@@ -1288,6 +1341,22 @@ def edit_step_rows(path: Path, edit) -> None:
         elif (fields := edit(*line.split(","))) is not None:
             lines.append(",".join(fields))
     path.write_text("\n".join(lines) + "\n")
+
+
+def test_checker_flags_a_negative_step_weight(tmp_path):
+    # step 1 of golden fig2.csv with p_1 = -0.05, p_2 raised by as much and
+    # F_atom recomputed: the total and F_atom still agree
+    golden = Path(__file__).parent / "golden" / "fig2.csv"
+    rows = [line.split(",") for line in golden.read_text().splitlines() if line[:1].isdigit()]
+    step1 = {int(n): float(p) for s, n, p, _, _ in rows if s == "1"}
+    step1[2] += step1[1] + 0.05
+    step1[1] = -0.05
+    f_atom = repr(atom_fidelity(step1))
+    out = tmp_path / "fig2.csv"
+    out.write_text(golden.read_text())
+    edit_step_rows(out, lambda s, n, p, f, m: [s, n, repr(step1[int(n)]), f_atom, m]
+                   if s == "1" else [s, n, p, f, m])
+    assert check_output(out) == ["step 1: p_n -0.05 < 0 at n = 1"]
 
 
 def test_checker_verifies_the_transferred_column(tmp_path):

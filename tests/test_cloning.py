@@ -172,6 +172,14 @@ def test_binomial_distribution_values():
     assert binomial_distribution(1) == {1: 1.0}
 
 
+@pytest.mark.parametrize("n_max", [1, 2, 6, 10, 1000])
+def test_binomial_distribution_equals_the_comb_form(n_max):
+    scale = 2 ** (n_max - 1)
+    assert binomial_distribution(n_max) == {
+        n: math.comb(n_max - 1, n - 1) / scale for n in range(1, n_max + 1)
+    }
+
+
 def test_uniform_distribution():
     weights = uniform_distribution(2, 5)
     assert set(weights) == {2, 3, 4, 5}

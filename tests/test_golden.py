@@ -21,7 +21,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from cavityqubits import cli, config, optimum, protocol, transitions
+from cavityqubits import cli, config, protocol
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
 SRC = Path(__file__).parents[1] / "src"
@@ -144,7 +144,7 @@ def test_golden_bytes_on_every_x86_blas_kernel(tmp_path):
 def test_a_fixed_tau_prior_optimum_seeds_the_optimal_each_step_tree(tmp_path, monkeypatch):
     # the jittered run stores its prior's optimum at the root of the
     # optimal-each-step tree, which the next run walks from
-    transitions.trees.clear()
+    protocol.trees.clear()
     for name in ("custom_jittered.csv", "custom_optimal_each_step.csv"):
         out = tmp_path / name
         generate(name, out)
@@ -152,8 +152,8 @@ def test_a_fixed_tau_prior_optimum_seeds_the_optimal_each_step_tree(tmp_path, mo
             (GOLDEN_DIR / name).read_text()
         )
     searches = []
-    search = optimum.search
-    monkeypatch.setattr(optimum, "search", lambda *args: searches.append(args) or search(*args))
+    search = protocol.optimal_tau
+    monkeypatch.setattr(protocol, "optimal_tau", lambda *args: searches.append(args) or search(*args))
     cfg = config.ExperimentConfig(distribution=config.DistributionSpec("binomial", n_max=6))
     initial = protocol.WeightedEnsemble.from_weights(cfg.initial_weights())
     tau = cfg.resolved_tau(initial)

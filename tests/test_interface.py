@@ -215,6 +215,34 @@ def test_readme_module_references_resolve():
     assert missing == []
 
 
+def test_readme_states_the_src_line_count():
+    stated = re.findall(r"`src/` is (\d+) lines by `wc -l`", (ROOT / "README.md").read_text())
+    counted = sum(path.read_bytes().count(b"\n") for path in SRC.glob("*.py"))  # as wc -l
+    assert stated == [str(counted)]
+
+
+def test_only_the_rabi_factor_takes_a_sine_or_cosine_in_protocol():
+    # one phase expression serves excite_prob, the weight update, the
+    # lockstep and the optimum search, so they all see the same floats
+    found = []
+
+    def visit(node: ast.AST, owner: str) -> None:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and owner == "<module>":
+            owner = node.name
+        if (
+            isinstance(node, ast.Attribute)
+            and isinstance(node.value, ast.Name)
+            and node.value.id == "np"
+            and node.attr in ("sin", "cos")
+        ):
+            found.append((owner, node.attr))
+        for child in ast.iter_child_nodes(node):
+            visit(child, owner)
+
+    visit(ast.parse((SRC / "protocol.py").read_text()), "<module>")
+    assert sorted(found) == [("_rabi_factor", "cos"), ("_rabi_factor", "sin")]
+
+
 def _stop_reason_users(path: Path) -> dict[str, set[str]]:
     """For each `StopReason.<member>` a source file names, the top-level
     functions (or methods) that name it; `<module>` for any other place."""

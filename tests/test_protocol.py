@@ -11,7 +11,7 @@ from fidelity_reference import atom_fidelity
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from cavityqubits import fockspace, optimum, protocol, transitions
+from cavityqubits import fockspace, protocol
 from cavityqubits.cloning import binomial_distribution, quality
 from cavityqubits.config import MAX_PHOTON_NUMBER, DistributionSpec, ExperimentConfig, split_rng
 from cavityqubits.protocol import (
@@ -485,38 +485,38 @@ def test_the_search_compares_excite_probs_curve_and_scalar_forms(n_max):
     # value at one tau; both are one left-to-right sum, so at a grid point
     # they are the same float
     ens = WeightedEnsemble.from_weights(binomial_distribution(n_max))
-    grid = optimum.tau_grid(1.0)
+    grid = protocol.tau_grid(1.0)
     curve = excite_prob(ens, 1.0, grid)
     assert curve.tolist() == [excite_prob(ens, 1.0, tau) for tau in grid.tolist()]
 
 
 def stored_nodes() -> int:
     """Nodes stored in every transition tree the process keeps."""
-    return sum(tree.nodes for tree in transitions.trees.values())
+    return sum(tree.nodes for tree in protocol.trees.values())
 
 
 def test_optimal_each_step_builds_each_grid_row_once(tmp_path):
     from cavityqubits import cli
 
-    optimum.grid_row.cache_clear()
+    protocol.grid_row.cache_clear()
     # a stored transition builds no row
-    transitions.trees.clear()
+    protocol.trees.clear()
     out = tmp_path / "run.csv"
     assert cli.main(["custom", "--nmax", "6", "--policy", "optimal-each-step", "--seed", "8",
                      "--out", str(out)]) == 0
-    info = optimum.grid_row.cache_info()
+    info = protocol.grid_row.cache_info()
     # one row per remaining photon count 0..6, however many atoms re-optimize
     assert info.misses <= 7
     assert info.hits > 10 * info.misses
 
 
 def test_grid_rows_of_one_search_at_the_photon_cap_stay_cached():
-    assert optimum.grid_row.cache_info().maxsize >= MAX_PHOTON_NUMBER + 1
-    optimum.grid_row.cache_clear()
+    assert protocol.grid_row.cache_info().maxsize >= MAX_PHOTON_NUMBER + 1
+    protocol.grid_row.cache_clear()
     ens = WeightedEnsemble.from_weights(binomial_distribution(MAX_PHOTON_NUMBER))
     optimal_tau(ens, 1.0)
     optimal_tau(update_weights(ens, 1.0, 0.05, EXCITED), 1.0)
-    info = optimum.grid_row.cache_info()
+    info = protocol.grid_row.cache_info()
     # rows 1..1000, then 0..999 one photon down: each row is built once
     assert (info.misses, info.hits) == (MAX_PHOTON_NUMBER + 1, MAX_PHOTON_NUMBER - 1)
 
@@ -526,12 +526,12 @@ def test_a_warm_tree_writes_the_same_csv(tmp_path):
 
     out = tmp_path / "run.csv"
     argv = ["custom", "--nmax", "6", "--policy", "optimal-each-step", "--out", str(out)]
-    transitions.trees.clear()
+    protocol.trees.clear()
     assert cli.main([*argv, "--seed", "8"]) == 0
     cold = out.read_bytes()
     for seed in range(20):
         assert cli.main([*argv, "--seed", str(seed)]) == 0
-    (tree,) = transitions.trees.values()
+    (tree,) = protocol.trees.values()
     nodes, misses, hits = tree.nodes, tree.misses, tree.hits
     assert cli.main([*argv, "--seed", "8"]) == 0
     assert out.read_bytes() == cold
@@ -540,7 +540,7 @@ def test_a_warm_tree_writes_the_same_csv(tmp_path):
 
 
 def test_a_stored_prior_optimum_keeps_no_array():
-    transitions.trees.clear()
+    protocol.trees.clear()
     # a row of a weight stack is a view of the whole stack, which must not outlive the run
     stack = np.array([[0.25, 0.75], [0.5, 0.5]])
     prior = WeightedEnsemble(np.array([1, 2]), stack[1])
@@ -757,7 +757,7 @@ def assert_batch_matches_run(weights, policy, cutoffs, n_rows, atom_budget, seed
     row r of the lockstep batch equals it too, at each cutoff. All of it
     twice: from an empty transition tree, then from the tree the first pass
     left, which must then store no new node."""
-    transitions.trees.clear()
+    protocol.trees.clear()
     reasons = assert_batch_matches_run_once(
         weights, policy, cutoffs, n_rows, atom_budget, seed, gamma
     )
@@ -943,13 +943,13 @@ def test_concurrent_runs_from_one_prior_match_serial_runs():
             for t in (run(config, rng) for rng in rngs)
         ]
 
-    transitions.trees.clear()
+    protocol.trees.clear()
     serial = traces(split_rng(s) for s in seeds)
-    (tree,) = transitions.trees.values()
+    (tree,) = protocol.trees.values()
     stored = (tree.nodes, tree.nbytes, tree.hits + tree.misses)
     assert stored[2] == sum(len(events) for events, *_ in serial)
 
-    transitions.trees.clear()
+    protocol.trees.clear()
     results = {}
     # four threads on the same seeds, so they race to store the same nodes
     threads = [
@@ -969,7 +969,7 @@ def test_concurrent_runs_from_one_prior_match_serial_runs():
     assert not any(t.is_alive() for t in threads)
     assert all(results[k] == serial for k in range(4))
     # every posterior the runs reach is stored once, and every pass counted
-    (tree,) = transitions.trees.values()
+    (tree,) = protocol.trees.values()
     assert (tree.nodes, tree.nbytes, tree.hits + tree.misses) == (*stored[:2], 4 * stored[2])
 
 def test_a_full_tree_stays_within_its_bound():
@@ -978,7 +978,7 @@ def test_a_full_tree_stays_within_its_bound():
     weights = binomial_distribution(1000)
     initial = WeightedEnsemble.from_weights(weights)
     policy, budget = FixedTau(0.05), 1500
-    transitions.trees.clear()
+    protocol.trees.clear()
     for seed in (0, 1):
         trace = run(run_config(weights, policy, 10**6, budget), split_rng(seed, 0))
         lockstep = run_batch(
@@ -988,6 +988,6 @@ def test_a_full_tree_stays_within_its_bound():
         assert len(trace.events) == lockstep.atoms[0, 0] == budget
         assert np.array_equal(trace.final.weights, lockstep.weights[0, 0])
         assert trace.final.transferred == lockstep.transferred[0, 0]
-        (tree,) = transitions.trees.values()
-        assert tree.nbytes <= transitions.TREE_BYTES
+        (tree,) = protocol.trees.values()
+        assert tree.nbytes <= protocol.TREE_BYTES
         assert tree.nodes < budget
