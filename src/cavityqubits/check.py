@@ -11,8 +11,15 @@ import math
 import sys
 from pathlib import Path
 
-from . import cloning, trapping
-from .config import EXPERIMENTS, QUALITY_TABLE, STEP_TABLE, TRAPPING_TABLE, read_echo
+from . import cloning, protocol, trapping
+from .config import (
+    DEFAULT_SIGMA_REL_GRID,
+    EXPERIMENTS,
+    QUALITY_TABLE,
+    STEP_TABLE,
+    TRAPPING_TABLE,
+    read_echo,
+)
 
 # False-alarm probability of `check`'s bound on a fig3 row's a_mean_mc,
 # split evenly between the two tails.
@@ -48,14 +55,21 @@ def _check(file) -> list[str]:
     if problems:
         return [f"metadata: {problem}" for problem in problems]
     table = EXPERIMENTS[config.experiment].table
-    if table is STEP_TABLE and "transferred_total" not in metadata:
-        return ["metadata: transferred_total: missing"]
+    # what the run adds to the config echo: not config keys
+    added = {STEP_TABLE: "transferred_total", QUALITY_TABLE: "resolved_tau"}.get(table)
+    if added is not None and added not in metadata:
+        return [f"metadata: {added}: missing"]
     try:
         configured = config.initial_weights()
-        if table is STEP_TABLE:  # the run's count of transfers, not a config key
+        if table is STEP_TABLE:  # the run's count of transfers
             transferred_total = int(metadata["transferred_total"])
+        elif table is QUALITY_TABLE:  # the fixed tau every run took
+            initial = protocol.WeightedEnsemble.from_weights(configured)
+            resolved_tau = repr(float(config.resolved_tau(initial)))
     except ValueError as exc:
         return [f"metadata: {exc}"]
+    if table is QUALITY_TABLE and (echoed := metadata["resolved_tau"]) != resolved_tau:
+        return [f"metadata: resolved_tau: {echoed!r} != recomputed {resolved_tau}"]
     n_max, runs, cutoffs = config.distribution.max_photon_number(), config.runs, config.cutoffs
     if header != [name for name, _ in table]:
         return [f"unexpected header {header}" if header else "no header row"]
@@ -84,7 +98,17 @@ def _check(file) -> list[str]:
         # for the closed form's p; a row is flagged only beyond the bound of
         # every mean in that range, that is of the one nearest to a_mean_mc.
         tail_exponent = math.log(2.0 / MC_FALSE_ALARM)
+        rows = list(rows)  # one per (m_rabi, sigma_rel) cell
+        sigma_rels = config.sigma_rel_values or DEFAULT_SIGMA_REL_GRID
+        cells = len(config.rabi_cycles_values) * len(sigma_rels)
+        # the writer's order, m_rabi-major, listed only for a file of as many rows
+        grid = itertools.product(config.rabi_cycles_values, sigma_rels)
+        grid = list(grid) if len(rows) == cells else []
+        good = 0
         for i, (m_rabi, sigma_rel, closed, mc, stderr) in parsed(rows):
+            good += 1
+            if grid and (cell := (m_rabi, sigma_rel)) != grid[i]:
+                problems.append(f"row {i}: (m_rabi, sigma_rel) {cell} != metadata {grid[i]}")
             # escape counts are ints >= 1 with mean a_mean_mc, so their standard
             # error is at most a_mean_mc - 1, all the excess in one count, up to
             # a rounding of 1e-12 a_mean_mc; one trial has none (inf)
@@ -111,6 +135,8 @@ def _check(file) -> list[str]:
                     f"row {i}: a_mean_mc {mc!r} is outside the {MC_FALSE_ALARM:g} tail bound "
                     f"of {config.trials} trials around a_mean_closed {expected!r}"
                 )
+        if good == len(rows) != cells:
+            problems.append(f"{len(rows)} rows, but metadata lists {cells} cells")
     elif table is QUALITY_TABLE:
         # the largest sample standard deviation of `runs` values in [0, 1.5],
         # half at each end, over sqrt(runs), or over sqrt(the largest float)
@@ -169,8 +195,10 @@ def _check(file) -> list[str]:
             except ValueError as exc:
                 problems.append(f"step {step}: cannot recompute F_atom: {exc}")
                 continue
-            if not math.isclose(f_atoms[-1], expected, rel_tol=1e-12):
-                problems.append(f"step {step}: F_atom {f_atoms[-1]!r} != recomputed {expected!r}")
+            # every row of the step carries it; the first one off is named
+            off = [f for f in f_atoms if not math.isclose(f, expected, rel_tol=1e-12)]
+            if off:
+                problems.append(f"step {step}: F_atom {off[0]!r} != recomputed {expected!r}")
         if last < 0:
             problems.append(step0)
         if not ordered:

@@ -28,6 +28,7 @@ import numpy as np
 from . import __version__, cloning, protocol, trapping
 from .check import check_output
 from .config import (
+    DEFAULT_SIGMA_REL_GRID,
     EXPERIMENTS,
     HALF_RABI,
     JITTERED,
@@ -40,12 +41,9 @@ from .config import (
     DistributionSpec,
     ExperimentConfig,
     parse_config_file,
-    parse_float_list,
     split_rng,
     value_problem,
 )
-
-DEFAULT_SIGMA_REL_GRID = tuple(parse_float_list("0.01:0.20:0.01"))
 
 # Most (cutoff, run) pairs one fig4 call may grade: the states `run_batch`
 # returns for cutoffs x runs.

@@ -372,6 +372,10 @@ def parse_float_list(text: str) -> list[float]:
     return values
 
 
+# fig3's jitter grid where sigma_rel_values is unset
+DEFAULT_SIGMA_REL_GRID = tuple(parse_float_list("0.01:0.20:0.01"))
+
+
 def parse_int_list(text: str) -> list[int]:
     """'a..b' (inclusive range), 'x,y,z', or a single value."""
     text = text.strip()

@@ -205,7 +205,8 @@ class JointPureState:
             raise ValueError(
                 f"amplitude vector has shape {amps.shape}, expected ({self.space.dim},)"
             )
-        object.__setattr__(self, "amplitudes", amps)
+        # contiguous, so that the kernels can read its float64 view
+        object.__setattr__(self, "amplitudes", np.ascontiguousarray(amps))
 
     def norm(self) -> float:
         return float(np.linalg.norm(self.amplitudes))
@@ -215,6 +216,15 @@ class JointPureState:
 
     def fidelity(self, other: "JointPureState") -> float:
         return abs(self.overlap(other)) ** 2
+
+
+def _state(space: JointSpace, amplitudes: np.ndarray) -> JointPureState:
+    """A `JointPureState` without `__post_init__`'s checks, for a contiguous
+    complex (space.dim,) array made inside this module: the public
+    constructors check what enters, the kernels do not check what they made."""
+    state = object.__new__(JointPureState)
+    state.__dict__.update(space=space, amplitudes=amplitudes)
+    return state
 
 
 @dataclass(frozen=True)
@@ -289,6 +299,21 @@ def _apply_local(
     return out.reshape(3, fock, 3**atom_index, -1).transpose(2, 0, 3, 1).reshape(-1)
 
 
+def _propagate(v: np.ndarray, phases: np.ndarray, columns: np.ndarray) -> np.ndarray:
+    """V diag(phases) V^dagger of complex `columns`, for an eigenvector
+    matrix V. The interaction blocks are real symmetric, so their V is real:
+    V^T and V then act as real matrices on the columns' float64 view, (real,
+    imaginary) pairs side by side, with the phases multiplied in between.
+    That is one real product each, half the flops of a complex one, and no
+    complex copy of V. A complex Hermitian block, which `LocalOperator` also
+    takes, has a complex V and takes the complex product."""
+    if np.iscomplexobj(v):
+        return v @ (phases * (v.conj().T @ columns))
+    rotated = (v.T @ np.ascontiguousarray(columns).view(np.float64)).view(complex)
+    rotated *= phases
+    return (v @ rotated.view(np.float64)).view(complex)
+
+
 def evolve(state: JointPureState, hamiltonian: LocalOperator, t: float) -> JointPureState:
     """exp(-i H t) of a local operator, V exp(-i w t) V^dagger from its
     eigensystem, applied to atom H.atom_index and the cavity. An operator
@@ -305,10 +330,9 @@ def evolve(state: JointPureState, hamiltonian: LocalOperator, t: float) -> Joint
             f"operator on atom {k} with a {side} x {side} block does not fit "
             f"{space.atom_count} atoms at n_max = {space.n_max}"
         )
-    w, v = hamiltonian.eigenvalues, hamiltonian.eigenvectors
-    phases = np.exp(-1j * t * w)[:, None]
-    out = _apply_local(space, k, state.amplitudes, lambda x: v @ (phases * (v.conj().T @ x)))
-    return JointPureState(space, out)
+    v, phases = hamiltonian.eigenvectors, np.exp(-1j * t * hamiltonian.eigenvalues)[:, None]
+    out = _apply_local(space, k, state.amplitudes, lambda x: _propagate(v, phases, x))
+    return _state(space, out)
 
 
 def _level_axis(state: JointPureState, atom_index: int) -> np.ndarray:
@@ -318,6 +342,13 @@ def _level_axis(state: JointPureState, atom_index: int) -> np.ndarray:
     if not 0 <= atom_index < atom_count:
         raise IndexError(f"atom_index {atom_index} out of range [0, {atom_count})")
     return state.amplitudes.reshape(3**atom_index, 3, -1)
+
+
+# 1 on the levels an outcome keeps, 0 on the rest, as a (level, 1) column
+_KEEP = {
+    MeasurementOutcome.GROUND: _read_only(np.array([[1.0], [0.0], [0.0]])),
+    MeasurementOutcome.EXCITED: _read_only(np.array([[0.0], [1.0], [1.0]])),
+}
 
 
 def _checked_norm_squared(norm_squared: float) -> float:
@@ -343,24 +374,20 @@ def measure_atom_energy(
     if (rng is None) == (outcome is None):
         raise ValueError("pass exactly one of rng or outcome")
 
-    populations = np.einsum("ixr,ixr->x", amps, amps.conj()).real
-    ground = float(populations[AtomLevel.GROUND])
-    excited = float(populations[AtomLevel.EXC0 :].sum())
+    floats = amps.view(np.float64)  # (3**k, 3, 2 rest): real, imaginary
+    populations = np.square(floats).sum(axis=(0, 2))
+    ground, exc0, exc1 = populations.tolist()  # in AtomLevel order
+    excited = exc0 + exc1
     total = _checked_norm_squared(ground + excited)
     if outcome is None:
         sampled_ground = rng.random() < ground / total
         outcome = MeasurementOutcome.GROUND if sampled_ground else MeasurementOutcome.EXCITED
     kept = ground if outcome is MeasurementOutcome.GROUND else excited
-    if kept <= 0.0:
+    if kept <= 0.0:  # a sum of exact zeros, never a rounded one
         raise ValueError(f"branch {outcome.value} has zero probability")
 
-    post = amps.copy()
-    if outcome is MeasurementOutcome.GROUND:
-        post[:, AtomLevel.EXC0 :] = 0.0
-    else:
-        post[:, AtomLevel.GROUND] = 0.0
-    post /= math.sqrt(kept)
-    return MeasurementResult(outcome, kept / total, JointPureState(state.space, post.reshape(-1)))
+    post = (floats * (_KEEP[outcome] / math.sqrt(kept))).view(complex).reshape(-1)
+    return MeasurementResult(outcome, kept / total, _state(state.space, post))
 
 
 def reduced_atom_state(state: JointPureState, atom_index: int) -> np.ndarray:

@@ -1267,7 +1267,7 @@ def test_checker_bound_holds_at_one_trial(tmp_path):
     zero_jitter = ["1", "0.0", "inf", "7.0", "inf"]  # escape never happens
     out.write_text("\n".join(lines[:-1] + [",".join(fields), ",".join(zero_jitter)]) + "\n")
     assert [p.partition(" is ")[0] for p in check_output(out)] == [
-        "row 59: a_mean_mc 0.5", "row 60: a_mean_mc 7.0"
+        "row 59: a_mean_mc 0.5", "row 60: a_mean_mc 7.0", "61 rows, but metadata lists 60 cells"
     ]
 
 
@@ -1514,6 +1514,61 @@ def test_check_ties_fig4_cutoffs_and_stderr_to_the_metadata(fig4_csv, tmp_path):
         assert check_output(path) == problems, key
 
 
+def test_checker_grades_f_atom_on_every_row_of_a_step(tmp_path):
+    # row `1,2,...` of golden fig2.csv at F_atom = 0.5; step 1's other rows,
+    # the last among them, keep the recomputed value
+    golden = Path(__file__).parent / "golden" / "fig2.csv"
+    f_atom = next(line.split(",")[3] for line in golden.read_text().splitlines()
+                  if line.startswith("1,2,"))
+    out = tmp_path / "fig2.csv"
+    out.write_text(golden.read_text())
+    edit_step_rows(out, lambda s, n, p, f, m: [s, n, p, "0.5" if (s, n) == ("1", "2") else f, m])
+    assert check_output(out) == [f"step 1: F_atom 0.5 != recomputed {f_atom}"]
+
+
+def test_checker_recomputes_fig4_resolved_tau(tmp_path):
+    golden = Path(__file__).parent / "golden" / "fig4_binomial10.csv"
+    text, line = golden.read_text(), "# resolved_tau = 0.6619869741781466\n"
+    assert line in text
+    out = tmp_path / "fig4.csv"
+    out.write_text(text.replace(line, "# resolved_tau = 0.5\n"))
+    assert check_output(out) == [
+        "metadata: resolved_tau: '0.5' != recomputed 0.6619869741781466"
+    ]
+    out.write_text(text.replace(line, ""))
+    assert check_output(out) == ["metadata: resolved_tau: missing"]
+    # a configured tau is the tau every run took
+    assert main(["fig4", "--nmax", "4", "--tau", "0.7", "--runs", "2", "--cutoffs", "1,2",
+                 "--seed", "1", "--out", str(out)]) == 0
+    text = out.read_text()
+    assert "# resolved_tau = 0.7\n" in text and check_output(out) == []
+    out.write_text(text.replace("# resolved_tau = 0.7\n", "# resolved_tau = 0.70001\n"))
+    assert check_output(out) == ["metadata: resolved_tau: '0.70001' != recomputed 0.7"]
+
+
+def test_checker_ties_fig3_rows_to_the_metadata_grid(tmp_path):
+    golden = Path(__file__).parent / "golden" / "fig3.csv"
+    lines = golden.read_text().splitlines()
+    first = next(i for i, line in enumerate(lines) if line[:1].isdigit())
+    assert len(lines) - first == 60  # 3 cycle counts x 20 jitters
+    out = tmp_path / "fig3.csv"
+    out.write_text("\n".join(lines[: first + 5]) + "\n")
+    assert check_output(out) == ["5 rows, but metadata lists 60 cells"]
+    out.write_text("\n".join(lines[:-1]) + "\n")
+    assert check_output(out) == ["59 rows, but metadata lists 60 cells"]
+    # m_rabi 3 -> 4 at sigma_rel 0.2, where a_mean_closed saturates at 2
+    edit_fig3_row(out, 59, 0, "4")
+    assert check_output(out) == ["row 59: (m_rabi, sigma_rel) (4, 0.2) != metadata (3, 0.2)"]
+    # the rows of m_rabi 1 and 2 at sigma_rel 0.01 swapped
+    swapped = list(lines)
+    swapped[first], swapped[first + 20] = lines[first + 20], lines[first]
+    out.write_text("\n".join(swapped) + "\n")
+    assert check_output(out) == [
+        "row 0: (m_rabi, sigma_rel) (2, 0.01) != metadata (1, 0.01)",
+        "row 20: (m_rabi, sigma_rel) (1, 0.01) != metadata (2, 0.01)",
+    ]
+
+
 def test_check_wants_zero_stderr_from_one_run(tmp_path):
     out = tmp_path / "fig4.csv"
     main(["fig4", "--nmax", "4", "--runs", "1", "--cutoffs", "2,1,2", "--seed", "1",
@@ -1577,7 +1632,8 @@ def test_check_reports_rows_it_cannot_recompute(tmp_path):
     lines[-1] = "0," + lines[-1].partition(",")[2]  # m_rabi 0 has no closed form
     out.write_text("\n".join(lines) + "\n")
     assert check_output(out) == [
-        "row 0: cannot recompute a_mean_closed: rabi_cycles must be >= 1, got 0"
+        "row 0: (m_rabi, sigma_rel) (0, 0.1) != metadata (1, 0.1)",
+        "row 0: cannot recompute a_mean_closed: rabi_cycles must be >= 1, got 0",
     ]
     out = tmp_path / "fig2.csv"
     main(["fig2", "--nmax", "4", "--tau", "0.7", "--seed", "5", "--out", str(out)])

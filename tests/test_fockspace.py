@@ -24,7 +24,7 @@ from cavityqubits.fockspace import (
     qubit_register_state,
     reduced_atom_state,
 )
-from cavityqubits.protocol import MeasurementOutcome
+from cavityqubits.protocol import MeasurementOutcome, WeightedEnsemble, excite_prob, update_weights
 from cavityqubits.symstate import SymLabel, decompose, symmetric_basis_state
 
 G = AtomLevel.GROUND
@@ -420,6 +420,47 @@ def test_sector_evolve_matches_dense_propagator(atoms, n_max):
     assert np.abs(changed - original).max() > 1e-3
 
 
+@pytest.mark.parametrize("atoms,n_max", [(5, 4), (4, 10)])
+def test_real_evolve_matches_the_complex_product(atoms, n_max):
+    # the real eigenvectors applied to the float view give the complex
+    # formula v @ (phases * (v^dagger @ x)) on the same columns
+    space = JointSpace(atoms, n_max)
+    for k, seed, t in [(0, 1, 0.37), (atoms // 2, 2, 2.9), (atoms - 1, 3, 11.3)]:
+        state = sector_spanning_state(space, seed)
+        h = interaction_hamiltonian(space, k, 1.3)
+        v, w = h.eigenvectors, h.eigenvalues
+        assert v.dtype == np.float64
+        phases = np.exp(-1j * t * w)[:, None]
+        expected = fockspace._apply_local(
+            space, k, state.amplitudes, lambda x: v @ (phases * (v.conj().T @ x))
+        )
+        got = evolve(state, h, t).amplitudes
+        assert np.abs(got - expected).max() <= 1e-14
+
+
+@pytest.mark.parametrize("atoms,n_max", [(1, 0), (1, 3), (2, 2), (3, 4)])
+def test_kernels_return_fresh_complex_states(atoms, n_max):
+    space = JointSpace(atoms, n_max)
+    state = random_state(space, atoms + n_max)
+    results = [evolve(state, interaction_hamiltonian(space, k), 0.6) for k in range(atoms)]
+    results += [
+        measure_atom_energy(state, k, outcome=outcome).post_state
+        for k in range(atoms)
+        for outcome in MeasurementOutcome
+    ]
+    for out in results:
+        assert out.amplitudes.dtype == np.complex128 and out.amplitudes.shape == (space.dim,)
+        assert out.amplitudes.flags.c_contiguous
+        assert not np.shares_memory(out.amplitudes, state.amplitudes)
+    # a strided input is made contiguous where it enters, and evolves alike
+    wide = np.zeros((space.dim, 2), dtype=complex)
+    wide[:, 0] = state.amplitudes
+    strided = JointPureState(space, wide[:, 0])
+    assert strided.amplitudes.flags.c_contiguous
+    h = interaction_hamiltonian(space, atoms - 1)
+    np.testing.assert_array_equal(evolve(strided, h, 0.6).amplitudes, evolve(state, h, 0.6).amplitudes)
+
+
 def test_evolve_at_six_atoms_six_photons_stays_small():
     # d = 20412: a dense Hamiltonian would take 3.3 GB, the local block 56 KB
     space = JointSpace(6, 6)
@@ -610,6 +651,45 @@ def test_measurement_branches_sum_to_one():
         assert pg + pe == pytest.approx(1.0, abs=1e-12)
 
 
+@pytest.mark.parametrize("atoms,n_max", [(1, 2), (3, 4), (4, 3)])
+def test_measurement_reads_the_einsum_populations(atoms, n_max):
+    space = JointSpace(atoms, n_max)
+    for k in range(atoms):
+        state = random_state(space, 10 * atoms + k)
+        amps = state.amplitudes.reshape(3**k, 3, -1)
+        populations = np.einsum("ixr,ixr->x", amps, amps.conj()).real
+        kept = {MeasurementOutcome.GROUND: [G], MeasurementOutcome.EXCITED: [E0, E1]}
+        for outcome, levels in kept.items():
+            result = measure_atom_energy(state, k, outcome=outcome)
+            p = populations[levels].sum()
+            assert abs(result.probability - p / populations.sum()) <= 1e-15
+            expected = np.zeros_like(amps)
+            expected[:, levels] = amps[:, levels] / math.sqrt(p)
+            np.testing.assert_allclose(
+                result.post_state.amplitudes, expected.reshape(-1), rtol=0, atol=1e-15
+            )
+
+
+def test_a_forced_zero_probability_branch_raises():
+    # the refused branch's populations are sums of exact zeros
+    space = JointSpace(3, 2)
+    state = basis_state(space, (G, E1, G), 1, 1)
+    for k, refused in [(0, MeasurementOutcome.EXCITED), (1, MeasurementOutcome.GROUND)]:
+        with pytest.raises(ValueError, match="zero probability"):
+            measure_atom_energy(state, k, outcome=refused)
+    # a post-state keeps exact zeros off its branch, also after evolving
+    # another atom
+    evolved = evolve(random_state(space, 4), interaction_hamiltonian(space, 0), 0.8)
+    for outcome, other in [
+        (MeasurementOutcome.GROUND, MeasurementOutcome.EXCITED),
+        (MeasurementOutcome.EXCITED, MeasurementOutcome.GROUND),
+    ]:
+        post = measure_atom_energy(evolved, 2, outcome=outcome).post_state
+        post = evolve(post, interaction_hamiltonian(space, 1), 1.1)
+        with pytest.raises(ValueError, match="zero probability"):
+            measure_atom_energy(post, 2, outcome=other)
+
+
 # --- reduced states -----------------------------------------------------------------
 
 
@@ -749,3 +829,54 @@ def test_transfer_is_coherent_on_every_outcome_path(atoms):
             paths = walk_coherence(start, coeffs, taus)
             # every path that excites at most n atoms
             assert paths == sum(math.comb(atoms, e) for e in range(min(n, atoms) + 1))
+
+
+# --- the closed forms against the oracle -----------------------------------------------
+
+
+def test_oracle_crosscheck_at_the_benchmark_size():
+    # the benchmark's oracle check at its full size: 3 atoms, n = 1..4, 8
+    # trials; each atom's excitation probability and each posterior weight
+    # from the oracle's evolve and measure_atom_energy against protocol's
+    # closed forms, so a fast but wrong kernel fails here
+    rng = np.random.default_rng(31)
+    atoms, photons, gamma = 3, (1, 2, 3, 4), 1.0
+    ground, excited = MeasurementOutcome.GROUND, MeasurementOutcome.EXCITED
+    for _ in range(8):
+        raw = rng.random(len(photons)) + 0.05
+        weights = dict(zip(photons, (raw / raw.sum()).tolist()))
+        states = {}
+        for n in photons:
+            j = int(rng.integers(0, n + 1))
+            states[n] = basis_state(JointSpace(atoms, n), (G,) * atoms, j, n - j)
+        ens = WeightedEnsemble.from_weights(weights)
+        for k in range(atoms):
+            tau = float(rng.uniform(0.1, 2.5))
+            p_ground, branches = {}, {}
+            for n, state in states.items():
+                if weights[n] == 0.0:
+                    continue
+                states[n] = evolve(state, interaction_hamiltonian(state.space, k, gamma), tau)
+                for outcome in (ground, excited):
+                    try:
+                        measured = measure_atom_energy(states[n], k, outcome=outcome)
+                    except ValueError:  # a branch of zero probability
+                        continue
+                    branches[n, outcome] = measured.post_state
+                    if outcome is ground:
+                        p_ground[n] = measured.probability
+                p_ground.setdefault(n, 0.0)
+            oracle = sum(weights[n] * (1.0 - p) for n, p in p_ground.items())
+            p_excited = excite_prob(ens, gamma, tau)
+            assert abs(p_excited - oracle) <= 1e-9
+            outcome = excited if rng.random() < p_excited else ground
+            posterior = dict.fromkeys(weights, 0.0)
+            for n, p in p_ground.items():
+                posterior[n] = weights[n] * (p if outcome is ground else 1.0 - p)
+            total = sum(posterior.values())
+            weights = {n: w / total for n, w in posterior.items()}
+            states = {n: branches[n, outcome] for n in states if (n, outcome) in branches}
+            ens = update_weights(ens, gamma, tau, outcome)
+            closed = ens.as_dict()
+            for n, w in weights.items():
+                assert abs(closed[n] - w) <= 1e-9
