@@ -56,9 +56,10 @@ def _check(file) -> list[str]:
         return [f"metadata: {problem}" for problem in problems]
     table = EXPERIMENTS[config.experiment].table
     # what the run adds to the config echo: not config keys
-    added = {STEP_TABLE: "transferred_total", QUALITY_TABLE: "resolved_tau"}.get(table)
-    if added is not None and added not in metadata:
-        return [f"metadata: {added}: missing"]
+    added = {STEP_TABLE: ("terminal_reason", "transferred_total"), QUALITY_TABLE: ("resolved_tau",)}
+    for key in added.get(table, ()):
+        if key not in metadata:
+            return [f"metadata: {key}: missing"]
     try:
         configured = config.initial_weights()
         if table is STEP_TABLE:  # the run's count of transfers
@@ -141,7 +142,7 @@ def _check(file) -> list[str]:
         # the largest sample standard deviation of `runs` values in [0, 1.5],
         # half at each end, over sqrt(runs), or over sqrt(the largest float)
         stderr_max = 0.75 / math.sqrt(min(runs - 1, sys.float_info.max)) if runs > 1 else 0.0
-        rows = list(rows)  # one per cutoff: at most cli.MAX_STREAMS
+        rows = list(rows)  # one per cutoff
         good = 0
         for i, (cutoff, mean_quality, stderr, row_n_max) in parsed(rows):
             good += 1
@@ -164,6 +165,7 @@ def _check(file) -> list[str]:
         # per atom, with no weight left on a branch it has passed
         m = None  # the step's transferred count, if it has exactly one
         last, ordered = -1, True  # the index of the last group; steps 0, 1, ... so far
+        streak, known, stop = 0, None, None  # ground steps; the last known count; the stop
         for last, (step, group) in enumerate(groups):
             _, ns, ps, f_atoms, counts = zip(*group)
             if last == 0 and (step != 0 or dict(zip(ns, ps)) != configured):
@@ -177,6 +179,9 @@ def _check(file) -> list[str]:
                 problems.append(f"step 0: transferred {m} != 0")
             elif previous is not None and m - previous not in (0, 1):
                 problems.append(f"step {step}: transferred goes from {previous} to {m}")
+            streak = 0 if last == 0 or m not in (None, known) else streak + 1
+            known = known if m is None else m
+            stop = last if stop is None and streak == config.cutoff else stop  # first reached
             if ns != tuple(configured):
                 problems.append(f"step {step}: photon numbers differ from the distribution's")
                 continue
@@ -207,4 +212,13 @@ def _check(file) -> list[str]:
             problems.append(
                 f"transferred {m} at the last step != transferred_total {transferred_total}"
             )
+        reason, cutoff, budget = metadata["terminal_reason"], config.cutoff, config.atom_budget
+        alive = [n for n, p in zip(ns, ps) if p > 0] if last >= 0 else None
+        ok, want = {  # what each stop leaves in the table
+            "cutoff-reached": (stop == last, f"its first {cutoff} grounds in a row at the end"),
+            "atom-budget-exhausted": (last == budget, f"budget + 1 = {budget + 1} steps"),
+            "vacuum-certain": (alive == [m], "a vacuum-certain last posterior"),
+        }.get(reason, (False, "to be a stop reason"))
+        if not ok:
+            problems.append(f"terminal_reason {reason} needs {want}")
     return problems

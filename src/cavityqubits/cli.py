@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import itertools
 import math
 import os
 import sys
@@ -33,7 +34,7 @@ from .config import (
     HALF_RABI,
     JITTERED,
     KEYS,
-    MAX_TRIALS,
+    OPTIMAL_EACH_STEP,
     OUTDIR_ENV,
     QUALITY_TABLE,
     TIMED_POLICIES,
@@ -45,42 +46,41 @@ from .config import (
     value_problem,
 )
 
-# Most (cutoff, run) pairs one fig4 call may grade: the states `run_batch`
-# returns for cutoffs x runs.
-MAX_STREAMS = 100_000
+# (seconds, bytes) of each unit of work: what a run and the `check` of its
+# output take per unit, and what the unit holds at the run's peak. Measured
+# on a 2-vCPU x86 host (Python 3.11.7, numpy 2.4.6) in fresh processes, the
+# runner on one worker then `check_output`: best of 3 by perf_counter, and
+# tracemalloc's peak. Each is the measured figure below, rounded up.
+COST = {
+    # fig4: 30000 runs; binomial:2 trapped, 1 to 10^4 runs; 1 to 3000 runs x 1 to 10^5 cutoffs
+    "run": (35e-6, 1800),  # its generator and lockstep row: 32 us, 1.4 KB
+    "lockstep atom": (20e-6, 0),  # however few runs are live: 15 us
+    "run atom": (1e-7, 0),  # a run's share of one: 80 ns
+    "weight update": (1.2e-8, 0),  # 10.5 ns
+    "graded weight": (6e-8, 48),  # a run's state's weight at a cutoff: 55 ns, 42 B
+    "quality row": (7e-6, 400),  # a cutoff's row, written and checked: 5 us, 300 B
+    # fig3: 2000 one-trial cells; one cell of 5e6 trials; 200 cells of 2000
+    "cell": (1.5e-4, 2_000_000),  # its call, row and block buffers: 113 us, 1.4 MB
+    "proposal": (1.5e-7, 0),  # 80 to 130 ns
+    "trial": (0.0, 18),  # its escape count, and its share of their spread: 16.3 B
+    # fig2 and custom: 10^5 atoms at one branch, trapped; binomial:10 to 1000, and searching
+    "step": (1.2e-4, 800),  # an atom's walk and posterior, written, checked: 105 us, 606 B
+    "step row": (7.5e-6, 20),  # a (step, n) row, written and checked: 5.5 to 6.8 us, 17 B
+    "search": (4e-4, 0),  # an `optimal_tau` search: 370 us at 1 to 10 branches
+    "search branch": (6e-6, 0),  # each branch it weighs: 5.1 us at 1000
+}
 
-# Most weights in those states (cutoffs x runs x photon numbers 0..n_max),
-# about 3x the script default (330000): 8 MB of floats.
-MAX_STREAM_WEIGHTS = 1_000_000
+# Most seconds a run and the `check` of its output may be priced at, and most
+# bytes it may hold beyond the interpreter's own (about 30 MB RSS). fig3 runs as
+# many cells at once as MAX_BYTES holds: two of `config.MAX_TRIALS` trials.
+MAX_SECONDS = 10.0
+MAX_BYTES = 200_000_000
 
-# Most work one fig4 call may take, in weight updates: runs x the atoms a run
-# can pass, min(atom_budget, (n_max + 1) x the largest cutoff), x photon
-# numbers 0..n_max, plus QUALITY_ATOM_UNITS per lockstep atom. On a 2-vCPU
-# host a unit takes about 0.13 us at 2 or 3 photon numbers, the costliest per
-# unit (0.02 us at 101), and a lockstep atom about 50 us however few streams
-# are left, so the bound is about 5 s. It is about 10x the script default
-# (330 x (1000 x 11 + 400) = 3.8e6).
-MAX_QUALITY_WORK = 40_000_000
-QUALITY_ATOM_UNITS = 400
-
-# Most rows one fig2 or custom table may hold, (atoms + 1) x photon numbers:
-# the default budget's table at photon numbers 0..1000. A run keeps its
-# weights in one stack and the CSV streams to its file: at binomial:1000
-# that measured 51 and 99 MB peak RSS at 1000 and 4000 atoms, and `check`
-# reads either file in 30 MB.
-MAX_STEP_ROWS = 10_011_001
-
-# Most atoms one fig3 grid may send, as `trials` x the closed-form mean
-# escape counts of its cells (1/sigma_rel^2 at small jitter): about 8x the
-# script default (20000 x 635 = 1.3e7), and far inside int64.
-MAX_TRAPPING_ATOMS = 100_000_000
-
-# Most Monte Carlo proposals one fig3 grid may draw, per cell trials x its
-# mean escape count x `thinning`'s alpha + beta, plus TRAPPING_CELL_PROPOSALS:
-# 22x the script default (2.11e6 + 60 x 2000). On one worker of a 2-vCPU host
-# a proposal takes 40 to 80 ns and a one-trial cell 80 us: the bound is 2-4 s.
-MAX_TRAPPING_PROPOSALS = 50_000_000
-TRAPPING_CELL_PROPOSALS = 2000
+# Most atoms one fig3 cell may be expected to send, trials x its mean escape
+# count: `trapping.monte_carlo_escape` counts them in int64, which holds 1024
+# times this, and a sum of geometric counts passes k times its mean with
+# probability below e^-(k - 1 - ln k), here e^-1000.
+MAX_TRAPPING_ATOMS = 2**53
 
 # Largest Rabi phase sqrt(n)*gamma*tau a run may reach. Below 2^40 adjacent
 # floats are at most 2^-12 apart, small next to the period pi of sin^2;
@@ -107,21 +107,45 @@ class Diagnostic:
         return f"{self.level}: {self.field}: {self.message}"
 
 
-def _trapping_work(config: ExperimentConfig, sigma_rels) -> tuple[float, float]:
-    """Atoms the fig3 grid is expected to send and Monte Carlo proposals it is
-    expected to draw, as MAX_TRAPPING_ATOMS and MAX_TRAPPING_PROPOSALS price
-    them; a grid of more cells than the proposal bound pays for is not summed."""
-    calls = len(config.rabi_cycles_values) * len(sigma_rels) * TRAPPING_CELL_PROPOSALS
-    if calls > MAX_TRAPPING_PROPOSALS:
-        return 0.0, float(calls)
-    n = config.trap_photon_number
-    specs = [trapping.TrapSpec(n, m, s) for m in config.rabi_cycles_values for s in sigma_rels]
-    try:
-        means = [trapping.mean_atoms_rel(spec.rabi_cycles, spec.sigma_rel) for spec in specs]
-    except ZeroDivisionError:  # 1 - exp(-x) rounds to 0 for a tiny jitter
-        return math.inf, math.inf
-    proposals = math.fsum(mu * sum(trapping.thinning(sp)[3:5]) for mu, sp in zip(means, specs))
-    return config.trials * math.fsum(means), calls + config.trials * proposals
+def price(config: ExperimentConfig, weights: dict[int, float]) -> tuple[float, float]:
+    """(seconds, bytes): what a run of `config` and the `check` of its output
+    take at most, and what the run holds at its peak, by `COST`; `weights` is
+    the resolved distribution (fig3 reads none). A run passes at most
+    min(atom_budget, (n_max + 1) x cutoff) atoms, as each excitation ends a
+    ground streak. fig3's bytes are one cell's; a cell expected to send over
+    MAX_TRAPPING_ATOMS atoms costs inf, and cells that alone pass MAX_SECONDS
+    are priced alone."""
+    table = EXPERIMENTS[config.experiment].table
+    if table is TRAPPING_TABLE:
+        sigma_rels = config.sigma_rel_values or DEFAULT_SIGMA_REL_GRID
+        done = {"cell": len(config.rabi_cycles_values) * len(sigma_rels), "proposal": 0.0}
+        held = {"cell": 1, "trial": config.trials}
+        if done["cell"] * COST["cell"][0] <= MAX_SECONDS:
+            for m, s in itertools.product(config.rabi_cycles_values, sigma_rels):
+                try:
+                    atoms = config.trials * trapping.mean_atoms_rel(m, s)
+                except ZeroDivisionError:  # 1 - exp(-x) rounds to 0 for a tiny jitter
+                    atoms = math.inf
+                if atoms > MAX_TRAPPING_ATOMS:
+                    done["proposal"] = math.inf
+                    break
+                spec = trapping.TrapSpec(config.trap_photon_number, m, s)
+                done["proposal"] += atoms * sum(trapping.thinning(spec)[3:5])
+    else:
+        k = len(weights)
+        cutoff = max(config.cutoffs) if table is QUALITY_TABLE else config.cutoff
+        atoms = min(config.atom_budget, (max(weights) + 1) * cutoff)
+        if table is QUALITY_TABLE:
+            runs, rows = min(config.runs, 10**200), len(config.cutoffs)  # runs has no maximum
+            held = {"run": runs, "graded weight": rows * runs * k, "quality row": rows}
+            done = {**held, "lockstep atom": atoms, "run atom": atoms * runs,
+                    "weight update": atoms * runs * k}
+        else:
+            held = {"step": atoms + 1, "step row": (atoms + 1) * k}
+            searches = atoms if config.policy == OPTIMAL_EACH_STEP else 0
+            done = {**held, "search": searches, "search branch": searches * k}
+    seconds = math.fsum(n * COST[unit][0] for unit, n in done.items())
+    return seconds, math.fsum(n * COST[unit][1] for unit, n in held.items())
 
 
 def _largest_phase(config: ExperimentConfig, table, n: int) -> float:
@@ -201,62 +225,15 @@ def validate(config: ExperimentConfig) -> list[Diagnostic]:
             "where adjacent floats are 2^-12 apart",
         )
         return diags
-    if table is TRAPPING_TABLE:
-        # the phase bound keeps each cycle count and jitter squarable as a float
-        sigma_rels = config.sigma_rel_values or DEFAULT_SIGMA_REL_GRID
-        atoms, proposals = _trapping_work(config, sigma_rels)
-        if atoms > MAX_TRAPPING_ATOMS:
-            error(
-                "trials",
-                f"{config.trials} trials x the grid's mean escape counts = {atoms:.3g} "
-                f"atoms exceeds the maximum {MAX_TRAPPING_ATOMS:.3g}",
-            )
-        elif proposals > MAX_TRAPPING_PROPOSALS:
-            error(
-                "trials",
-                f"{config.trials} trials x the grid's mean escape counts x alpha + beta, plus "
-                f"{TRAPPING_CELL_PROPOSALS} per cell, = {proposals:.3g} Monte Carlo proposals "
-                f"exceeds the maximum {MAX_TRAPPING_PROPOSALS:.3g}",
-            )
-        return diags
-    # each excitation ends a ground streak, so a run ends within n_max + 1 streaks
-    branches = max(weights) + 1
-    if table is QUALITY_TABLE:
-        streams = len(config.cutoffs) * config.runs
-        atoms = min(config.atom_budget, branches * max(config.cutoffs))
-        work = atoms * (config.runs * branches + QUALITY_ATOM_UNITS)
-        if streams > MAX_STREAMS:
-            error(
-                "runs",
-                f"{len(config.cutoffs)} cutoffs x {config.runs} runs = {streams} streams "
-                f"exceeds the maximum {MAX_STREAMS}",
-            )
-        elif streams * branches > MAX_STREAM_WEIGHTS:
-            error(
-                "runs",
-                f"{streams} streams x {branches} photon numbers = {streams * branches} "
-                f"weights exceeds the maximum {MAX_STREAM_WEIGHTS}",
-            )
-        elif work > MAX_QUALITY_WORK:
-            error(
-                "atom_budget",
-                f"{config.runs} runs x {atoms} atoms x {branches} photon numbers, plus "
-                f"{QUALITY_ATOM_UNITS} per atom, = {work} weight updates exceeds the maximum "
-                f"{MAX_QUALITY_WORK}",
-            )
-    else:
-        steps = min(config.atom_budget, branches * config.cutoff) + 1
-        rows = steps * len(weights)
-        if rows > MAX_STEP_ROWS:
-            error(
-                "atom_budget",
-                f"{steps} steps x {len(weights)} photon numbers = {rows} rows exceeds the "
-                f"maximum {MAX_STEP_ROWS}",
-            )
+    # the phase bound keeps each fig3 cycle count and jitter squarable as a float
+    seconds, peak = price(config, weights)
+    if seconds > MAX_SECONDS or peak > MAX_BYTES:
+        error("price", f"the run and its check are priced at {seconds:.3g} s and {peak / 1e6:.3g} "
+              f"MB, above the maximum {MAX_SECONDS:g} s and {MAX_BYTES / 1e6:g} MB")
 
     # a fixed tau that puts the top branch's phase at pi or beyond can hit a
     # trapping point of some occupied branch and stall the run
-    if config.policy in TIMED_POLICIES and config.tau:
+    if table is not TRAPPING_TABLE and config.policy in TIMED_POLICIES and config.tau:
         top = math.sqrt(n) * config.gamma * config.tau
         if top >= math.pi:
             warn(
@@ -386,8 +363,9 @@ def _run_trapping_curves(config: ExperimentConfig) -> Path:
         for cell, (m_rabi, sigma_rel) in enumerate(cells)
     ]
     closed = [trapping.mean_atoms_rel(m_rabi, sigma_rel) for m_rabi, sigma_rel in cells]
-    # the cells that run at once hold at most 2 x MAX_TRIALS trials
-    estimates = _parallel_map(trapping.monte_carlo_escape, jobs, 2 * MAX_TRIALS // config.trials)
+    # the cells that run at once hold at most MAX_BYTES
+    most = int(MAX_BYTES // price(config, {})[1])
+    estimates = _parallel_map(trapping.monte_carlo_escape, jobs, most)
     rows = [
         (m_rabi, sigma_rel, mean, estimate.mean, estimate.stderr)
         for (m_rabi, sigma_rel), mean, estimate in zip(cells, closed, estimates)

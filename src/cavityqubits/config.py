@@ -31,9 +31,8 @@ OUTDIR_ENV = "CAVITYQUBITS_OUTDIR"
 # 20000 for the binomial weights alone).
 MAX_PHOTON_NUMBER = 1000
 
-# Most values an 'a:b:step' or 'a..b' range may hold. No accepted config has
-# more: fig4 takes at most `cli.MAX_STREAMS` cutoffs, and each fig3 cell
-# costs `cli.TRAPPING_CELL_PROPOSALS` of `cli.MAX_TRAPPING_PROPOSALS`.
+# Most values an 'a:b:step' or 'a..b' range may hold; `cli.price` then
+# prices each fig4 cutoff and fig3 cell.
 MAX_RANGE_VALUES = 1_000_000
 
 # Largest cutoff a run may take. It keeps every cutoff well inside int64,

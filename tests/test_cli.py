@@ -1,4 +1,5 @@
 import math
+import runpy
 import sys
 import threading
 import time
@@ -14,16 +15,12 @@ from hypothesis import strategies as st
 
 from cavityqubits import __version__, cli, protocol, trapping
 from cavityqubits.cli import (
-    MAX_QUALITY_WORK,
-    MAX_STEP_ROWS,
-    MAX_STREAM_WEIGHTS,
-    MAX_STREAMS,
-    MAX_TRAPPING_ATOMS,
-    MAX_TRAPPING_PROPOSALS,
-    QUALITY_ATOM_UNITS,
-    TRAPPING_CELL_PROPOSALS,
+    COST,
+    MAX_BYTES,
+    MAX_SECONDS,
     check_output,
     main,
+    price,
     run_experiment,
     validate,
 )
@@ -39,6 +36,7 @@ from cavityqubits.config import (
     parse_config_file,
     parse_float_list,
     parse_int_list,
+    read_echo,
     split_rng,
 )
 from cavityqubits.trapping import escape_mean_rate, mean_atoms_rel
@@ -163,6 +161,33 @@ def make_config(**overrides):
     )
     defaults.update(overrides)
     return ExperimentConfig(**defaults)
+
+
+def config_of(argv: list[str]) -> ExperimentConfig:
+    """The config a subcommand's argv gives."""
+    return cli._config_from_args(cli.build_parser().parse_args(argv))
+
+
+def accepted(config: ExperimentConfig) -> bool:
+    return not any(d.level == "error" for d in validate(config))
+
+
+def largest_accepted(config_at, lo: int, hi: int) -> int:
+    """The largest n in [lo, hi) for which `validate` accepts `config_at(n)`,
+    where it accepts lo and refuses every n past some edge."""
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        lo, hi = (mid, hi) if accepted(config_at(mid)) else (lo, mid)
+    return lo
+
+
+def price_error(config: ExperimentConfig) -> str:
+    """`validate`'s line for `config`, priced above the bounds."""
+    seconds, peak = price(config, config.initial_weights())
+    return (
+        f"error: price: the run and its check are priced at {seconds:.3g} s and "
+        f"{peak / 1e6:.3g} MB, above the maximum {cli.MAX_SECONDS:g} s and {MAX_BYTES / 1e6:g} MB"
+    )
 
 
 def test_validate_warns_at_trapping_bound():
@@ -319,48 +344,47 @@ def test_nmax_out_of_range_is_a_one_line_error():
 
 
 def test_fig4_stream_count_is_bounded():
+    # each run holds its generator and lockstep row, and each (cutoff, run)
+    # state its weights: at two cutoffs, MAX_BYTES binds first
     def quality_cutoff(cutoffs, runs):
         return make_config(experiment="quality-cutoff", tau=None, cutoffs=cutoffs, runs=runs)
 
     assert validate(quality_cutoff(tuple(range(1, 31)), 1000)) == []  # the script default
-    assert validate(quality_cutoff((1, 2), MAX_STREAMS // 2)) == []
-    diags = validate(quality_cutoff((1, 2), MAX_STREAMS // 2 + 1))
-    assert [str(d) for d in diags] == [
-        f"error: runs: 2 cutoffs x {MAX_STREAMS // 2 + 1} runs = {MAX_STREAMS + 2} streams "
-        f"exceeds the maximum {MAX_STREAMS}"
-    ]
-    # the bound is fig4's only: a single run takes one stream whatever `runs` says
-    assert validate(make_config(runs=MAX_STREAMS + 1)) == []
+    runs = largest_accepted(lambda r: quality_cutoff((1, 2), r), 1000, 10**7)
+    weights = binomial_distribution(6)
+    assert price(quality_cutoff((1, 2), runs), weights)[1] <= MAX_BYTES
+    assert price(quality_cutoff((1, 2), runs + 1), weights)[1] > MAX_BYTES
+    assert price(quality_cutoff((1, 2), runs + 1), weights)[0] < MAX_SECONDS
+    config = quality_cutoff((1, 2), runs + 1)
+    assert [str(d) for d in validate(config)] == [price_error(config)]
+    # the price is fig4's only: a single run takes one stream whatever `runs` says
+    assert validate(make_config(runs=10**9)) == []
 
 
 def test_fig4_weight_count_is_bounded(tmp_path, capsys):
-    def quality_cutoff(n_max, cutoffs, runs):
+    def quality_cutoff(n_max, cutoffs, runs, budget=10_000):
         return make_config(experiment="quality-cutoff", tau=None, cutoffs=cutoffs, runs=runs,
-                           distribution=DistributionSpec("binomial", n_max=n_max))
+                           distribution=DistributionSpec("binomial", n_max=n_max),
+                           atom_budget=budget)
 
     # the script default (330000 weights), the golden and benchmark cases
     for n_max, runs in ((10, 1000), (10, 20), (10, 10)):
         assert validate(quality_cutoff(n_max, tuple(range(1, 31)), runs)) == []
-    limit = MAX_STREAM_WEIGHTS // (MAX_PHOTON_NUMBER + 1)
-    # a budget of 30 atoms keeps its work (MAX_QUALITY_WORK) within bounds
-    assert validate(replace(quality_cutoff(MAX_PHOTON_NUMBER, (1,), limit), atom_budget=30)) == []
-    streams = limit + 1
-    weights = streams * (MAX_PHOTON_NUMBER + 1)
-    message = (
-        f"error: runs: {streams} streams x {MAX_PHOTON_NUMBER + 1} photon numbers = {weights} "
-        f"weights exceeds the maximum {MAX_STREAM_WEIGHTS}"
-    )
-    assert [str(d) for d in validate(quality_cutoff(MAX_PHOTON_NUMBER, (1,), streams))] == [message]
+    # a budget of 30 atoms keeps the time short: the weights bind
+    runs = largest_accepted(lambda r: quality_cutoff(MAX_PHOTON_NUMBER, (1,), r, 30), 1, 10**6)
+    config = quality_cutoff(MAX_PHOTON_NUMBER, (1,), runs + 1, 30)
+    seconds, peak = price(config, config.initial_weights())
+    assert seconds < MAX_SECONDS and peak > MAX_BYTES
     out = tmp_path / "q.csv"
     with pytest.raises(SystemExit, match="invalid configuration"):
-        main(["fig4", "--nmax", str(MAX_PHOTON_NUMBER), "--cutoffs", "1", "--runs", str(streams),
-              "--seed", "1", "--out", str(out)])
-    assert capsys.readouterr().err.strip().splitlines() == [message]
+        main(["fig4", "--nmax", str(MAX_PHOTON_NUMBER), "--cutoffs", "1", "--runs", str(runs + 1),
+              "--budget", "30", "--seed", "1", "--out", str(out)])
+    assert capsys.readouterr().err.strip().splitlines() == [price_error(config)]
     assert not out.exists()
 
 
 # fig4 at a tau that traps the n = 1 branch of binomial:2, so every run
-# ends on its cutoff, not on certainty: the costliest fig4 per weight update
+# ends on its cutoff, not on certainty: the costliest fig4 per atom
 FIG4_TRAPPED = (
     "experiment = quality-cutoff\ndistribution = binomial:2\natom_budget = 1000000000\n"
     "tau = 3.14159\nseed = 1\n"
@@ -371,40 +395,95 @@ TRAP_WARNING = (
 )
 
 
-# runs x the atoms each run may pass, 3 x cutoff, x 3 photon numbers, plus
-# 400 per atom: 9.0e11 (hours) and just past the bound
-@pytest.mark.parametrize("runs, cutoff", [(100_000, 1_000_000), (1000, 3922)])
-def test_fig4_work_is_bounded(runs, cutoff, tmp_path, capsys):
+# runs x the atoms each run may pass, 3 x cutoff: hours, and just past the bound
+@pytest.mark.parametrize("runs, cutoff", [(100_000, 1_000_000), (1000, 23_067)])
+def test_fig4_work_is_bounded(runs, cutoff, tmp_path, capsys, monkeypatch):
     conf = tmp_path / "exp.conf"
     conf.write_text(f"{FIG4_TRAPPED}runs = {runs}\ncutoffs = {cutoff}\n")
-    work = 3 * cutoff * (3 * runs + QUALITY_ATOM_UNITS)
-    assert work > MAX_QUALITY_WORK
-    message = (
-        f"error: atom_budget: {runs} runs x {3 * cutoff} atoms x 3 photon numbers, plus "
-        f"{QUALITY_ATOM_UNITS} per atom, = {work} weight updates exceeds the maximum "
-        f"{MAX_QUALITY_WORK}"
-    )
+    config = config_of(["validate", "--config", str(conf)])
+    assert price(config, {1: 0.5, 2: 0.5})[0] > MAX_SECONDS
+    if runs == 1000:
+        assert accepted(replace(config, cutoffs=(cutoff - 1,)))
     assert main(["validate", "--config", str(conf)]) == 1
-    assert capsys.readouterr().out.splitlines() == [message, TRAP_WARNING]
+    assert capsys.readouterr().out.splitlines() == [price_error(config), TRAP_WARNING]
+    monkeypatch.setattr(cli, "_run_quality_cutoff", lambda config: pytest.fail("ran"))
     out = tmp_path / "q.csv"
     with pytest.raises(SystemExit, match="invalid configuration"):
         main(["fig4", "--config", str(conf), "--out", str(out)])
     assert not out.exists()  # refused, never run
 
 
-def test_fig4_just_inside_the_work_bound_runs_in_seconds(tmp_path, capsys):
-    # 5800 weight updates short of the bound; about 1.6 s on a 2-vCPU host,
-    # where the bound's worst case, a run passing all 3 x cutoff atoms, is
-    # about 5 s
-    conf = tmp_path / "exp.conf"
-    conf.write_text(f"{FIG4_TRAPPED}runs = 1000\ncutoffs = 3921\n")
-    assert MAX_QUALITY_WORK - 5800 == 3 * 3921 * (3 * 1000 + QUALITY_ATOM_UNITS)
-    assert main(["validate", "--config", str(conf)]) == 0
-    out = tmp_path / "q.csv"
-    start = time.perf_counter()
-    assert main(["fig4", "--config", str(conf), "--out", str(out)]) == 0
-    assert time.perf_counter() - start < 30
-    assert check_output(out) == []
+def bound_is_kept(argv, flag, runner, hi, tmp_path, monkeypatch):
+    """Under a 0.3 s MAX_SECONDS: `argv` with the largest `flag` value that
+    `validate` accepts runs and is checked within 3x its price (the best of
+    3), and with the next value it is refused, its `runner` never called."""
+    monkeypatch.setattr(cli, "MAX_SECONDS", 0.3)
+    out = tmp_path / "edge.csv"
+    n = largest_accepted(lambda n: config_of([*argv, flag, str(n)]), 1, hi)
+    config = config_of([*argv, flag, str(n)])
+    seconds = price(config, config.initial_weights())[0]
+    assert 0.2 < seconds <= 0.3
+    best = math.inf
+    for _ in range(3):
+        start = time.perf_counter()
+        assert main([*argv, flag, str(n), "--out", str(out)]) == 0
+        assert check_output(out) == []
+        best = min(best, time.perf_counter() - start)
+    assert best <= 3 * seconds
+    out.unlink()
+    monkeypatch.setattr(cli, runner, lambda config: pytest.fail("ran"))
+    with pytest.raises(SystemExit, match="invalid configuration"):
+        main([*argv, flag, str(n + 1), "--out", str(out)])
+    assert not out.exists()
+
+
+def test_fig4_just_inside_the_work_bound_runs_in_seconds(tmp_path, monkeypatch):
+    # binomial:2 trapped: every run passes all 3 x cutoff atoms
+    argv = ["fig4", "--nmax", "2", "--tau", "3.14159", "--budget", "1000000000", "--runs", "1000",
+            "--seed", "1"]
+    bound_is_kept(argv, "--cutoffs", "_run_quality_cutoff", MAX_CUTOFF, tmp_path, monkeypatch)
+
+
+def test_fig3_just_inside_the_work_bound_runs_in_seconds(tmp_path, monkeypatch):
+    # sigma_rel 0.5: every atom is a Monte Carlo proposal
+    argv = ["fig3", "--m", "1..4", "--sigma-rel", "0.5", "--seed", "1"]
+    bound_is_kept(argv, "--trials", "_run_trapping_curves", MAX_TRIALS, tmp_path, monkeypatch)
+
+
+def test_step_table_just_inside_the_work_bound_runs_in_seconds(tmp_path, monkeypatch):
+    # binomial:100 trapped: the run passes its whole budget
+    argv = ["custom", "--dist", "binomial:100", "--tau", "3.14159", "--cutoff", "1000000",
+            "--seed", "1"]
+    bound_is_kept(argv, "--budget", "_run_weights_evolution", 10**6, tmp_path, monkeypatch)
+
+
+# the configs the benchmark times through `validate` (perfbench/workloads.py)
+BENCHMARK_ARGV = [
+    ["fig4", "--nmax", "10", "--cutoffs", "1..30", "--runs", "10", "--seed", "1"],
+    ["fig3", "--sigma-rel", "0.01:0.20:0.01", "--m", "1,2,3", "--trials", "20000", "--seed", "1"],
+    ["custom", "--nmax", "6", "--policy", "optimal-each-step", "--seed", "1"],
+]
+
+
+def test_benchmark_script_and_golden_configs_are_far_inside_the_bounds(monkeypatch):
+    # a later change of a cost must not refuse a workload
+    configs = [config_of(argv) for argv in BENCHMARK_ARGV]
+    root = Path(__file__).resolve().parents[1]
+    for script in sorted((root / "scripts").glob("*.py")):
+        calls = []
+        monkeypatch.setattr(cli, "main", lambda argv: calls.append(argv) or 0)
+        monkeypatch.setattr(sys, "argv", [str(script)])
+        with pytest.raises(SystemExit):
+            runpy.run_path(str(script), run_name="__main__")
+        configs.append(config_of(calls[0]))
+    for golden in sorted((Path(__file__).parent / "golden").glob("*.csv")):
+        config, problems = read_echo(read_metadata(golden))
+        assert problems == []
+        configs.append(config)
+    assert len(configs) == 18
+    for config in configs:
+        seconds, peak = price(config, config.initial_weights())
+        assert seconds <= MAX_SECONDS / 4 and peak <= MAX_BYTES / 4, config
 
 
 @pytest.mark.parametrize(
@@ -452,85 +531,73 @@ def test_an_empty_jitter_list_is_a_one_line_error(text, tmp_path, capsys):
 
 
 def test_run_table_rows_are_bounded(capsys):
-    def single_run(experiment, dist, cutoff, budget):
+    def single_run(experiment, dist, cutoff, budget, policy="fixed"):
         return make_config(experiment=experiment, distribution=DistributionSpec.parse(dist),
-                           tau=None, cutoff=cutoff, atom_budget=budget)
+                           tau=None, cutoff=cutoff, atom_budget=budget, policy=policy)
 
-    # the default budget at the largest distributions, at any cutoff
+    # the default run at the largest distributions: 10^4 steps of 1000 rows,
+    # written and checked, and under optimal-each-step a search per atom
     for dist in ("binomial:1000", "uniform:1..1000"):
-        assert validate(single_run("custom", dist, MAX_CUTOFF, 10_000)) == []
-    # 7 photon numbers: at most MAX_STEP_ROWS / 7 = 1430143 steps, step 0 included
-    assert MAX_STEP_ROWS == 7 * 1_430_143
-    assert validate(single_run("weights-evolution", "binomial:7", MAX_CUTOFF, 1_430_142)) == []
-    assert [str(d) for d in validate(
-        single_run("weights-evolution", "binomial:7", MAX_CUTOFF, 1_430_143)
-    )] == [
-        f"error: atom_budget: 1430144 steps x 7 photon numbers = 10011008 rows exceeds the "
-        f"maximum {MAX_STEP_ROWS}"
-    ]
-    # each excitation ends a ground streak: a run passes at most (7 + 1) x cutoff atoms
-    assert validate(single_run("custom", "binomial:7", 178_767, 10**9)) == []
-    assert [str(d) for d in validate(single_run("custom", "binomial:7", 178_768, 10**9))] == [
-        f"error: atom_budget: 1430145 steps x 7 photon numbers = 10011015 rows exceeds the "
-        f"maximum {MAX_STEP_ROWS}"
-    ]
-    # a run that would keep over 10 GB of rows is refused before it starts
-    assert main(["validate", "--dist", "binomial:1000", "--cutoff", "1000000", "--budget",
-                 "50000", "--seed", "1"]) == 1
-    assert capsys.readouterr().out.splitlines() == [
-        f"error: atom_budget: 50001 steps x 1000 photon numbers = 50001000 rows exceeds the "
-        f"maximum {MAX_STEP_ROWS}"
-    ]
+        for policy in ("fixed", "optimal-each-step"):
+            config = single_run("custom", dist, 20, 10_000, policy)
+            assert [str(d) for d in validate(config)] == [price_error(config)]
+    # each excitation ends a ground streak: a run passes at most (7 + 1) x
+    # cutoff atoms, so the cutoff bounds it as the budget does
+    budget = largest_accepted(
+        lambda b: single_run("weights-evolution", "binomial:7", MAX_CUTOFF, b), 1, 10**9
+    )
+    cutoff = largest_accepted(lambda c: single_run("custom", "binomial:7", c, 10**9), 1, MAX_CUTOFF)
+    assert 8 * cutoff <= budget < 8 * (cutoff + 1)
+    config = single_run("weights-evolution", "binomial:7", MAX_CUTOFF, budget + 1)
+    assert [str(d) for d in validate(config)] == [price_error(config)]
+    # searches cost more than the rows they add
+    searched = largest_accepted(
+        lambda b: single_run("custom", "binomial:7", MAX_CUTOFF, b, "optimal-each-step"), 1, budget
+    )
+    assert searched < budget / 2
+    # a table of 10^7 rows, 403 MB, that took 18.5 s to write and 28.4 s to check
+    argv = ["validate", "--nmax", "1000", "--tau", "3.14159", "--budget", "10000", "--cutoff",
+            "1000000", "--seed", "1"]
+    assert main(argv) == 1
+    assert capsys.readouterr().out.splitlines()[0] == price_error(config_of(argv))
 
 
 @pytest.mark.parametrize(
-    "lines, message",
+    "lines, verdict",
     [
-        # about 2.5e8 atoms per trial at m = 1
-        ("sigma_rel_values = 0.00001", "10000 trials x the grid's mean escape counts = 3.45e+12"),
-        ("sigma_rel_values = 0.00001\ntrials = 1", "1 trials x the grid's mean escape counts = "
-         "3.45e+08"),
+        # about 2.5e8 atoms per trial at m = 1, and about one proposal
+        ("sigma_rel_values = 0.00001", "ok"),
+        ("sigma_rel_values = 0.00001\ntrials = 1", "ok"),
         # 1 - exp(-x) rounds to 0: the mean escape count is infinite
-        ("sigma_rel_values = 1e-200\ntrials = 1", "1 trials x the grid's mean escape counts = inf"),
-        # the default grid: 635 atoms per trial summed over its 60 cells
-        ("trials = 160000", "160000 trials x the grid's mean escape counts = 1.02e+08"),
+        ("sigma_rel_values = 1e-200\ntrials = 1", "inf"),
+        # 2.5e13 atoms per trial at m = 1 x 10^4 trials: past the int64 guard
+        ("sigma_rel_values = 0.0000001", "inf"),
+        # the default grid at 8x the script's trials: 1.7e7 proposals
+        ("trials = 160000", "ok"),
     ],
 )
-def test_fig3_work_is_bounded(lines, message, tmp_path, capsys):
-    # validate only: these grids would run for hours
+def test_fig3_work_is_bounded(lines, verdict, tmp_path, capsys):
     conf = tmp_path / "exp.conf"
     conf.write_text(f"experiment = trapping-curves\nseed = 1\n{lines}\n")
-    assert main(["validate", "--config", str(conf)]) == 1
-    assert capsys.readouterr().out.splitlines() == [
-        f"error: trials: {message} atoms exceeds the maximum {MAX_TRAPPING_ATOMS:.3g}"
-    ]
+    config = config_of(["validate", "--config", str(conf)])
+    assert price(config, {})[0] == math.inf if verdict == "inf" else price(config, {})[0] < 5
+    assert main(["validate", "--config", str(conf)]) == (verdict == "inf")
+    assert capsys.readouterr().out.splitlines() == (
+        [price_error(config)] if verdict == "inf" else ["ok"]
+    )
 
 
 def test_fig3_proposals_are_bounded_or_run(tmp_path, capsys):
     # 50 cells at sigma_rel 0.5, where every atom is a proposal: the most
-    # trials within the proposal bound run within 10 s (about 1.5 s on two
-    # workers of a 2-vCPU host; at most 3 s on one), and one more is refused
+    # trials within the bound, and one more
     grid = dict(experiment="trapping-curves", rabi_cycles_values=tuple(range(1, 51)),
                 sigma_rel_values=(0.5,))
-    mean = mean_atoms_rel(1, 0.5)
-    trials = math.floor((MAX_TRAPPING_PROPOSALS / 50 - TRAPPING_CELL_PROPOSALS) / mean)
-    assert [d.field for d in validate(make_config(**grid, trials=trials + 1))] == ["trials"]
-    assert validate(make_config(**grid, trials=trials)) == []
-    start = time.perf_counter()
-    assert main(["fig3", "--m", "1..50", "--sigma-rel", "0.5", "--trials", str(trials),
-                 "--seed", "1", "--out", str(tmp_path / "bound.csv")]) == 0
-    assert time.perf_counter() - start < 10.0
-    capsys.readouterr()
-    conf = tmp_path / "exp.conf"
-    conf.write_text(f"experiment = trapping-curves\nseed = 1\nrabi_cycles_values = 1..50\n"
-                    f"sigma_rel_values = 0.5\ntrials = {trials + 1}\n")
-    assert main(["validate", "--config", str(conf)]) == 1
-    assert capsys.readouterr().out.splitlines() == [
-        f"error: trials: {trials + 1} trials x the grid's mean escape counts x alpha + beta, "
-        f"plus 2000 per cell, = 5e+07 Monte Carlo proposals exceeds the maximum "
-        f"{MAX_TRAPPING_PROPOSALS:.3g}"
-    ]
+    trials = largest_accepted(lambda t: make_config(**grid, trials=t), 1, MAX_TRIALS)
+    assert price(make_config(**grid, trials=trials), {})[0] <= MAX_SECONDS
+    config = make_config(**grid, trials=trials + 1)
+    assert [str(d) for d in validate(config)] == [price_error(config)]
     # a lone trial with a mean escape count near 10^8 draws about one proposal
+    conf = tmp_path / "exp.conf"
     conf.write_text("experiment = trapping-curves\nseed = 1\nrabi_cycles_values = 1\n"
                     "sigma_rel_values = 0.0000168\ntrials = 1\n")
     assert main(["validate", "--config", str(conf)]) == 0
@@ -538,28 +605,32 @@ def test_fig3_proposals_are_bounded_or_run(tmp_path, capsys):
     assert main(["fig3", "--config", str(conf), "--out", str(tmp_path / "lone.csv")]) == 0
     assert time.perf_counter() - start < 0.5
     assert check_output(tmp_path / "lone.csv") == []
-    # 1.9e6 cells are refused by their calls alone, without a sum over them
-    config = make_config(experiment="trapping-curves", rabi_cycles_values=tuple(range(1, 1001)),
-                         sigma_rel_values=tuple(parse_float_list("0.01:0.2:0.0001")), trials=1)
+    capsys.readouterr()
+    # 10^12 cells are refused by their calls alone, without a sum over them
+    sigma_rels = tuple(parse_float_list("0.01:0.2:0.0000002"))
+    config = make_config(experiment="trapping-curves", trials=1, sigma_rel_values=sigma_rels,
+                         rabi_cycles_values=tuple(range(1, 10**6 + 1)))
     start = time.perf_counter()
-    assert [str(d) for d in validate(config)] == [
-        "error: trials: 1 trials x the grid's mean escape counts x alpha + beta, plus 2000 per "
-        f"cell, = 3.8e+09 Monte Carlo proposals exceeds the maximum {MAX_TRAPPING_PROPOSALS:.3g}"
-    ]
-    assert time.perf_counter() - start < 0.5
+    cells = 10**6 * len(sigma_rels)
+    assert cells > 9e11
+    assert price(config, {}) == (cells * COST["cell"][0], COST["cell"][1] + COST["trial"][1])
+    assert time.perf_counter() - start < 0.1
+    assert [str(d) for d in validate(config)] == [price_error(config)]
 
 
 def test_fig3_script_grid_is_within_the_work_bound():
     grid = tuple(parse_float_list("0.01:0.20:0.01"))
-    work = 20_000 * sum(mean_atoms_rel(m, s) for m in (1, 2, 3) for s in grid)
-    assert 1.2e7 < work < MAX_TRAPPING_ATOMS / 5
-    # the proposals the sampler draws, about 2.11e6, and one cell's call each
+    # the proposals the sampler draws, about 2.11e6, and its 60 cells
     proposals = 20_000 * sum(
         mean_atoms_rel(m, s) * sum(trapping.thinning(trapping.TrapSpec(1, m, s))[3:5])
         for m in (1, 2, 3) for s in grid
     )
     assert 2.1e6 < proposals < 2.12e6
-    assert proposals + 60 * TRAPPING_CELL_PROPOSALS < MAX_TRAPPING_PROPOSALS / 20
+    config = make_config(experiment="trapping-curves", sigma_rel_values=grid, trials=20_000)
+    seconds, peak = price(config, {})
+    assert seconds == pytest.approx(60 * COST["cell"][0] + proposals * COST["proposal"][0])
+    assert peak == COST["cell"][1] + 20_000 * COST["trial"][1]
+    assert seconds < MAX_SECONDS / 20
     for values in (grid, ()):  # explicit and default jitter grid
         config = make_config(experiment="trapping-curves", sigma_rel_values=values, trials=20_000)
         assert validate(config) == []
@@ -1029,8 +1100,17 @@ def test_fig3_bytes_do_not_depend_on_the_worker_count(workers, tmp_path, monkeyp
         direct = trapping.monte_carlo_escape(spec, 2000, split_rng(9, cell))
         assert row[3:] == [repr(direct.mean), repr(direct.stderr)]
 
+    # the first cell ends only once another has started, so on another worker
+    first, other = (int(rows[0][0]), float(rows[0][1])), threading.Event()
+
+    def hold_the_first(spec):
+        if (spec.rabi_cycles, spec.sigma_rel) != first:
+            other.set()
+        elif workers > 1:
+            other.wait(timeout=10)
+
     monkeypatch.setattr(cli, "_usable_cpus", lambda: workers)
-    started = record_cells(monkeypatch)
+    started = record_cells(monkeypatch, before=hold_the_first)
     threads = threading.active_count()
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)  # more thread switches, more chances to lose an update
@@ -1066,9 +1146,11 @@ def test_fig3_with_one_cell_runs_on_the_calling_thread(tmp_path, monkeypatch):
 
 @pytest.mark.parametrize("trials, workers", [(MAX_TRIALS, 2), (MAX_TRIALS // 4, 4)])
 def test_fig3_cells_at_once_hold_at_most_twice_max_trials(trials, workers, tmp_path, monkeypatch):
-    # eight CPUs, but the cells that run at once hold at most 2 x MAX_TRIALS
-    # trials. A stand-in for the Monte Carlo holds each cell long enough for
-    # every worker to take one.
+    # eight CPUs, but the cells that run at once hold at most MAX_BYTES, two
+    # cells of MAX_TRIALS trials. A stand-in for the Monte Carlo holds each
+    # cell long enough for every worker to take one.
+    cell = price(make_config(experiment="trapping-curves", trials=trials), {})[1]
+    assert min(MAX_BYTES // cell, 4) == workers
     monkeypatch.setattr(cli, "_usable_cpus", lambda: 8)
     monkeypatch.setattr(trapping, "monte_carlo_escape",
                         lambda spec, trials, rng: trapping.EscapeEstimate(2.0, 0.5, trials))
@@ -1359,6 +1441,9 @@ def test_checker_flags_a_negative_step_weight(tmp_path):
     assert check_output(out) == ["step 1: p_n -0.05 < 0 at n = 1"]
 
 
+CUTOFF_UNMET = "terminal_reason cutoff-reached needs its first 20 grounds in a row at the end"
+
+
 def test_checker_verifies_the_transferred_column(tmp_path):
     out = tmp_path / "custom.csv"
     assert main(["custom", "--nmax", "4", "--seed", "3", "--out", str(out)]) == 0
@@ -1380,8 +1465,9 @@ def test_checker_verifies_the_transferred_column(tmp_path):
         return check_output(out)
 
     # step 1 moved the first qubit; step 2 the second, onto branch 1's only photon
+    # and a ground step fewer ends the table one short of its cutoff
     assert damaged(lambda s, n, p, f, m: None if s == "3" else [s, n, p, f, m]) == [
-        "step numbers are not 0..21"
+        "step numbers are not 0..21", CUTOFF_UNMET
     ]
     assert damaged(lambda s, n, p, f, m: [s, n, p, f, "0" if s == "1" else m]) == [
         "step 2: transferred goes from 0 to 2"
@@ -1392,6 +1478,7 @@ def test_checker_verifies_the_transferred_column(tmp_path):
     assert damaged(lambda s, n, p, f, m: [s, n, p, f, "3" if s == "3" else m]) == [
         f"step 3: p_n {p_n['3', '2']} at n = 2 < transferred 3",
         "step 4: transferred goes from 3 to 2",
+        CUTOFF_UNMET,  # step 3's count went up, so its streak starts a step later
     ]
     out.write_text(good.replace("# transferred_total = 2", "# transferred_total = 3"))
     assert check_output(out) == ["transferred 2 at the last step != transferred_total 3"]
@@ -1446,6 +1533,7 @@ def test_check_reads_step_groups_in_the_order_they_are_written(tmp_path):
         f"step 1: F_atom {f_atom + 1e-6!r} != recomputed {f_atom!r}",
         "step 2: transferred goes from 1 to 0",
         "step 3: transferred goes from 0 to 2",
+        CUTOFF_UNMET,  # step 3's count went up, so its streak starts a step later
     ]
 
 
@@ -1524,6 +1612,34 @@ def test_checker_grades_f_atom_on_every_row_of_a_step(tmp_path):
     out.write_text(golden.read_text())
     edit_step_rows(out, lambda s, n, p, f, m: [s, n, p, "0.5" if (s, n) == ("1", "2") else f, m])
     assert check_output(out) == [f"step 1: F_atom 0.5 != recomputed {f_atom}"]
+
+
+def test_checker_reads_the_terminal_reason(tmp_path):
+    # golden fig2.csv ends on its first ground streak of cutoff 20, at step 27
+    golden = Path(__file__).parent / "golden" / "fig2.csv"
+    text, line = golden.read_text(), "# terminal_reason = cutoff-reached\n"
+    assert line in text and check_output(golden) == []
+    out = tmp_path / "fig2.csv"
+    out.write_text(text)  # without its last 10 of 28 steps
+    edit_step_rows(out, lambda s, n, p, f, m: None if int(s) >= 18 else [s, n, p, f, m])
+    assert check_output(out) == [CUTOFF_UNMET]
+    # a streak of 5 came before the last step
+    out.write_text(text.replace("# cutoff = 20\n", "# cutoff = 5\n"))
+    assert check_output(out) == [CUTOFF_UNMET.replace("20", "5")]
+    for reason, problem in [
+        ("atom-budget-exhausted", "budget + 1 = 10001 steps"),
+        ("vacuum-certain", "a vacuum-certain last posterior"),
+        ("tired", "to be a stop reason"),
+    ]:
+        out.write_text(text.replace(line, f"# terminal_reason = {reason}\n"))
+        assert check_output(out) == [f"terminal_reason {reason} needs {problem}"]
+    out.write_text(text.replace(line, ""))
+    assert check_output(out) == ["metadata: terminal_reason: missing"]
+    # a run that ends on its budget; golden custom_half_rabi.csv ends vacuum-certain
+    assert main(["fig2", "--nmax", "6", "--tau", "0.825", "--budget", "5", "--seed", "7",
+                 "--out", str(out)]) == 0
+    assert "# terminal_reason = atom-budget-exhausted\n" in out.read_text()
+    assert check_output(out) == []
 
 
 def test_checker_recomputes_fig4_resolved_tau(tmp_path):

@@ -75,7 +75,8 @@ RANGES = {
     "sigma_rel": ("weights-evolution", "fig2.csv", [
         ("0.0", repr(-TINY), f"must be non-negative, got {-TINY!r}")
     ]),
-    "cutoff": ("weights-evolution", "fig2.csv", [COUNT_EDGE, maximum_edge(MAX_CUTOFF)]),
+    # a step table's rows end on its cutoff, so only fig4's file leaves it to its range
+    "cutoff": ("quality-cutoff", "fig4_binomial10.csv", [COUNT_EDGE, maximum_edge(MAX_CUTOFF)]),
     "atom_budget": ("weights-evolution", "fig2.csv", [COUNT_EDGE]),
     "seed": ("weights-evolution", "fig2.csv", [("0", "-1", "must be non-negative, got -1")]),
     # trapping-curves ignores n_originals, so it is not held to the distribution

@@ -243,6 +243,33 @@ def test_only_the_rabi_factor_takes_a_sine_or_cosine_in_protocol():
     assert sorted(found) == [("_rabi_factor", "cos"), ("_rabi_factor", "sin")]
 
 
+def test_validate_bounds_a_run_by_its_price_alone():
+    # one cost table prices every run: no count bound may come back beside
+    # the two bounds, the float resolution and fig3's int64 guard
+    tree = ast.parse((SRC / "cli.py").read_text())
+    bound = set()
+    for node in tree.body:
+        if isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            bound.update(n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name))
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            bound.update((alias.asname or alias.name).split(".")[0] for alias in node.names)
+    assert {name for name in bound if name.startswith("MAX_")} == {
+        "MAX_SECONDS", "MAX_BYTES", "MAX_PHASE", "MAX_TRAPPING_ATOMS"
+    }
+    # who reads the bounds and the table, and who asks for a price
+    reads = {}
+    for node in tree.body:
+        if isinstance(node, ast.FunctionDef):
+            names = {n.id for n in ast.walk(node) if isinstance(n, ast.Name)}
+            reads[node.name] = {n for n in names if n.startswith("MAX_") or n in ("COST", "price")}
+    assert {name: names for name, names in reads.items() if names} == {
+        "price": {"COST", "MAX_SECONDS", "MAX_TRAPPING_ATOMS"},
+        "validate": {"price", "MAX_SECONDS", "MAX_BYTES", "MAX_PHASE"},
+        "_run_trapping_curves": {"price", "MAX_BYTES"},
+    }
+
+
 def _stop_reason_users(path: Path) -> dict[str, set[str]]:
     """For each `StopReason.<member>` a source file names, the top-level
     functions (or methods) that name it; `<module>` for any other place."""
