@@ -12,14 +12,7 @@ import sys
 from pathlib import Path
 
 from . import cloning, protocol, trapping
-from .config import (
-    DEFAULT_SIGMA_REL_GRID,
-    EXPERIMENTS,
-    QUALITY_TABLE,
-    STEP_TABLE,
-    TRAPPING_TABLE,
-    read_echo,
-)
+from .config import EXPERIMENTS, QUALITY_TABLE, STEP_TABLE, TRAPPING_TABLE, read_echo
 
 # False-alarm probability of `check`'s bound on a fig3 row's a_mean_mc,
 # split evenly between the two tails.
@@ -100,11 +93,9 @@ def _check(file) -> list[str]:
         # every mean in that range, that is of the one nearest to a_mean_mc.
         tail_exponent = math.log(2.0 / MC_FALSE_ALARM)
         rows = list(rows)  # one per (m_rabi, sigma_rel) cell
-        sigma_rels = config.sigma_rel_values or DEFAULT_SIGMA_REL_GRID
-        cells = len(config.rabi_cycles_values) * len(sigma_rels)
-        # the writer's order, m_rabi-major, listed only for a file of as many rows
-        grid = itertools.product(config.rabi_cycles_values, sigma_rels)
-        grid = list(grid) if len(rows) == cells else []
+        cells = config.trapping_grid()
+        # the writer's order, listed only for a file of as many rows
+        grid = list(cells) if len(rows) == len(cells) else []
         good = 0
         for i, (m_rabi, sigma_rel, closed, mc, stderr) in parsed(rows):
             good += 1
@@ -136,8 +127,8 @@ def _check(file) -> list[str]:
                     f"row {i}: a_mean_mc {mc!r} is outside the {MC_FALSE_ALARM:g} tail bound "
                     f"of {config.trials} trials around a_mean_closed {expected!r}"
                 )
-        if good == len(rows) != cells:
-            problems.append(f"{len(rows)} rows, but metadata lists {cells} cells")
+        if good == len(rows) != len(cells):
+            problems.append(f"{len(rows)} rows, but metadata lists {len(cells)} cells")
     elif table is QUALITY_TABLE:
         # the largest sample standard deviation of `runs` values in [0, 1.5],
         # half at each end, over sqrt(runs), or over sqrt(the largest float)

@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import argparse
 import functools
-import itertools
 import math
 import os
 import sys
@@ -29,7 +28,6 @@ import numpy as np
 from . import __version__, cloning, protocol, trapping
 from .check import check_output
 from .config import (
-    DEFAULT_SIGMA_REL_GRID,
     EXPERIMENTS,
     HALF_RABI,
     JITTERED,
@@ -117,11 +115,11 @@ def price(config: ExperimentConfig, weights: dict[int, float]) -> tuple[float, f
     are priced alone."""
     table = EXPERIMENTS[config.experiment].table
     if table is TRAPPING_TABLE:
-        sigma_rels = config.sigma_rel_values or DEFAULT_SIGMA_REL_GRID
-        done = {"cell": len(config.rabi_cycles_values) * len(sigma_rels), "proposal": 0.0}
+        grid = config.trapping_grid()
+        done = {"cell": len(grid), "proposal": 0.0}
         held = {"cell": 1, "trial": config.trials}
         if done["cell"] * COST["cell"][0] <= MAX_SECONDS:
-            for m, s in itertools.product(config.rabi_cycles_values, sigma_rels):
+            for m, s in grid:
                 try:
                     atoms = config.trials * trapping.mean_atoms_rel(m, s)
                 except ZeroDivisionError:  # 1 - exp(-x) rounds to 0 for a tiny jitter
@@ -160,7 +158,7 @@ def _largest_phase(config: ExperimentConfig, table, n: int) -> float:
         # capped below where an int's float conversion raises: 2*pi*m is then inf
         m = min(max(config.rabi_cycles_values), 2**1023)
         center = 2 * math.pi * m / rabi
-        jitter = max(config.sigma_rel_values or DEFAULT_SIGMA_REL_GRID)
+        jitter = max(config.trapping_grid().sigma_rels)
     elif config.policy in TIMED_POLICIES:
         center = config.tau if config.tau is not None else longest
         jitter = config.sigma_rel if config.policy == JITTERED else 0.0
@@ -346,9 +344,9 @@ def _run_trapping_curves(config: ExperimentConfig) -> Path:
     """One Monte Carlo estimate per (m_rabi, sigma_rel) cell; cell i draws
     from `split_rng(seed, i)`, so no cell's numbers depend on which thread
     runs it or when."""
-    sigma_rels = config.sigma_rel_values or DEFAULT_SIGMA_REL_GRID
-    config = replace(config, sigma_rel_values=tuple(sigma_rels))
-    cells = [(m, sigma_rel) for m in config.rabi_cycles_values for sigma_rel in sigma_rels]
+    grid = config.trapping_grid()
+    config = replace(config, sigma_rel_values=tuple(grid.sigma_rels))
+    cells = list(grid)
     jobs = [
         (
             trapping.TrapSpec(

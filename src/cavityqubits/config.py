@@ -12,6 +12,7 @@ requires an explicit master seed, and derived streams always come from
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field, fields
 from pathlib import Path
@@ -174,6 +175,21 @@ EXPERIMENTS = {
 }
 
 
+@dataclass(frozen=True)
+class TrappingGrid:
+    """fig3's (m_rabi, sigma_rel) cells, m_rabi-major as the runner lists
+    them; counted and iterated without holding them all."""
+
+    rabi_cycles: tuple[int, ...]
+    sigma_rels: tuple[float, ...]
+
+    def __len__(self) -> int:
+        return len(self.rabi_cycles) * len(self.sigma_rels)
+
+    def __iter__(self):
+        return itertools.product(self.rabi_cycles, self.sigma_rels)
+
+
 def _key(default, parse, flag, help, choices=None, common=False, low=None, high=None, missing=None):
     """An `ExperimentConfig` field that is a config key, with the parser of
     its text value, its CLI flag and help, its allowed values, whether every
@@ -272,6 +288,11 @@ class ExperimentConfig:
         if self.policy == FIXED:
             return protocol.FixedTau(tau)
         raise ValueError(f"unknown policy {self.policy!r}")
+
+    def trapping_grid(self) -> TrappingGrid:
+        """fig3's cells: `rabi_cycles_values` by `sigma_rel_values`, or by
+        DEFAULT_SIGMA_REL_GRID where that is unset."""
+        return TrappingGrid(self.rabi_cycles_values, self.sigma_rel_values or DEFAULT_SIGMA_REL_GRID)
 
     def metadata(self, version: str) -> list[tuple[str, str]]:
         """Config echo for the CSV header block (deterministic order)."""

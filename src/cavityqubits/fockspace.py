@@ -12,15 +12,15 @@ F = (n_max + 1)(n_max + 2) / 2 Fock labels run n0-major, n1 fastest. So
 and `n1` are numpy arrays, built once per (atoms, n_max) and read-only.
 
 Atom k couples only to the cavity, so its Hamiltonian is local: a
-`LocalOperator` holding one 3F x 3F block over (atom k's level, Fock label)
-with its eigensystem. The block depends on n_max and gamma alone, and the
-last LOCAL_OPERATORS_CACHED of them are kept. `evolve` and
-`measure_atom_energy` work on the state reshaped to
-(3**k, 3, 3**(atoms - k - 1), F), so no d x d array is formed: one `evolve`
-at 6 atoms x 6 photons (d = 20412) needs an 84 x 84 `eigh`, where a dense
-Hamiltonian would take 3.3 GB. The dense `JointSpace.hamiltonian`,
-`annihilation_matrix` and `evolution_operator` are the tests' reference and
-are built afresh on every call.
+`LocalOperator` holding one real symmetric 3F x 3F block over (atom k's
+level, Fock label) with its eigensystem. The block depends on n_max and
+gamma alone, and the last LOCAL_OPERATORS_CACHED of them are kept. `evolve`
+and `measure_atom_energy` (which forces the outcome it is given) work on the
+state reshaped to (3**k, 3, 3**(atoms - k - 1), F), so no d x d array is
+formed: one `evolve` at 6 atoms x 6 photons (d = 20412) needs an 84 x 84
+`eigh`, where a dense Hamiltonian would take 3.3 GB. The dense
+`JointSpace.hamiltonian` builds the one-atom block, and is the tests'
+reference on larger spaces.
 """
 
 from __future__ import annotations
@@ -107,28 +107,6 @@ class JointSpace:
             code = 3 * code + level
         return code * (self.dim // 3**self.atom_count) + _fock_position(n0, n1, self.n_max)
 
-    def _lowered(self, src: np.ndarray, mode: int) -> np.ndarray:
-        """Positions of elements `src` with one photon fewer in `mode`. In the
-        Fock order (n1 fastest, row n0 holding n_max + 1 - n0 labels) that is
-        1 step back for mode 1 and n_max + 2 - n0 steps back for mode 0."""
-        return src - (self.n_max + 2 - self.n0[src] if mode == 0 else 1)
-
-    def excitation_numbers(self) -> np.ndarray:
-        """Total excitation N = (# atoms not in ground) + n0 + n1, per basis
-        element. The interaction Hamiltonian commutes with this."""
-        return np.count_nonzero(self.levels, axis=1) + self.n0 + self.n1
-
-    def annihilation_matrix(self, mode: int) -> np.ndarray:
-        """Dense matrix of the ladder operator for cavity mode 0 or 1."""
-        mode = operator.index(mode)
-        if mode not in (0, 1):
-            raise ValueError(f"mode must be 0 or 1, got {mode}")
-        n = (self.n0, self.n1)[mode]
-        src = np.flatnonzero(n > 0)
-        op = np.zeros((self.dim, self.dim))
-        op[self._lowered(src, mode), src] = np.sqrt(n[src])
-        return op
-
     def _coupling(self, atom_index: int, gamma: float) -> int:
         """`atom_index` as an int, after checking it and `gamma`."""
         atom_index = operator.index(atom_index)  # 0.0 must not find the operator of 0
@@ -146,20 +124,23 @@ class JointSpace:
         atom_index = self._coupling(atom_index, gamma)
         h = np.zeros((self.dim, self.dim))
         ground = self.levels[:, atom_index] == AtomLevel.GROUND
-        # a0 |e0><g| and a1 |e1><g| on the addressed atom, plus h.c.
+        # a0 |e0><g| and a1 |e1><g| on the addressed atom, plus h.c. One photon
+        # fewer is 1 step back in the Fock order for mode 1, and n_max + 2 - n0
+        # steps back for mode 0, as row n0 holds n_max + 1 - n0 labels
         for mode, n in enumerate((self.n0, self.n1)):
             src = np.flatnonzero(ground & (n > 0))
-            tgt = self._lowered(src, mode) + (1 + mode) * self._level_stride[atom_index]
+            lowered = src - (self.n_max + 2 - self.n0[src] if mode == 0 else 1)
+            tgt = lowered + (1 + mode) * self._level_stride[atom_index]
             h[tgt, src] = h[src, tgt] = gamma * np.sqrt(n[src])
         return h
 
 
 @dataclass(frozen=True, eq=False)
 class LocalOperator:
-    """Hermitian operator on atom `atom_index` and the cavity, identity on
-    the other atoms. `block` is 3F x 3F over (level, Fock label) at level
+    """Real symmetric operator on atom `atom_index` and the cavity, identity
+    on the other atoms. `block` is 3F x 3F over (level, Fock label) at level
     code x F + Fock position, the order of a one-atom JointSpace; a read-only
-    copy is kept with its eigensystem, computed here once."""
+    copy is kept with its real eigensystem, computed here once."""
 
     atom_index: int
     block: np.ndarray
@@ -174,8 +155,8 @@ class LocalOperator:
         if block.ndim != 2 or block.shape[0] != block.shape[1] or block.shape[0] % 3:
             raise ValueError(f"block must be square with a side divisible by 3, got {block.shape}")
         # eigh reads one triangle only, so an asymmetric block would go unseen
-        if not np.array_equal(block, block.conj().T):
-            raise ValueError("block is not Hermitian")
+        if np.iscomplexobj(block) or not np.array_equal(block, block.T):
+            raise ValueError("block is not real symmetric")
         w, v = np.linalg.eigh(block)
         object.__setattr__(self, "atom_index", atom_index)
         object.__setattr__(self, "block", block)
@@ -257,12 +238,6 @@ def qubit_register_state(
     return JointPureState(space, amps)
 
 
-def annihilate(state: JointPureState, mode: int) -> JointPureState:
-    """Apply the ladder operator of the given cavity mode (unnormalized)."""
-    op = state.space.annihilation_matrix(mode)
-    return JointPureState(state.space, op @ state.amplitudes)
-
-
 def interaction_hamiltonian(
     space: JointSpace, atom_index: int, gamma: float = 1.0
 ) -> LocalOperator:
@@ -279,13 +254,6 @@ def _local_operator(n_max: int, atom_index: int, gamma: float) -> LocalOperator:
     return LocalOperator(atom_index, JointSpace(1, n_max).hamiltonian(0, gamma))
 
 
-def evolution_operator(hamiltonian: np.ndarray, t: float) -> np.ndarray:
-    """Dense exp(-i H t) by Hermitian eigendecomposition (hbar = 1), the
-    reference for `evolve`."""
-    w, v = np.linalg.eigh(hamiltonian)
-    return (v * np.exp(-1j * w * t)) @ v.conj().T
-
-
 def _apply_local(
     space: JointSpace, atom_index: int, amplitudes: np.ndarray, apply
 ) -> np.ndarray:
@@ -300,22 +268,18 @@ def _apply_local(
 
 
 def _propagate(v: np.ndarray, phases: np.ndarray, columns: np.ndarray) -> np.ndarray:
-    """V diag(phases) V^dagger of complex `columns`, for an eigenvector
-    matrix V. The interaction blocks are real symmetric, so their V is real:
-    V^T and V then act as real matrices on the columns' float64 view, (real,
-    imaginary) pairs side by side, with the phases multiplied in between.
-    That is one real product each, half the flops of a complex one, and no
-    complex copy of V. A complex Hermitian block, which `LocalOperator` also
-    takes, has a complex V and takes the complex product."""
-    if np.iscomplexobj(v):
-        return v @ (phases * (v.conj().T @ columns))
+    """V diag(phases) V^T of complex `columns`, for the real eigenvector
+    matrix V of a real symmetric block: V^T and V act as real matrices on
+    the columns' float64 view, (real, imaginary) pairs side by side, with
+    the phases multiplied in between. That is one real product each, half
+    the flops of a complex one, and no complex copy of V."""
     rotated = (v.T @ np.ascontiguousarray(columns).view(np.float64)).view(complex)
     rotated *= phases
     return (v @ rotated.view(np.float64)).view(complex)
 
 
 def evolve(state: JointPureState, hamiltonian: LocalOperator, t: float) -> JointPureState:
-    """exp(-i H t) of a local operator, V exp(-i w t) V^dagger from its
+    """exp(-i H t) of a local operator, V exp(-i w t) V^T from its
     eigensystem, applied to atom H.atom_index and the cavity. An operator
     whose Fock truncation or atom does not fit the state's space, or a time
     that is not finite, raises ValueError."""
@@ -358,30 +322,20 @@ def _checked_norm_squared(norm_squared: float) -> float:
 
 
 def measure_atom_energy(
-    state: JointPureState,
-    atom_index: int,
-    rng: np.random.Generator | None = None,
-    outcome: MeasurementOutcome | None = None,
+    state: JointPureState, atom_index: int, outcome: MeasurementOutcome
 ) -> MeasurementResult:
-    """Projective energy measurement of one atom.
+    """Projective energy measurement of one atom, forced to `outcome`.
 
     The two excited levels are degenerate, so the excited branch projects
-    onto their joint span and leaves any qubit superposition intact. Pass
-    `rng` to sample the branch, or force one with `outcome`; forcing a
-    zero-probability branch raises.
+    onto their joint span and leaves any qubit superposition intact. A
+    branch of zero probability raises.
     """
     amps = _level_axis(state, atom_index)
-    if (rng is None) == (outcome is None):
-        raise ValueError("pass exactly one of rng or outcome")
-
     floats = amps.view(np.float64)  # (3**k, 3, 2 rest): real, imaginary
     populations = np.square(floats).sum(axis=(0, 2))
     ground, exc0, exc1 = populations.tolist()  # in AtomLevel order
     excited = exc0 + exc1
     total = _checked_norm_squared(ground + excited)
-    if outcome is None:
-        sampled_ground = rng.random() < ground / total
-        outcome = MeasurementOutcome.GROUND if sampled_ground else MeasurementOutcome.EXCITED
     kept = ground if outcome is MeasurementOutcome.GROUND else excited
     if kept <= 0.0:  # a sum of exact zeros, never a rounded one
         raise ValueError(f"branch {outcome.value} has zero probability")

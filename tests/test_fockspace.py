@@ -7,6 +7,8 @@ import weakref
 
 import numpy as np
 import pytest
+from ladder_reference import annihilate, annihilation_matrix
+from scipy.sparse.linalg import expm_multiply
 
 from cavityqubits import fockspace
 from cavityqubits.fockspace import (
@@ -14,10 +16,8 @@ from cavityqubits.fockspace import (
     JointPureState,
     JointSpace,
     LocalOperator,
-    annihilate,
     basis_state,
     evolve,
-    evolution_operator,
     interaction_hamiltonian,
     measure_atom_energy,
     partially_transferred_state,
@@ -47,6 +47,12 @@ def reference_basis(atoms, n_max):
         for levels in itertools.product(AtomLevel, repeat=atoms)
         for n0, n1 in fock
     ]
+
+
+def excitation_numbers(space):
+    """Total excitation N = (# atoms not in ground) + n0 + n1 per basis
+    element; the interaction Hamiltonian commutes with it."""
+    return np.count_nonzero(space.levels, axis=1) + space.n0 + space.n1
 
 
 def one_excitation_target(space, zeros, total):
@@ -132,11 +138,8 @@ def test_space_sizes_must_be_integers():
             JointSpace(atoms, n_max)
     space = JointSpace(1, 2)
     space.hamiltonian(0, 1.0)
-    space.annihilation_matrix(0)
     with pytest.raises(TypeError):
         space.hamiltonian(0.0, 1.0)
-    with pytest.raises(TypeError):
-        space.annihilation_matrix(0.0)
     with pytest.raises(ValueError):
         JointSpace(-1, 2)
 
@@ -224,7 +227,7 @@ def test_hamiltonian_hermitian(atoms, n_max):
 
 def test_hamiltonian_blocks_by_excitation_number():
     space = JointSpace(2, 2)
-    excitations = space.excitation_numbers()
+    excitations = excitation_numbers(space)
     h = space.hamiltonian(1, 1.0)
     different = excitations[:, None] != excitations[None, :]
     assert np.all(h[different] == 0)
@@ -252,7 +255,7 @@ def reference_operators(space, gamma):
 def test_operators_match_element_by_element_reference(atoms, n_max):
     space = JointSpace(atoms, n_max)
     ladders, hams = reference_operators(space, 1.3)
-    ops = [space.annihilation_matrix(mode) for mode in (0, 1)]
+    ops = [annihilation_matrix(space, mode) for mode in (0, 1)]
     ops += [space.hamiltonian(k, 1.3) for k in range(atoms)]
     for op, reference in zip(ops, ladders + hams):
         np.testing.assert_array_equal(op, reference)
@@ -267,7 +270,7 @@ def test_basis_arrays_and_sectors():
             table[0] = 1
     np.testing.assert_array_equal(space._level_stride, [30, 10])
     # the excitation sectors: N = (atoms not in ground) + n0 + n1
-    excitations = space.excitation_numbers()
+    excitations = excitation_numbers(space)
     for i, (lv, n0, n1) in enumerate(reference_basis(2, 3)):
         assert excitations[i] == sum(level != G for level in lv) + n0 + n1
 
@@ -362,7 +365,7 @@ def test_block_rabi_law():
 def test_evolution_preserves_norm_and_excitations():
     space = JointSpace(2, 2)
     h = interaction_hamiltonian(space, 0)
-    excitations = space.excitation_numbers()
+    excitations = excitation_numbers(space)
     state = random_state(space, 7)
     before = np.array(
         [np.sum(np.abs(state.amplitudes[excitations == k]) ** 2) for k in range(6)]
@@ -375,16 +378,10 @@ def test_evolution_preserves_norm_and_excitations():
     np.testing.assert_allclose(after, before, atol=1e-9)
 
 
-def test_evolution_operator_unitary():
-    space = JointSpace(1, 3)
-    u = evolution_operator(space.hamiltonian(0, 1.0), 1.7)
-    np.testing.assert_allclose(u @ u.conj().T, np.eye(space.dim), atol=1e-12)
-
-
 def sector_spanning_state(space, seed):
     """Random state on a few N sectors, every other sector left empty."""
     rng = np.random.default_rng(seed)
-    excitations = space.excitation_numbers()
+    excitations = excitation_numbers(space)
     keep = np.isin(excitations, rng.choice(excitations.max() + 1, 3, replace=False))
     amps = np.where(keep, rng.normal(size=space.dim) + 1j * rng.normal(size=space.dim), 0.0)
     return JointPureState(space, amps / np.linalg.norm(amps))
@@ -398,7 +395,7 @@ def test_sector_evolve_matches_dense_propagator(atoms, n_max):
         dense = space.hamiltonian(atom, 1.3)
         for seed, t in [(atom, 0.37), (atom + 10, 2.9)]:
             for state in (sector_spanning_state(space, seed), random_state(space, seed)):
-                expected = evolution_operator(dense, t) @ state.amplitudes
+                expected = expm_multiply(-1j * t * dense, state.amplitudes)
                 got = evolve(state, h, t).amplitudes
                 np.testing.assert_allclose(got, expected, rtol=0, atol=1e-12)
     # on one atom the block is the whole space, so a perturbed block is its
@@ -407,14 +404,11 @@ def test_sector_evolve_matches_dense_propagator(atoms, n_max):
     h = interaction_hamiltonian(single, 0, 1.3)
     noise = np.random.default_rng(n_max).normal(size=h.block.shape)
     perturbed = LocalOperator(0, h.block + 0.1 * (noise + noise.T))
-    phases = np.triu(np.exp(1j * noise), 1)
-    complex_block = LocalOperator(0, h.block * (phases + phases.conj().T + np.eye(len(phases))))
-    for op in (perturbed, complex_block):
-        for seed, t in [(1, 0.37), (2, 2.9)]:
-            state = random_state(single, seed)
-            expected = evolution_operator(op.block, t) @ state.amplitudes
-            got = evolve(state, op, t).amplitudes
-            np.testing.assert_allclose(got, expected, rtol=0, atol=1e-12)
+    for seed, t in [(1, 0.37), (2, 2.9)]:
+        state = random_state(single, seed)
+        expected = expm_multiply(-1j * t * perturbed.block, state.amplitudes)
+        got = evolve(state, perturbed, t).amplitudes
+        np.testing.assert_allclose(got, expected, rtol=0, atol=1e-12)
     changed = evolve(random_state(single, 0), perturbed, 0.37).amplitudes
     original = evolve(random_state(single, 0), h, 0.37).amplitudes
     assert np.abs(changed - original).max() > 1e-3
@@ -533,10 +527,10 @@ def test_evolve_from_many_threads_matches_serial():
 def test_local_operator_rejects_non_hermitian_block():
     block = JointSpace(1, 2).hamiltonian(0, 1.0).copy()
     block[0, 3] += 0.1  # one element, in one direction only
-    with pytest.raises(ValueError, match="not Hermitian"):
-        LocalOperator(0, block)
-    with pytest.raises(ValueError, match="not Hermitian"):
-        LocalOperator(0, 1j * np.eye(3))
+    # the last is Hermitian but complex, and evolve takes real eigenvectors
+    for refused in (block, 1j * np.eye(3), np.array([[0, 1j, 0], [-1j, 0, 0], [0, 0, 0]])):
+        with pytest.raises(ValueError, match="not real symmetric"):
+            LocalOperator(0, refused)
     for shape in [(4, 4), (3, 6), (9,)]:
         with pytest.raises(ValueError, match="square"):
             LocalOperator(0, np.zeros(shape))
@@ -598,7 +592,7 @@ def test_measurement_probability_follows_rotation():
 def test_measurement_on_definite_state():
     space = JointSpace(1, 0)
     state = basis_state(space, (E0,), 0, 0)
-    result = measure_atom_energy(state, 0, rng=np.random.default_rng(0))
+    result = measure_atom_energy(state, 0, outcome=MeasurementOutcome.EXCITED)
     assert result.outcome is MeasurementOutcome.EXCITED
     assert result.probability == 1.0
     np.testing.assert_allclose(result.post_state.amplitudes, state.amplitudes)
@@ -617,17 +611,6 @@ def test_measurement_keeps_excited_superposition():
     )
 
 
-def test_measurement_requires_rng_xor_outcome():
-    space = JointSpace(1, 0)
-    state = basis_state(space, (G,), 0, 0)
-    with pytest.raises(ValueError):
-        measure_atom_energy(state, 0)
-    with pytest.raises(ValueError):
-        measure_atom_energy(
-            state, 0, rng=np.random.default_rng(0), outcome=MeasurementOutcome.GROUND
-        )
-
-
 def test_zero_norm_state_cannot_be_measured():
     space = JointSpace(1, 1)
     vacuum = annihilate(basis_state(space, (G,), 0, 0), 0)
@@ -636,8 +619,6 @@ def test_zero_norm_state_cannot_be_measured():
         for outcome in MeasurementOutcome:
             with pytest.raises(ValueError, match="norm"):
                 measure_atom_energy(state, 0, outcome=outcome)
-        with pytest.raises(ValueError, match="norm"):
-            measure_atom_energy(state, 0, rng=np.random.default_rng(0))
         with pytest.raises(ValueError, match="norm"):
             reduced_atom_state(state, 0)
 
