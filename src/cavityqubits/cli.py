@@ -70,9 +70,17 @@ COST = {
 
 # Most seconds a run and the `check` of its output may be priced at, and most
 # bytes it may hold beyond the interpreter's own (about 30 MB RSS). fig3 runs as
-# many cells at once as MAX_BYTES holds: two of `config.MAX_TRIALS` trials.
+# many cells at once as MAX_BYTES holds, at most two of `config.MAX_TRIALS` trials.
 MAX_SECONDS = 10.0
 MAX_BYTES = 200_000_000
+
+# Least seconds a fig3 cell must be priced at, on average over its grid, for
+# the grid to run on more than one worker, as between numpy calls a cell holds
+# the interpreter lock. The default grid on one worker and on two, medians of
+# 15 alternating in-process pairs on the 2-vCPU host: 3000 trials a cell
+# (priced 0.94 ms) 28 and 37 ms, 5000 (1.47 ms) 46 and 44 ms, 7000 (2.0 ms) 72
+# and 52 ms; 2000 one-trial cells (0.15 ms) 208 and 290 ms, medians of 9.
+PARALLEL_CELL_SECONDS = 1.8e-3
 
 # Most atoms one fig3 cell may be expected to send, trials x its mean escape
 # count: `trapping.monte_carlo_escape` counts them in int64, which holds 1024
@@ -149,17 +157,17 @@ def price(config: ExperimentConfig, weights: dict[int, float]) -> tuple[float, f
 def _largest_phase(config: ExperimentConfig, table, n: int) -> float:
     """The largest Rabi phase sqrt(n)*gamma*tau a run of `config` can reach,
     n being its largest photon number: tau is at most pi/gamma (the longest
-    optimal or half-Rabi time), or a draw around the configured tau or
-    fig3's dwell time tau0 = 2*pi*m/(gamma*sqrt(n)) within
-    `NORMAL_DRAW_SPAN` spreads of its jitter."""
-    rabi, longest = math.sqrt(n) * config.gamma, math.pi / config.gamma
-    center, jitter = longest, 0.0
+    optimal or half-Rabi time), or a draw around the configured tau within
+    `NORMAL_DRAW_SPAN` spreads of its jitter. fig3's dwell time puts the
+    phase at 2*pi*m, with the same span of its relative jitter, whatever
+    gamma and n."""
     if table is TRAPPING_TABLE:
         # capped below where an int's float conversion raises: 2*pi*m is then inf
         m = min(max(config.rabi_cycles_values), 2**1023)
-        center = 2 * math.pi * m / rabi
-        jitter = max(config.trapping_grid().sigma_rels)
-    elif config.policy in TIMED_POLICIES:
+        return 2 * math.pi * m * (1 + NORMAL_DRAW_SPAN * max(config.trapping_grid().sigma_rels))
+    rabi, longest = math.sqrt(n) * config.gamma, math.pi / config.gamma
+    center, jitter = longest, 0.0
+    if config.policy in TIMED_POLICIES:
         center = config.tau if config.tau is not None else longest
         jitter = config.sigma_rel if config.policy == JITTERED else 0.0
     return rabi * max(longest, center * (1 + NORMAL_DRAW_SPAN * jitter))
@@ -347,22 +355,13 @@ def _run_trapping_curves(config: ExperimentConfig) -> Path:
     grid = config.trapping_grid()
     config = replace(config, sigma_rel_values=tuple(grid.sigma_rels))
     cells = list(grid)
-    jobs = [
-        (
-            trapping.TrapSpec(
-                photon_number=config.trap_photon_number,
-                rabi_cycles=m_rabi,
-                gamma=config.gamma,
-                sigma_rel=sigma_rel,
-            ),
-            config.trials,
-            split_rng(config.seed, cell),
-        )
-        for cell, (m_rabi, sigma_rel) in enumerate(cells)
-    ]
+    n, trials = config.trap_photon_number, config.trials
+    jobs = [(trapping.TrapSpec(n, m_rabi, sigma_rel), trials, split_rng(config.seed, cell))
+            for cell, (m_rabi, sigma_rel) in enumerate(cells)]
     closed = [trapping.mean_atoms_rel(m_rabi, sigma_rel) for m_rabi, sigma_rel in cells]
-    # the cells that run at once hold at most MAX_BYTES
-    most = int(MAX_BYTES // price(config, {})[1])
+    # light cells run on one worker; the cells that run at once hold at most MAX_BYTES
+    seconds, cell_bytes = price(config, {})
+    most = int(MAX_BYTES // cell_bytes) if seconds > len(cells) * PARALLEL_CELL_SECONDS else 1
     estimates = _parallel_map(trapping.monte_carlo_escape, jobs, most)
     rows = [
         (m_rabi, sigma_rel, mean, estimate.mean, estimate.stderr)

@@ -450,12 +450,6 @@ def prior_optimal_tau(initial: WeightedEnsemble, gamma: float) -> float:
 
 # --- full runs -------------------------------------------------------------
 
-# Uniforms drawn per stream at a time under a deterministic policy.
-# `Generator.random(k)` returns the same values as k scalar draws, so the
-# block size never changes an outcome.
-DRAW_BLOCK = 32
-
-
 @dataclass(frozen=True)
 class TraceEvent:
     atom_index: int
@@ -485,9 +479,8 @@ def run(config, rng: np.random.Generator) -> ProtocolTrace:
     posterior alone, so the walk stores them in the transition tree of
     (initial, policy, gamma), shared by every run from it in this process,
     and a later run that reaches a stored posterior follows its stored
-    transitions; the uniforms are drawn `DRAW_BLOCK` at a time. A
-    `JitteredTau` run stores nothing: each atom draws its tau from the
-    stream, then one uniform.
+    transitions. A `JitteredTau` run stores nothing. Each atom draws one
+    uniform from `rng`, after its tau if the policy draws one.
 
     `config` is read by attribute: `initial_weights()`, `tau_policy(initial)`,
     `gamma`, `cutoff` and `atom_budget`, as an `ExperimentConfig` provides
@@ -498,8 +491,7 @@ def run(config, rng: np.random.Generator) -> ProtocolTrace:
     if cutoff < 1:
         raise ValueError(f"cutoff must be >= 1, got {cutoff}")
     ns = initial.photon_numbers
-    jittered = isinstance(policy, JitteredTau)
-    tree = None if jittered else _tree(initial, policy, gamma)
+    tree = None if isinstance(policy, JitteredTau) else _tree(initial, policy, gamma)
     node = _node(initial) if tree is None else tree.root
     # `kept`: the node is stored in the tree, so what is computed from it is
     # stored too, while the tree has room
@@ -516,13 +508,7 @@ def run(config, rng: np.random.Generator) -> ProtocolTrace:
             reason = StopReason.ATOM_BUDGET
             break
         tau, p_e = _next_pass(node, ns, policy, gamma, rng, tree if kept else None)
-        if jittered:
-            u = rng.random()
-        else:
-            if passed % DRAW_BLOCK == 0:
-                draws = rng.random(DRAW_BLOCK).tolist()
-            u = draws[passed % DRAW_BLOCK]
-        excited = u < p_e
+        excited = rng.random() < p_e
         outcome = MeasurementOutcome.EXCITED if excited else MeasurementOutcome.GROUND
         child = node[AFTER + excited]
         if child is not None:
@@ -562,6 +548,12 @@ class BatchFinal:
     transferred: np.ndarray  # (L, B)
     atoms: np.ndarray  # (L, B) atoms passed
     reasons: np.ndarray  # (L, B) StopReason
+
+
+# Uniforms `run_batch` draws per stream at a time, which saves a Python loop
+# over the live rows on every atom. `Generator.random(k)` returns the same
+# values as k scalar draws, so the block size never changes an outcome.
+DRAW_BLOCK = 32
 
 
 def run_batch(

@@ -39,26 +39,24 @@ _buffers = threading.local()
 class TrapSpec:
     """Trapping-point scenario: `photon_number` photons, dwell time centered
     on `rabi_cycles` full Rabi oscillations, Gaussian jitter `sigma_rel`
-    relative to that dwell time."""
+    relative to that dwell time. Times are in units of 1/gamma, which drops
+    out of every escape count."""
 
     photon_number: int
     rabi_cycles: int
     sigma_rel: float
-    gamma: float = 1.0
 
     def __post_init__(self) -> None:
         if self.photon_number < 1:
             raise ValueError(f"photon_number must be >= 1, got {self.photon_number}")
         if self.rabi_cycles < 1:
             raise ValueError(f"rabi_cycles must be >= 1, got {self.rabi_cycles}")
-        if not self.gamma > 0:
-            raise ValueError(f"gamma must be positive, got {self.gamma}")
         if self.sigma_rel < 0:
             raise ValueError(f"sigma_rel must be non-negative, got {self.sigma_rel}")
 
     @property
     def tau_center(self) -> float:
-        return 2.0 * math.pi * self.rabi_cycles / (self.gamma * math.sqrt(self.photon_number))
+        return 2.0 * math.pi * self.rabi_cycles / math.sqrt(self.photon_number)
 
     @property
     def sigma(self) -> float:
@@ -145,8 +143,8 @@ def thinning(spec: TrapSpec) -> tuple[float, float, float, float, float, float]:
 
 def monte_carlo_escape(spec: TrapSpec, trials: int, rng: np.random.Generator) -> EscapeEstimate:
     """Sample the escape count: each atom draws a fresh dimensionless dwell
-    time theta = gamma tau ~ Normal(gamma tau0, gamma sigma) truncated to
-    theta > 0, and succeeds with probability sin^2(sqrt(n) theta).
+    time theta = gamma tau ~ Normal(spec.tau_center, spec.sigma) truncated
+    to theta > 0, and succeeds with probability sin^2(sqrt(n) theta).
 
     Only `thinning`'s candidates are drawn, each after a Geometric(q) gap of
     atoms, so the count stays exactly geometric. A proposal z has density
@@ -164,7 +162,7 @@ def monte_carlo_escape(spec: TrapSpec, trials: int, rng: np.random.Generator) ->
     """
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
-    if spec.sigma == 0:
+    if spec.sigma_rel == 0:
         raise ValueError("sigma = 0 never escapes; the mean is infinite")
     theta_center, theta_sigma, sqrt_n, alpha, beta, q = thinning(spec)
     share, c, edge = beta / (alpha + beta), sqrt_n * theta_sigma, -theta_center / theta_sigma

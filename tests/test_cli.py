@@ -673,15 +673,16 @@ def phase_error(n, phase):
             ["error: tau: must be finite, got nan"],
         ),
         # finite values whose time scale or Rabi frequency overflows: pi/gamma
-        # = inf emptied optimal_tau's grid (a traceback), an infinite
-        # sqrt(n)*gamma made NaN weights, and fig3's infinite tau0 never ended
+        # = inf emptied optimal_tau's grid (a traceback), and an infinite
+        # sqrt(n)*gamma made NaN weights
         (["custom", "--gamma", "1e-308"], [phase_error(6, "inf")]),
         (["fig2", "--gamma", "1e-308"], [phase_error(6, "inf")]),
         (["fig4", "--gamma", "1e-308"], [phase_error(6, "inf")]),
         (["fig2", "--gamma", "1e308"], [phase_error(6, "inf")]),
         (["custom", "--gamma", "1e308"], [phase_error(6, "inf")]),
         (["fig4", "--gamma", "1e308"], [phase_error(6, "inf")]),
-        (["fig3", "--gamma", "1e-308", "--trials", "10"], [phase_error(1, "inf")]),
+        # fig3 reads no gamma; a jitter whose draw span overflows its phase
+        (["fig3", "--sigma-rel", "1e308", "--trials", "10"], [phase_error(1, "inf")]),
         (["fig2", "--tau", "1e308"], [phase_error(6, "inf")]),
         # a Rabi cycle count or a jitter the closed form cannot square as a
         # float was an OverflowError traceback
@@ -1110,6 +1111,7 @@ def test_fig3_bytes_do_not_depend_on_the_worker_count(workers, tmp_path, monkeyp
             other.wait(timeout=10)
 
     monkeypatch.setattr(cli, "_usable_cpus", lambda: workers)
+    monkeypatch.setattr(cli, "PARALLEL_CELL_SECONDS", 0.0)  # these cells are light
     started = record_cells(monkeypatch, before=hold_the_first)
     threads = threading.active_count()
     interval = sys.getswitchinterval()
@@ -1133,6 +1135,74 @@ def test_fig3_bytes_do_not_depend_on_the_worker_count(workers, tmp_path, monkeyp
     for ident in ran_on:  # each worker takes its cells in cell order
         mine = [cell[m, s] for m, s, thread in started if thread == ident]
         assert mine == sorted(mine)
+
+
+DEFAULT_GRID = ["--m", "1,2,3", "--sigma-rel", "0.01:0.20:0.01"]
+
+
+def cell_seconds(flags, trials):
+    """`price`'s seconds per cell of a fig3 grid."""
+    args = cli.build_parser().parse_args(["fig3", *flags, "--trials", str(trials)])
+    config = cli._config_from_args(args)
+    return price(config, {})[0] / len(config.trapping_grid())
+
+
+def test_the_worker_threshold_lies_between_the_measured_sides():
+    # the default grid ran about as fast on one worker as on two at 5000
+    # trials a cell, and faster on two from 7000
+    assert cell_seconds(DEFAULT_GRID, 5000) < cli.PARALLEL_CELL_SECONDS
+    assert cell_seconds(DEFAULT_GRID, 7000) > cli.PARALLEL_CELL_SECONDS
+
+
+@pytest.mark.parametrize(
+    "flags, trials, threads",
+    [
+        (DEFAULT_GRID, 1000, 1),
+        (DEFAULT_GRID, 3000, 1),
+        # 2000 one-trial cells: 0.21 s on one worker, 0.29 s on two
+        (["--m", "1", "--sigma-rel", "0.01:0.2099:0.0001"], 1, 1),
+        (DEFAULT_GRID, 10_000, 2),
+        (DEFAULT_GRID, 20_000, 2),
+    ],
+    ids=["default-1000", "default-3000", "one-trial-cells", "default-10000", "default-20000"],
+)
+def test_fig3_starts_a_second_worker_only_on_heavy_cells(flags, trials, threads, tmp_path,
+                                                          monkeypatch):
+    monkeypatch.setattr(cli, "_usable_cpus", lambda: 2)
+    monkeypatch.setattr(trapping, "monte_carlo_escape",
+                        lambda spec, trials, rng: trapping.EscapeEstimate(2.0, 0.5, trials))
+    # with two workers, the first cell ends only once another has started
+    other = threading.Event()
+
+    def hold_the_first(spec):
+        if (spec.rabi_cycles, spec.sigma_rel) != (1, 0.01):
+            other.set()
+        elif threads > 1:
+            other.wait(timeout=10)
+
+    started = record_cells(monkeypatch, before=hold_the_first)
+    before = threading.active_count()
+    assert main(["fig3", *flags, "--trials", str(trials), "--seed", "1",
+                 "--out", str(tmp_path / "fig3.csv")]) == 0
+    assert threading.active_count() == before
+    ran_on = {ident for _, _, ident in started}
+    assert len(ran_on) == threads
+    if threads == 1:
+        assert ran_on == {threading.get_ident()}
+
+
+def test_fig3_rows_do_not_depend_on_gamma(tmp_path):
+    # fig3's times are in units of 1/gamma, which drops out of every cell
+    def rows(argv, gamma):
+        out = tmp_path / f"fig3-{gamma}.csv"
+        assert main([*argv, "--gamma", gamma, "--out", str(out)]) == 0
+        assert check_output(out) == []
+        return read_rows(out)
+
+    assert rows(FIG3_SMALL, "0.37") == rows(FIG3_SMALL, "1e300") == rows(FIG3_SMALL, "1")
+    # pi/gamma overflowed the phase bound at gamma 1e-300 and refused this grid
+    argv = ["fig3", "--m", "100000000", "--sigma-rel", "0.01", "--trials", "1", "--seed", "2"]
+    assert rows(argv, "1e-300") == rows(argv, "1")
 
 
 def test_fig3_with_one_cell_runs_on_the_calling_thread(tmp_path, monkeypatch):
@@ -1181,6 +1251,7 @@ def test_a_failing_fig3_cell_stops_the_grid(workers, error, tmp_path, monkeypatc
             time.sleep(0.05)  # time for the failing worker to record its exception
 
     monkeypatch.setattr(cli, "_usable_cpus", lambda: workers)
+    monkeypatch.setattr(cli, "PARALLEL_CELL_SECONDS", 0.0)  # these cells are light
     started = record_cells(monkeypatch, before=fail_second)
     threads = threading.active_count()
     with pytest.raises(type(error)) as raised:

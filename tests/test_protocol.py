@@ -652,6 +652,21 @@ def test_run_seeded_traces_identical():
     assert t1.reason is t2.reason
 
 
+@pytest.mark.parametrize("policy, tau", [("fixed", 0.825), ("optimal-each-step", None)])
+def test_run_draws_one_uniform_per_atom(policy, tau):
+    # a deterministic policy draws nothing itself, so each atom moves the
+    # stream by one uniform: from an empty transition tree, then a warm one
+    protocol.trees.clear()
+    config = make_config(policy=policy, tau=tau, cutoff=12)
+    for seed in (5, 5, 6):
+        rng = split_rng(seed)
+        trace = run(config, rng)
+        assert len(trace.events) > 1
+        fresh = split_rng(seed)
+        fresh.random(len(trace.events))
+        assert rng.bit_generator.state == fresh.bit_generator.state
+
+
 def test_run_events_stay_normalized():
     config = make_config(policy="optimal-each-step", tau=None, cutoff=12)
     trace = run(config, split_rng(21))

@@ -117,7 +117,7 @@ def test_quadrature_identity(n, gamma_sigma):
 
 def test_trapspec_center_sits_on_trapping_point():
     spec = TrapSpec(photon_number=3, rabi_cycles=2, sigma_rel=0.1)
-    phase = math.sqrt(3) * spec.gamma * spec.tau_center
+    phase = math.sqrt(3) * spec.tau_center  # tau in units of 1/gamma
     assert math.sin(phase) ** 2 < 1e-28
     assert spec.tau_center == pytest.approx(4 * math.pi / math.sqrt(3))
 
@@ -133,8 +133,8 @@ def test_trapspec_validation():
         TrapSpec(photon_number=1, rabi_cycles=1)
     with pytest.raises(ValueError, match="sigma_rel must be non-negative"):
         TrapSpec(photon_number=1, rabi_cycles=1, sigma_rel=-0.1)
-    with pytest.raises(ValueError, match="gamma must be positive"):
-        TrapSpec(photon_number=1, rabi_cycles=1, sigma_rel=0.1, gamma=0.0)
+    with pytest.raises(TypeError, match="gamma"):  # gamma drops out of every escape count
+        TrapSpec(photon_number=1, rabi_cycles=1, sigma_rel=0.1, gamma=1.0)
     with pytest.raises(ValueError):
         TrapSpec(photon_number=0, rabi_cycles=1, sigma_rel=0.1)
     with pytest.raises(ValueError):
@@ -195,6 +195,14 @@ def test_monte_carlo_rejects_degenerate_inputs():
         )
 
 
+def relative_jitter(c: float, photon_number: int, rabi_cycles: int, gamma: float) -> float:
+    """sigma_rel of a dwell time spread whose phase spread is c, both times
+    given in physical units at coupling `gamma`: a spec reads only their
+    ratio, whose rounding then varies with gamma."""
+    rabi = math.sqrt(photon_number) * gamma
+    return (c / rabi) / (2 * math.pi * rabi_cycles / rabi)
+
+
 @pytest.mark.parametrize("rabi_cycles", [1, 3, 10**9])
 @pytest.mark.parametrize("photon_number", [1, 4])
 @pytest.mark.parametrize("gamma", [1.0, 0.37])
@@ -207,7 +215,8 @@ def test_sin_filter_changes_no_outcome(rabi_cycles, photon_number, gamma):
     tail = np.geomspace(1e-12, 13.0, 400_001)
     z = np.concatenate((-tail, [0.0], tail))
     for c in (0.02, 0.2, 0.999):
-        spec = TrapSpec(photon_number, rabi_cycles, c / (2 * math.pi * rabi_cycles), gamma)
+        sigma_rel = relative_jitter(c, photon_number, rabi_cycles, gamma)
+        spec = TrapSpec(photon_number, rabi_cycles, sigma_rel)
         theta_center, theta_sigma, sqrt_n, alpha, beta, q = thinning(spec)
         assert beta > 0 and q < 1  # thinned
         # the truncation edge, where theta crosses 0, and its neighbours
@@ -397,7 +406,8 @@ def test_every_atom_is_a_candidate_when_the_bound_is_one(rabi_cycles, photon_num
     # c >= 1 makes g = 1: no gaps, and the sampler is the plain one, draw
     # for draw; sigma_rel = 0.5 truncates about 2 % of the draws
     for case, (c, trials) in enumerate(((1.0, 1), (1.0, 2000), (math.pi, 2000))):
-        spec = TrapSpec(photon_number, rabi_cycles, c / (2 * math.pi * rabi_cycles), gamma)
+        sigma_rel = relative_jitter(c, photon_number, rabi_cycles, gamma)
+        spec = TrapSpec(photon_number, rabi_cycles, sigma_rel)
         assert thinning(spec)[3:] == (1.0, 0.0, 1.0)
         assert_per_atom_stream(spec, trials, (rabi_cycles, case))
 
