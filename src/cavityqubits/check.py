@@ -11,6 +11,8 @@ import math
 import sys
 from pathlib import Path
 
+import numpy as np
+
 from . import cloning, protocol, trapping
 from .config import EXPERIMENTS, QUALITY_TABLE, STEP_TABLE, TRAPPING_TABLE, read_echo
 
@@ -176,16 +178,17 @@ def _check(file) -> list[str]:
             if ns != tuple(configured):
                 problems.append(f"step {step}: photon numbers differ from the distribution's")
                 continue
-            total = sum(ps)
+            total = float(cloning.ordered_sum(np.array(ps)))  # as check_weights sums it
             if not abs(total - 1.0) <= cloning.WEIGHT_TOL:  # a NaN total fails too
                 problems.append(f"step {step}: weights sum to {total!r}")
                 continue
-            problems.extend(
-                f"step {step}: p_n {p!r} < 0 at n = {n}" for n, p in zip(ns, ps) if p < 0
-            )
+            negative = [f"step {step}: p_n {p!r} < 0 at n = {n}" for n, p in zip(ns, ps) if p < 0]
+            problems.extend(negative)
             low, p_low = next((n, p) for n, p in zip(ns, ps) if p != 0)  # the fewest clones
             if m is not None and low < m:
                 problems.append(f"step {step}: p_n {p_low!r} at n = {low} < transferred {m}")
+            if negative:  # no mixture to grade
+                continue
             try:
                 expected = float(cloning.atom_fidelity(ns, ps, config.n_originals))
             except ValueError as exc:

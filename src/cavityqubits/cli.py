@@ -136,7 +136,8 @@ def price(config: ExperimentConfig, weights: dict[int, float]) -> tuple[float, f
                     done["proposal"] = math.inf
                     break
                 spec = trapping.TrapSpec(config.trap_photon_number, m, s)
-                done["proposal"] += atoms * sum(trapping.thinning(spec)[3:5])
+                alpha, beta = trapping.thinning(spec)[3:5]
+                done["proposal"] += atoms * (alpha + beta)
     else:
         k = len(weights)
         cutoff = max(config.cutoffs) if table is QUALITY_TABLE else config.cutoff
@@ -190,7 +191,7 @@ def validate(config: ExperimentConfig) -> list[Diagnostic]:
     table = experiment.table if experiment else None
     try:
         weights = config.initial_weights()
-        # the runs' own ensemble checks, with their tolerance cloning.WEIGHT_TOL
+        # the runs' weight rule, cloning.check_weights
         protocol.WeightedEnsemble.from_weights(weights)
     except ValueError as exc:
         error("distribution", str(exc))

@@ -10,8 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
-# Allowed distance of a weight total from 1, shared by the ensemble, the
-# fidelity bookkeeping and the config validator.
+# Allowed distance of a weight total from 1, `check_weights`'s tolerance.
 WEIGHT_TOL = 1e-12
 
 
@@ -22,9 +21,7 @@ def clone_fidelity(n_originals: int, m_clones):
     if n_originals < 1:
         raise ValueError(f"need at least one original, got {n_originals}")
     if np.any(m_clones < n_originals):
-        raise ValueError(
-            f"cloner cannot shrink: m_clones={m_clones} < n_originals={n_originals}"
-        )
+        raise ValueError(f"cloner cannot shrink: m_clones={m_clones} < n_originals={n_originals}")
     n, m = n_originals, m_clones
     return (n * m + n + m) / (m * (n + 2))
 
@@ -36,27 +33,48 @@ def ordered_sum(terms: np.ndarray) -> np.ndarray:
     return np.add.accumulate(terms, axis=-1, out=terms)[..., -1].copy()
 
 
+def check_weights(photon_numbers: np.ndarray, weights: np.ndarray, transferred=0) -> None:
+    """The rules of a mixture, for one (K,) row of `weights` over the K
+    branches `photon_numbers` with its transferred count, or for a (..., K)
+    stack with one count per row: the count is >= 0, every weight is a
+    non-negative number (a NaN is none), each row's `ordered_sum` lies within
+    `WEIGHT_TOL` of 1, and no weight sits on a branch with n < transferred.
+    Raises `ValueError` for the first rule broken."""
+    transferred = np.asarray(transferred)
+    if (transferred < 0).any():
+        raise ValueError("transferred count must be non-negative")
+    if not (weights >= 0).all():  # written so that a NaN fails it
+        raise ValueError("weights must be non-negative numbers that sum to 1")
+    rows = weights.reshape(-1, weights.shape[-1])
+    block = max(1, 2**16 // rows.shape[1])  # rows at a time: 512 KB copies at most
+    for i in range(0, len(rows), block):
+        total = ordered_sum(rows[i : i + block].copy())
+        off = ~(np.abs(total - 1.0) <= WEIGHT_TOL)
+        if off.any():
+            raise ValueError(f"weights must sum to 1, got {float(total[off][0])!r}")
+    dead = ((photon_numbers < transferred[..., None]) & (weights != 0)).any(axis=-1)
+    if dead.any():
+        m = int(np.ravel(transferred)[np.argmax(dead)])
+        raise ValueError(f"branches with n < transferred={m} must carry zero weight")
+
+
 def atom_fidelity(photon_numbers, weights, n_originals: int = 1):
     """F_atom, the average clone fidelity, of each row of `weights`, a (..., K)
     stack of mixtures over the K clone counts `photon_numbers`: an array of
-    the leading shape, a float for one row. A row's total and F_atom are
-    `ordered_sum`s, where a zero weight adds exactly 0.0. Raises `ValueError`
-    for a total more than `WEIGHT_TOL` from 1, NaN included, and for a
-    nonzero weight on fewer clones than `n_originals`."""
+    the leading shape, a float for one row: an `ordered_sum`, where a zero
+    weight adds exactly 0.0. Raises `ValueError` for a row `check_weights`
+    refuses, and for a nonzero weight on fewer clones than `n_originals`."""
     weights = np.asarray(weights, dtype=float)
     ms = np.array(photon_numbers, dtype=int)
     if ms.shape != weights.shape[-1:]:
         raise ValueError(f"{ms.size} clone counts for {weights.shape[-1]} weight columns")
+    check_weights(ms, weights)
     fidelity = clone_fidelity(n_originals, np.maximum(ms, n_originals))
     rows = weights.reshape(-1, ms.size)
-    total, f_atom = np.empty(len(rows)), np.empty(len(rows))
+    f_atom = np.empty(len(rows))
     block = max(1, 2**16 // ms.size)  # rows at a time: 512 KB temporaries at most
     for i in range(0, len(rows), block):
-        total[i : i + block] = ordered_sum(rows[i : i + block].copy())
         f_atom[i : i + block] = ordered_sum(rows[i : i + block] * fidelity)
-    off = total[~(np.abs(total - 1.0) <= WEIGHT_TOL)]  # a NaN total fails too
-    if off.size:
-        raise ValueError(f"weights must sum to 1, got {float(off[0])!r}")
     for k in np.flatnonzero(ms < n_originals).tolist():
         if (weights[..., k] != 0).any():
             clone_fidelity(n_originals, int(ms[k]))  # raises: the cloner cannot shrink

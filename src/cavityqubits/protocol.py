@@ -26,7 +26,7 @@ from typing import Mapping, Union
 
 import numpy as np
 
-from .cloning import WEIGHT_TOL, ordered_sum
+from .cloning import WEIGHT_TOL, check_weights, ordered_sum
 
 
 class MeasurementOutcome(Enum):
@@ -58,13 +58,13 @@ class WeightedEnsemble:
         ws = np.asarray(self.weights, dtype=float)
         object.__setattr__(self, "photon_numbers", ns)
         object.__setattr__(self, "weights", ws)
-        if ns.ndim != 1 or ns.shape != ws.shape:
-            raise ValueError("photon_numbers and weights must be aligned 1-d arrays")
+        if ns.ndim != 1 or ns.shape != ws.shape or not ns.size:
+            raise ValueError("photon_numbers and weights must be aligned non-empty 1-d arrays")
         if len(set(ns.tolist())) != len(ns):  # np.unique would import numpy.ma
             raise ValueError("duplicate photon-number branches")
         if (ns < 0).any():
             raise ValueError("photon numbers must be non-negative")
-        _check_weights(ns, ws, self.transferred)
+        check_weights(ns, ws, self.transferred)
 
     @classmethod
     def from_weights(cls, mapping: Mapping[int, float], transferred: int = 0) -> "WeightedEnsemble":
@@ -93,27 +93,6 @@ def _unchecked(ns: np.ndarray, weights: np.ndarray, transferred: int) -> Weighte
     ens = object.__new__(WeightedEnsemble)
     ens.__dict__.update(photon_numbers=ns, weights=weights, transferred=transferred)
     return ens
-
-
-def _check_weights(ns: np.ndarray, weights: np.ndarray, transferred) -> None:
-    """The weight rules of `WeightedEnsemble`, for one (K,) row with its
-    transferred count, or for a stack of rows (..., K) with one count per row."""
-    transferred = np.asarray(transferred)
-    if (transferred < 0).any():
-        raise ValueError("transferred count must be non-negative")
-    # written so that a NaN weight or total fails them
-    if not (weights >= 0).all():
-        raise ValueError("weights must be non-negative numbers")
-    sums = weights.sum(axis=-1)
-    off = ~(np.abs(sums - 1.0) <= WEIGHT_TOL)
-    if off.any():
-        raise ValueError(f"weights must sum to 1, got {float(np.ravel(sums)[np.argmax(off)])!r}")
-    dead = ((ns < transferred[..., None]) & (weights != 0)).any(axis=-1)
-    if dead.any():
-        raise ValueError(
-            f"branches with n < transferred={int(np.ravel(transferred)[np.argmax(dead)])} "
-            "must carry zero weight"
-        )
 
 
 def _rabi_factor(remaining, gamma: float, tau, excited: bool, freq=None):
@@ -528,7 +507,7 @@ def run(config, rng: np.random.Generator) -> ProtocolTrace:
     if tree is not None:
         with tree.lock:
             tree.hits, tree.misses = tree.hits + hits, tree.misses + len(events) - hits
-    _check_weights(ns, node[WEIGHTS], node[TRANSFERRED])  # the returned state is valid
+    check_weights(ns, node[WEIGHTS], node[TRANSFERRED])  # the returned state is valid
     # a copy: the tree's own arrays must not leave it
     weights = np.stack([at[WEIGHTS] for at in path])
     final = _unchecked(ns, weights[-1], node[TRANSFERRED])
@@ -676,5 +655,5 @@ def run_batch(
         out_w.reshape(-1, len(ns))[at] = np.concatenate(weights)
         out_m.reshape(-1)[at] = np.concatenate(counts)
         out_atoms.reshape(-1)[at] = np.repeat(atoms, [len(i) for i in ids])
-    _check_weights(ns, out_w, out_m)  # every returned state is a valid ensemble
+    check_weights(ns, out_w, out_m)  # every returned state is a valid ensemble
     return BatchFinal(out_w, out_m, out_atoms, np.array(members, dtype=object)[out_reasons])

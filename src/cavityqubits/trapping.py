@@ -125,8 +125,7 @@ def thinning(spec: TrapSpec) -> tuple[float, float, float, float, float, float]:
     2 |z| <= 1 + z^2. An atom is a candidate with probability q = E[g(z) |
     theta > 0]; if alpha + beta >= 1, all are: (alpha, beta, q) = (1, 0, 1)."""
     center, sqrt_n = 2.0 * math.pi * spec.rabi_cycles, math.sqrt(spec.photon_number)
-    theta_center = center / sqrt_n
-    theta_sigma, slack = spec.sigma_rel * theta_center, 1e-9 + 16.0 * math.ulp(center)
+    theta_center, theta_sigma, slack = spec.tau_center, spec.sigma, 1e-9 + 16.0 * math.ulp(center)
     c = sqrt_n * theta_sigma
     alpha, beta = slack * (slack + c), c * (c + slack)
     if alpha + beta >= 1.0:

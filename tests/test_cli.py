@@ -1,5 +1,7 @@
 import math
+import os
 import runpy
+import subprocess
 import sys
 import threading
 import time
@@ -13,7 +15,7 @@ from fidelity_reference import atom_fidelity
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from cavityqubits import __version__, cli, protocol, trapping
+from cavityqubits import __version__, cli, cloning, protocol, trapping
 from cavityqubits.cli import (
     COST,
     MAX_BYTES,
@@ -40,6 +42,8 @@ from cavityqubits.config import (
     split_rng,
 )
 from cavityqubits.trapping import escape_mean_rate, mean_atoms_rel
+
+SRC = Path(cli.__file__).resolve().parent.parent
 
 
 def read_rows(path: Path):
@@ -251,6 +255,81 @@ def test_validate_uses_the_ensemble_weight_tolerance(tmp_path, capsys):
         main(argv)
     assert "sum to 1" in capsys.readouterr().err
     assert not out.exists()
+
+
+# 16 branches whose pairwise total is 0.999999999999, inside WEIGHT_TOL, and
+# whose total left to right, the order of every weighted total, is not
+EDGE_DIST = (
+    "explicit:1=0.04920575699143284,2=0.06252391197700993,3=0.07182728711641907,"
+    "4=0.10434623376518054,5=0.05303575256188085,6=0.10799205760592634,"
+    "7=0.07428107549231647,8=0.10038091037767922,9=0.060282089510204466,"
+    "10=0.08381875814630989,11=0.041033851067699495,12=0.06328041665361384,"
+    "13=0.026170543823172347,14=0.012188635176589637,15=0.00467244116878784,"
+    "16=0.08496027856477723"
+)
+
+
+def test_validate_sums_the_weights_left_to_right(tmp_path, capsys):
+    # validate accepted it, and the run then died in atom_fidelity with a traceback
+    line = "error: distribution: weights must sum to 1, got 0.9999999999989999"
+    argv = ["--dist", EDGE_DIST, "--tau", "0.3", "--seed", "1"]
+    assert main(["validate", "--experiment", "custom", *argv]) == 1
+    assert capsys.readouterr().out.splitlines() == [line]
+    out = tmp_path / "x.csv"
+    with pytest.raises(SystemExit, match="invalid configuration"):
+        main(["custom", *argv, "--out", str(out)])
+    assert [err for err in capsys.readouterr().err.splitlines() if "error" in err] == [line]
+    assert not out.exists()
+
+
+def step0_table(config: ExperimentConfig, path: Path) -> Path:
+    """A step table holding only `config`'s prior, at step 0."""
+    metadata = [*config.metadata(__version__), ("terminal_reason", "atom-budget-exhausted"),
+                ("transferred_total", "0")]
+    rows = [f"0,{n},{p!r},0.5,0" for n, p in config.initial_weights().items()]
+    path.write_text("".join(f"# {k} = {v}\n" for k, v in metadata)
+                    + "step,n,p_n,F_atom,transferred\n" + "\n".join(rows) + "\n")
+    return path
+
+
+@st.composite
+def edge_weights(draw) -> dict[int, float]:
+    """Weights over n = 1..K, 8 <= K <= 40, whose total left to right lies
+    within a few ulps of 1 - WEIGHT_TOL or 1 + WEIGHT_TOL."""
+    k = draw(st.integers(8, 40))
+    raw = draw(st.lists(st.floats(0.01, 1.0), min_size=k, max_size=k))
+    edge = 1.0 + draw(st.sampled_from([-1, 1])) * cloning.WEIGHT_TOL
+    target = edge + draw(st.integers(-3, 3)) * math.ulp(1.0)
+    weights = [w * edge / math.fsum(raw) for w in raw[:-1]]
+    head = 0.0
+    for w in weights:
+        head += w
+    return dict(enumerate([*weights, target - head], start=1))
+
+
+@settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(weights=edge_weights())
+@example(weights=DistributionSpec.parse(EDGE_DIST).weights)
+def test_every_weight_check_agrees_at_the_tolerance_edge(weights, tmp_path_factory):
+    # the ensemble (so validate), F_atom and check's step totals judge a
+    # mixture alike, and a distribution validate accepts runs and checks
+    config = make_config(distribution=DistributionSpec("explicit", weights=weights), tau=0.3)
+    ns, ws = list(weights), np.array(list(weights.values()))
+    verdicts = []
+    for judge in (lambda: protocol.WeightedEnsemble.from_weights(weights),
+                  lambda: cloning.atom_fidelity(ns, ws)):
+        try:
+            judge()
+            verdicts.append(True)
+        except ValueError:
+            verdicts.append(False)
+    base = tmp_path_factory.getbasetemp()
+    problems = check_output(step0_table(config, base / "step0.csv"))
+    verdicts.append(not any(p.startswith("step 0: weights sum to") for p in problems))
+    ran = _validated_run(config, base / "run.csv")
+    assert ran in (None, [])
+    verdicts.append(ran == [])
+    assert verdicts in ([True] * 4, [False] * 4)
 
 
 def test_half_rabi_on_a_photon_number_mixture_is_a_config_error(tmp_path, capsys):
@@ -1828,6 +1907,52 @@ def test_check_reports_rows_it_cannot_recompute(tmp_path):
     assert check_output(out)[0] == (
         "step 0: cannot recompute F_atom: cloner cannot shrink: m_clones=1 < n_originals=2"
     )
+
+
+def test_check_reports_metadata_it_cannot_resolve(fig4_csv, tmp_path):
+    # fig4's echoed distribution must build an ensemble; the step count must be an int
+    path = tmp_path / "fig4.csv"
+    path.write_text(fig4_csv.read_text().replace("binomial:4", "explicit:1=0.25,2=0.25"))
+    assert check_output(path) == ["metadata: weights must sum to 1, got 0.5"]
+    golden = Path(__file__).parent / "golden" / "fig2.csv"
+    path = tmp_path / "fig2.csv"
+    path.write_text(golden.read_text().replace("transferred_total = 3", "transferred_total = x"))
+    assert check_output(path) == ["metadata: invalid literal for int() with base 10: 'x'"]
+
+
+def test_check_bounds_fig4_mean_quality(fig4_csv, tmp_path):
+    lines = fig4_csv.read_text().splitlines()
+    fields = lines[-3].split(",")  # the row at cutoff 1
+    fields[1] = "1.6"
+    lines[-3] = ",".join(fields)
+    path = tmp_path / "fig4.csv"
+    path.write_text("\n".join(lines) + "\n")
+    assert check_output(path) == ["row 0: mean_quality 1.6 out of range"]
+
+
+def test_check_wants_a_step_0_among_rows_that_parse(tmp_path):
+    golden = Path(__file__).parent / "golden" / "fig2.csv"
+    path = tmp_path / "fig2.csv"
+    path.write_text(golden.read_text())
+    edit_step_rows(path, lambda s, n, p, f, m: [s, n, "p", f, m] if s == "0" else None)
+    assert check_output(path) == [
+        *(f"row {i}: could not convert string to float: 'p'" for i in range(6)),
+        "step-0 weights differ from the configured distribution",
+        "terminal_reason cutoff-reached needs its first 20 grounds in a row at the end",
+    ]
+
+
+def test_an_unwritable_out_path_is_a_one_line_error(tmp_path):
+    (tmp_path / "file").write_text("")
+    out = tmp_path / "file" / "x.csv"
+    run = subprocess.run(
+        [sys.executable, "-m", "cavityqubits.cli", "custom", "--nmax", "4", "--seed", "1",
+         "--out", str(out)],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": str(SRC)},
+    )
+    assert run.returncode == 1
+    assert len(run.stderr.splitlines()) == 1 and run.stderr.startswith(f"cannot write {out}: ")
+    assert not out.exists()
 
 
 GOLDEN_FILES = [path.read_text().splitlines()

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from hypothesis import strategies as st
 from cavityqubits.cloning import (
     atom_fidelity,
     binomial_distribution,
+    check_weights,
     clone_fidelity,
     quality,
     uniform_distribution,
@@ -78,6 +80,49 @@ def test_atom_fidelity_requires_normalized_weights():
 def test_atom_fidelity_rejects_nan_weights(weights):
     with pytest.raises(ValueError, match="sum to 1"):
         graded(weights)
+
+
+def test_check_weights_sums_each_row_left_to_right():
+    # 16 weights that numpy's pairwise sum puts at 1 - 1e-12, inside the
+    # tolerance, and that add up to 1 - 1.0000001e-12 left to right
+    ws = np.array([
+        0.04920575699143284, 0.06252391197700993, 0.07182728711641907, 0.10434623376518054,
+        0.05303575256188085, 0.10799205760592634, 0.07428107549231647, 0.10038091037767922,
+        0.060282089510204466, 0.08381875814630989, 0.041033851067699495, 0.06328041665361384,
+        0.026170543823172347, 0.012188635176589637, 0.00467244116878784, 0.08496027856477723,
+    ])
+    assert ws.sum() == 0.999999999999
+    with pytest.raises(ValueError, match="weights must sum to 1, got 0.9999999999989999$"):
+        check_weights(np.arange(1, 17), ws)
+    # a weight of 2^-40 past the tolerance: refused alone and in any stack row
+    off = np.array([0.5, 0.5 + 1e-12 + 2**-40])
+    total = 0.5 + float(off[1])
+    with pytest.raises(ValueError, match=f"weights must sum to 1, got {total!r}$"):
+        check_weights(np.array([1, 2]), off)
+    # rows past the first block of 2^16 weights are judged too
+    stack = np.tile([0.5, 0.5], (7 * 2**14, 1))  # 3.5 blocks
+    check_weights(np.array([1, 2]), stack)
+    stack[-1] = off
+    with pytest.raises(ValueError, match=f"got {total!r}$"):
+        check_weights(np.array([1, 2]), stack.reshape(-1, 7, 2))
+    for row in ([1.5, -0.5], [0.5, math.nan]):  # a NaN is no non-negative number
+        with pytest.raises(ValueError, match="non-negative numbers that sum to 1"):
+            check_weights(np.array([1, 2]), np.array(row))
+    with pytest.raises(ValueError, match="transferred=2 must carry zero weight"):
+        check_weights(np.array([1, 2]), stack[:2], np.array([0, 2]))
+
+
+def test_check_weights_copies_no_stack():
+    # it sums blocks of 2^16 weights: a stack of a million holds one block at
+    # a time, beside a few bool arrays of one byte a weight
+    stack = np.full((2**17, 8), 0.125)
+    tracemalloc.start()
+    try:
+        check_weights(np.arange(1, 9), stack)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * stack.size + 2**20  # a copy of the stack is 8 bytes a weight
 
 
 def test_atom_fidelity_grades_a_stack():

@@ -270,6 +270,45 @@ def test_validate_bounds_a_run_by_its_price_alone():
     }
 
 
+def _readers(name: str) -> set[str]:
+    """`module.function` of each top-level function (or method) in `src/`
+    that names `name`, as a bare name or an attribute; `module.<module>`
+    for any other place."""
+    found = set()
+
+    def visit(node: ast.AST, owner: str) -> None:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and owner == "<module>":
+            owner = node.name
+        if (isinstance(node, ast.Name) and node.id == name) or (
+            isinstance(node, ast.Attribute) and node.attr == name
+        ):
+            found.add(f"{path.stem}.{owner}")
+        for child in ast.iter_child_nodes(node):
+            visit(child, owner)
+
+    for path in sorted(SRC.glob("*.py")):
+        visit(ast.parse(path.read_text()), "<module>")
+    return found
+
+
+def test_one_judge_refuses_a_mixture_by_its_total():
+    # a total's bits depend on its order: every total is an ordered_sum, left
+    # to right, and no module calls the builtin sum, whose order differs by
+    # Python version
+    calls = [
+        f"{path.stem}:{node.lineno}"
+        for path in sorted(SRC.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id == "sum"
+    ]
+    assert calls == []
+    # check_weights refuses a mixture; run_batch's vacuum prefilter and
+    # check's per-step diagnostics read the tolerance without refusing one
+    assert _readers("WEIGHT_TOL") == {
+        "cloning.<module>", "cloning.check_weights", "protocol.run_batch", "check._check"
+    }
+
+
 def _stop_reason_users(path: Path) -> dict[str, set[str]]:
     """For each `StopReason.<member>` a source file names, the top-level
     functions (or methods) that name it; `<module>` for any other place."""

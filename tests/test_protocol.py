@@ -12,7 +12,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cavityqubits import fockspace, protocol
-from cavityqubits.cloning import binomial_distribution, quality
+from cavityqubits.cloning import binomial_distribution, check_weights, quality
 from cavityqubits.config import MAX_PHOTON_NUMBER, DistributionSpec, ExperimentConfig, split_rng
 from cavityqubits.protocol import (
     FixedTau,
@@ -73,6 +73,8 @@ def test_ensemble_validation():
         WeightedEnsemble.from_weights({1: 1.5, 2: -0.5})
     with pytest.raises(ValueError, match="zero weight"):
         WeightedEnsemble.from_weights({1: 0.5, 2: 0.5}, transferred=2)
+    with pytest.raises(ValueError, match="non-empty"):
+        WeightedEnsemble.from_weights({})
     raw = {3: 1.0, 2: 3.0}
     ens = WeightedEnsemble.from_weights({n: w / 4.0 for n, w in raw.items()})
     assert ens.photon_numbers.tolist() == [2, 3]  # branches in ascending n
@@ -309,7 +311,7 @@ def test_update_weights_returns_a_valid_ensemble(ens, tau, gamma, excited):
             update_weights(ens, gamma, tau, outcome)
         return
     post = update_weights(ens, gamma, tau, outcome)
-    protocol._check_weights(post.photon_numbers, post.weights, post.transferred)
+    check_weights(post.photon_numbers, post.weights, post.transferred)
     assert post.photon_numbers is ens.photon_numbers
     assert post.transferred == ens.transferred + excited
 
