@@ -8,6 +8,7 @@ from __future__ import annotations
 import csv
 import itertools
 import math
+import operator
 import sys
 from pathlib import Path
 
@@ -19,6 +20,10 @@ from .config import EXPERIMENTS, QUALITY_TABLE, STEP_TABLE, TRAPPING_TABLE, read
 # False-alarm probability of `check`'s bound on a fig3 row's a_mean_mc,
 # split evenly between the two tails.
 MC_FALSE_ALARM = 1e-6
+
+# Most rows of a step table `check` parses at once, a column at a time: their
+# text, about 400 B a row, is held until they are parsed.
+RUN_ROWS = 256
 
 
 def check_output(path: Path) -> list[str]:
@@ -35,7 +40,7 @@ def check_output(path: Path) -> list[str]:
 
 def _check(file) -> list[str]:
     """`check_output` of an open file."""
-    lines = (line for line in file if line.strip())
+    lines = filter(str.strip, file)  # the non-blank lines
     metadata: dict[str, str] = {}
     line = next(lines, "")
     while line.startswith("#"):
@@ -73,9 +78,10 @@ def _check(file) -> list[str]:
         return ["no data rows"]
     rows = itertools.chain([first], rows)
 
-    def parsed(rows):
-        """(index, fields by the table's column types) of each row that parses."""
-        for i, row in enumerate(rows):
+    def parsed(rows, start=0):
+        """(index, fields by the table's column types) of each row that parses,
+        the rows counted from `start`."""
+        for i, row in enumerate(rows, start):
             if row and row[0].startswith("#"):
                 problems.append(f"row {i}: a '#' line after the header")
             elif len(row) != len(table):
@@ -153,14 +159,47 @@ def _check(file) -> list[str]:
             problems.append(f"{len(rows)} rows, but metadata lists {len(cutoffs)} cutoffs")
     else:  # step table, one group of consecutive same-step rows at a time
         step0 = "step-0 weights differ from the configured distribution"
-        groups = itertools.groupby((fields for _, fields in parsed(rows)), lambda f: f[0])
+
+        def typed(run):
+            """(step, [ns, ps, f_atoms, counts]) of a run of rows that share
+            their first field, parsed a column at a time, F_atom and
+            transferred once per distinct text, in order, as every row of a
+            step repeats them; None where a row has a wrong field count or a
+            field that does not parse, as a '#' line's first field does not."""
+            if set(map(len, run)) != {len(table)}:
+                return None
+            steps, ns, ps, f_atoms, counts = zip(*run)
+            try:
+                return int(steps[0]), [
+                    list(map(int, ns)), list(map(float, ps)),
+                    list(map(float, dict.fromkeys(f_atoms))), list(map(int, dict.fromkeys(counts))),
+                ]
+            except ValueError:
+                return None
+
+        def blocks(rows):
+            """(step, [ns, ps, f_atoms, counts]) of the rows that parse: a run
+            of rows that share their first field at once, or, where `typed`
+            cannot parse it, each row `parsed` keeps, at its index in the file."""
+            end = 0
+            for _, run in itertools.groupby(rows, operator.itemgetter(slice(1))):
+                while chunk := list(itertools.islice(run, RUN_ROWS)):
+                    start, end = end, end + len(chunk)
+                    if (block := typed(chunk)) is None:
+                        yield from ((f[0], [[x] for x in f[1:]]) for _, f in parsed(chunk, start))
+                    else:
+                        del chunk  # no text is held while a step is checked
+                        yield block
+
+        groups = itertools.groupby(blocks(rows), lambda block: block[0])
         # one transferred count per step: 0 at step 0, then growing by 0 or 1
         # per atom, with no weight left on a branch it has passed
         m = None  # the step's transferred count, if it has exactly one
         last, ordered = -1, True  # the index of the last group; steps 0, 1, ... so far
         streak, known, stop = 0, None, None  # ground steps; the last known count; the stop
         for last, (step, group) in enumerate(groups):
-            _, ns, ps, f_atoms, counts = zip(*group)
+            parts = zip(*(columns for _, columns in group))  # each column, block by block
+            ns, ps, f_atoms, counts = (list(itertools.chain.from_iterable(p)) for p in parts)
             if last == 0 and (step != 0 or dict(zip(ns, ps)) != configured):
                 problems.append(step0)
             ordered = ordered and step == last
@@ -175,7 +214,7 @@ def _check(file) -> list[str]:
             streak = 0 if last == 0 or m not in (None, known) else streak + 1
             known = known if m is None else m
             stop = last if stop is None and streak == config.cutoff else stop  # first reached
-            if ns != tuple(configured):
+            if ns != list(configured):
                 problems.append(f"step {step}: photon numbers differ from the distribution's")
                 continue
             total = float(cloning.ordered_sum(np.array(ps)))  # as check_weights sums it

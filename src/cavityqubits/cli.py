@@ -14,14 +14,16 @@ directory comes from $CAVITYQUBITS_OUTDIR.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import math
 import os
+import stat
 import sys
 import threading
 from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import Iterable
+from typing import Iterable, Iterator
 
 import numpy as np
 
@@ -63,7 +65,7 @@ COST = {
     "trial": (0.0, 18),  # its escape count, and its share of their spread: 16.3 B
     # fig2 and custom: 10^5 atoms at one branch, trapped; binomial:10 to 1000, and searching
     "step": (1.2e-4, 800),  # an atom's walk and posterior, written, checked: 105 us, 606 B
-    "step row": (7.5e-6, 20),  # a (step, n) row, written and checked: 5.5 to 6.8 us, 17 B
+    "step row": (3e-6, 20),  # a (step, n) row, written and checked: 1.6 to 2.5 us, 17 B
     "search": (4e-4, 0),  # an `optimal_tau` search: 370 us at 1 to 10 branches
     "search branch": (6e-6, 0),  # each branch it weighs: 5.1 us at 1000
 }
@@ -261,24 +263,51 @@ def _output_path(config: ExperimentConfig) -> Path:
     return base / f"{config.experiment}.csv"
 
 
-def _write_csv(
-    config: ExperimentConfig, metadata: list[tuple[str, str]], rows: Iterable[tuple]
-) -> Path:
-    """Write the metadata block, the experiment's header and `rows` straight
-    to the file, one row at a time, each by its table's column types: a
-    float as its repr, an int as its digits. Returns the path."""
+def _table_lines(config: ExperimentConfig, rows: Iterable[tuple]) -> Iterator[str]:
+    """Each of `rows` as one line of the experiment's table, by its column
+    types: a float as its repr, an int as its digits."""
     table = EXPERIMENTS[config.experiment].table
     template = ",".join("%r" if kind is float else "%s" for _, kind in table) + "\n"
+    return (template % row for row in rows)
+
+
+def _write_csv(
+    config: ExperimentConfig, metadata: list[tuple[str, str]], lines: Iterable[str]
+) -> Path:
+    """Write the metadata block, the experiment's header and the text chunks
+    `lines` straight to the file, one chunk at a time. A failed write is one
+    `cannot write` error, and a regular file it leaves part-written is
+    deleted. Returns the path."""
+    table = EXPERIMENTS[config.experiment].table
     path = _output_path(config)
     try:
         path.parent.mkdir(parents=True, exist_ok=True)
-        with path.open("w") as out:
-            out.writelines(f"# {key} = {value}\n" for key, value in metadata)
-            out.write(",".join(name for name, _ in table) + "\n")
-            out.writelines(template % row for row in rows)
+        out = path.open("w")
     except OSError as exc:
         raise SystemExit(f"cannot write {path}: {exc}")
+    try:
+        with out:
+            out.writelines(f"# {key} = {value}\n" for key, value in metadata)
+            out.write(",".join(name for name, _ in table) + "\n")
+            out.writelines(lines)
+    except OSError as exc:
+        with contextlib.suppress(OSError):  # a device, pipe or link is left alone
+            if stat.S_ISREG(path.lstat().st_mode):
+                path.unlink()
+        raise SystemExit(f"cannot write {path}: {exc}")
     return path
+
+
+def _step_lines(
+    ns: list[int], weights: np.ndarray, f_atoms: list[float], transferred: list[int]
+) -> Iterator[str]:
+    """The step table's rows, one string per step: its "step," prefix and
+    ",F_atom,transferred\n" suffix around each "n,p_n", the same bytes as
+    `_table_lines`. Only one step's weights are Python floats at a time."""
+    heads = [f"{n}," for n in ns]
+    for step, (w, f, m) in enumerate(zip(weights, f_atoms, transferred)):
+        pre, suf = f"{step},", f",{f!r},{m}\n"
+        yield pre + (suf + pre).join(map(str.__add__, heads, map(repr, w.tolist()))) + suf
 
 
 # --- experiment runners -----------------------------------------------------
@@ -292,13 +321,12 @@ def _run_weights_evolution(config: ExperimentConfig) -> Path:
     trace = protocol.run(config, rng)
     ns = trace.final.photon_numbers.tolist()
     f_atoms = cloning.atom_fidelity(ns, trace.weights, config.n_originals).tolist()
-    steps = enumerate(zip(trace.weights, f_atoms, trace.transferred.tolist()))
-    # one stack row at a time: the prior's, then each atom's posterior's
-    rows = ((step, n, p, f, m) for step, (w, f, m) in steps for n, p in zip(ns, w.tolist()))
+    # one stack row, one step, at a time: the prior's, then each atom's posterior's
+    lines = _step_lines(ns, trace.weights, f_atoms, trace.transferred.tolist())
     metadata = config.metadata(__version__)
     metadata.append(("terminal_reason", trace.reason.value))
     metadata.append(("transferred_total", str(trace.final.transferred)))
-    return _write_csv(config, metadata, rows)
+    return _write_csv(config, metadata, lines)
 
 
 def _usable_cpus() -> int:
@@ -370,7 +398,7 @@ def _run_trapping_curves(config: ExperimentConfig) -> Path:
     ]
     metadata = config.metadata(__version__)
     metadata.append(("stream_layout", "(seed, cell), thinned candidates in blocks"))
-    return _write_csv(config, metadata, rows)
+    return _write_csv(config, metadata, _table_lines(config, rows))
 
 
 def _run_quality_cutoff(config: ExperimentConfig) -> Path:
@@ -409,7 +437,7 @@ def _run_quality_cutoff(config: ExperimentConfig) -> Path:
     metadata = config.metadata(__version__)
     metadata.append(("resolved_tau", repr(float(policy.tau))))
     metadata.append(("stream_layout", "(seed, run)"))
-    return _write_csv(config, metadata, rows)
+    return _write_csv(config, metadata, _table_lines(config, rows))
 
 
 def run_experiment(config: ExperimentConfig) -> Path:

@@ -1,3 +1,4 @@
+import errno
 import math
 import os
 import runpy
@@ -11,6 +12,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from csv_reference import step_text
 from fidelity_reference import atom_fidelity
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
@@ -1125,6 +1127,34 @@ def test_step_table_memory_grows_by_its_rows_alone(tmp_path):
     assert (peak(lambda: check(25)) - small) / 20 < 64e3
 
 
+# weights whose repr is plain, exponent-form, subnormal or not a number
+STEP_VALUES = st.one_of(st.sampled_from([0.0, 1.0, 5e-324, 1e-05, 2.5e-300]), st.floats())
+
+
+@st.composite
+def step_stacks(draw):
+    """(ns, weights, f_atoms, transferred) of a step table of K branches."""
+    ns = draw(st.lists(st.integers(0, 1000), min_size=1, max_size=12, unique=True).map(sorted))
+    steps = draw(st.integers(1, 5))
+    row = st.lists(STEP_VALUES, min_size=len(ns), max_size=len(ns))
+    weights = np.array(draw(st.lists(row, min_size=steps, max_size=steps)), dtype=float)
+    f_atoms = draw(st.lists(STEP_VALUES, min_size=steps, max_size=steps))
+    transferred = draw(st.lists(st.integers(0, 1000), min_size=steps, max_size=steps))
+    return ns, weights, f_atoms, transferred
+
+
+@settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(stack=step_stacks())
+@example(stack=([1000], np.array([[5e-324], [1.0]]), [2.5e-300, 1e-05], [999, 1000]))
+@example(stack=([1, 2, 1000], np.array([[0.0, 1e-05, 1.0]]), [0.0], [0]))
+def test_step_lines_are_the_row_template_bytes(stack):
+    # one string per step, with the bytes of one `%` template per row
+    ns, weights, f_atoms, transferred = stack
+    lines = list(cli._step_lines(ns, weights, f_atoms, transferred))
+    assert len(lines) == len(weights)
+    assert "".join(lines) == step_text(ns, weights, f_atoms, transferred)
+
+
 def test_fig3_output(tmp_path):
     out = tmp_path / "fig3.csv"
     args = [
@@ -1930,6 +1960,32 @@ def test_check_bounds_fig4_mean_quality(fig4_csv, tmp_path):
     assert check_output(path) == ["row 0: mean_quality 1.6 out of range"]
 
 
+@pytest.mark.parametrize(
+    "edit, problem",
+    [
+        (lambda fields: fields[:4], "4 fields, expected 5"),
+        (lambda fields: [*fields[:2], "x", *fields[3:]], "could not convert string to float: 'x'"),
+        (lambda fields: ["# " + fields[0], *fields[1:]], "a '#' line after the header"),
+    ],
+)
+def test_check_reads_a_step_with_a_broken_row_row_by_row(edit, problem, tmp_path):
+    # binomial:1000 steps are parsed a column at a time; the rows around one
+    # that does not parse are read one at a time, at their indices in the file
+    out = tmp_path / "custom.csv"
+    assert main(["custom", "--dist", "binomial:1000", "--tau", "0.05", "--cutoff", "1000000",
+                 "--budget", "5", "--seed", "1", "--out", str(out)]) == 0
+    lines = out.read_text().splitlines()
+    body = lines.index("step,n,p_n,F_atom,transferred") + 1
+    step3 = [i for i, line in enumerate(lines[body:]) if line.startswith("3,")]
+    i = step3[len(step3) // 2]
+    assert i == 3500
+    lines[body + i] = ",".join(edit(lines[body + i].split(",")))
+    out.write_text("\n".join(lines) + "\n")
+    assert check_output(out) == [
+        f"row {i}: {problem}", "step 3: photon numbers differ from the distribution's"
+    ]
+
+
 def test_check_wants_a_step_0_among_rows_that_parse(tmp_path):
     golden = Path(__file__).parent / "golden" / "fig2.csv"
     path = tmp_path / "fig2.csv"
@@ -1953,6 +2009,39 @@ def test_an_unwritable_out_path_is_a_one_line_error(tmp_path):
     assert run.returncode == 1
     assert len(run.stderr.splitlines()) == 1 and run.stderr.startswith(f"cannot write {out}: ")
     assert not out.exists()
+
+
+def test_a_failed_write_leaves_no_partial_csv(tmp_path):
+    # the child alone may write 4096 bytes a file; the table is longer
+    resource = pytest.importorskip("resource")
+    import signal
+
+    def limit_file_size() -> None:
+        signal.signal(signal.SIGXFSZ, signal.SIG_IGN)  # a write past it fails, not the process
+        resource.setrlimit(resource.RLIMIT_FSIZE, (4096, 4096))
+
+    out = tmp_path / "custom.csv"
+    run = subprocess.run(
+        [sys.executable, "-m", "cavityqubits.cli", "custom", "--nmax", "100", "--seed", "1",
+         "--out", str(out)],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": str(SRC)},
+        preexec_fn=limit_file_size,
+    )
+    assert run.returncode == 1
+    assert run.stderr.splitlines() == [
+        f"cannot write {out}: [Errno {errno.EFBIG}] {os.strerror(errno.EFBIG)}"
+    ]
+    assert not out.exists()
+
+
+@pytest.mark.skipif(not Path("/dev/full").exists(), reason="needs /dev/full")
+def test_a_failed_write_through_a_link_leaves_the_link(tmp_path):
+    # only a regular file is deleted: never a device, nor a link to one
+    out = tmp_path / "full.csv"
+    out.symlink_to("/dev/full")
+    with pytest.raises(SystemExit, match=f"^cannot write {out}: .*No space left on device"):
+        main(["custom", "--nmax", "4", "--seed", "1", "--out", str(out)])
+    assert out.is_symlink()
 
 
 GOLDEN_FILES = [path.read_text().splitlines()
