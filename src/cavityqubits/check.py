@@ -42,29 +42,32 @@ def _check(file) -> list[str]:
     """`check_output` of an open file."""
     lines = filter(str.strip, file)  # the non-blank lines
     metadata: dict[str, str] = {}
+    repeated = []  # a key's second and later lines: the reader keeps the last
     line = next(lines, "")
     while line.startswith("#"):
         key, _, value = line.lstrip("# ").partition("=")
-        metadata[key.strip()] = value.strip()
+        if (key := key.strip()) in metadata:
+            repeated.append(f"{key}: appears more than once")
+        metadata[key] = value.strip()
         line = next(lines, "")
     rows = csv.reader(itertools.chain([line], lines))
     header = next(rows, [])
     if not metadata and not header:
         return ["empty file"]
     config, problems = read_echo(metadata)
-    if problems:
-        return [f"metadata: {problem}" for problem in problems]
+    if repeated or problems:
+        return [f"metadata: {problem}" for problem in repeated + problems]
     table = EXPERIMENTS[config.experiment].table
     # what the run adds to the config echo: not config keys
     added = {STEP_TABLE: ("terminal_reason", "transferred_total"), QUALITY_TABLE: ("resolved_tau",)}
     for key in added.get(table, ()):
         if key not in metadata:
             return [f"metadata: {key}: missing"]
+    configured = config.initial_weights()
     try:
-        configured = config.initial_weights()
         if table is STEP_TABLE:  # the run's count of transfers
             transferred_total = int(metadata["transferred_total"])
-        elif table is QUALITY_TABLE:  # the fixed tau every run took
+        elif table is QUALITY_TABLE:  # the fixed tau every run took; past the phase bound, none
             initial = protocol.WeightedEnsemble.from_weights(configured)
             resolved_tau = repr(float(config.resolved_tau(initial)))
     except ValueError as exc:

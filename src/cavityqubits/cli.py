@@ -31,7 +31,6 @@ from . import __version__, cloning, protocol, trapping
 from .check import check_output
 from .config import (
     EXPERIMENTS,
-    HALF_RABI,
     JITTERED,
     KEYS,
     OPTIMAL_EACH_STEP,
@@ -43,7 +42,6 @@ from .config import (
     ExperimentConfig,
     parse_config_file,
     split_rng,
-    value_problem,
 )
 
 # (seconds, bytes) of each unit of work: what a run and the `check` of its
@@ -177,79 +175,38 @@ def _largest_phase(config: ExperimentConfig, table, n: int) -> float:
 
 
 def validate(config: ExperimentConfig) -> list[Diagnostic]:
-    """Pure configuration check; never runs anything. Each key's own range
-    is `config.value_problem`'s; the rules here involve more than one key."""
-    problems = ((key, value_problem(key, getattr(config, key))) for key in KEYS)
-    diags = [Diagnostic("error", key, problem) for key, problem in problems if problem]
-    invalid = {d.field for d in diags}  # the keys whose own value is wrong
-
-    def error(field: str, msg: str) -> None:
-        diags.append(Diagnostic("error", field, msg))
-
-    def warn(field: str, msg: str) -> None:
-        diags.append(Diagnostic("warning", field, msg))
-
-    experiment = EXPERIMENTS.get(config.experiment)
-    table = experiment.table if experiment else None
-    try:
-        weights = config.initial_weights()
-        # the runs' weight rule, cloning.check_weights
-        protocol.WeightedEnsemble.from_weights(weights)
-    except ValueError as exc:
-        error("distribution", str(exc))
-        weights = {}
-    occupied = [n for n, p in weights.items() if p > 0]
-    if occupied and table is not TRAPPING_TABLE:
-        n_min = min(occupied)
-        if n_min < 1:
-            error("distribution", "clone-fidelity tracking needs every branch at n >= 1")
-        elif "n_originals" not in invalid and config.n_originals > n_min:
-            error(
-                "n_originals",
-                f"{config.n_originals} exceeds the smallest occupied photon number {n_min}",
-            )
-    if experiment and "policy" not in invalid and config.policy not in experiment.policies:
-        error(
-            "policy",
-            f"{config.experiment} runs only {', '.join(experiment.policies)}, "
-            f"got {config.policy!r}",
-        )
-    elif config.policy == HALF_RABI and len(occupied) > 1:
-        error(
-            "policy",
-            f"{config.policy} needs a single known photon number, the distribution has "
-            f"{len(occupied)} occupied branches",
-        )
-
+    """Pure configuration check; never runs anything. A config's own rules
+    are `ExperimentConfig.problems`; the ones here are this build's limits,
+    the Rabi-phase bound and the price, and the tau warning."""
+    diags = [Diagnostic("error", key, message) for key, message in config.problems()]
     # one bound covers every overflow of the Rabi phase, and its resolution;
     # it and the prices of the work are computed once the config has no error
     if diags:
         return diags
+    table = EXPERIMENTS[config.experiment].table
+    weights = config.initial_weights()
+    occupied = [n for n, p in weights.items() if p > 0]
     n = config.trap_photon_number if table is TRAPPING_TABLE else max(occupied)
     phase = _largest_phase(config, table, n)
     if phase > MAX_PHASE:
-        error(
-            "Rabi phase",
-            f"sqrt({n})*gamma*tau can reach {phase:.3g}, above the maximum 2^40, "
-            "where adjacent floats are 2^-12 apart",
-        )
-        return diags
+        message = (f"sqrt({n})*gamma*tau can reach {phase:.3g}, above the maximum 2^40, "
+                   "where adjacent floats are 2^-12 apart")
+        return [Diagnostic("error", "Rabi phase", message)]
     # the phase bound keeps each fig3 cycle count and jitter squarable as a float
     seconds, peak = price(config, weights)
     if seconds > MAX_SECONDS or peak > MAX_BYTES:
-        error("price", f"the run and its check are priced at {seconds:.3g} s and {peak / 1e6:.3g} "
-              f"MB, above the maximum {MAX_SECONDS:g} s and {MAX_BYTES / 1e6:g} MB")
+        message = (f"the run and its check are priced at {seconds:.3g} s and {peak / 1e6:.3g} "
+                   f"MB, above the maximum {MAX_SECONDS:g} s and {MAX_BYTES / 1e6:g} MB")
+        diags.append(Diagnostic("error", "price", message))
 
     # a fixed tau that puts the top branch's phase at pi or beyond can hit a
     # trapping point of some occupied branch and stall the run
     if table is not TRAPPING_TABLE and config.policy in TIMED_POLICIES and config.tau:
         top = math.sqrt(n) * config.gamma * config.tau
         if top >= math.pi:
-            warn(
-                "tau",
-                f"tau = {config.tau!r} puts sqrt({n})*gamma*tau at {top!r} >= pi; "
-                "a trapping point is reachable for some branch",
-            )
+            message = (f"tau = {config.tau!r} puts sqrt({n})*gamma*tau at {top!r} >= pi; "
+                       "a trapping point is reachable for some branch")
+            diags.append(Diagnostic("warning", "tau", message))
     return diags
 
 

@@ -27,9 +27,10 @@ RNG_DESCRIPTION = "numpy PCG64 via default_rng(SeedSequence([seed, *stream]))"
 
 OUTDIR_ENV = "CAVITYQUBITS_OUTDIR"
 
-# Largest photon number a distribution may hold. Exact binomial weights and
-# fig4's per-transfer branch tables grow with it (0.03 s at 1000, 91 s at
-# 20000 for the binomial weights alone).
+# Largest photon number a distribution may hold: `protocol.grid_row`'s
+# 1024-row cache holds a row per remaining photon count up to it, and fig4's
+# branch tables hold a weight per branch and run. The exact binomial weights
+# are cheap (1 ms at 1000, 0.13 to 0.15 s at 20000 on a 2-vCPU x86 host).
 MAX_PHOTON_NUMBER = 1000
 
 # Most values an 'a:b:step' or 'a..b' range may hold; `cli.price` then
@@ -268,6 +269,38 @@ class ExperimentConfig:
     def initial_weights(self) -> dict[int, float]:
         return self.distribution.resolve()
 
+    def problems(self) -> list[tuple[str, str]]:
+        """(key, message) of each rule this config breaks: each key's own
+        range (`value_problem`), then the rules that involve more than one
+        key, which skip a key whose own value is wrong."""
+        problems = [(key, p) for key in KEYS if (p := value_problem(key, getattr(self, key)))]
+        invalid = {key for key, _ in problems}
+        experiment = EXPERIMENTS.get(self.experiment)
+        table = experiment.table if experiment else None
+        try:
+            weights = self.initial_weights()
+            # the runs' weight rule, cloning.check_weights
+            protocol.WeightedEnsemble.from_weights(weights)
+        except ValueError as exc:
+            problems.append(("distribution", str(exc)))
+            weights = {}
+        occupied = [n for n, p in weights.items() if p > 0]
+        if occupied and table is not TRAPPING_TABLE:
+            n_min = min(occupied)
+            if n_min < 1:
+                message = "clone-fidelity tracking needs every branch at n >= 1"
+                problems.append(("distribution", message))
+            elif "n_originals" not in invalid and self.n_originals > n_min:
+                message = f"exceeds the smallest occupied photon number {n_min}"
+                problems.append(("n_originals", f"{self.n_originals} {message}"))
+        if experiment and "policy" not in invalid and self.policy not in experiment.policies:
+            runs = ", ".join(experiment.policies)
+            problems.append(("policy", f"{self.experiment} runs only {runs}, got {self.policy!r}"))
+        elif self.policy == HALF_RABI and len(occupied) > 1:
+            message = f"needs a single known photon number, the distribution has {len(occupied)}"
+            problems.append(("policy", f"{self.policy} {message} occupied branches"))
+        return problems
+
     def resolved_tau(self, initial: protocol.WeightedEnsemble) -> float:
         """The configured interaction time, or (tau = None) the optimum for
         the initial mixture, from the root of its optimal-each-step tree."""
@@ -335,11 +368,17 @@ def value_problem(key: str, value) -> str | None:
     return None
 
 
+def _quoted(text: str, most: int = 60) -> str:
+    """`text` quoted, or its first `most` characters quoted and its length."""
+    return repr(text) if len(text) <= most else f"{text[:most]!r}... ({len(text)} characters)"
+
+
 def read_echo(echo: Mapping[str, str]) -> tuple[ExperimentConfig | None, list[str]]:
     """The config a CSV's metadata block echoes, None if it has problems,
     and its problems as 'key: message'. Each key is read by its parser, or
-    as its unset default (None, the empty tuple) where it echoes that, is
-    checked by `value_problem`, and must echo back to its own text."""
+    as its unset default (None, the empty tuple) where it echoes that, and
+    must echo back to its own text; the config they make must then have no
+    `ExperimentConfig.problems`."""
     problems = [f"{key}: missing" for key in ("version", "rng", *KEYS) if key not in echo]
     values = {}
     for key, text in [(key, echo[key]) for key in KEYS if key in echo]:
@@ -347,14 +386,14 @@ def read_echo(echo: Mapping[str, str]) -> tuple[ExperimentConfig | None, list[st
         try:
             unset = default in (None, ()) and text == _echo(default)
             values[key] = value = default if unset else KEYS[key]["parse"](text)
-            problem = value_problem(key, value)
-            if problem is None and _echo(value) != text:
-                problem = f"{text!r} echoes back as {_echo(value)!r}"
+            if (back := _echo(value)) != text:
+                problems.append(f"{key}: {_quoted(text)} echoes back as {_quoted(back)}")
         except ValueError as exc:
-            problem = str(exc)
-        if problem:
-            problems.append(f"{key}: {problem}")
-    return (None if problems else ExperimentConfig(**values)), problems
+            problems.append(f"{key}: {exc}")
+    if not problems:
+        config = ExperimentConfig(**values)
+        problems = [f"{key}: {message}" for key, message in config.problems()]
+    return (None if problems else config), problems
 
 
 def parse_config_file(path: str | Path) -> dict[str, str]:

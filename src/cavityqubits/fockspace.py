@@ -172,9 +172,9 @@ class LocalOperator:
 class JointPureState:
     """Amplitude vector over a JointSpace basis.
 
-    Normalization is not enforced here because ladder-operator outputs are
-    legitimately unnormalized; physical states keep unit norm and the
-    evolution/measurement routines check it where it matters.
+    Normalization is not enforced here: the tests' ladder operators
+    (`tests/ladder_reference.py`) return unnormalized states. Physical states
+    keep unit norm; the evolution/measurement routines check it where it matters.
     """
 
     space: JointSpace

@@ -285,10 +285,13 @@ def test_validate_sums_the_weights_left_to_right(tmp_path, capsys):
 
 
 def step0_table(config: ExperimentConfig, path: Path) -> Path:
-    """A step table holding only `config`'s prior, at step 0."""
-    metadata = [*config.metadata(__version__), ("terminal_reason", "atom-budget-exhausted"),
+    """A step table holding only `config`'s prior over n = 1..K, at step 0,
+    under the echo of uniform:1..K, a distribution every judge accepts."""
+    weights = config.initial_weights()
+    echoed = replace(config, distribution=DistributionSpec("uniform", n_max=len(weights)))
+    metadata = [*echoed.metadata(__version__), ("terminal_reason", "atom-budget-exhausted"),
                 ("transferred_total", "0")]
-    rows = [f"0,{n},{p!r},0.5,0" for n, p in config.initial_weights().items()]
+    rows = [f"0,{n},{p!r},0.5,0" for n, p in weights.items()]
     path.write_text("".join(f"# {k} = {v}\n" for k, v in metadata)
                     + "step,n,p_n,F_atom,transferred\n" + "\n".join(rows) + "\n")
     return path
@@ -1934,20 +1937,34 @@ def test_check_reports_rows_it_cannot_recompute(tmp_path):
     out = tmp_path / "fig2.csv"
     main(["fig2", "--nmax", "4", "--tau", "0.7", "--seed", "5", "--out", str(out)])
     out.write_text(out.read_text().replace("# n_originals = 1", "# n_originals = 2"))
-    assert check_output(out)[0] == (
-        "step 0: cannot recompute F_atom: cloner cannot shrink: m_clones=1 < n_originals=2"
-    )
+    assert check_output(out) == [
+        "metadata: n_originals: 2 exceeds the smallest occupied photon number 1"
+    ]
+    # an unoccupied n = 1 branch under n_originals = 2 is valid; weight on it has no clones
+    main(["fig2", "--dist", "explicit:1=0.0,2=1.0", "--n-originals", "2", "--tau", "0.7",
+          "--seed", "5", "--out", str(out)])
+    edit_step_rows(out, lambda s, n, p, f, m: [s, n, "0.5" if s == "1" else p, f, m])
+    assert check_output(out) == [
+        "step 1: cannot recompute F_atom: cloner cannot shrink: m_clones=1 < n_originals=2"
+    ]
 
 
 def test_check_reports_metadata_it_cannot_resolve(fig4_csv, tmp_path):
     # fig4's echoed distribution must build an ensemble; the step count must be an int
     path = tmp_path / "fig4.csv"
     path.write_text(fig4_csv.read_text().replace("binomial:4", "explicit:1=0.25,2=0.25"))
-    assert check_output(path) == ["metadata: weights must sum to 1, got 0.5"]
+    assert check_output(path) == ["metadata: distribution: weights must sum to 1, got 0.5"]
     golden = Path(__file__).parent / "golden" / "fig2.csv"
     path = tmp_path / "fig2.csv"
     path.write_text(golden.read_text().replace("transferred_total = 3", "transferred_total = x"))
     assert check_output(path) == ["metadata: invalid literal for int() with base 10: 'x'"]
+    # a gamma past the Rabi-phase bound, which only validate applies, has no optimal tau
+    golden = Path(__file__).parent / "golden" / "fig4_binomial10.csv"
+    path = tmp_path / "fig4_gamma.csv"
+    path.write_text(golden.read_text().replace("# gamma = 1.0\n", "# gamma = 5e-324\n"))
+    with np.errstate(invalid="ignore"):
+        problems = check_output(path)
+    assert len(problems) == 1 and problems[0].startswith("metadata: ")
 
 
 def test_check_bounds_fig4_mean_quality(fig4_csv, tmp_path):

@@ -6,6 +6,7 @@ from __future__ import annotations
 import ast
 import inspect
 import math
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -17,6 +18,7 @@ from cavityqubits.config import (
     MAX_CUTOFF,
     MAX_PHOTON_NUMBER,
     MAX_TRIALS,
+    POLICIES,
     read_echo,
 )
 
@@ -122,12 +124,18 @@ def test_every_golden_echo_reads_back_to_its_config(golden):
     assert config.metadata(__version__) == list(meta.items())[: 2 + len(KEYS)]
 
 
+LONG_ECHO = ",".join(map(str, range(1, 1_000_001)))
+
+
 @pytest.mark.parametrize(
     "key, text, problem",
     [
         # a range is echoed as its comma list, so it reads back as another text
         ("cutoffs", "1..3", "'1..3' echoes back as '1,2,3'"),
         ("runs", "01", "'01' echoes back as '1'"),
+        # a long echo is quoted in part: this one is 6.9 million characters
+        ("cutoffs", "1..1000000",
+         f"'1..1000000' echoes back as {LONG_ECHO[:60]!r}... ({len(LONG_ECHO)} characters)"),
         ("policy", "sometimes", "unknown policy 'sometimes'"),
         ("trials", None, "missing"),
     ],
@@ -137,6 +145,44 @@ def test_a_damaged_echo_is_one_metadata_problem(key, text, problem, tmp_path, ca
     assert check.check_output(path) == [f"metadata: {key}: {problem}"]
     assert cli.main(["check", str(path)]) == 1
     assert capsys.readouterr().err.splitlines() == [f"{path}: metadata: {key}: {problem}"]
+
+
+def test_a_repeated_metadata_key_is_a_problem(tmp_path):
+    # the reader keeps the last copy, so the file would pass as seed 8
+    path = tmp_path / "fig2.csv"
+    path.write_text((GOLDEN_DIR / "fig2.csv").read_text().replace(
+        "# seed = 7\n", "# seed = 7\n# seed = 8\n"
+    ))
+    assert check.check_output(path) == ["metadata: seed: appears more than once"]
+
+
+# key -> other values its echo may take, for the judge below
+ALTERNATIVES = {
+    "experiment": sorted(EXPERIMENTS),
+    "policy": list(POLICIES),
+    "n_originals": ["1", "2", "3", "11"],
+    "distribution": [
+        "binomial:1", "binomial:10", "uniform:2..5", "explicit:3=1.0", "explicit:0=0.5,2=0.5",
+        "explicit:1=0.25,2=0.25",
+    ],
+}
+
+
+def test_check_refuses_every_echo_of_a_config_the_judge_refuses(tmp_path):
+    # each golden with each key's echo in ALTERNATIVES changed: a config that
+    # ExperimentConfig.problems refuses is no file's config
+    refused = 0
+    for golden in GOLDENS:
+        assert check.check_output(golden) == [], golden.name
+        config, _ = read_echo(metadata_lines(golden))
+        for key, texts in ALTERNATIVES.items():
+            for text in texts:
+                edited = replace(config, **{key: KEYS[key]["parse"](text)})
+                if edited.problems():
+                    refused += 1
+                    path = edited_echo(golden.name, key, text, tmp_path)
+                    assert check.check_output(path), (golden.name, key, text)
+    assert refused == 88
 
 
 EXTREMES = ["0", "-1", str(10**400), "nan", "inf", ""]
