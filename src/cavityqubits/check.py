@@ -64,16 +64,16 @@ def _check(file) -> list[str]:
         if key not in metadata:
             return [f"metadata: {key}: missing"]
     configured = config.initial_weights()
-    try:
-        if table is STEP_TABLE:  # the run's count of transfers
+    if table is STEP_TABLE:  # the run's count of transfers
+        try:
             transferred_total = int(metadata["transferred_total"])
-        elif table is QUALITY_TABLE:  # the fixed tau every run took; past the phase bound, none
-            initial = protocol.WeightedEnsemble.from_weights(configured)
-            resolved_tau = repr(float(config.resolved_tau(initial)))
-    except ValueError as exc:
-        return [f"metadata: {exc}"]
-    if table is QUALITY_TABLE and (echoed := metadata["resolved_tau"]) != resolved_tau:
-        return [f"metadata: resolved_tau: {echoed!r} != recomputed {resolved_tau}"]
+        except ValueError as exc:
+            return [f"metadata: transferred_total: {exc}"]
+    elif table is QUALITY_TABLE:  # the fixed tau every run took
+        initial = protocol.WeightedEnsemble.from_weights(configured)
+        resolved_tau = repr(float(config.resolved_tau(initial)))
+        if (echoed := metadata["resolved_tau"]) != resolved_tau:
+            return [f"metadata: resolved_tau: {echoed!r} != recomputed {resolved_tau}"]
     n_max, runs, cutoffs = config.distribution.max_photon_number(), config.runs, config.cutoffs
     if header != [name for name, _ in table]:
         return [f"unexpected header {header}" if header else "no header row"]

@@ -48,6 +48,17 @@ MAX_CUTOFF = 1_000_000
 # (two cells at once) at 190 MB, against 219 to 320 MB with all four at once.
 MAX_TRIALS = 5_000_000
 
+# Largest Rabi phase sqrt(n)*gamma*tau a run may reach. Below 2^40 adjacent
+# floats are at most 2^-12 apart, small next to the period pi of sin^2;
+# beyond about 2^52*pi they are more than a period apart, and every sin^2
+# is rounding noise.
+MAX_PHASE = 2**40
+
+# numpy's normal sampler returns no draw beyond about 12.3 standard
+# deviations from its mean (its ziggurat tail takes the log of a 53-bit
+# uniform); the Rabi phase is bounded out to this many.
+NORMAL_DRAW_SPAN = 16.0
+
 # lower bounds of a config key's number, or of each number of its tuple:
 # (least value, whether it is allowed, the rule's text); a count is >= 1
 POSITIVE, NON_NEGATIVE, COUNT = (0, False, "positive"), (0, True, "non-negative"), (1, True, ">= 1")
@@ -272,7 +283,8 @@ class ExperimentConfig:
     def problems(self) -> list[tuple[str, str]]:
         """(key, message) of each rule this config breaks: each key's own
         range (`value_problem`), then the rules that involve more than one
-        key, which skip a key whose own value is wrong."""
+        key, which skip a key whose own value is wrong; if it breaks none,
+        the Rabi-phase bound, one for every overflow and its resolution."""
         problems = [(key, p) for key in KEYS if (p := value_problem(key, getattr(self, key)))]
         invalid = {key for key, _ in problems}
         experiment = EXPERIMENTS.get(self.experiment)
@@ -299,6 +311,12 @@ class ExperimentConfig:
         elif self.policy == HALF_RABI and len(occupied) > 1:
             message = f"needs a single known photon number, the distribution has {len(occupied)}"
             problems.append(("policy", f"{self.policy} {message} occupied branches"))
+        if not problems:
+            n = self.trap_photon_number if table is TRAPPING_TABLE else max(occupied)
+            if (phase := _largest_phase(self, table, n)) > MAX_PHASE:
+                message = (f"sqrt({n})*gamma*tau can reach {phase:.3g}, above the maximum 2^40, "
+                           "where adjacent floats are 2^-12 apart")
+                problems.append(("Rabi phase", message))
         return problems
 
     def resolved_tau(self, initial: protocol.WeightedEnsemble) -> float:
@@ -331,6 +349,25 @@ class ExperimentConfig:
         """Config echo for the CSV header block (deterministic order)."""
         keys = [(f.name, _echo(getattr(self, f.name))) for f in fields(self)]
         return [("version", version), ("rng", RNG_DESCRIPTION), *keys]
+
+
+def _largest_phase(config: ExperimentConfig, table, n: int) -> float:
+    """The largest Rabi phase sqrt(n)*gamma*tau a run of `config` can reach,
+    n being its largest photon number: tau is at most pi/gamma (the longest
+    optimal or half-Rabi time), or a draw around the configured tau within
+    `NORMAL_DRAW_SPAN` spreads of its jitter. fig3's dwell time puts the
+    phase at 2*pi*m, with the same span of its relative jitter, whatever
+    gamma and n."""
+    if table is TRAPPING_TABLE:
+        # capped below where an int's float conversion raises: 2*pi*m is then inf
+        m = min(max(config.rabi_cycles_values), 2**1023)
+        return 2 * math.pi * m * (1 + NORMAL_DRAW_SPAN * max(config.trapping_grid().sigma_rels))
+    rabi, longest = math.sqrt(n) * config.gamma, math.pi / config.gamma
+    center, jitter = longest, 0.0
+    if config.policy in TIMED_POLICIES:
+        center = config.tau if config.tau is not None else longest
+        jitter = config.sigma_rel if config.policy == JITTERED else 0.0
+    return rabi * max(longest, center * (1 + NORMAL_DRAW_SPAN * jitter))
 
 
 # config key -> its default, parser, flag, help, choices, commonness and range

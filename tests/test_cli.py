@@ -7,6 +7,7 @@ import sys
 import threading
 import time
 import tracemalloc
+import warnings
 from dataclasses import replace
 from pathlib import Path
 
@@ -31,6 +32,7 @@ from cavityqubits.cli import (
 from cavityqubits.cloning import binomial_distribution, quality
 from cavityqubits.config import (
     MAX_CUTOFF,
+    MAX_PHASE,
     MAX_PHOTON_NUMBER,
     MAX_RANGE_VALUES,
     MAX_TRIALS,
@@ -807,6 +809,48 @@ def test_non_finite_floats_are_config_errors(argv, errors, tmp_path, capsys):
     assert not out.exists()
 
 
+# each phase-bound case above, as an echo edit of a golden of its experiment:
+# `check` refuses it with the line `validate` prints
+@pytest.mark.parametrize(
+    "golden, edits, error",
+    [
+        ("custom_optimal_each_step.csv", {"gamma": 1e-308}, phase_error(6, "inf")),
+        ("fig2.csv", {"gamma": 1e-308}, phase_error(6, "inf")),
+        ("fig4_binomial10.csv", {"gamma": 1e-308}, phase_error(10, "inf")),
+        ("fig2.csv", {"gamma": 1e308}, phase_error(6, "inf")),
+        ("custom_optimal_each_step.csv", {"gamma": 1e308}, phase_error(6, "inf")),
+        ("fig4_binomial10.csv", {"gamma": 1e308}, phase_error(10, "inf")),
+        ("fig3.csv", {"sigma_rel_values": (1e308,)}, phase_error(1, "inf")),
+        ("fig2.csv", {"tau": 1e308}, phase_error(6, "inf")),
+        ("fig3.csv", {"rabi_cycles_values": (10**200,)}, phase_error(1, "2.64e+201")),
+        ("fig3.csv", {"rabi_cycles_values": (1, 10**400)}, phase_error(1, "inf")),
+        ("fig3.csv", {"sigma_rel_values": (1e200,)}, phase_error(1, "3.02e+202")),
+        ("fig3.csv", {"rabi_cycles_values": (10**154,), "sigma_rel_values": (0.1, 1e154)},
+         phase_error(1, "inf")),
+        ("custom_jittered.csv", {"tau": 1e300, "sigma_rel": 1e10}, phase_error(6, "inf")),
+        ("custom_jittered.csv", {"tau": 1e300, "sigma_rel": 1e7}, phase_error(6, "inf")),
+        ("custom_jittered.csv", {"tau": 1e300, "sigma_rel": 1e5}, phase_error(6, "3.92e+306")),
+        ("fig4_binomial10.csv", {"tau": 1e13}, phase_error(10, "3.16e+13")),
+        ("fig3.csv", {"rabi_cycles_values": (10**12,)}, phase_error(1, "2.64e+13")),
+    ],
+)
+def test_check_refuses_a_phase_past_the_bound_as_validate_does(golden, edits, error, tmp_path):
+    path = Path(__file__).parent / "golden" / golden
+    lines = path.read_text().splitlines(keepends=True)
+    config, _ = read_echo(read_metadata(path))
+    config = replace(config, **edits)
+    echo = dict(config.metadata(__version__))
+    for key in edits:
+        i = next(i for i, line in enumerate(lines) if line.partition(" =")[0] == f"# {key}")
+        lines[i] = f"# {key} = {echo[key]}\n"
+    path = tmp_path / golden
+    path.write_text("".join(lines))
+    assert [str(d) for d in validate(config)] == [error]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert check_output(path) == ["metadata: " + error.removeprefix("error: ")]
+
+
 @pytest.mark.parametrize(
     "argv, errors",
     [
@@ -858,7 +902,7 @@ def test_the_cutoff_cap_is_inclusive():
 
 def test_the_rabi_phase_cap_is_2_to_the_40():
     # binomial:6: the top branch's phase is sqrt(6)*tau at gamma = 1
-    tau = cli.MAX_PHASE / math.sqrt(6)
+    tau = MAX_PHASE / math.sqrt(6)
     below = validate(make_config(tau=tau * (1 - 2**-40)))
     assert [d.level for d in below] == ["warning"]  # a trapping point is reachable
     assert [str(d) for d in validate(make_config(tau=tau * (1 + 2**-40)))] == [
@@ -1957,14 +2001,16 @@ def test_check_reports_metadata_it_cannot_resolve(fig4_csv, tmp_path):
     golden = Path(__file__).parent / "golden" / "fig2.csv"
     path = tmp_path / "fig2.csv"
     path.write_text(golden.read_text().replace("transferred_total = 3", "transferred_total = x"))
-    assert check_output(path) == ["metadata: invalid literal for int() with base 10: 'x'"]
-    # a gamma past the Rabi-phase bound, which only validate applies, has no optimal tau
+    assert check_output(path) == [
+        "metadata: transferred_total: invalid literal for int() with base 10: 'x'"
+    ]
+    # a gamma past the Rabi-phase bound is refused before any optimal tau is sought
     golden = Path(__file__).parent / "golden" / "fig4_binomial10.csv"
     path = tmp_path / "fig4_gamma.csv"
     path.write_text(golden.read_text().replace("# gamma = 1.0\n", "# gamma = 5e-324\n"))
-    with np.errstate(invalid="ignore"):
-        problems = check_output(path)
-    assert len(problems) == 1 and problems[0].startswith("metadata: ")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert check_output(path) == ["metadata: " + phase_error(10, "inf").removeprefix("error: ")]
 
 
 def test_check_bounds_fig4_mean_quality(fig4_csv, tmp_path):

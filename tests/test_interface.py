@@ -245,7 +245,8 @@ def test_only_the_rabi_factor_takes_a_sine_or_cosine_in_protocol():
 
 def test_validate_bounds_a_run_by_its_price_alone():
     # one cost table prices every run: no count bound may come back beside
-    # the two bounds, the float resolution and fig3's int64 guard
+    # the two bounds and fig3's int64 guard; the float resolution is a rule
+    # of the config, which only its judge applies
     tree = ast.parse((SRC / "cli.py").read_text())
     bound = set()
     for node in tree.body:
@@ -255,7 +256,7 @@ def test_validate_bounds_a_run_by_its_price_alone():
         elif isinstance(node, (ast.Import, ast.ImportFrom)):
             bound.update((alias.asname or alias.name).split(".")[0] for alias in node.names)
     assert {name for name in bound if name.startswith("MAX_")} == {
-        "MAX_SECONDS", "MAX_BYTES", "MAX_PHASE", "MAX_TRAPPING_ATOMS"
+        "MAX_SECONDS", "MAX_BYTES", "MAX_TRAPPING_ATOMS"
     }
     # who reads the bounds and the table, and who asks for a price
     reads = {}
@@ -265,9 +266,10 @@ def test_validate_bounds_a_run_by_its_price_alone():
             reads[node.name] = {n for n in names if n.startswith("MAX_") or n in ("COST", "price")}
     assert {name: names for name, names in reads.items() if names} == {
         "price": {"COST", "MAX_SECONDS", "MAX_TRAPPING_ATOMS"},
-        "validate": {"price", "MAX_SECONDS", "MAX_BYTES", "MAX_PHASE"},
+        "validate": {"price", "MAX_SECONDS", "MAX_BYTES"},
         "_run_trapping_curves": {"price", "MAX_BYTES"},
     }
+    assert _readers("MAX_PHASE") == {"config.<module>", "config.problems"}
 
 
 def _readers(name: str) -> set[str]:
