@@ -312,9 +312,10 @@ class ExperimentConfig:
             message = f"needs a single known photon number, the distribution has {len(occupied)}"
             problems.append(("policy", f"{self.policy} {message} occupied branches"))
         if not problems:
-            n = self.trap_photon_number if table is TRAPPING_TABLE else max(occupied)
+            n, fig3 = max(occupied), f"2*pi*m*(1 + {NORMAL_DRAW_SPAN:g}*sigma_rel)"
+            what = fig3 if table is TRAPPING_TABLE else f"sqrt({n})*gamma*tau"
             if (phase := _largest_phase(self, table, n)) > MAX_PHASE:
-                message = (f"sqrt({n})*gamma*tau can reach {phase:.3g}, above the maximum 2^40, "
+                message = (f"{what} can reach {phase:.3g}, above the maximum 2^40, "
                            "where adjacent floats are 2^-12 apart")
                 problems.append(("Rabi phase", message))
         return problems

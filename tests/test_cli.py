@@ -332,7 +332,7 @@ def test_every_weight_check_agrees_at_the_tolerance_edge(weights, tmp_path_facto
             verdicts.append(False)
     base = tmp_path_factory.getbasetemp()
     problems = check_output(step0_table(config, base / "step0.csv"))
-    verdicts.append(not any(p.startswith("step 0: weights sum to") for p in problems))
+    verdicts.append(not any(p.startswith("step 0: weights must sum to 1, got") for p in problems))
     ran = _validated_run(config, base / "run.csv")
     assert ran in (None, [])
     verdicts.append(ran == [])
@@ -734,8 +734,12 @@ def test_fig3_jitter_must_be_finite(value, tmp_path, capsys):
 
 
 def phase_error(n, phase):
+    """validate's line for a Rabi phase sqrt(n)*gamma*tau past the bound, or
+    for fig3's dwell phase, which depends on neither n, gamma nor tau, where
+    n is None."""
+    what = "2*pi*m*(1 + 16*sigma_rel)" if n is None else f"sqrt({n})*gamma*tau"
     return (
-        f"error: Rabi phase: sqrt({n})*gamma*tau can reach {phase}, above the maximum 2^40, "
+        f"error: Rabi phase: {what} can reach {phase}, above the maximum 2^40, "
         "where adjacent floats are 2^-12 apart"
     )
 
@@ -768,18 +772,18 @@ def phase_error(n, phase):
         (["custom", "--gamma", "1e308"], [phase_error(6, "inf")]),
         (["fig4", "--gamma", "1e308"], [phase_error(6, "inf")]),
         # fig3 reads no gamma; a jitter whose draw span overflows its phase
-        (["fig3", "--sigma-rel", "1e308", "--trials", "10"], [phase_error(1, "inf")]),
+        (["fig3", "--sigma-rel", "1e308", "--trials", "10"], [phase_error(None, "inf")]),
         (["fig2", "--tau", "1e308"], [phase_error(6, "inf")]),
         # a Rabi cycle count or a jitter the closed form cannot square as a
         # float was an OverflowError traceback
-        (["fig3", "--m", str(10**200), "--trials", "10"], [phase_error(1, "2.64e+201")]),
-        (["fig3", "--m", f"1,{10**400}", "--trials", "10"], [phase_error(1, "inf")]),
-        (["fig3", "--sigma-rel", "1e200", "--trials", "10"], [phase_error(1, "3.02e+202")]),
+        (["fig3", "--m", str(10**200), "--trials", "10"], [phase_error(None, "2.64e+201")]),
+        (["fig3", "--m", f"1,{10**400}", "--trials", "10"], [phase_error(None, "inf")]),
+        (["fig3", "--sigma-rel", "1e200", "--trials", "10"], [phase_error(None, "3.02e+202")]),
         # squarable values whose dwell-time spread overflows the Rabi phase:
         # every sin^2 would be NaN and no trial would escape
         (
             ["fig3", "--m", str(10**154), "--sigma-rel", "0.1,1e154", "--trials", "10"],
-            [phase_error(1, "inf")],
+            [phase_error(None, "inf")],
         ),
         # an infinite jittered spread sigma_rel * tau made NaN weights
         (
@@ -797,7 +801,7 @@ def phase_error(n, phase):
             [phase_error(6, "3.92e+306")],
         ),
         (["fig4", "--tau", "1e13", "--runs", "2"], [phase_error(6, "2.45e+13")]),
-        (["fig3", "--m", str(10**12), "--trials", "10"], [phase_error(1, "2.64e+13")]),
+        (["fig3", "--m", str(10**12), "--trials", "10"], [phase_error(None, "2.64e+13")]),
     ],
 )
 def test_non_finite_floats_are_config_errors(argv, errors, tmp_path, capsys):
@@ -820,18 +824,18 @@ def test_non_finite_floats_are_config_errors(argv, errors, tmp_path, capsys):
         ("fig2.csv", {"gamma": 1e308}, phase_error(6, "inf")),
         ("custom_optimal_each_step.csv", {"gamma": 1e308}, phase_error(6, "inf")),
         ("fig4_binomial10.csv", {"gamma": 1e308}, phase_error(10, "inf")),
-        ("fig3.csv", {"sigma_rel_values": (1e308,)}, phase_error(1, "inf")),
+        ("fig3.csv", {"sigma_rel_values": (1e308,)}, phase_error(None, "inf")),
         ("fig2.csv", {"tau": 1e308}, phase_error(6, "inf")),
-        ("fig3.csv", {"rabi_cycles_values": (10**200,)}, phase_error(1, "2.64e+201")),
-        ("fig3.csv", {"rabi_cycles_values": (1, 10**400)}, phase_error(1, "inf")),
-        ("fig3.csv", {"sigma_rel_values": (1e200,)}, phase_error(1, "3.02e+202")),
+        ("fig3.csv", {"rabi_cycles_values": (10**200,)}, phase_error(None, "2.64e+201")),
+        ("fig3.csv", {"rabi_cycles_values": (1, 10**400)}, phase_error(None, "inf")),
+        ("fig3.csv", {"sigma_rel_values": (1e200,)}, phase_error(None, "3.02e+202")),
         ("fig3.csv", {"rabi_cycles_values": (10**154,), "sigma_rel_values": (0.1, 1e154)},
-         phase_error(1, "inf")),
+         phase_error(None, "inf")),
         ("custom_jittered.csv", {"tau": 1e300, "sigma_rel": 1e10}, phase_error(6, "inf")),
         ("custom_jittered.csv", {"tau": 1e300, "sigma_rel": 1e7}, phase_error(6, "inf")),
         ("custom_jittered.csv", {"tau": 1e300, "sigma_rel": 1e5}, phase_error(6, "3.92e+306")),
         ("fig4_binomial10.csv", {"tau": 1e13}, phase_error(10, "3.16e+13")),
-        ("fig3.csv", {"rabi_cycles_values": (10**12,)}, phase_error(1, "2.64e+13")),
+        ("fig3.csv", {"rabi_cycles_values": (10**12,)}, phase_error(None, "2.64e+13")),
     ],
 )
 def test_check_refuses_a_phase_past_the_bound_as_validate_does(golden, edits, error, tmp_path):
@@ -1348,14 +1352,17 @@ def test_fig3_starts_a_second_worker_only_on_heavy_cells(flags, trials, threads,
 
 
 def test_fig3_rows_do_not_depend_on_gamma(tmp_path):
-    # fig3's times are in units of 1/gamma, which drops out of every cell
-    def rows(argv, gamma):
-        out = tmp_path / f"fig3-{gamma}.csv"
-        assert main([*argv, "--gamma", gamma, "--out", str(out)]) == 0
+    # fig3's times are in units of 1/gamma, which drops out of every cell,
+    # and its dwell phase 2*pi*m holds whatever the photon number --n
+    def rows(argv, gamma, n="1"):
+        out = tmp_path / f"fig3-{gamma}-{n}.csv"
+        assert main([*argv, "--gamma", gamma, "--n", n, "--out", str(out)]) == 0
         assert check_output(out) == []
         return read_rows(out)
 
     assert rows(FIG3_SMALL, "0.37") == rows(FIG3_SMALL, "1e300") == rows(FIG3_SMALL, "1")
+    for n in ("2", "7", "1000"):
+        assert rows(FIG3_SMALL, "1", n) == rows(FIG3_SMALL, "1")
     # pi/gamma overflowed the phase bound at gamma 1e-300 and refused this grid
     argv = ["fig3", "--m", "100000000", "--sigma-rel", "0.01", "--trials", "1", "--seed", "2"]
     assert rows(argv, "1e-300") == rows(argv, "1")
@@ -1637,7 +1644,7 @@ def test_checker_reports_nan_step_weights(tmp_path):
             row[2] = "nan"
             lines[i] = ",".join(row)
     out.write_text("\n".join(lines) + "\n")
-    assert check_output(out) == ["step 1: weights sum to nan"]
+    assert check_output(out) == ["step 1: weights must be non-negative numbers that sum to 1"]
 
 
 def edit_step_rows(path: Path, edit) -> None:
@@ -1665,7 +1672,7 @@ def test_checker_flags_a_negative_step_weight(tmp_path):
     out.write_text(golden.read_text())
     edit_step_rows(out, lambda s, n, p, f, m: [s, n, repr(step1[int(n)]), f_atom, m]
                    if s == "1" else [s, n, p, f, m])
-    assert check_output(out) == ["step 1: p_n -0.05 < 0 at n = 1"]
+    assert check_output(out) == ["step 1: weights must be non-negative numbers that sum to 1"]
 
 
 CUTOFF_UNMET = "terminal_reason cutoff-reached needs its first 20 grounds in a row at the end"
@@ -1676,13 +1683,10 @@ def test_checker_verifies_the_transferred_column(tmp_path):
     assert main(["custom", "--nmax", "4", "--seed", "3", "--out", str(out)]) == 0
     assert check_output(out) == []
     good = out.read_text()
-    # a message quotes p_n as the file holds it, so the expected text comes from the file
-    rows = [line.split(",") for line in good.splitlines() if line[:1].isdigit()]
-    p_n = {(s, n): repr(float(p)) for s, n, p, _, _ in rows}
     edit_step_rows(out, lambda s, n, p, f, m: [s, n, p, f, str(int(m) + 3)])
     problems = check_output(out)
     assert problems[0] == "step 0: transferred 3 != 0"
-    assert f"step 1: p_n {p_n['1', '1']} at n = 1 < transferred 4" in problems
+    assert "step 1: branches with n < transferred=4 must carry zero weight" in problems
     assert problems[-1] == "transferred 5 at the last step != transferred_total 2"
     assert main(["check", str(out)]) == 1
 
@@ -1703,7 +1707,7 @@ def test_checker_verifies_the_transferred_column(tmp_path):
         "step 4: 2 transferred values, expected 1",
     ]
     assert damaged(lambda s, n, p, f, m: [s, n, p, f, "3" if s == "3" else m]) == [
-        f"step 3: p_n {p_n['3', '2']} at n = 2 < transferred 3",
+        "step 3: branches with n < transferred=3 must carry zero weight",
         "step 4: transferred goes from 3 to 2",
         CUTOFF_UNMET,  # step 3's count went up, so its streak starts a step later
     ]
@@ -1867,6 +1871,13 @@ def test_checker_reads_the_terminal_reason(tmp_path):
                  "--out", str(out)]) == 0
     assert "# terminal_reason = atom-budget-exhausted\n" in out.read_text()
     assert check_output(out) == []
+    # a last step the run's judge refuses has no vacuum-certain posterior
+    text = (Path(__file__).parent / "golden" / "custom_half_rabi.csv").read_text()
+    out.write_text(text.replace("\n4,4,1.0,", "\n4,4,1.000000001,"))
+    assert check_output(out) == [
+        "step 4: weights must sum to 1, got 1.000000001",
+        "terminal_reason vacuum-certain needs a vacuum-certain last posterior",
+    ]
 
 
 def test_checker_recomputes_fig4_resolved_tau(tmp_path):
@@ -1989,7 +2000,7 @@ def test_check_reports_rows_it_cannot_recompute(tmp_path):
           "--seed", "5", "--out", str(out)])
     edit_step_rows(out, lambda s, n, p, f, m: [s, n, "0.5" if s == "1" else p, f, m])
     assert check_output(out) == [
-        "step 1: cannot recompute F_atom: cloner cannot shrink: m_clones=1 < n_originals=2"
+        "step 1: cloner cannot shrink: m_clones=1 < n_originals=2"
     ]
 
 

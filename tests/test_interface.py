@@ -304,11 +304,13 @@ def test_one_judge_refuses_a_mixture_by_its_total():
         if isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id == "sum"
     ]
     assert calls == []
-    # check_weights refuses a mixture; run_batch's vacuum prefilter and
-    # check's per-step diagnostics read the tolerance without refusing one
+    # check_weights refuses a mixture, for a run and for each step `check`
+    # reads; run_batch's vacuum prefilter reads the tolerance without refusing
+    # one, and `check` sums no weights itself
     assert _readers("WEIGHT_TOL") == {
-        "cloning.<module>", "cloning.check_weights", "protocol.run_batch", "check._check"
+        "cloning.<module>", "cloning.check_weights", "protocol.run_batch"
     }
+    assert not any(reader.startswith("check.") for reader in _readers("ordered_sum"))
 
 
 def _stop_reason_users(path: Path) -> dict[str, set[str]]:
